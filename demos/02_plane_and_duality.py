@@ -8,8 +8,6 @@ measures extended distances and angles, and converts between models.
 
 import math
 
-import numpy as np
-
 from hypertri import (
     HLine,
     HPoint,
@@ -96,10 +94,8 @@ for label, pts in (
 print()
 print("Model conversions (radii tanh(a) vs tanh(a/2))")
 print("----------------------------------------------")
-dists = np.array([0.25, 0.5, 1.0, 2.0])
-klein_radii = np.tanh(dists)
-poincare_radii = np.tanh(dists / 2.0)
-for d, rk, rp in zip(dists, klein_radii, poincare_radii):
+for d in (0.25, 0.5, 1.0, 2.0):
+    rk, rp = math.tanh(d), math.tanh(d / 2.0)
     via = model_convert((rk, 0.0), "klein", "poincare")
     print(f"  hyperbolic distance {d:4.2f}: Klein radius {rk:.6f} -> "
           f"Poincare {via[0]:.6f} (tanh(d/2) = {rp:.6f})")

@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import plane, trig
 from .errors import (
     ConjugateAtInfinity,
     DegenerateTriangle,
+    GeometryError,
     NoRootFound,
     OnSideLine,
 )
@@ -46,7 +45,7 @@ from .plane import (
     tangent_toward,
     vertex_angle,
 )
-from .trig import TriangleData, tri_coords
+from .trig import TriangleData, relative_residual, tri_coords
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +88,9 @@ class Frame:
     """Shared constructive scaffolding for one triangle, built lazily.
 
     Vertices are unit-normalized, side lines unit and oriented toward the
-    opposite vertex.  Everything downstream (centers, feet, radii) is cached
-    here so a batch of identity checks constructs each object once.
+    opposite vertex.  Everything downstream (bisectors, feet, and every
+    center builder's result) is cached here, so a batch of identity checks
+    constructs each object once.
     """
 
     def __init__(self, t: TriangleData):
@@ -98,27 +98,26 @@ class Frame:
             t = trig.embed(t)
         self.t = t
         self.A, self.B, self.C = t.vertices
-        self.lA = t.side_line("a")
-        self.lB = t.side_line("b")
-        self.lC = t.side_line("c")
+        self.lA, self.lB, self.lC = t.lines
         self._cache: dict = {}
 
-    def _get(self, key, builder):
+    def get(self, key, build):
+        """``build()`` once per frame, then the stored value."""
         if key not in self._cache:
-            self._cache[key] = builder()
+            self._cache[key] = build()
         return self._cache[key]
 
     # -- bisector lines: at vertex A the adjacent side lines are lB (= AC)
     # and lC (= AB); the interior is where both signed distances are positive.
     def internal_bisector(self, vertex: str) -> HLine:
-        return self._get(f"bis_int_{vertex}", lambda: {
+        return self.get(f"bis_int_{vertex}", lambda: {
             "A": _line_sub(self.lC, self.lB),
             "B": _line_sub(self.lA, self.lC),
             "C": _line_sub(self.lB, self.lA),
         }[vertex])
 
     def external_bisector(self, vertex: str) -> HLine:
-        return self._get(f"bis_ext_{vertex}", lambda: {
+        return self.get(f"bis_ext_{vertex}", lambda: {
             "A": _line_add(self.lC, self.lB),
             "B": _line_add(self.lA, self.lC),
             "C": _line_add(self.lB, self.lA),
@@ -132,7 +131,7 @@ class Frame:
                 "a": (self.B, self.C), "b": (self.C, self.A), "c": (self.A, self.B)
             }[side]
             return tangent_toward(start, end)
-        return self._get(f"tangent_{side}", build)
+        return self.get(f"tangent_{side}", build)
 
     def side_start(self, side: str) -> HPoint:
         return {"a": self.B, "b": self.C, "c": self.A}[side]
@@ -141,13 +140,41 @@ class Frame:
         def build():
             v, l = {"A": (self.A, self.lA), "B": (self.B, self.lB), "C": (self.C, self.lC)}[vertex]
             return normalize(foot_of_perpendicular(v, l))
-        return self._get(f"alt_foot_{vertex}", build)
+        return self.get(f"alt_foot_{vertex}", build)
 
     def bisector_foot(self, vertex: str) -> HPoint:
         def build():
             l = {"A": self.lA, "B": self.lB, "C": self.lC}[vertex]
             return normalize(meet(self.internal_bisector(vertex), l))
-        return self._get(f"bis_foot_{vertex}", build)
+        return self.get(f"bis_foot_{vertex}", build)
+
+
+def _memo(build):
+    """Turn ``build(frame)`` into the builder ``name(t, frame=None)`` whose
+    result is cached in the frame under the builder's name.
+
+    A GeometryError raised by ``build`` is cached too and raised again on
+    every later call, so an unavailable center is also attempted only once.
+    Every caller receives the same object, so callers must not mutate it.
+    """
+    key = build.__name__
+
+    def builder(t: TriangleData, frame: Frame | None = None):
+        f = frame or Frame(t)
+        if key not in f._cache:
+            try:
+                f._cache[key] = build(f)
+            except GeometryError as e:
+                f._cache[key] = e
+                raise
+        out = f._cache[key]
+        if isinstance(out, GeometryError):
+            raise out.with_traceback(None)
+        return out
+
+    builder.__name__ = builder.__qualname__ = key
+    builder.__doc__ = build.__doc__
+    return builder
 
 
 def _result(name: str, point: HPoint, t: TriangleData, aux=None) -> CenterResult:
@@ -166,9 +193,9 @@ def _radius_ext(center: HPoint, to: HPoint) -> ExtLength:
 # --------------------------------------------------------------------------
 # centroid
 
-def centroid(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def centroid(f: Frame) -> CenterResult:
     """Meet of the medians; coordinates (1 : 1 : 1)."""
-    f = frame or Frame(t)
     ma = midpoint(f.B, f.C)
     mb = midpoint(f.C, f.A)
     m = meet(join(f.A, ma), join(f.B, mb))
@@ -182,7 +209,8 @@ def centroid(t: TriangleData, frame: Frame | None = None) -> CenterResult:
 # --------------------------------------------------------------------------
 # circumcenters
 
-def circumcenters(t: TriangleData, frame: Frame | None = None):
+@_memo
+def circumcenters(f: Frame):
     """The four perpendicular-bisector meets (O, O_A, O_B, O_C).
 
     O uses the bisectors of the real segments; O_X keeps side x real and
@@ -190,7 +218,6 @@ def circumcenters(t: TriangleData, frame: Frame | None = None):
     triangles the O_X are centers of hypercycles, so their radii carry
     imaginary quantum pi/2.
     """
-    f = frame or Frame(t)
     pab = perpendicular_bisector(f.A, f.B)
     pbc = perpendicular_bisector(f.B, f.C)
     pca = perpendicular_bisector(f.C, f.A)
@@ -216,12 +243,12 @@ def circumcenters(t: TriangleData, frame: Frame | None = None):
 # --------------------------------------------------------------------------
 # incenter and excenters
 
-def incenter_excenters(t: TriangleData, frame: Frame | None = None):
+@_memo
+def incenter_excenters(f: Frame):
     """Bisector meets (I, I_A, I_B, I_C) with extended-valued radii.
 
     The incenter is always real; excenters may be real, at infinity or ideal
     (their classification is reported and the radius becomes extended)."""
-    f = frame or Frame(t)
     i_pt = meet(f.internal_bisector("A"), f.internal_bisector("B"))
     ia = meet(f.internal_bisector("A"), f.external_bisector("B"))
     ib = meet(f.internal_bisector("B"), f.external_bisector("C"))
@@ -245,34 +272,17 @@ def incenter_excenters(t: TriangleData, frame: Frame | None = None):
     return tuple(out)
 
 
-def point_line_ext_tanh(p: HPoint, l: HLine) -> float:
-    """tanh of the extended distance from a real or ideal point to a real line.
-
-    Real points give tanh of the plain distance; ideal points give
-    tanh(d + i pi/2) = coth(d), with d the real part of the extended
-    distance.  Used to evaluate radius formulas uniformly."""
-    kind = classify(p)
-    pn = normalize(p)
-    v = abs(mdot(pn, normalize_line(l)))
-    if kind is PointKind.REAL:
-        return math.tanh(math.asinh(v))
-    if kind is PointKind.IDEAL:
-        d = plane.acosh_clamped(max(v, 1.0))
-        return ext_tanh(ExtLength(d, Quantum.HALF_PI)).real
-    return 1.0
-
-
 # --------------------------------------------------------------------------
 # radius identities (the inter-radius formulas)
 
-def radius_identities(t: TriangleData, frame: Frame | None = None) -> dict[str, float]:
+@_memo
+def radius_identities(f: Frame) -> dict[str, float]:
     """Relative residuals of the six identities tying r, r_A, r_B, r_C and R.
 
     Evaluated from oracle radii: tanh/coth of the measured distances from the
     bisector meets to the side lines, extended arithmetic for ideal excenters
     (where coth of the complex radius is the real tanh of its real part).
     """
-    f = frame or Frame(t)
     td = f.t
     centers = incenter_excenters(td, f)
     tvals = [c.aux["tanh_r"] for c in centers]  # tanh r, tanh r_A, ...
@@ -281,10 +291,7 @@ def radius_identities(t: TriangleData, frame: Frame | None = None) -> dict[str, 
     tR = o.aux["tanh_R"]
     a, b, c, s = td.a, td.b, td.c, td.s
     sh = math.sinh
-
-    def rel(x, y):
-        m = max(abs(x), abs(y))
-        return abs(x - y) if m < 1e-6 else abs(x - y) / m
+    rel = relative_residual
 
     res = {}
     res["coth_sum_vs_tanh_R"] = rel(-1 / tra - 1 / trb - 1 / trc + 1 / tr, 2 * tR)
@@ -317,10 +324,10 @@ def radius_identities(t: TriangleData, frame: Frame | None = None) -> dict[str, 
 # --------------------------------------------------------------------------
 # orthocenter
 
-def orthocenter(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def orthocenter(f: Frame) -> CenterResult:
     """Meet of the altitudes.  May be real, at infinity or ideal; the common
     value h = tanh(HX) tanh(HH_X) is attached when the meet is real."""
-    f = frame or Frame(t)
     alt_a = perpendicular_line(f.A, f.lA)
     alt_b = perpendicular_line(f.B, f.lB)
     h = meet(alt_a, alt_b)
@@ -376,23 +383,23 @@ def _positive_scale(k):
     return tuple(v / m for v in k)
 
 
-def symmedian_point(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def symmedian_point(f: Frame) -> CenterResult:
     """Isogonal conjugate of the centroid; coordinates
     (sinh^2 a : sinh^2 b : sinh^2 c)."""
-    f = frame or Frame(t)
     m = centroid(f.t, f)
     mp = isogonal_conjugate(m.point, f.t, f)
     return _result("M'", mp, f.t)
 
 
-def lemoine_point(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def lemoine_point(f: Frame) -> CenterResult:
     """Meet of the cevians to the tangent triangle of the circumscribed cycle;
     coordinates (cosh a - 1 : cosh b - 1 : cosh c - 1).
 
     The tangent triangle vertices (meets of pairs of tangents at the triangle
     vertices) may be ideal; the cevians through them are still real lines.
     """
-    f = frame or Frame(t)
     o = circumcenters(f.t, f)[0].point
     tan_a = perpendicular_line(f.A, join(o, f.A))
     tan_b = perpendicular_line(f.B, join(o, f.B))
@@ -418,7 +425,8 @@ def _pseudomedian_foot_arc(half_len: float, rho: float) -> float:
     return 2.0 * math.atanh(arg)
 
 
-def pseudo_centroid(t: TriangleData, frame: Frame | None = None):
+@_memo
+def pseudo_centroid(f: Frame):
     """Meet of the three area-bisecting cevians, with their feet.
 
     The foot on side c (from C) satisfies
@@ -426,7 +434,6 @@ def pseudo_centroid(t: TriangleData, frame: Frame | None = None):
     coordinates are the reciprocals of cosh-half products.  Returns
     (CenterResult, (N_A, N_B, N_C)) with N_X the foot on side x.
     """
-    f = frame or Frame(t)
     td = f.t
     ch = {s: math.cosh(getattr(td, s) / 2.0) for s in "abc"}
     # foot on a (from A, measured from B): sinh(BN_A/2):sinh(N_AC/2) = cosh(c/2):cosh(b/2)
@@ -520,14 +527,14 @@ def _pseudoaltitude_foot_arc(f: Frame, vertex: str, scan: int = 64) -> float:
     return 0.5 * (lo + hi)
 
 
-def pseudo_orthocenter(t: TriangleData, frame: Frame | None = None):
+@_memo
+def pseudo_orthocenter(f: Frame):
     """Meet of the three pseudoaltitudes, with their feet.
 
     Returns (CenterResult, (Z_A, Z_B, Z_C)).  Raises NoRootFound (carrying
     the scanned profile) if a balance function does not change sign on the
     open side, which can happen for strongly obtuse triangles.
     """
-    f = frame or Frame(t)
     feet = {}
     for vertex, side in (("A", "a"), ("B", "b"), ("C", "c")):
         u = _pseudoaltitude_foot_arc(f, vertex)
@@ -554,7 +561,8 @@ def _cycle_center_result(name: str, pts, t: TriangleData) -> CenterResult:
     })
 
 
-def pseudomedian_feet_center(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def pseudomedian_feet_center(f: Frame) -> CenterResult:
     """Center F of the cycle through the feet of the pseudomedians.
 
     This is the fourth point of the four-center line: differential testing
@@ -562,16 +570,15 @@ def pseudomedian_feet_center(t: TriangleData, frame: Frame | None = None) -> Cen
     center of the bisector-feet cycle is measurably off that line (see
     `bisector_feet_center`).
     """
-    f = frame or Frame(t)
     return _cycle_center_result("F", pseudo_centroid(f.t, f)[1], f.t)
 
 
-def bisector_feet_center(t: TriangleData, frame: Frame | None = None) -> CenterResult:
+@_memo
+def bisector_feet_center(f: Frame) -> CenterResult:
     """Center of the cycle through the feet of the internal bisectors.
 
     A natural cycle of the triangle, kept for comparison; it does not lie on
     the four-center line."""
-    f = frame or Frame(t)
     return _cycle_center_result(
         "F_bis",
         (f.bisector_foot("A"), f.bisector_foot("B"), f.bisector_foot("C")),
@@ -580,12 +587,14 @@ def bisector_feet_center(t: TriangleData, frame: Frame | None = None) -> CenterR
 
 
 def collinearity_residual(p: HPoint, q: HPoint, r: HPoint) -> float:
-    """Scale-free |det| of the three homogeneous triples (max-norm rows)."""
+    """Scale-free |det| of the three homogeneous triples (max-norm rows),
+    as the triple product p . (q x r)."""
     rows = []
     for v in (p, q, r):
         m = max(abs(v.x), abs(v.y), abs(v.w))
-        rows.append([v.x / m, v.y / m, v.w / m])
-    return abs(float(np.linalg.det(np.array(rows))))
+        rows.append((v.x / m, v.y / m, v.w / m))
+    (a, b, c), (d, e, g), (h, i, k) = rows
+    return abs(a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h))
 
 
 @dataclass(frozen=True, slots=True)
@@ -603,11 +612,11 @@ class EulerLineReport:
         return max(self.residuals.values()) if self.residuals else math.nan
 
 
-def euler_line(t: TriangleData, frame: Frame | None = None) -> EulerLineReport:
+@_memo
+def euler_line(f: Frame) -> EulerLineReport:
     """Check that O (circumcenter), F (pseudomedian-feet cycle center), S
     (pseudo-centroid) and Z (pseudo-orthocenter) are collinear, and report
     the classical det(O, M, H) with the isosceles shape measure."""
-    f = frame or Frame(t)
     td = f.t
     o = circumcenters(td, f)[0].point
     fc = pseudomedian_feet_center(td, f).point

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from dataclasses import dataclass
 
 from . import centers as ct
 from . import plane, trig
-from .errors import NoRootFound, UnknownIdentity
+from .errors import IdenticalPoints, NoRootFound, UnknownIdentity
 from .extscalar import (
     ExtLength,
     PointKind,
@@ -45,20 +46,10 @@ from .plane import (
     normalize_line,
     signed_line_distance,
 )
-from .trig import TriangleData, tri_coords
+from .trig import TriangleData, tri_coords, relative_residual as _rel
 
 cosh, sinh, tanh = math.cosh, math.sinh, math.tanh
 sin, cos, tan = math.sin, math.cos, math.tan
-
-
-def _rel(lhs: float, rhs: float) -> float:
-    m = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) if m < 1e-6 else abs(lhs - rhs) / m
-
-
-def _crel(lhs: complex, rhs: complex) -> float:
-    m = max(abs(lhs), abs(rhs))
-    return abs(lhs - rhs) if m < 1e-6 else abs(lhs - rhs) / m
 
 
 def _prop(u, v) -> float:
@@ -72,7 +63,6 @@ class _Skip(Exception):
 
 def _dist_ext_or_zero(p, q):
     """Extended distance, with coincident projective points giving zero."""
-    from .errors import IdenticalPoints
     try:
         return distance_ext(p, q)[0]
     except IdenticalPoints:
@@ -102,63 +92,56 @@ class IdentityRecord:
 
 
 class TrialContext:
-    """Lazily-built shared state for evaluating one triangle.
+    """Shared state for evaluating one triangle.
 
-    Each identity gets its own derived random stream (seeded from the trial
-    seed and the identity code), so results do not depend on which subset of
-    identities runs or in which order.
+    Centers and other derived objects are cached in the context's own
+    `centers.Frame`, so each is built once per trial.  Each identity gets its
+    own derived random stream (seeded from the trial seed and the identity
+    code), so results do not depend on which subset of identities runs or in
+    which order.
     """
 
-    def __init__(self, seed: int, t: TriangleData, frame: ct.Frame | None = None):
+    def __init__(self, seed: int, t: TriangleData):
         self.seed = seed
         self.t = t
-        self.frame = frame or ct.Frame(t)
+        self.frame = ct.Frame(t)
         self.rng = aux_rng(seed)
-        self._cache: dict = {}
 
     def use_stream(self, tag: str):
-        import random
         self.rng = random.Random(f"aux:{self.seed}:{tag}")
 
     def get(self, key: str, builder):
-        if key not in self._cache:
-            self._cache[key] = builder(self)
-        return self._cache[key]
+        """``builder(self)`` once per trial; for objects keyed by the seed."""
+        return self.frame.get(key, lambda: builder(self))
 
     # shared constructions -------------------------------------------------
     @property
     def M(self):
-        return self.get("M", lambda c: ct.centroid(c.t, c.frame))
+        return ct.centroid(self.t, self.frame)
 
     @property
     def O4(self):
-        return self.get("O4", lambda c: ct.circumcenters(c.t, c.frame))
+        return ct.circumcenters(self.t, self.frame)
 
     @property
     def I4(self):
-        return self.get("I4", lambda c: ct.incenter_excenters(c.t, c.frame))
+        return ct.incenter_excenters(self.t, self.frame)
 
     @property
     def H(self):
-        return self.get("H", lambda c: ct.orthocenter(c.t, c.frame))
+        return ct.orthocenter(self.t, self.frame)
 
     @property
     def S(self):
-        return self.get("S", lambda c: ct.pseudo_centroid(c.t, c.frame))
+        return ct.pseudo_centroid(self.t, self.frame)
 
     @property
     def Z(self):
-        def build(c):
-            try:
-                return ct.pseudo_orthocenter(c.t, c.frame)
-            except NoRootFound as e:
-                return e
-        return self.get("Z", build)
+        return ct.pseudo_orthocenter(self.t, self.frame)
 
     @property
     def random_interior(self) -> HPoint:
         def build(c):
-            import random
             f = c.frame
             rng = random.Random(f"aux:{c.seed}:interior")
             w = [rng.random() + 0.05 for _ in range(3)]
@@ -187,13 +170,13 @@ def _need_real_orthocenter(c: TrialContext):
 
 
 def _need_Z(c: TrialContext):
-    z = c.Z
-    if isinstance(z, NoRootFound):
+    try:
+        return c.Z
+    except NoRootFound:
         raise _Skip(
             "pseudoaltitude foot leaves the open side "
             "(exists only when max angle < pi/2 - delta/2)"
         )
-    return z
 
 
 # --------------------------------------------------------------------------
@@ -245,7 +228,6 @@ def _heron(c):
 def _lambert(key):
     def ev(c):
         def build(cc):
-            import random
             rng = random.Random(f"aux:{cc.seed}:lambert")
             leg_a = 0.15 + 0.5 * rng.random()
             leg_d = 0.15 + 0.5 * rng.random()
@@ -512,8 +494,7 @@ def _excenter_coords(c):
 def _radius_identity(key):
     def ev(c):
         _skip_infinite_excenter(c)
-        return c.get("radius_identities",
-                     lambda cc: ct.radius_identities(cc.t, cc.frame))[key]
+        return ct.radius_identities(c.t, c.frame)[key]
     return ev
 
 
@@ -531,7 +512,7 @@ def _oi_distance(c):
     # sign corrected: the second product is subtracted
     rhs = (2 * cosh(t.a / 2) * cosh(t.b / 2) * cosh(t.c / 2)
            * cosh(r_len) * cosh_R - cosh(t.s) * cosh_R_minus_r)
-    return _crel(lhs, rhs)
+    return _rel(lhs, rhs)
 
 
 # -- orthocenter -------------------------------------------------------------
@@ -603,7 +584,7 @@ def _orthocenter_euler_distance(c):
                        if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
     lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
     rhs = acc * ext_cosh(radius)
-    return _crel(lhs, rhs)
+    return _rel(lhs, rhs)
 
 
 def _orthocenter_circumcenter_form(c):
@@ -616,7 +597,7 @@ def _orthocenter_circumcenter_form(c):
                        if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
     lhs = sum(n_h) * ext_cosh(radius)
     rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h))
-    return _crel(lhs, rhs)
+    return _rel(lhs, rhs)
 
 
 # -- Stewart ------------------------------------------------------------------
@@ -713,24 +694,17 @@ def _coordinate_sum_minimality_corrected(c):
     return rep.circumcenter_closed_residual
 
 
-def _centroid_cosh_minimality(c):
-    rep = c.get("minrep", lambda cc: ct.incenter_minimality(cc.t, 24, cc.frame))
-    if not rep.centroid_min_ok:
-        return 1.0
-    return rep.centroid_closed_residual
-
-
 # -- symmedian / Lemoine -------------------------------------------------------
 
 def _symmedian_coords(c):
     t = c.t
-    mp = c.get("Mp", lambda cc: ct.symmedian_point(cc.t, cc.frame))
+    mp = ct.symmedian_point(t, c.frame)
     return _prop(mp.coords, (sinh(t.a) ** 2, sinh(t.b) ** 2, sinh(t.c) ** 2))
 
 
 def _symmedian_distances(c):
     t, f = c.t, c.frame
-    mp = c.get("Mp", lambda cc: ct.symmedian_point(cc.t, cc.frame))
+    mp = ct.symmedian_point(t, c.frame)
     d = [sinh(abs(signed_line_distance(mp.point, l)))
          for l in (f.lA, f.lB, f.lC)]
     return _prop(d, (sinh(t.a), sinh(t.b), sinh(t.c)))
@@ -738,14 +712,14 @@ def _symmedian_distances(c):
 
 def _lemoine_coords(c):
     t = c.t
-    lp = c.get("L", lambda cc: ct.lemoine_point(cc.t, cc.frame))
+    lp = ct.lemoine_point(t, c.frame)
     return _prop(lp.coords, (cosh(t.a) - 1, cosh(t.b) - 1, cosh(t.c) - 1))
 
 
 def _lemoine_vs_symmedian(c):
     t = c.t
-    mp = c.get("Mp", lambda cc: ct.symmedian_point(cc.t, cc.frame))
-    lp = c.get("L", lambda cc: ct.lemoine_point(cc.t, cc.frame))
+    mp = ct.symmedian_point(t, c.frame)
+    lp = ct.lemoine_point(t, c.frame)
     gap = distance(mp.point, lp.point)
     spread = max(abs(t.a - t.b), abs(t.b - t.c), abs(t.a - t.c))
     if spread < 1e-9:
@@ -828,25 +802,9 @@ def _pseudomedian_product(c):
 
 # -- the four-center line -------------------------------------------------------
 
-def _four_center_line(c):
-    """Residual map for the O, F, S, Z line, reusing the context caches."""
-    o = c.O4[0].point
-    fc = c.get("F", lambda cc: ct.pseudomedian_feet_center(cc.t, cc.frame)).point
-    s = c.S[0].point
-    res = {"OFS": ct.collinearity_residual(o, fc, s)}
-    z = c.Z
-    if not isinstance(z, NoRootFound):
-        zp = z[0].point
-        res["OFZ"] = ct.collinearity_residual(o, fc, zp)
-        res["OSZ"] = ct.collinearity_residual(o, s, zp)
-        res["FSZ"] = ct.collinearity_residual(fc, s, zp)
-    return res
-
-
 def _euler_line(c):
     _need_Z(c)
-    res = c.get("euler4", _four_center_line)
-    return max(res.values())
+    return max(ct.euler_line(c.t, c.frame).residuals.values())
 
 
 def _classical_line_dichotomy(c):

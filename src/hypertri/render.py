@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import centers as ct
 from . import registry as rg
 from .errors import IoFailure, NoRootFound, OutOfDomain
@@ -60,10 +58,12 @@ def _poincare_arc(p1, p2) -> str:
     x2, y2 = _svg_xy(p2)
     if abs(cross) < 1e-9:
         return f"L {_fmt(x2)} {_fmt(y2)}"
-    # center c of the orthogonal circle: 2 c . p = 1 + |p|^2 for both points
-    a = np.array([[2 * p1[0], 2 * p1[1]], [2 * p2[0], 2 * p2[1]]])
-    b = np.array([1 + p1[0] ** 2 + p1[1] ** 2, 1 + p2[0] ** 2 + p2[1] ** 2])
-    cx, cy = np.linalg.solve(a, b)
+    # center c of the orthogonal circle: 2 c . p = 1 + |p|^2 for both points,
+    # solved by Cramer's rule (the determinant is 4 * cross)
+    b1 = 1 + p1[0] ** 2 + p1[1] ** 2
+    b2 = 1 + p2[0] ** 2 + p2[1] ** 2
+    cx = (b1 * p2[1] - p1[1] * b2) / (2 * cross)
+    cy = (p1[0] * b2 - b1 * p2[0]) / (2 * cross)
     r = math.sqrt(max(cx * cx + cy * cy - 1.0, 0.0))
     scx, scy = _svg_xy((cx, cy))
     a1 = math.atan2(y1 - scy, x1 - scx)

@@ -13,7 +13,7 @@ on every formula here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import plane
 from .errors import (
@@ -56,6 +56,7 @@ class TriangleData:
     ``delta`` the half-defect (the area is ``2 * delta``), ``n`` and ``bign``
     the two Staudtians.  ``vertices`` is filled when the triangle was built
     from, or embedded into, the plane; constructive operations require it.
+    ``lines`` holds the side lines (a, b, c), derived once from the vertices.
     """
 
     a: float
@@ -69,6 +70,14 @@ class TriangleData:
     n: float
     bign: float
     vertices: tuple[HPoint, HPoint, HPoint] | None = None
+    lines: tuple[HLine, HLine, HLine] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.vertices is not None:
+            va, vb, vc = self.vertices
+            lines = (_side_line(va, vb, vc), _side_line(vb, vc, va), _side_line(vc, va, vb))
+            object.__setattr__(self, "lines", lines)
 
     @property
     def area(self) -> float:
@@ -86,16 +95,8 @@ class TriangleData:
     def side_line(self, side: str) -> HLine:
         """Line of the named side, unit-normalized, oriented so the opposite
         vertex has positive signed distance."""
-        va, vb, vc = self.require_vertices()
-        opposite, p, q = {
-            "a": (va, vb, vc),
-            "b": (vb, vc, va),
-            "c": (vc, va, vb),
-        }[side]
-        l = normalize_line(join(p, q))
-        if mdot(normalize(opposite), l) < 0:
-            l = HLine(-l.x, -l.y, -l.w)
-        return l
+        self.require_vertices()
+        return self.lines["abc".index(side)]
 
     def to_json(self):
         data = {
@@ -106,6 +107,14 @@ class TriangleData:
         if self.vertices is not None:
             data["vertices"] = [v.to_json("klein") for v in self.vertices]
         return data
+
+
+def _side_line(opposite: HPoint, p: HPoint, q: HPoint) -> HLine:
+    """Unit line through p and q, oriented toward ``opposite``."""
+    l = normalize_line(join(p, q))
+    if mdot(normalize(opposite), l) < 0:
+        l = HLine(-l.x, -l.y, -l.w)
+    return l
 
 
 def _validate_sides(a: float, b: float, c: float):
@@ -288,14 +297,10 @@ def tri_coords(x: HPoint, t: TriangleData) -> TriCoords:
     an ideal X the three values share a factor ``i`` which is dropped, so the
     triple stays a real projective triple.
     """
-    va, vb, vc = t.require_vertices()
+    t.require_vertices()
     xn = normalize(x)
-    coords = []
-    for side, opp in (("a", va), ("b", vb), ("c", vc)):
-        l = t.side_line(side)
-        sval = mdot(xn, l)
-        coords.append(0.5 * sval * math.sinh(getattr(t, side)))
-    return tuple(coords)
+    return tuple(0.5 * mdot(xn, l) * math.sinh(length)
+                 for l, length in zip(t.lines, (t.a, t.b, t.c)))
 
 
 def _log_sinh(u: float) -> float:
@@ -385,6 +390,13 @@ def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
     if proportionality_residual(got, k) > 1e-9:
         raise InconsistentCoords("reconstructed point does not reproduce the coordinates")
     return xn
+
+
+def relative_residual(lhs, rhs) -> float:
+    """Mismatch of two real or complex values: relative where either side
+    reaches 1e-6 in magnitude, absolute otherwise."""
+    m = max(abs(lhs), abs(rhs))
+    return abs(lhs - rhs) if m < 1e-6 else abs(lhs - rhs) / m
 
 
 def proportionality_residual(u, v) -> float:

@@ -336,11 +336,13 @@ class TestPseudoCenters:
         bx, by = corners[1]
         cx, cy = corners[2]
         # euclidean orthocenter by solving the two altitude equations
-        import numpy as np
-        m = np.array([[cx - bx, cy - by], [cx - ax, cy - ay]])
-        rhs = np.array([ax * (cx - bx) + ay * (cy - by),
-                        bx * (cx - ax) + by * (cy - ay)])
-        ex, ey = np.linalg.solve(m, rhs)
+        # (Cramer's rule on the 2x2 system)
+        m00, m01, m10, m11 = cx - bx, cy - by, cx - ax, cy - ay
+        r0 = ax * (cx - bx) + ay * (cy - by)
+        r1 = bx * (cx - ax) + by * (cy - ay)
+        det = m00 * m11 - m01 * m10
+        ex = (r0 * m11 - m01 * r1) / det
+        ey = (m00 * r1 - r0 * m10) / det
         kx, ky = z_res.point.klein()
         assert kx == pytest.approx(ex * s, abs=1e-6 * s * 10)
         assert ky == pytest.approx(ey * s, abs=1e-6 * s * 10)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypertri import plane
 from hypertri import registry as rg
 from hypertri.errors import UnknownIdentity
 from hypertri.generate import gen_triangle
@@ -115,6 +116,24 @@ class TestSuite:
         sub = {r.id: r.residual for r in rg.run_suite(9, ids=["LS", "STW", "IS4"]).records}
         for key, val in sub.items():
             assert val == full[key]
+
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_each_center_is_built_once_per_trial(self, seed, monkeypatch):
+        # only circumcenters uses the complementary bisectors (three per
+        # build), so three calls mean the four circumcenters were built once
+        calls = []
+        original = plane.complementary_bisector
+
+        def counting(p, q):
+            calls.append((p, q))
+            return original(p, q)
+
+        monkeypatch.setattr(plane, "complementary_bisector", counting)
+        rep = rg.run_suite(seed)
+        assert len(calls) == 3
+        # the cached objects give the same table as a fresh context
+        fresh = rg.TrialContext(seed=seed, t=gen_triangle(seed))
+        assert list(rep.centers) == rg.center_table(fresh)
 
     def test_triangle_json_round_trip(self):
         t = gen_triangle(13)

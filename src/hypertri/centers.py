@@ -14,6 +14,7 @@ by which side keeps its real length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from . import plane, trig
@@ -223,7 +224,6 @@ def circumcenters(f: Frame):
     pca = perpendicular_bisector(f.C, f.A)
     qab = plane.complementary_bisector(f.A, f.B)
     qbc = plane.complementary_bisector(f.B, f.C)
-    qca = plane.complementary_bisector(f.C, f.A)
     o = meet(pab, pbc)
     oa = meet(pbc, qab)
     ob = meet(pca, qab)
@@ -494,50 +494,91 @@ def _pseudoaltitude_g(f: Frame, vertex: str, u: float) -> float:
     return 2.0 * theta - math.pi + ang[0] - ang[1] + ang[2] - 2.0 * phi
 
 
-def _pseudoaltitude_foot_arc(f: Frame, vertex: str, scan: int = 64) -> float:
-    """Locate the root of the balance function by sign scan plus bisection."""
-    side = {"A": "a", "B": "b", "C": "c"}[vertex]
-    length = getattr(f.t, side)
+def _pseudoaltitude_ends(f: Frame, vertex: str) -> tuple[float, float]:
+    """The open side opposite ``vertex`` as the arc interval (eps, L - eps),
+    eps = 1e-9 L, on which its foot is searched."""
+    length = getattr(f.t, vertex.lower())
     eps = 1e-9 * length
-    lo_u, hi_u = eps, length - eps
-    us = [lo_u + (hi_u - lo_u) * i / scan for i in range(scan + 1)]
-    vals = [_pseudoaltitude_g(f, vertex, u) for u in us]
-    bracket = None
-    for i in range(scan):
-        if vals[i] == 0.0:
-            return us[i]
-        if vals[i] * vals[i + 1] < 0.0:
-            bracket = (us[i], us[i + 1], vals[i])
-            break
-    if bracket is None:
-        raise NoRootFound(
-            f"no sign change for the pseudoaltitude from {vertex}",
-            profile=list(zip(us, vals)),
-        )
-    lo, hi, flo = bracket
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        fm = _pseudoaltitude_g(f, vertex, mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (flo < 0.0):
-            lo, flo = mid, fm
+    return eps, length - eps
+
+
+def _pseudoaltitude_profile(f: Frame, vertex: str) -> list:
+    """The balance function on 65 evenly spaced arcs of the open side, as
+    (arc, value) pairs."""
+    lo, hi = _pseudoaltitude_ends(f, vertex)
+    us = [lo + (hi - lo) * i / 64 for i in range(65)]
+    return [(u, _pseudoaltitude_g(f, vertex, u)) for u in us]
+
+
+def _brent(g, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of ``g`` in the bracket [a, b], where ``fa = g(a)`` and
+    ``fb = g(b)`` have opposite signs, by Brent's method (R. P. Brent,
+    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): inverse
+    quadratic or secant steps, with a bisection step whenever these would
+    leave the bracket or shrink it too slowly.  Stops at an exact zero or
+    once the bracket is about 1e-13 wide.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5e-13
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = g(b)
 
 
 @_memo
 def pseudo_orthocenter(f: Frame):
     """Meet of the three pseudoaltitudes, with their feet.
 
-    Returns (CenterResult, (Z_A, Z_B, Z_C)).  Raises NoRootFound (carrying
-    the scanned profile) if a balance function does not change sign on the
-    open side, which can happen for strongly obtuse triangles.
+    Returns (CenterResult, (Z_A, Z_B, Z_C)).  The balance function of each
+    vertex decreases strictly along the open side, so its foot exists exactly
+    when the values at the two ends differ in sign.  All three brackets are
+    checked before any foot is solved, and the first vertex without one
+    raises NoRootFound, whose scanned profile is computed when it is read.
+    Every obtuse triangle raises, as do acute ones with a large defect.
     """
+    brackets = {}
+    for vertex in "ABC":
+        lo, hi = _pseudoaltitude_ends(f, vertex)
+        glo, ghi = _pseudoaltitude_g(f, vertex, lo), _pseudoaltitude_g(f, vertex, hi)
+        if not (glo == 0.0 or glo * ghi < 0.0):
+            raise NoRootFound(
+                f"no sign change for the pseudoaltitude from {vertex}",
+                profile=lambda: _pseudoaltitude_profile(f, vertex),
+            )
+        brackets[vertex] = (lo, hi, glo, ghi)
     feet = {}
     for vertex, side in (("A", "a"), ("B", "b"), ("C", "c")):
-        u = _pseudoaltitude_foot_arc(f, vertex)
+        lo, hi, glo, ghi = brackets[vertex]
+        u = _brent(lambda x: _pseudoaltitude_g(f, vertex, x), lo, hi, glo, ghi)
         feet[vertex] = normalize(
             geodesic_point(f.side_start(side), f.side_tangent(side), u))
     z = meet(join(f.A, feet["A"]), join(f.B, feet["B"]))

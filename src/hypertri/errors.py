@@ -86,15 +86,26 @@ class FootOutsideSegment(GeometryError):
 
 
 class NoRootFound(GeometryError):
-    """Sign scan found no root bracket on the open side.
+    """No root bracket on the open side.
 
     Carries the scanned profile as ``profile`` (list of (parameter, value))
-    so the failure can be inspected rather than hidden.
+    so the failure can be inspected rather than hidden.  ``profile`` may be
+    given as a zero-argument callable; the scan then runs once, when the
+    attribute is first read, so raising costs nothing extra.
     """
 
     def __init__(self, message, profile=None):
         super().__init__(message)
-        self.profile = profile or []
+        self._profile = profile or []
+
+    @property
+    def profile(self) -> list:
+        if callable(self._profile):
+            self._profile = self._profile()
+        return self._profile
+
+    def __reduce__(self):
+        return type(self), (str(self), self.profile)
 
 
 class NonRealOrthocenter(GeometryError):

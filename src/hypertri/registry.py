@@ -103,8 +103,8 @@ class TrialContext:
 
     def __init__(self, seed: int, t: TriangleData):
         self.seed = seed
-        self.t = t
         self.frame = ct.Frame(t)
+        self.t = self.frame.t
         self.rng = aux_rng(seed)
 
     def use_stream(self, tag: str):
@@ -157,16 +157,19 @@ class TrialContext:
         th = 2.0 * math.pi * self.rng.random()
         return klein_point(r * math.cos(th), r * math.sin(th))
 
-    @property
-    def pseudoacute(self) -> bool:
-        t = self.t
-        return max(t.alpha, t.beta, t.gamma) < math.pi / 2 - t.delta / 2
-
 
 def _need_real_orthocenter(c: TrialContext):
     if c.H.classification is not PointKind.REAL:
         raise _Skip("orthocenter is not a real point")
     return c.H
+
+
+def _orthocenter_conjugate_point(c: TrialContext) -> HPoint:
+    """H', the isogonal conjugate of the orthocenter, built once per trial."""
+    _need_real_orthocenter(c)
+    if max(c.t.alpha, c.t.beta, c.t.gamma) >= math.pi / 2:
+        raise _Skip("conjugate of an exterior orthocenter is not constructible")
+    return c.get("H'", lambda cc: ct.isogonal_conjugate(cc.H.point, cc.t, cc.frame))
 
 
 def _need_Z(c: TrialContext):
@@ -655,11 +658,8 @@ def _isogonal_coords(c):
 
 
 def _orthocenter_conjugate_coords(c):
-    _need_real_orthocenter(c)
+    hp = _orthocenter_conjugate_point(c)
     t = c.t
-    if max(t.alpha, t.beta, t.gamma) >= math.pi / 2:
-        raise _Skip("conjugate of an exterior orthocenter is not constructible")
-    hp = ct.isogonal_conjugate(c.H.point, t, c.frame)
     target = (sin(2 * t.alpha), sin(2 * t.beta), sin(2 * t.gamma))
     return _prop(tri_coords(hp, t), target)
 
@@ -1113,14 +1113,6 @@ class TrialReport:
         return "\n".join(lines)
 
 
-def _orthocenter_conjugate(c):
-    _need_real_orthocenter(c)
-    if max(c.t.alpha, c.t.beta, c.t.gamma) >= math.pi / 2:
-        raise _Skip("conjugate of an exterior orthocenter is not constructible")
-    hp = ct.isogonal_conjugate(c.H.point, c.t, c.frame)
-    return ct._result("H'", hp, c.t)
-
-
 _CENTER_BUILDERS = (
     ("M", lambda c: c.M),
     ("O", lambda c: c.O4[0]), ("O_A", lambda c: c.O4[1]),
@@ -1128,7 +1120,7 @@ _CENTER_BUILDERS = (
     ("I", lambda c: c.I4[0]), ("I_A", lambda c: c.I4[1]),
     ("I_B", lambda c: c.I4[2]), ("I_C", lambda c: c.I4[3]),
     ("H", lambda c: c.H),
-    ("H'", lambda c: _orthocenter_conjugate(c)),
+    ("H'", lambda c: ct._result("H'", _orthocenter_conjugate_point(c), c.t)),
     ("M'", lambda c: ct.symmedian_point(c.t, c.frame)),
     ("L", lambda c: ct.lemoine_point(c.t, c.frame)),
     ("S", lambda c: c.S[0]),

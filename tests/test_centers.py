@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypertri import centers as ct
 from hypertri import plane, trig
 from hypertri.errors import NoRootFound, OnSideLine
 from hypertri.extscalar import PointKind
+from hypertri.generate import gen_triangle
 from hypertri.plane import distance, klein_point, normalize
 from hypertri.trig import (
     proportionality_residual,
@@ -347,13 +349,77 @@ class TestPseudoCenters:
         assert kx == pytest.approx(ex * s, abs=1e-6 * s * 10)
         assert ky == pytest.approx(ey * s, abs=1e-6 * s * 10)
 
-    def test_no_root_for_strongly_obtuse(self):
+    def test_no_root_for_strongly_obtuse(self, monkeypatch):
         t = solve_from_vertices(klein_point(0.0, 0.0), klein_point(0.8, 0.0),
                                 klein_point(-0.6, 0.25))
         assert max(t.alpha, t.beta, t.gamma) > math.pi / 2
+        calls = []
+        original = ct._pseudoaltitude_g
+
+        def counting(f, vertex, u):
+            calls.append(vertex)
+            return original(f, vertex, u)
+
+        monkeypatch.setattr(ct, "_pseudoaltitude_g", counting)
         with pytest.raises(NoRootFound) as err:
             ct.pseudo_orthocenter(t)
-        assert err.value.profile  # the scanned values come along
+        # existence is decided from the two end values of each side, so the
+        # raise costs at most six evaluations and no solve
+        assert len(calls) <= 6
+        at_raise = len(calls)
+        profile = err.value.profile  # the scanned values come along, on demand
+        assert len(calls) == at_raise + 65
+        assert len(profile) == 65
+        values = [g for _, g in profile]
+        assert all(g > 0 for g in values) or all(g < 0 for g in values)
+        assert err.value.profile is profile
+        assert pickle.loads(pickle.dumps(err.value)).profile == profile
+        assert len(calls) == at_raise + 65
+
+    @pytest.mark.parametrize("shape", ["any", "acute"])
+    def test_balance_decreases_between_its_angle_limits(self, shape):
+        # strictly monotone along the open side, so the end signs decide
+        # whether a foot exists and one bracket cannot hide a double root;
+        # the end limits give the rule: the foot from A exists iff
+        # beta, gamma < pi/2 - delta/2
+        for seed in range(1, 5):
+            t = gen_triangle(seed, shape=shape)
+            f = ct.Frame(t)
+            for vertex, (b, c) in (("A", (t.beta, t.gamma)), ("B", (t.gamma, t.alpha)),
+                                   ("C", (t.alpha, t.beta))):
+                lo, hi = ct._pseudoaltitude_ends(f, vertex)
+                us = [lo + (hi - lo) * i / 199 for i in range(200)]
+                g = [ct._pseudoaltitude_g(f, vertex, u) for u in us]
+                assert all(y < x for x, y in zip(g, g[1:]))
+                assert g[0] == pytest.approx(2 * math.pi - 2 * t.delta - 4 * b, abs=1e-6)
+                assert g[-1] == pytest.approx(4 * c - 2 * math.pi + 2 * t.delta, abs=1e-6)
+
+    def test_feet_balance_the_directed_angles(self):
+        solved = 0
+        for seed in range(1, 11):
+            t = gen_triangle(seed, shape="acute")
+            f = ct.Frame(t)
+            try:
+                _, feet = ct.pseudo_orthocenter(t, f)
+            except NoRootFound:
+                continue
+            solved += 1
+            for vertex, side, foot in zip("ABC", "abc", feet):
+                u = distance(f.side_start(side), foot)
+                assert abs(ct._pseudoaltitude_g(f, vertex, u)) < 1e-11
+        assert solved >= 5
+
+    def test_brent_solver(self):
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x ** 3 - 2.0
+
+        root = ct._brent(g, 0.0, 2.0, g(0.0), g(2.0))
+        assert root == pytest.approx(2.0 ** (1 / 3), abs=1e-13)
+        assert len(calls) < 20
+        assert ct._brent(lambda x: x - 1.0, 0.0, 2.0, -1.0, 1.0) == 1.0
 
 
 class TestEulerLine:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypertri import plane
+from hypertri import plane, trig
 from hypertri import registry as rg
 from hypertri.errors import UnknownIdentity
 from hypertri.generate import gen_triangle
@@ -79,6 +79,12 @@ class TestSuite:
         rec = rg.run_identity("EU1", t, seed=seed)
         assert rec.status == "pass"
 
+    @pytest.mark.parametrize("identity_id", ["ST4", "AR2"])
+    def test_side_solved_triangle_evaluates(self, identity_id):
+        # the context's triangle carries the vertices its frame attached
+        rec = rg.run_identity(identity_id, trig.solve_from_sides(1.0, 1.2, 0.9))
+        assert rec.status == "pass"
+
     def test_suite_statuses(self):
         rep = rg.run_suite(7)
         summary = rep.summary()
@@ -119,8 +125,8 @@ class TestSuite:
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_each_center_is_built_once_per_trial(self, seed, monkeypatch):
-        # only circumcenters uses the complementary bisectors (three per
-        # build), so three calls mean the four circumcenters were built once
+        # only circumcenters uses the complementary bisectors (two per
+        # build), so two calls mean the four circumcenters were built once
         calls = []
         original = plane.complementary_bisector
 
@@ -130,7 +136,7 @@ class TestSuite:
 
         monkeypatch.setattr(plane, "complementary_bisector", counting)
         rep = rg.run_suite(seed)
-        assert len(calls) == 3
+        assert len(calls) == 2
         # the cached objects give the same table as a fresh context
         fresh = rg.TrialContext(seed=seed, t=gen_triangle(seed))
         assert list(rep.centers) == rg.center_table(fresh)

@@ -350,8 +350,7 @@ def isogonal_conjugate(x: HPoint, t: TriangleData, frame: Frame | None = None) -
 
     Raises OnSideLine for points of a side line (their conjugate cevians
     degenerate) and ConjugateAtInfinity when the reflected cevians meet in a
-    non-real point; in the latter case the coordinate-form conjugate (from
-    the sinh^2 / n_X inversion) is attached to the exception when it exists.
+    non-real point.
     """
     f = frame or Frame(t)
     xn = normalize(x)
@@ -362,25 +361,8 @@ def isogonal_conjugate(x: HPoint, t: TriangleData, frame: Frame | None = None) -
     lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector("B")))
     conj = meet(la, lb)
     if classify(conj) is not PointKind.REAL:
-        coords_pt = None
-        try:
-            target = (
-                math.sinh(f.t.a) ** 2 / coords[0],
-                math.sinh(f.t.b) ** 2 / coords[1],
-                math.sinh(f.t.c) ** 2 / coords[2],
-            )
-            coords_pt = trig.point_from_coords(_positive_scale(target), f.t)
-        except Exception:
-            pass
-        raise ConjugateAtInfinity(
-            "reflected cevians meet in a non-real point", coords_pt
-        )
+        raise ConjugateAtInfinity("reflected cevians meet in a non-real point")
     return normalize(conj)
-
-
-def _positive_scale(k):
-    m = max(abs(v) for v in k)
-    return tuple(v / m for v in k)
 
 
 @_memo

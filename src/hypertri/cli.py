@@ -1,8 +1,8 @@
 """Command line surface: gen, centers, verify, render, tables.
 
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage
-error.  `verify --seeds` reports are JSON lines ordered by seed and are
-byte-identical across runs and across --jobs settings.
+error.  `verify --seeds` reports are JSON lines ordered by seed, written as
+each seed finishes, and byte-identical across runs and across --jobs settings.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import ExitStack
 from multiprocessing import Pool
 
 from . import registry as rg
@@ -40,12 +41,16 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _center_names(text: str) -> list[str]:
+    """Comma list of center names; ``Mp`` and ``Hp`` spell M' and H'."""
+    aliases = {"Mp": "M'", "Hp": "H'"}
+    return [aliases.get(w.strip(), w.strip()) for w in text.split(",")]
+
+
 def _cmd_centers(args) -> int:
     t, seed = _load_triangle(args.triangle)
     ctx = rg.TrialContext(seed=seed, t=t)
-    aliases = {"Mp": "M'", "Hp": "H'"}
-    which = None if args.which == "all" else [
-        aliases.get(w.strip(), w.strip()) for w in args.which.split(",")]
+    which = None if args.which == "all" else _center_names(args.which)
     rows = rg.center_table(ctx, which=which)
     if args.table:
         print(f"{'name':6s} {'kind':10s} {'klein x':>12s} {'klein y':>12s}  notes")
@@ -73,8 +78,9 @@ def _parse_seed_range(text: str) -> list[int]:
 
 
 def _verify_worker(job):
-    seed, ids, shape = job
-    rep = rg.run_suite(seed, ids=ids, shape=shape, include_centers=False)
+    seed, ids, shape, triangle = job
+    rep = rg.run_suite(seed, ids=ids, shape=shape, include_centers=False,
+                       triangle=triangle)
     return rep.to_jsonl(), rep.summary()
 
 
@@ -85,55 +91,43 @@ def _cmd_verify(args) -> int:
         for identity_id in ids:
             if identity_id not in rg.REGISTRY:
                 raise UnknownIdentity(identity_id)
-    lines = []
+    if args.seeds:
+        jobs = [(seed, ids, args.shape, None) for seed in _parse_seed_range(args.seeds)]
+    elif args.triangle:
+        t, seed = _load_triangle(args.triangle)
+        jobs = [(seed, ids, args.shape, t)]
+    else:
+        print("verify needs a triangle file or --seeds", file=sys.stderr)
+        return 2
+
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     failed_seeds = []
-
-    if args.seeds:
-        seeds = _parse_seed_range(args.seeds)
-        jobs = [(seed, ids, args.shape) for seed in seeds]
-        if args.jobs > 1:
-            with Pool(args.jobs) as pool:
-                results = pool.map(_verify_worker, jobs)
+    with ExitStack() as stack:
+        out = (stack.enter_context(open(args.output, "w", encoding="utf-8"))
+               if args.output else sys.stdout)
+        if args.jobs > 1 and len(jobs) > 1:
+            pool = stack.enter_context(Pool(args.jobs))
+            results = pool.imap(_verify_worker, jobs,
+                                chunksize=math.ceil(len(jobs) / (4 * args.jobs)))
         else:
-            results = [_verify_worker(j) for j in jobs]
-        for (jsonl, summary) in results:
-            lines.append(jsonl)
+            results = map(_verify_worker, jobs)
+        # leaving the stack terminates the pool, so --fail-fast drops queued seeds
+        for jsonl, summary in results:
+            out.write(jsonl + "\n")
             for k in totals:
                 totals[k] += summary[k]
             if summary["failed_ids"]:
                 failed_seeds.append(summary["seed"])
-            if args.fail_fast and summary["failed_ids"]:
-                break
-    else:
-        if not args.triangle:
-            print("verify needs a triangle file or --seeds", file=sys.stderr)
-            return 2
-        t, seed = _load_triangle(args.triangle)
-        rep = rg.run_suite(seed, ids=ids, include_centers=False, triangle=t)
-        lines.append(rep.to_jsonl())
-        summary = rep.summary()
-        for k in totals:
-            totals[k] += summary[k]
-        if summary["failed_ids"]:
-            failed_seeds.append(seed)
-
-    lines.append(json.dumps({"total": totals, "seeds_with_failures": failed_seeds},
-                            separators=(",", ":")))
-    payload = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+                if args.fail_fast:
+                    break
+        out.write(json.dumps({"total": totals, "seeds_with_failures": failed_seeds},
+                             separators=(",", ":")) + "\n")
     return 1 if totals["fail"] else 0
 
 
 def _cmd_render(args) -> int:
     t, seed = _load_triangle(args.triangle)
-    aliases = {"Mp": "M'", "Hp": "H'"}
-    which = ([aliases.get(w.strip(), w.strip()) for w in args.centers.split(",")]
-             if args.centers != "all" else
+    which = (_center_names(args.centers) if args.centers != "all" else
              ["M", "O", "I", "H", "M'", "L", "S", "Z", "F"])
     rd.render_svg(t, which, args.model, args.output,
                   euler_line=args.euler_line, seed=seed)

@@ -58,15 +58,7 @@ class OnSideLine(GeometryError):
 
 
 class ConjugateAtInfinity(GeometryError):
-    """Reflected cevians meet in a non-real point.
-
-    The coordinate-form conjugate is attached as ``coords_point`` when it
-    could still be reconstructed.
-    """
-
-    def __init__(self, message, coords_point=None):
-        super().__init__(message)
-        self.coords_point = coords_point
+    """Reflected cevians meet in a non-real point."""
 
 
 class InconsistentCoords(GeometryError):

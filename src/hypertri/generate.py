@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import plane, trig
-from .errors import ExhaustedAttempts
+from .errors import ExhaustedAttempts, GeometryError
 from .plane import HPoint, geodesic_point, klein_point, normalize, tangent_toward
 from .trig import TriangleData
 
@@ -54,7 +54,7 @@ def _sampled_triangle(rng, shape, c) -> TriangleData | None:
     pts = [_sample_disk_point(rng, c.max_klein_radius) for _ in range(3)]
     try:
         t = trig.solve_from_vertices(*pts)
-    except Exception:
+    except GeometryError:
         return None
     return t if _satisfies(t, shape, c) else None
 
@@ -73,7 +73,7 @@ def _right_triangle(rng, c) -> TriangleData | None:
     q = geodesic_point(vn, t2, d2)
     try:
         t = trig.solve_from_vertices(vn, p, q)
-    except Exception:
+    except GeometryError:
         return None
     return t if _satisfies(t, "any", c) else None
 
@@ -109,7 +109,7 @@ def _isosceles_triangle(rng, c) -> TriangleData | None:
     q = geodesic_point(base_mid, t_at_mid, -half)
     try:
         t = trig.solve_from_vertices(an, p, q)
-    except Exception:
+    except GeometryError:
         return None
     return t if _satisfies(t, "any", c) else None
 

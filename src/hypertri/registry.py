@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import centers as ct
 from . import plane, trig
-from .errors import IdenticalPoints, NoRootFound, UnknownIdentity
+from .errors import GeometryError, IdenticalPoints, NoRootFound, UnknownIdentity
 from .extscalar import (
     ExtLength,
     PointKind,
@@ -110,10 +110,6 @@ class TrialContext:
     def use_stream(self, tag: str):
         self.rng = random.Random(f"aux:{self.seed}:{tag}")
 
-    def get(self, key: str, builder):
-        """``builder(self)`` once per trial; for objects keyed by the seed."""
-        return self.frame.get(key, lambda: builder(self))
-
     # shared constructions -------------------------------------------------
     @property
     def M(self):
@@ -141,16 +137,16 @@ class TrialContext:
 
     @property
     def random_interior(self) -> HPoint:
-        def build(c):
-            f = c.frame
-            rng = random.Random(f"aux:{c.seed}:interior")
+        def build():
+            f = self.frame
+            rng = random.Random(f"aux:{self.seed}:interior")
             w = [rng.random() + 0.05 for _ in range(3)]
             return normalize(HPoint(
                 w[0] * f.A.x + w[1] * f.B.x + w[2] * f.C.x,
                 w[0] * f.A.y + w[1] * f.B.y + w[2] * f.C.y,
                 w[0] * f.A.w + w[1] * f.B.w + w[2] * f.C.w,
             ))
-        return self.get("random_interior", build)
+        return self.frame.get("random_interior", build)
 
     def random_real_point(self, maxr=0.9) -> HPoint:
         r = maxr * math.sqrt(self.rng.random())
@@ -169,7 +165,7 @@ def _orthocenter_conjugate_point(c: TrialContext) -> HPoint:
     _need_real_orthocenter(c)
     if max(c.t.alpha, c.t.beta, c.t.gamma) >= math.pi / 2:
         raise _Skip("conjugate of an exterior orthocenter is not constructible")
-    return c.get("H'", lambda cc: ct.isogonal_conjugate(cc.H.point, cc.t, cc.frame))
+    return c.frame.get("H'", lambda: ct.isogonal_conjugate(c.H.point, c.t, c.frame))
 
 
 def _need_Z(c: TrialContext):
@@ -230,14 +226,14 @@ def _heron(c):
 
 def _lambert(key):
     def ev(c):
-        def build(cc):
-            rng = random.Random(f"aux:{cc.seed}:lambert")
+        def build():
+            rng = random.Random(f"aux:{c.seed}:lambert")
             leg_a = 0.15 + 0.5 * rng.random()
             leg_d = 0.15 + 0.5 * rng.random()
             if math.sinh(leg_a) * math.sinh(leg_d) >= 0.98:
                 leg_a = leg_d = 0.4
             return trig.lambert_relations(trig.lambert_from_legs(leg_a, leg_d))
-        return c.get("lambert", build)[key]
+        return c.frame.get("lambert", build)[key]
     return ev
 
 
@@ -370,7 +366,7 @@ def _centroid_gravity_line(c):
     p2 = c.random_real_point(0.6)
     try:
         y = normalize_line(join(p1, p2))
-    except Exception:
+    except GeometryError:
         raise _Skip("auxiliary random line degenerated")
     m = c.M.point
     d_m = mdot(normalize(m), y)
@@ -501,14 +497,19 @@ def _radius_identity(key):
     return ev
 
 
+def _circumradius(o: ct.CenterResult) -> ExtLength:
+    """Circumradius of the circumcenter result ``o`` as an extended length."""
+    return ExtLength(o.aux["radius_re"], Quantum.ZERO
+                     if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
+
+
 def _oi_distance(c):
     t = c.t
     o, i_res = c.O4[0], c.I4[0]
     if o.classification is PointKind.INFINITE:
         raise _Skip("circumcenter at infinity (paracycle)")
     r_len = math.atanh(i_res.aux["tanh_r"])
-    radius = ExtLength(o.aux["radius_re"], Quantum.ZERO
-                       if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
+    radius = _circumradius(o)
     lhs = ext_cosh(_dist_ext_or_zero(o.point, i_res.point))
     cosh_R = ext_cosh(radius)
     cosh_R_minus_r = ext_cosh(ExtLength(radius.re - r_len, radius.im))
@@ -583,8 +584,7 @@ def _orthocenter_euler_distance(c):
         vert = {"A": f.A, "B": f.B, "C": f.C}[v]
         hx = distance(vert, f.altitude_foot(v))
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
-    radius = ExtLength(o.aux["radius_re"], Quantum.ZERO
-                       if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
+    radius = _circumradius(o)
     lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
     rhs = acc * ext_cosh(radius)
     return _rel(lhs, rhs)
@@ -596,8 +596,7 @@ def _orthocenter_circumcenter_form(c):
     o = c.O4[0]
     h = c.H.point
     n_h = c.H.coords
-    radius = ExtLength(o.aux["radius_re"], Quantum.ZERO
-                       if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
+    radius = _circumradius(o)
     lhs = sum(n_h) * ext_cosh(radius)
     rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h))
     return _rel(lhs, rhs)
@@ -677,7 +676,7 @@ def _generalized_center_form(c):
 def _coordinate_sum_minimality(c):
     # the printed claim: sum minimized at the incenter with value (N/2) cosh(PI);
     # expected to fail, kept verbatim so the defect stays visible
-    rep = c.get("minrep", lambda cc: ct.incenter_minimality(cc.t, 24, cc.frame))
+    rep = c.frame.get("minrep", lambda: ct.incenter_minimality(c.t, 24, c.frame))
     if not rep.incenter_min_ok:
         return 1.0
     return rep.incenter_closed_residual
@@ -688,7 +687,7 @@ def _coordinate_sum_minimality_corrected(c):
     o = c.O4[0]
     if o.classification is not PointKind.REAL:
         raise _Skip("circumcenter not real: the coordinate sum has no interior minimum")
-    rep = c.get("minrep", lambda cc: ct.incenter_minimality(cc.t, 24, cc.frame))
+    rep = c.frame.get("minrep", lambda: ct.incenter_minimality(c.t, 24, c.frame))
     if not rep.circumcenter_min_ok:
         return 1.0
     return rep.circumcenter_closed_residual
@@ -772,8 +771,8 @@ def _cagnoli_sin_delta(c):
 def _cagnoli_sin_delta_alpha(c):
     t = c.t
     worst = 0.0
-    for (x, al) in ((t.a, t.alpha), (t.b, t.beta), (t.c, t.gamma)):
-        y, z = (t.b, t.c) if x == t.a else ((t.a, t.c) if x == t.b else (t.a, t.b))
+    for (x, y, z, al) in ((t.a, t.b, t.c, t.alpha), (t.b, t.a, t.c, t.beta),
+                          (t.c, t.a, t.b, t.gamma)):
         rhs = t.n / (2 * cosh(x / 2) * sinh(y / 2) * sinh(z / 2))
         worst = max(worst, _rel(sin(t.delta + al), rhs))
     return worst
@@ -1140,7 +1139,7 @@ def center_table(ctx: TrialContext, which: list[str] | None = None) -> list[dict
             rows.append(builder(ctx).to_json())
         except _Skip as s:
             rows.append({"name": name, "status": f"unavailable: {s.reason}"})
-        except Exception as e:
+        except GeometryError as e:
             rows.append({"name": name, "status": f"unavailable: {e}"})
     return rows
 

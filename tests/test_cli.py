@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hypertri import registry as rg
 from hypertri.cli import main
+from hypertri.errors import GeometryError
 
 
 def run_cli(capsys, *argv):
@@ -88,13 +90,52 @@ class TestVerify:
                              "--jobs", "2")
         assert out1 == out2
 
-    def test_fail_fast_stops_early(self, capsys):
+    def test_fail_fast_stops_early(self, capsys, monkeypatch):
+        calls = []
+        run_suite = rg.run_suite
+
+        def counting_run_suite(seed, *args, **kwargs):
+            calls.append(seed)
+            return run_suite(seed, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_suite", counting_run_suite)
         code, out, _ = run_cli(capsys, "verify", "--seeds", "1..5",
                                "--ids", "MIN1", "--fail-fast")
         assert code == 1
         rows = [json.loads(line) for line in out.strip().splitlines()]
         seeds = {r["seed"] for r in rows if "id" in r}
         assert seeds == {1}
+        assert calls == [1]
+
+    def test_fail_fast_byte_identical_across_jobs(self, capsys):
+        argv = ["verify", "--seeds", "1..5", "--ids", "MIN1", "--fail-fast"]
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+        assert (code2, out2) == (code1, out1)
+
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        argv = ["verify", "--seeds", "1..3", "--ids", "LS,EU0"]
+        _, out, _ = run_cli(capsys, *argv)
+        path = tmp_path / "report.jsonl"
+        run_cli(capsys, *argv, "-o", str(path))
+        assert path.read_bytes() == out.encode()
+
+    def test_error_mid_run_keeps_earlier_seeds(self, tmp_path, capsys, monkeypatch):
+        run_suite = rg.run_suite
+
+        def failing_run_suite(seed, *args, **kwargs):
+            if seed == 3:
+                raise GeometryError("no triangle for seed 3")
+            return run_suite(seed, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_suite", failing_run_suite)
+        path = tmp_path / "report.jsonl"
+        code, _, err = run_cli(capsys, "verify", "--seeds", "1..5", "--ids", "LS",
+                               "-o", str(path))
+        assert code == 2 and "seed 3" in err
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["summary"]["seed"] for r in rows if "summary" in r] == [1, 2]
+        assert not any("total" in r for r in rows)
 
 
 class TestRender:

@@ -92,7 +92,13 @@ def _cmd_verify(args) -> int:
             if identity_id not in rg.REGISTRY:
                 raise UnknownIdentity(identity_id)
     if args.seeds:
-        jobs = [(seed, ids, args.shape, None) for seed in _parse_seed_range(args.seeds)]
+        try:
+            seeds = _parse_seed_range(args.seeds)
+        except ValueError:
+            print(f"error: malformed --seeds {args.seeds!r}; expected A..B or a comma list",
+                  file=sys.stderr)
+            return 2
+        jobs = [(seed, ids, args.shape, None) for seed in seeds]
     elif args.triangle:
         t, seed = _load_triangle(args.triangle)
         jobs = [(seed, ids, args.shape, t)]

@@ -100,10 +100,6 @@ class NoRootFound(GeometryError):
         return type(self), (str(self), self.profile)
 
 
-class NonRealOrthocenter(GeometryError):
-    """The altitudes meet in a non-real point; real-distance identities do not apply."""
-
-
 class ExhaustedAttempts(GeometryError):
     """Rejection sampling hit its attempt cap without satisfying the constraints."""
 

@@ -97,6 +97,13 @@ class HPoint:
         return cls(x, y, 1.0)
 
 
+class UnitPoint(HPoint):
+    """A real point in unit form (``Q = 1``, ``w > 0``), as `normalize` returns
+    it; `normalize` hands one back unchanged."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, slots=True)
 class HLine:
     x: float
@@ -126,6 +133,8 @@ def _maxnorm(u) -> float:
 
 
 def classify(p: HPoint) -> PointKind:
+    if p.__class__ is UnitPoint:
+        return _R
     m = _maxnorm(p)
     if m == 0.0:
         raise ZeroVector("cannot classify the zero triple")
@@ -192,8 +201,10 @@ def pole(l: HLine) -> HPoint:
 
 
 def normalize(p: HPoint) -> HPoint:
-    """Canonical representative: Q = 1 and w > 0 for real points, |Q| = 1 for
-    ideal ones, max-norm 1 for boundary points."""
+    """Canonical representative: Q = 1 and w > 0 for real points (a
+    `UnitPoint`), |Q| = 1 for ideal ones, max-norm 1 for boundary points."""
+    if p.__class__ is UnitPoint:
+        return p
     q = qform(p)
     m = _maxnorm(p)
     if m == 0.0:
@@ -202,7 +213,7 @@ def normalize(p: HPoint) -> HPoint:
         s = 1.0 / math.sqrt(q)
         if p.w < 0:
             s = -s
-        return HPoint(p.x * s, p.y * s, p.w * s)
+        return UnitPoint(p.x * s, p.y * s, p.w * s)
     if q / (m * m) < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
         return HPoint(p.x * s, p.y * s, p.w * s)

@@ -51,6 +51,9 @@ from .trig import TriangleData, tri_coords, relative_residual as _rel
 cosh, sinh, tanh = math.cosh, math.sinh, math.tanh
 sin, cos, tan = math.sin, math.cos, math.tan
 
+# one encoder for every report line; json.dumps would build one per call
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 
 def _prop(u, v) -> float:
     return trig.proportionality_residual(tuple(u), tuple(v))
@@ -98,17 +101,27 @@ class TrialContext:
     `centers.Frame`, so each is built once per trial.  Each identity gets its
     own derived random stream (seeded from the trial seed and the identity
     code), so results do not depend on which subset of identities runs or in
-    which order.
+    which order.  The stream is built when `rng` is first read, so identities
+    that draw nothing pay nothing for it.
     """
 
     def __init__(self, seed: int, t: TriangleData):
         self.seed = seed
         self.frame = ct.Frame(t)
         self.t = self.frame.t
-        self.rng = aux_rng(seed)
+        self._tag = None
+        self._rng = None
 
     def use_stream(self, tag: str):
-        self.rng = random.Random(f"aux:{self.seed}:{tag}")
+        self._tag = tag
+        self._rng = None
+
+    @property
+    def rng(self) -> random.Random:
+        if self._rng is None:
+            self._rng = (aux_rng(self.seed) if self._tag is None
+                         else random.Random(f"aux:{self.seed}:{self._tag}"))
+        return self._rng
 
     # shared constructions -------------------------------------------------
     @property
@@ -1106,9 +1119,9 @@ class TrialReport:
         return {"seed": self.seed, **count, "failed_ids": failed}
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"seed": self.seed, **r.to_json()},
-                            separators=(",", ":")) for r in self.records]
-        lines.append(json.dumps({"summary": self.summary()}, separators=(",", ":")))
+        encode = _COMPACT_JSON.encode
+        lines = [encode({"seed": self.seed, **r.to_json()}) for r in self.records]
+        lines.append(encode({"summary": self.summary()}))
         return "\n".join(lines)
 
 

@@ -56,7 +56,8 @@ class TriangleData:
     ``delta`` the half-defect (the area is ``2 * delta``), ``n`` and ``bign``
     the two Staudtians.  ``vertices`` is filled when the triangle was built
     from, or embedded into, the plane; constructive operations require it.
-    ``lines`` holds the side lines (a, b, c), derived once from the vertices.
+    ``lines`` holds the side lines (a, b, c), derived from the vertices when
+    first read.
     """
 
     a: float
@@ -70,14 +71,16 @@ class TriangleData:
     n: float
     bign: float
     vertices: tuple[HPoint, HPoint, HPoint] | None = None
-    lines: tuple[HLine, HLine, HLine] | None = field(
+    _lines: tuple[HLine, HLine, HLine] | None = field(
         default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.vertices is not None:
-            va, vb, vc = self.vertices
+    @property
+    def lines(self) -> tuple[HLine, HLine, HLine]:
+        if self._lines is None:
+            va, vb, vc = self.require_vertices()
             lines = (_side_line(va, vb, vc), _side_line(vb, vc, va), _side_line(vc, va, vb))
-            object.__setattr__(self, "lines", lines)
+            object.__setattr__(self, "_lines", lines)
+        return self._lines
 
     @property
     def area(self) -> float:
@@ -95,7 +98,6 @@ class TriangleData:
     def side_line(self, side: str) -> HLine:
         """Line of the named side, unit-normalized, oriented so the opposite
         vertex has positive signed distance."""
-        self.require_vertices()
         return self.lines["abc".index(side)]
 
     def to_json(self):
@@ -297,7 +299,6 @@ def tri_coords(x: HPoint, t: TriangleData) -> TriCoords:
     an ideal X the three values share a factor ``i`` which is dropped, so the
     triple stays a real projective triple.
     """
-    t.require_vertices()
     xn = normalize(x)
     return tuple(0.5 * mdot(xn, l) * math.sinh(length)
                  for l, length in zip(t.lines, (t.a, t.b, t.c)))

@@ -84,6 +84,16 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")
         assert code == 2
 
+    @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a"])
+    def test_malformed_seeds_is_usage_error(self, seeds, tmp_path, capsys):
+        path = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--seeds", seeds, "--ids", "LS",
+                                 "-o", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out == ""
+        assert not path.exists()
+
     def test_byte_identical_across_jobs(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--seeds", "1..6", "--ids", "LS,HER,EU0")
         _, out2, _ = run_cli(capsys, "verify", "--seeds", "1..6", "--ids", "LS,HER,EU0",

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hypertri import trig
 from hypertri.errors import ExhaustedAttempts
 from hypertri.generate import Constraints, gen_triangle
 from hypertri.plane import distance, origin
@@ -19,6 +20,19 @@ class TestDeterminism:
         for t in (t1, t2):
             assert min(t.alpha, t.beta, t.gamma) >= 0.05
             assert min(t.a, t.b, t.c) >= 0.05
+
+
+def test_side_lines_are_built_for_the_accepted_triangle_only(monkeypatch):
+    solved, lines = [], []
+    solve, side_line = trig.solve_from_vertices, trig._side_line
+    monkeypatch.setattr(trig, "solve_from_vertices",
+                        lambda *v: solved.append(v) or solve(*v))
+    monkeypatch.setattr(trig, "_side_line", lambda *v: lines.append(v) or side_line(*v))
+    t = gen_triangle(4, shape="acute")
+    assert len(solved) == 4 and lines == []
+    first = t.side_line("a")
+    assert t.side_line("a") is first and t.lines[0] is first
+    assert len(lines) == 3
 
 
 class TestConstraints:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from hypertri.plane import (
     pole,
     reflect,
     signed_line_distance,
+    UnitPoint,
 )
 
 INF = math.inf
@@ -67,6 +69,31 @@ class TestClassification:
         assert classify_line(HLine(0, 1, 0)) is LineKind.REAL
         assert classify_line(HLine(1, 0, 1)) is LineKind.AT_INFINITY
         assert classify_line(HLine(0, 0, 1)) is LineKind.IDEAL
+
+
+class TestUnitPoint:
+    def test_real_points_normalize_to_unit_points(self):
+        for p in (origin(), klein_point(0.3, -0.4), HPoint(-0.2, 0.1, -2.0)):
+            u = normalize(p)
+            assert u.__class__ is UnitPoint
+            assert plane.qform(u) == pytest.approx(1.0, rel=1e-15) and u.w > 0
+
+    def test_unit_point_is_returned_unchanged(self):
+        u = normalize(klein_point(0.3, -0.4))
+        assert normalize(u) is u
+        assert classify(u) is PointKind.REAL
+
+    @pytest.mark.parametrize("p", [klein_point(2.0, 0.5), HPoint(1.0, 0.0, 1.0),
+                                   HPoint(0.6, 0.8, -1.0)])
+    def test_ideal_and_boundary_points_stay_plain(self, p):
+        n = normalize(p)
+        assert n.__class__ is HPoint
+        assert classify(n) is classify(p) is not PointKind.REAL
+
+    def test_unit_point_survives_pickling(self):
+        u = normalize(klein_point(0.3, -0.4))
+        back = pickle.loads(pickle.dumps(u))
+        assert back.__class__ is UnitPoint and back == u
 
 
 class TestIncidence:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -28,6 +29,11 @@ EXPECTED_IDS = [
     "EU1", "EU0",
     "TBL1", "TBL2", "TBL3", "FIG2",
 ]
+
+# the criterion-3 center identities (see tests/test_acceptance.py)
+C3_IDS = ("CE1", "CR1", "CR2", "CR3", "IN1", "IN2", "IN3", "IN4", "IN5", "IN6",
+          "IN7", "OR1", "OR2", "OR3", "OR4", "OR5", "OR6", "IS2", "IS3", "IS4",
+          "SY1", "SY2", "LE1", "LE2", "PM1", "PM2")
 
 DECLARED_SKIP_FRAGMENTS = (
     "orthocenter is not a real point",
@@ -122,6 +128,29 @@ class TestSuite:
         sub = {r.id: r.residual for r in rg.run_suite(9, ids=["LS", "STW", "IS4"]).records}
         for key, val in sub.items():
             assert val == full[key]
+
+    def test_identity_order_does_not_change_records(self):
+        ids = ["LS", "OR4", "CE1", "IS4", "STW", "SY1", "TBL1", "CE4"]
+        for seed in (2, 9):
+            forward = rg.run_suite(seed, ids=ids, include_centers=False)
+            backward = rg.run_suite(seed, ids=ids[::-1], include_centers=False)
+            assert forward.records == backward.records[::-1]
+
+    def test_random_streams_are_built_only_when_drawn(self, monkeypatch):
+        # the triangle stream plus those of the identities that draw (OR4,
+        # IS4 and the shared interior point)
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        for seed in range(1, 41):
+            built.clear()
+            rg.run_suite(seed, ids=list(C3_IDS), include_centers=False)
+            assert (seed,) in built and len(built) <= 4
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_each_center_is_built_once_per_trial(self, seed, monkeypatch):

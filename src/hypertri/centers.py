@@ -689,30 +689,55 @@ class MinimalityReport:
     centroid_closed_residual: float
 
 
-def _perturbation_grid(p: HPoint, directions: int, radii) -> list[HPoint]:
+def coordinate_sum_functional(t: TriangleData) -> HLine:
+    """The coordinate sum as one linear functional:
+    Sum n_X(P) = <P, V> for unit P, with V = Sum 1/2 sinh(x) l_X built from
+    the side lines."""
+    la, lb, lc = t.lines
+    ka, kb, kc = (0.5 * math.sinh(x) for x in (t.a, t.b, t.c))
+    return HLine(ka * la.x + kb * lb.x + kc * lc.x,
+                 ka * la.y + kb * lb.y + kc * lc.y,
+                 ka * la.w + kb * lb.w + kc * lc.w)
+
+
+_GRID_RADII = (1e-3, 1e-2, 1e-1)
+_GRID_HYP = tuple((math.cosh(r), math.sinh(r)) for r in _GRID_RADII)
+
+
+def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
+    """Check ``<X, w>`` on the radial grid of unit points X around real ``p``.
+
+    ``directions`` holds (cos th, sin th) pairs; each direction is the unit
+    tangent d = (cos th t1 + sin th t2) / |.|, from a reference tangent t1
+    and its normal t2, taken at each radius r of `_GRID_RADII`.  A sample
+    is X = cosh r p + sinh r d, so <X, w> and cosh XP = <X, p> are scalar
+    sums of <p, .>, <t1, .> and <t2, .>.  Returns whether every sample
+    exceeds <p, w>, and the largest relative gap between <X, w> and
+    ``scale * cosh XP`` (starting from ``closed``).
+    """
     pn = normalize(p)
-    # two orthonormal tangent vectors at p
     k = pn.klein()
     ref = plane.origin() if (k[0] ** 2 + k[1] ** 2) > 1e-4 else plane.klein_point(0.3, 0.0)
-    t1 = tangent_toward(pn, ref)
+    t1 = HPoint(*tangent_toward(pn, ref))
     # second tangent: metric dual of the cross product of p and t1
-    cx = pn.y * t1[2] - pn.w * t1[1]
-    cy = pn.w * t1[0] - pn.x * t1[2]
-    cw = pn.x * t1[1] - pn.y * t1[0]
-    t2 = (-cx, -cy, cw)
-    out = []
-    for i in range(directions):
-        ang = 2.0 * math.pi * i / directions
-        d = tuple(math.cos(ang) * t1[j] + math.sin(ang) * t2[j] for j in range(3))
-        nrm = math.sqrt(abs(d[2] * d[2] - d[0] * d[0] - d[1] * d[1]))
-        d = tuple(v / nrm for v in d)
-        for rad in radii:
-            out.append(geodesic_point(pn, d, rad))
-    return out
-
-
-def coordinate_sum(x: HPoint, t: TriangleData) -> float:
-    return sum(tri_coords(x, t))
+    t2 = HPoint(-(pn.y * t1.w - pn.w * t1.y), -(pn.w * t1.x - pn.x * t1.w),
+                pn.x * t1.y - pn.y * t1.x)
+    w0, w1, w2 = mdot(pn, w), mdot(t1, w), mdot(t2, w)
+    p0, p1, p2 = mdot(pn, pn), mdot(t1, pn), mdot(t2, pn)
+    ok = True
+    for c, s in directions:
+        dx, dy, dw = c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.w + s * t2.w
+        nrm = math.sqrt(abs(dw * dw - dx * dx - dy * dy))
+        d_w, d_p = (c * w1 + s * w2) / nrm, (c * p1 + s * p2) / nrm
+        for ch, sh in _GRID_HYP:
+            fx = ch * w0 + sh * d_w
+            if fx <= w0:
+                ok = False
+            want = scale * (ch * p0 + sh * d_p)
+            gap = abs(fx - want) / max(abs(fx), abs(want))
+            if gap > closed:
+                closed = gap
+    return ok, closed
 
 
 def incenter_minimality(t: TriangleData, samples: int = 24,
@@ -720,60 +745,46 @@ def incenter_minimality(t: TriangleData, samples: int = 24,
     """Evaluate the coordinate-sum minimality claims on a radial grid.
 
     ``samples`` points are spread over ``samples // 3`` geodesic directions
-    at radii 1e-3, 1e-2, 1e-1 around each tested center.
+    at radii 1e-3, 1e-2, 1e-1 around each tested center.  The coordinate sum
+    is evaluated as the functional `coordinate_sum_functional` of the side
+    lines, Sum cosh(YX) over the vertices Y as <X, A + B + C>; the centers
+    come from their constructions.
     """
     f = frame or Frame(t)
     td = f.t
-    directions = max(1, samples // 3)
-    radii = (1e-3, 1e-2, 1e-1)
+    n_dir = max(1, samples // 3)
+    angles = [2.0 * math.pi * i / n_dir for i in range(n_dir)]
+    directions = [(math.cos(th), math.sin(th)) for th in angles]
+    v = coordinate_sum_functional(td)
 
     i_res = incenter_excenters(td, f)[0]
     o_res = circumcenters(td, f)[0]
     m_res = centroid(td, f)
 
     # printed claim: minimum at I with value (N/2) cosh(PI)
-    f_i = coordinate_sum(i_res.point, td)
-    inc_ok = True
-    inc_closed = 0.0
-    for p in _perturbation_grid(i_res.point, directions, radii):
-        fp = coordinate_sum(p, td)
-        if fp <= f_i:
-            inc_ok = False
-        want = td.bign / 2.0 * math.cosh(distance(p, i_res.point))
-        inc_closed = max(inc_closed, abs(fp - want) / max(abs(fp), abs(want)))
+    inc_ok, inc_closed = _grid_minimum(i_res.point, v, td.bign / 2.0, directions)
 
     # verified behaviour: minimum at O with value (n / cosh R) cosh(PO)
-    circ_ok = None
+    circ_ok = False
     circ_closed = math.inf
     if o_res.classification is PointKind.REAL and abs(o_res.aux["tanh_R"]) < 1.0:
         cosh_r = math.cosh(math.atanh(o_res.aux["tanh_R"]))
-        f_o = coordinate_sum(o_res.point, td)
-        circ_ok = True
-        circ_closed = abs(f_o - td.n / cosh_r) / max(f_o, td.n / cosh_r)
-        for p in _perturbation_grid(o_res.point, directions, radii):
-            fp = coordinate_sum(p, td)
-            if fp <= f_o:
-                circ_ok = False
-            want = td.n / cosh_r * math.cosh(distance(p, o_res.point))
-            circ_closed = max(circ_closed, abs(fp - want) / max(abs(fp), abs(want)))
+        f_o = mdot(o_res.point, v)
+        circ_ok, circ_closed = _grid_minimum(
+            o_res.point, v, td.n / cosh_r, directions,
+            closed=abs(f_o - td.n / cosh_r) / max(f_o, td.n / cosh_r))
 
     # centroid claim: Sum cosh(YX) minimized at M, closed form via the
     # median section ratio n / n_A(M)
-    ratio = td.n / tri_coords(m_res.point, td)[0]
-    g_m = sum(math.cosh(distance(m_res.point, v)) for v in (f.A, f.B, f.C))
-    cen_ok = True
-    cen_closed = 0.0
-    for p in _perturbation_grid(m_res.point, directions, radii):
-        gp = sum(math.cosh(distance(p, v)) for v in (f.A, f.B, f.C))
-        if gp <= g_m:
-            cen_ok = False
-        want = ratio * math.cosh(distance(p, m_res.point))
-        cen_closed = max(cen_closed, abs(gp - want) / max(abs(gp), abs(want)))
+    a, b, c = (normalize(x) for x in (f.A, f.B, f.C))
+    vertex_sum = HPoint(a.x + b.x + c.x, a.y + b.y + c.y, a.w + b.w + c.w)
+    cen_ok, cen_closed = _grid_minimum(m_res.point, vertex_sum, td.n / m_res.coords[0],
+                                       directions)
 
     return MinimalityReport(
         incenter_min_ok=inc_ok,
         incenter_closed_residual=inc_closed,
-        circumcenter_min_ok=bool(circ_ok),
+        circumcenter_min_ok=circ_ok,
         circumcenter_closed_residual=circ_closed,
         centroid_min_ok=cen_ok,
         centroid_closed_residual=cen_closed,

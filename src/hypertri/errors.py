@@ -108,5 +108,9 @@ class UnknownIdentity(GeometryError):
     """Identity code not present in the registry."""
 
 
+class UnknownCenter(GeometryError):
+    """Center name not present in the center table."""
+
+
 class IoFailure(GeometryError):
     """Could not write a requested output file."""

@@ -158,33 +158,26 @@ def classify_line(l: HLine) -> LineKind:
     return LineKind.AT_INFINITY
 
 
-def _mcross(u, v) -> tuple[float, float, float]:
-    # metric dual of the Euclidean cross product: G @ (u x v), G = diag(-1,-1,1)
+def _mcross(u, v, error, message) -> tuple[float, float, float]:
+    """Metric dual of the Euclidean cross product, G @ (u x v) with
+    G = diag(-1, -1, 1); raises ``error(message)`` when u and v are
+    proportional (the cross product vanishes relative to their max-norms)."""
     cx = u.y * v.w - u.w * v.y
     cy = u.w * v.x - u.x * v.w
     cw = u.x * v.y - u.y * v.x
+    if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * (_maxnorm(u) * _maxnorm(v)):
+        raise error(message)
     return (-cx, -cy, cw)
-
-
-def _check_not_proportional(u, v, what):
-    scale = _maxnorm(u) * _maxnorm(v)
-    cx = u.y * v.w - u.w * v.y
-    cy = u.w * v.x - u.x * v.w
-    cw = u.x * v.y - u.y * v.x
-    if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * scale:
-        raise what
 
 
 def join(p: HPoint, q: HPoint) -> HLine:
     """The unique line through two distinct points."""
-    _check_not_proportional(p, q, CoincidentArguments("join of proportional points"))
-    return HLine(*_mcross(p, q))
+    return HLine(*_mcross(p, q, CoincidentArguments, "join of proportional points"))
 
 
 def meet(l: HLine, m: HLine) -> HPoint:
     """The common point of two distinct lines."""
-    _check_not_proportional(l, m, CoincidentArguments("meet of proportional lines"))
-    return HPoint(*_mcross(l, m))
+    return HPoint(*_mcross(l, m, CoincidentArguments, "meet of proportional lines"))
 
 
 def polar(p: HPoint) -> HLine:
@@ -304,9 +297,8 @@ def vertex_angle(p: HPoint, q: HPoint, r: HPoint) -> float:
 def foot_of_perpendicular(p: HPoint, l: HLine) -> HPoint:
     """Foot of the perpendicular from ``p`` to ``l`` (the meet of ``l`` with the
     perpendicular through ``p``, which passes through the pole of ``l``)."""
-    pl = pole(l)
-    _check_not_proportional(p, pl, CoincidentArguments("point is the pole of the line"))
-    return meet(join(p, pl), l)
+    perp = _mcross(p, pole(l), CoincidentArguments, "point is the pole of the line")
+    return meet(HLine(*perp), l)
 
 
 def perpendicular_line(p: HPoint, l: HLine) -> HLine:
@@ -343,7 +335,7 @@ def angle_bisectors(vertex: HPoint, ray1: HLine, ray2: HLine) -> tuple[HLine, HL
     depends on the orientation of the input vectors, so callers with a
     triangle at hand should orient the side lines first.
     """
-    _check_not_proportional(ray1, ray2, CoincidentLines("bisectors of one line"))
+    _mcross(ray1, ray2, CoincidentLines, "bisectors of one line")
     a, b = normalize_line(ray1), normalize_line(ray2)
     return (
         HLine(a.x - b.x, a.y - b.y, a.w - b.w),
@@ -473,7 +465,7 @@ def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
     first; ultraparallel real lines give (p/i, pi - p/i) with ``p`` the
     common perpendicular length, and so on through the table.
     """
-    _check_not_proportional(a, b, CoincidentLines("angle of proportional lines"))
+    _mcross(a, b, CoincidentLines, "angle of proportional lines")
     try:
         first, second = distance_ext(pole(a), pole(b))
     except IdenticalPoints:

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 from . import centers as ct
 from . import plane, trig
-from .errors import GeometryError, IdenticalPoints, NoRootFound, UnknownIdentity
+from .errors import (
+    GeometryError,
+    IdenticalPoints,
+    NoRootFound,
+    UnknownCenter,
+    UnknownIdentity,
+)
 from .extscalar import (
     ExtLength,
     PointKind,
@@ -1139,11 +1145,16 @@ _CENTER_BUILDERS = (
     ("Z", lambda c: _need_Z(c)[0]),
     ("F", lambda c: ct.pseudomedian_feet_center(c.t, c.frame)),
 )
+_CENTER_NAMES = frozenset(name for name, _ in _CENTER_BUILDERS)
 
 
 def center_table(ctx: TrialContext, which: list[str] | None = None) -> list[dict]:
     """Serialized center results for a triangle; unavailable centers carry an
-    explanatory status instead of a point."""
+    explanatory status instead of a point.  A name in ``which`` that is not
+    a center raises UnknownCenter before anything is built."""
+    for name in which or ():
+        if name not in _CENTER_NAMES:
+            raise UnknownCenter(f"unknown center {name!r}")
     rows = []
     for name, builder in _CENTER_BUILDERS:
         if which is not None and name not in which:

@@ -54,6 +54,13 @@ class TestCenters:
         assert code == 0
         assert "M" in out and "O" in out and "I" in out
 
+    @pytest.mark.parametrize("fmt", ["--json", "--table"])
+    def test_unknown_center_is_usage_error(self, tri_file, fmt, capsys):
+        code, out, err = run_cli(capsys, "centers", tri_file, fmt, "--which", "Q,M")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown center 'Q'\n"
+
 
 class TestVerify:
     def test_single_triangle_pass(self, tri_file, capsys):
@@ -158,6 +165,14 @@ class TestRender:
             text = out.read_text()
             assert text.startswith("<svg") and "</svg>" in text
             assert "circle" in text
+
+    def test_unknown_center_is_usage_error(self, tri_file, tmp_path, capsys):
+        out = tmp_path / "fig.svg"
+        code, _, err = run_cli(capsys, "render", tri_file, "--model", "klein",
+                               "--centers", "Q", "-o", str(out))
+        assert code == 2
+        assert err == "error: unknown center 'Q'\n"
+        assert not out.exists()
 
     def test_byte_identical(self, tri_file, tmp_path, capsys):
         a = tmp_path / "a.svg"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypertri import plane
 from hypertri.errors import (
+    CoincidentArguments,
     CoincidentLines,
     CollinearPoints,
     IdenticalPoints,
@@ -18,6 +19,7 @@ from hypertri.plane import (
     CycleKind,
     HLine,
     HPoint,
+    angle_bisectors,
     angle_ext,
     classify,
     classify_line,
@@ -127,6 +129,26 @@ class TestIncidence:
     def test_coincident_rejected(self):
         with pytest.raises(IdenticalPoints):
             distance_ext(klein_point(0.1, 0.2), klein_point(0.1, 0.2))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: join(HPoint(0.1, 0.2, 1.0), HPoint(0.2, 0.4, 2.0)),
+         CoincidentArguments, "join of proportional points"),
+        (lambda: meet(HLine(0.3, -0.1, 0.2), HLine(-0.6, 0.2, -0.4)),
+         CoincidentArguments, "meet of proportional lines"),
+        (lambda: foot_of_perpendicular(HPoint(0.2, 0.1, 0.05), HLine(0.4, 0.2, 0.1)),
+         CoincidentArguments, "point is the pole of the line"),
+        (lambda: angle_bisectors(origin(), HLine(0.0, 1.0, 0.0), HLine(0.0, 3.0, 0.0)),
+         CoincidentLines, "bisectors of one line"),
+        (lambda: angle_ext(HLine(1.0, 0.5, 0.2), HLine(-1.0, -0.5, -0.2)),
+         CoincidentLines, "angle of proportional lines"),
+        (lambda: distance_ext(HPoint(0.1, 0.2, 1.0), HPoint(0.25, 0.5, 2.5)),
+         IdenticalPoints, "distance between coincident projective points"),
+    ], ids=["join", "meet", "foot", "angle_bisectors", "angle_ext", "distance_ext"])
+    def test_proportional_arguments_raise(self, call, error, message):
+        with pytest.raises(CoincidentArguments) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestPolarity:

@@ -24,29 +24,29 @@ print()
 
 rows = []
 
-m = ct.centroid(t, frame)
+m = ct.centroid(frame)
 rows.append(("centroid M", m, (1.0, 1.0, 1.0)))
 
-o4 = ct.circumcenters(t, frame)
+o4 = ct.circumcenters(frame)
 rows.append(("circumcenter O", o4[0],
              (math.cos(t.delta + t.alpha) * sinh(t.a),
               math.cos(t.delta + t.beta) * sinh(t.b),
               math.cos(t.delta + t.gamma) * sinh(t.c))))
 
-i4 = ct.incenter_excenters(t, frame)
+i4 = ct.incenter_excenters(frame)
 rows.append(("incenter I", i4[0], (sinh(t.a), sinh(t.b), sinh(t.c))))
 rows.append(("excenter I_A", i4[1], (-sinh(t.a), sinh(t.b), sinh(t.c))))
 
-h = ct.orthocenter(t, frame)
+h = ct.orthocenter(frame)
 rows.append(("orthocenter H", h, (tan(t.alpha), tan(t.beta), tan(t.gamma))))
 
-mp = ct.symmedian_point(t, frame)
+mp = ct.symmedian_point(frame)
 rows.append(("symmedian M'", mp, (sinh(t.a) ** 2, sinh(t.b) ** 2, sinh(t.c) ** 2)))
 
-lp = ct.lemoine_point(t, frame)
+lp = ct.lemoine_point(frame)
 rows.append(("Lemoine L", lp, (cosh(t.a) - 1, cosh(t.b) - 1, cosh(t.c) - 1)))
 
-s_res, feet = ct.pseudo_centroid(t, frame)
+s_res, feet = ct.pseudo_centroid(frame)
 ch = {x: cosh(getattr(t, x) / 2) for x in "abc"}
 prod = ch["a"] * ch["b"] * ch["c"]
 rows.append(("pseudo-centroid S", s_res,
@@ -70,7 +70,7 @@ print(f"  excenters may leave the plane ({kinds})")
 
 print()
 print("isogonal conjugation: the centroid maps to the symmedian point")
-conj = ct.isogonal_conjugate(m.point, t, frame)
+conj = ct.isogonal_conjugate(m.point, frame)
 gap = proportionality_residual(tri_coords(conj, t), mp.coords)
 print(f"  conjugate-of-M vs M' coordinate mismatch: {gap:.3e}")
 

@@ -39,10 +39,10 @@ print("the line really needs the pseudomedian-feet cycle center")
 print("---------------------------------------------------------")
 t = gen_triangle(31, shape="acute")
 frame = ct.Frame(t)
-o = ct.circumcenters(t, frame)[0].point
-s = ct.pseudo_centroid(t, frame)[0].point
-f_good = ct.pseudomedian_feet_center(t, frame).point
-f_bis = ct.bisector_feet_center(t, frame).point
+o = ct.circumcenters(frame)[0].point
+s = ct.pseudo_centroid(frame)[0].point
+f_good = ct.pseudomedian_feet_center(frame).point
+f_bis = ct.bisector_feet_center(frame).point
 print(f"  det(O, S, pseudomedian-feet center) = "
       f"{ct.collinearity_residual(o, s, f_good):.2e}")
 print(f"  det(O, S, bisector-feet center)     = "

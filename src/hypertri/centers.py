@@ -21,7 +21,6 @@ from . import plane, trig
 from .errors import (
     ConjugateAtInfinity,
     DegenerateTriangle,
-    GeometryError,
     NoRootFound,
     OnSideLine,
 )
@@ -86,12 +85,14 @@ def _line_add(p: HLine, q: HLine) -> HLine:
 
 
 class Frame:
-    """Shared constructive scaffolding for one triangle, built lazily.
+    """The one per-triangle handle: shared constructive scaffolding, built
+    lazily.
 
     Vertices are unit-normalized, side lines unit and oriented toward the
     opposite vertex.  Everything downstream (bisectors, feet, and every
     center builder's result) is cached here, so a batch of identity checks
-    constructs each object once.
+    constructs each object once.  Every builder takes a triangle or its
+    frame (see `Frame.of`); only successful builds are cached.
     """
 
     def __init__(self, t: TriangleData):
@@ -102,8 +103,14 @@ class Frame:
         self.lA, self.lB, self.lC = t.lines
         self._cache: dict = {}
 
+    @staticmethod
+    def of(tri: TriangleData | Frame) -> Frame:
+        """``tri`` itself if it is a frame, else a new frame of the triangle."""
+        return tri if isinstance(tri, Frame) else Frame(tri)
+
     def get(self, key, build):
-        """``build()`` once per frame, then the stored value."""
+        """``build()`` once per frame, then the stored value.  Nothing is
+        stored when ``build`` raises."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
@@ -151,27 +158,19 @@ class Frame:
 
 
 def _memo(build):
-    """Turn ``build(frame)`` into the builder ``name(t, frame=None)`` whose
-    result is cached in the frame under the builder's name.
+    """Turn ``build(frame)`` into the builder ``name(tri)``, which takes a
+    triangle or its frame and caches the result in the frame under the
+    builder's name.
 
-    A GeometryError raised by ``build`` is cached too and raised again on
-    every later call, so an unavailable center is also attempted only once.
-    Every caller receives the same object, so callers must not mutate it.
+    A GeometryError raised by ``build`` is not cached: it propagates, and a
+    later request builds again.  Every caller receives the same object, so
+    callers must not mutate it.
     """
     key = build.__name__
 
-    def builder(t: TriangleData, frame: Frame | None = None):
-        f = frame or Frame(t)
-        if key not in f._cache:
-            try:
-                f._cache[key] = build(f)
-            except GeometryError as e:
-                f._cache[key] = e
-                raise
-        out = f._cache[key]
-        if isinstance(out, GeometryError):
-            raise out.with_traceback(None)
-        return out
+    def builder(tri: TriangleData | Frame):
+        f = Frame.of(tri)
+        return f.get(key, lambda: build(f))
 
     builder.__name__ = builder.__qualname__ = key
     builder.__doc__ = build.__doc__
@@ -284,10 +283,10 @@ def radius_identities(f: Frame) -> dict[str, float]:
     (where coth of the complex radius is the real tanh of its real part).
     """
     td = f.t
-    centers = incenter_excenters(td, f)
+    centers = incenter_excenters(f)
     tvals = [c.aux["tanh_r"] for c in centers]  # tanh r, tanh r_A, ...
     tr, tra, trb, trc = tvals
-    o = circumcenters(td, f)[0]
+    o = circumcenters(f)[0]
     tR = o.aux["tanh_R"]
     a, b, c, s = td.a, td.b, td.c, td.s
     sh = math.sinh
@@ -344,7 +343,7 @@ def orthocenter(f: Frame) -> CenterResult:
 # --------------------------------------------------------------------------
 # isogonal conjugation
 
-def isogonal_conjugate(x: HPoint, t: TriangleData, frame: Frame | None = None) -> HPoint:
+def isogonal_conjugate(x: HPoint, tri: TriangleData | Frame) -> HPoint:
     """Reflect the cevians through ``x`` in the internal bisectors at two
     vertices and intersect the reflected lines.
 
@@ -352,7 +351,7 @@ def isogonal_conjugate(x: HPoint, t: TriangleData, frame: Frame | None = None) -
     degenerate) and ConjugateAtInfinity when the reflected cevians meet in a
     non-real point.
     """
-    f = frame or Frame(t)
+    f = Frame.of(tri)
     xn = normalize(x)
     coords = tri_coords(xn, f.t)
     if min(abs(v) for v in coords) < 1e-13:
@@ -369,8 +368,8 @@ def isogonal_conjugate(x: HPoint, t: TriangleData, frame: Frame | None = None) -
 def symmedian_point(f: Frame) -> CenterResult:
     """Isogonal conjugate of the centroid; coordinates
     (sinh^2 a : sinh^2 b : sinh^2 c)."""
-    m = centroid(f.t, f)
-    mp = isogonal_conjugate(m.point, f.t, f)
+    m = centroid(f)
+    mp = isogonal_conjugate(m.point, f)
     return _result("M'", mp, f.t)
 
 
@@ -382,7 +381,7 @@ def lemoine_point(f: Frame) -> CenterResult:
     The tangent triangle vertices (meets of pairs of tangents at the triangle
     vertices) may be ideal; the cevians through them are still real lines.
     """
-    o = circumcenters(f.t, f)[0].point
+    o = circumcenters(f)[0].point
     tan_a = perpendicular_line(f.A, join(o, f.A))
     tan_b = perpendicular_line(f.B, join(o, f.B))
     tan_c = perpendicular_line(f.C, join(o, f.C))
@@ -593,7 +592,7 @@ def pseudomedian_feet_center(f: Frame) -> CenterResult:
     center of the bisector-feet cycle is measurably off that line (see
     `bisector_feet_center`).
     """
-    return _cycle_center_result("F", pseudo_centroid(f.t, f)[1], f.t)
+    return _cycle_center_result("F", pseudo_centroid(f)[1], f.t)
 
 
 @_memo
@@ -641,20 +640,20 @@ def euler_line(f: Frame) -> EulerLineReport:
     (pseudo-centroid) and Z (pseudo-orthocenter) are collinear, and report
     the classical det(O, M, H) with the isosceles shape measure."""
     td = f.t
-    o = circumcenters(td, f)[0].point
-    fc = pseudomedian_feet_center(td, f).point
-    s = pseudo_centroid(td, f)[0].point
+    o = circumcenters(f)[0].point
+    fc = pseudomedian_feet_center(f).point
+    s = pseudo_centroid(f)[0].point
     missing = []
     residuals = {"OFS": collinearity_residual(o, fc, s)}
     try:
-        z = pseudo_orthocenter(td, f)[0].point
+        z = pseudo_orthocenter(f)[0].point
         residuals["OFZ"] = collinearity_residual(o, fc, z)
         residuals["OSZ"] = collinearity_residual(o, s, z)
         residuals["FSZ"] = collinearity_residual(fc, s, z)
     except NoRootFound:
         missing.append("Z")
-    m = centroid(td, f).point
-    h = orthocenter(td, f).point
+    m = centroid(f).point
+    h = orthocenter(f).point
     classical = collinearity_residual(o, m, h)
     iso = min(abs(td.a - td.b), abs(td.b - td.c), abs(td.a - td.c))
     return EulerLineReport(
@@ -740,8 +739,7 @@ def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
     return ok, closed
 
 
-def incenter_minimality(t: TriangleData, samples: int = 24,
-                        frame: Frame | None = None) -> MinimalityReport:
+def incenter_minimality(tri: TriangleData | Frame, samples: int = 24) -> MinimalityReport:
     """Evaluate the coordinate-sum minimality claims on a radial grid.
 
     ``samples`` points are spread over ``samples // 3`` geodesic directions
@@ -750,16 +748,16 @@ def incenter_minimality(t: TriangleData, samples: int = 24,
     lines, Sum cosh(YX) over the vertices Y as <X, A + B + C>; the centers
     come from their constructions.
     """
-    f = frame or Frame(t)
+    f = Frame.of(tri)
     td = f.t
     n_dir = max(1, samples // 3)
     angles = [2.0 * math.pi * i / n_dir for i in range(n_dir)]
     directions = [(math.cos(th), math.sin(th)) for th in angles]
     v = coordinate_sum_functional(td)
 
-    i_res = incenter_excenters(td, f)[0]
-    o_res = circumcenters(td, f)[0]
-    m_res = centroid(td, f)
+    i_res = incenter_excenters(f)[0]
+    o_res = circumcenters(f)[0]
+    m_res = centroid(f)
 
     # printed claim: minimum at I with value (N/2) cosh(PI)
     inc_ok, inc_closed = _grid_minimum(i_res.point, v, td.bign / 2.0, directions)

@@ -83,7 +83,9 @@ class NoRootFound(GeometryError):
     Carries the scanned profile as ``profile`` (list of (parameter, value))
     so the failure can be inspected rather than hidden.  ``profile`` may be
     given as a zero-argument callable; the scan then runs once, when the
-    attribute is first read, so raising costs nothing extra.
+    attribute is first read, so raising costs nothing extra.  Such a
+    callable may hold the frame it scans; the frame never holds the error
+    (failed builds are not cached), so the two form no reference cycle.
     """
 
     def __init__(self, message, profile=None):

@@ -149,8 +149,3 @@ def gen_triangle(seed: int, shape: str = "any",
     raise ExhaustedAttempts(
         f"no {shape} triangle satisfying the constraints after {MAX_ATTEMPTS} attempts"
     )
-
-
-def aux_rng(seed: int) -> random.Random:
-    """Auxiliary random stream for a seed, independent of the triangle stream."""
-    return random.Random(f"aux:{seed}")

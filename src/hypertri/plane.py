@@ -280,8 +280,9 @@ def geodesic_point(p: HPoint, t: tuple[float, float, float], u: float) -> HPoint
     return HPoint(cu * p.x + su * t[0], cu * p.y + su * t[1], cu * p.w + su * t[2])
 
 
-def arc_coordinate(f: HPoint, p: HPoint, t: tuple[float, float, float]) -> float:
-    """Signed arc length of real ``f`` on the geodesic through ``p`` with tangent ``t``."""
+def arc_coordinate(f: HPoint, t: tuple[float, float, float]) -> float:
+    """Signed arc length of real ``f`` on the geodesic with unit tangent ``t``,
+    measured from the point where ``t`` is taken."""
     fn = normalize(f)
     return math.asinh(-mdot(fn, HPoint(*t)))
 

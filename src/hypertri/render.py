@@ -150,8 +150,8 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
 
     if euler_line:
         try:
-            o = ct.circumcenters(t, ctx.frame)[0].point
-            z = ct.pseudo_orthocenter(t, ctx.frame)[0].point
+            o = ct.circumcenters(ctx)[0].point
+            z = ct.pseudo_orthocenter(ctx)[0].point
             # boundary points are shared by both disk models
             p1, p2 = _chord_endpoints(join(o, z))
             parts.append(

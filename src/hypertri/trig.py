@@ -262,8 +262,7 @@ def tan_half_area_from_height(t: TriangleData) -> tuple[float, float]:
     va, vb, vc = t.require_vertices()
     la = t.side_line("a")
     foot = normalize(plane.foot_of_perpendicular(va, la))
-    tangent = tangent_toward(normalize(vb), normalize(vc))
-    u = plane.arc_coordinate(foot, normalize(vb), tangent)
+    u = plane.arc_coordinate(foot, tangent_toward(vb, vc))
     a1, a2 = u, t.a - u
     m_a = distance(va, foot)
     x1 = math.tanh(a1 / 2.0) * math.tanh(m_a / 2.0)
@@ -435,8 +434,7 @@ def cevian_ratio(x: HPoint, t: TriangleData, side: str) -> float:
     foot = meet(cev, line_side)
     if classify(foot) is not PointKind.REAL:
         raise CevianParallel("cevian meets the side line in a non-real point")
-    sn = normalize(start)
-    u = plane.arc_coordinate(normalize(foot), sn, tangent_toward(sn, normalize(end)))
+    u = plane.arc_coordinate(foot, tangent_toward(start, end))
     denom = math.sinh(length - u)
     if denom == 0.0:
         raise CevianParallel("cevian foot coincides with the far endpoint")
@@ -452,11 +450,10 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
     p = normalize(aprime)
     if classify(p) is not PointKind.REAL:
         raise FootOutsideSegment("the point must be a real point of side BC")
-    vbn, vcn = normalize(vb), normalize(vc)
     on_line = abs(mdot(p, normalize_line(join(vb, vc))))
     if on_line > 1e-9:
         raise FootOutsideSegment("the point is not on line BC")
-    u = plane.arc_coordinate(p, vbn, tangent_toward(vbn, vcn))
+    u = plane.arc_coordinate(p, tangent_toward(vb, vc))
     if u < -1e-12 or u > t.a + 1e-12:
         raise FootOutsideSegment("the point lies outside segment BC")
     lhs = math.cosh(t.c) * math.sinh(t.a - u) + math.cosh(t.b) * math.sinh(u)

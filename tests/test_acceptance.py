@@ -214,15 +214,15 @@ def test_criterion_6_involution_and_fixed_points():
                 sum(wi * v.x for wi, v in zip(w, t.vertices)),
                 sum(wi * v.y for wi, v in zip(w, t.vertices)),
                 sum(wi * v.w for wi, v in zip(w, t.vertices))))
-            y = ct.isogonal_conjugate(x, t, frame)
-            back = ct.isogonal_conjugate(y, t, frame)
+            y = ct.isogonal_conjugate(x, frame)
+            back = ct.isogonal_conjugate(y, frame)
             worst_inv = max(worst_inv, proportionality_residual(
                 (x.x, x.y, x.w), (back.x, back.y, back.w)))
-        i_pt = ct.incenter_excenters(t, frame)[0].point
-        i_back = ct.isogonal_conjugate(i_pt, t, frame)
+        i_pt = ct.incenter_excenters(frame)[0].point
+        i_back = ct.isogonal_conjugate(i_pt, frame)
         worst_fixed = max(worst_fixed, proportionality_residual(
             (i_pt.x, i_pt.y, i_pt.w), (i_back.x, i_back.y, i_back.w)))
-        mp = ct.symmedian_point(t, frame)
+        mp = ct.symmedian_point(frame)
         target = (math.sinh(t.a) ** 2, math.sinh(t.b) ** 2, math.sinh(t.c) ** 2)
         worst_symmedian = max(worst_symmedian,
                               proportionality_residual(mp.coords, target))
@@ -257,10 +257,10 @@ def test_criterion_7_companion_circumcenter_minimality_verified():
     for seed in range(1, 101):
         t = gen_triangle(seed)
         frame = ct.Frame(t)
-        if ct.circumcenters(t, frame)[0].classification is not PointKind.REAL:
+        if ct.circumcenters(frame)[0].classification is not PointKind.REAL:
             continue
         checked += 1
-        rep = ct.incenter_minimality(t, 24, frame)
+        rep = ct.incenter_minimality(frame, 24)
         assert rep.circumcenter_min_ok, seed
         assert rep.circumcenter_closed_residual < 1e-10, seed
     assert checked > 50

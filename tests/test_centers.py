@@ -69,7 +69,7 @@ class TestCentroid:
     def test_median_section_ratio(self, scalene):
         t = scalene
         f = ct.Frame(t)
-        m = ct.centroid(t, f).point
+        m = ct.centroid(f).point
         foot = plane.midpoint(f.B, f.C)
         ratio = sinh(distance(f.A, m)) / sinh(distance(m, foot))
         assert ratio == pytest.approx(2 * cosh(t.a / 2), rel=1e-10)
@@ -160,7 +160,7 @@ class TestOrthocenter:
     def test_equilateral_h_value_consistency(self, equilateral):
         t = equilateral
         f = ct.Frame(t)
-        h = ct.orthocenter(t, f)
+        h = ct.orthocenter(f)
         assert h.classification is PointKind.REAL
         vals = []
         for v in "ABC":
@@ -183,7 +183,7 @@ class TestOrthocenter:
 
     def test_third_altitude_passes_through(self, scalene):
         f = ct.Frame(scalene)
-        h = ct.orthocenter(scalene, f)
+        h = ct.orthocenter(f)
         alt_c = plane.perpendicular_line(f.C, f.lC)
         miss = abs(plane.mdot(normalize(h.point), plane.normalize_line(alt_c)))
         assert miss < 1e-9
@@ -205,8 +205,8 @@ class TestIsogonal:
                 sum(wi * v.x for wi, v in zip(w, f.t.vertices)),
                 sum(wi * v.y for wi, v in zip(w, f.t.vertices)),
                 sum(wi * v.w for wi, v in zip(w, f.t.vertices))))
-            y = ct.isogonal_conjugate(x, t, f)
-            back = ct.isogonal_conjugate(y, t, f)
+            y = ct.isogonal_conjugate(x, f)
+            back = ct.isogonal_conjugate(y, f)
             assert proportionality_residual((x.x, x.y, x.w),
                                             (back.x, back.y, back.w)) < 1e-8
 
@@ -278,7 +278,7 @@ class TestSymmedianLemoine:
     def test_symmedian_side_distances(self, scalene):
         t = scalene
         f = ct.Frame(t)
-        mp = ct.symmedian_point(t, f)
+        mp = ct.symmedian_point(f)
         d = [sinh(abs(plane.signed_line_distance(mp.point, l)))
              for l in (f.lA, f.lB, f.lC)]
         assert proportionality_residual(d, (sinh(t.a), sinh(t.b), sinh(t.c))) < 1e-9
@@ -313,7 +313,7 @@ class TestPseudoCenters:
     def test_feet_halve_the_area(self, scalene):
         t = scalene
         f = ct.Frame(t)
-        _, feet = ct.pseudo_centroid(t, f)
+        _, feet = ct.pseudo_centroid(f)
         sub = solve_from_vertices(f.A, feet[0], f.C)
         assert sub.area == pytest.approx(t.delta, abs=1e-10)
 
@@ -400,7 +400,7 @@ class TestPseudoCenters:
             t = gen_triangle(seed, shape="acute")
             f = ct.Frame(t)
             try:
-                _, feet = ct.pseudo_orthocenter(t, f)
+                _, feet = ct.pseudo_orthocenter(f)
             except NoRootFound:
                 continue
             solved += 1
@@ -436,10 +436,10 @@ class TestEulerLine:
         # bisector-feet cycle center is a genuinely different point
         t = random_triangle(random.Random(56), pseudoacute=True)
         f = ct.Frame(t)
-        o = ct.circumcenters(t, f)[0].point
-        s = ct.pseudo_centroid(t, f)[0].point
-        good = ct.pseudomedian_feet_center(t, f).point
-        bad = ct.bisector_feet_center(t, f).point
+        o = ct.circumcenters(f)[0].point
+        s = ct.pseudo_centroid(f)[0].point
+        good = ct.pseudomedian_feet_center(f).point
+        bad = ct.bisector_feet_center(f).point
         assert ct.collinearity_residual(o, s, good) < 1e-10
         assert ct.collinearity_residual(o, s, bad) > 1e-6
 

@@ -64,9 +64,9 @@ def reference_minimality(t, samples=24):
     td = f.t
     directions = max(1, samples // 3)
     radii = (1e-3, 1e-2, 1e-1)
-    i_res = ct.incenter_excenters(td, f)[0]
-    o_res = ct.circumcenters(td, f)[0]
-    m_res = ct.centroid(td, f)
+    i_res = ct.incenter_excenters(f)[0]
+    o_res = ct.circumcenters(f)[0]
+    m_res = ct.centroid(f)
 
     def coord_sum(x):
         return _coordinate_sum(x, td)

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import weakref
 
 import pytest
 
@@ -176,3 +178,21 @@ class TestSuite:
         back = rg.triangle_from_json(json.loads(json.dumps(obj)))
         assert back.a == pytest.approx(t.a, rel=1e-12)
         assert back.alpha == pytest.approx(t.alpha, rel=1e-10)
+
+
+def test_no_root_context_is_freed_without_gc():
+    # a pseudo-orthocenter without a root leaves no reference cycle behind:
+    # reference counting alone frees the context once its last name goes
+    seed = next(s for s in range(1, 100)
+                if rg.run_identity("EU1", gen_triangle(s), seed=s).status == "skipped")
+    gc.disable()
+    try:
+        ctx = rg.TrialContext(seed=seed, t=gen_triangle(seed))
+        assert rg.run_identity("EU1", ctx).status == "skipped"
+        rows = {row["name"]: row for row in rg.center_table(ctx)}
+        assert "status" in rows["Z"]
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()

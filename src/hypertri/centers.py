@@ -69,7 +69,7 @@ class CenterResult:
             "name": self.name,
             "point": self.point.to_json("hyperboloid")
             if self.classification is PointKind.REAL
-            else {"model": "hyperboloid", "coords": [self.point.x, self.point.y, self.point.w]},
+            else {"model": "hyperboloid", "coords": list(self.point)},
             "coords": coords,
             "classification": self.classification.value,
             "aux": dict(sorted(self.aux.items())),

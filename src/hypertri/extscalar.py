@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     ImaginaryOverflow,
@@ -75,22 +76,33 @@ _QUANTUM_JSON = {Quantum.ZERO: 0, Quantum.HALF_PI: "pi/2", Quantum.PI: "pi"}
 _QUANTUM_FROM_JSON = {0: Quantum.ZERO, "pi/2": Quantum.HALF_PI, "pi": Quantum.PI}
 
 
-@dataclass(frozen=True, slots=True)
-class ExtLength:
-    """A length value: extended-real part plus quantized imaginary part.
-
-    Infinite values carry imaginary quantum ZERO by the rule
-    ``+-inf + b*i = +-inf + 0*i``; the constructor normalizes this.
-    """
-
+class _ExtLengthFields(NamedTuple):
     re: float
     im: Quantum = Quantum.ZERO
 
-    def __post_init__(self):
-        if math.isnan(self.re):
+
+class ExtLength(_ExtLengthFields):
+    """A length value: extended-real part plus quantized imaginary part.
+
+    Infinite values carry imaginary quantum ZERO by the rule
+    ``+-inf + b*i = +-inf + 0*i``; the constructor normalizes this.  A
+    length is an immutable ``(re, im)`` tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, re: float, im: Quantum = Quantum.ZERO):
+        if math.isnan(re):
             raise ValueError("extended length with NaN real part")
-        if math.isinf(self.re) and self.im is not Quantum.ZERO:
-            object.__setattr__(self, "im", Quantum.ZERO)
+        if math.isinf(re):
+            im = Quantum.ZERO
+        return tuple.__new__(cls, (re, im))
+
+    @classmethod
+    def _make(cls, iterable) -> "ExtLength":
+        # namedtuple's _make (and _replace, which calls it) would skip the
+        # rules above
+        return cls(*iterable)
 
     @property
     def finite(self) -> bool:

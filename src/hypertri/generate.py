@@ -99,7 +99,6 @@ def _isosceles_triangle(rng, c) -> TriangleData | None:
     an = normalize(apex)
     th = 2.0 * math.pi * rng.random()
     axis = _direction(an, th)
-    orth = _rotate_tangent(an, axis)
     h = 0.3 + 1.2 * rng.random()
     half = 0.2 + 0.9 * rng.random()
     base_mid = normalize(geodesic_point(an, axis, h))

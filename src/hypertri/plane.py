@@ -28,7 +28,9 @@ extended distances and angles) is built from these two facts.  The module is
 the constructive oracle against which every closed-form triangle formula in
 the package is differentially tested.
 
-All values are immutable and all functions pure.
+All values are immutable and all functions pure.  Points and lines are
+named tuples: they unpack as ``(x, y, w)`` and compare equal to any tuple
+with the same coordinates, a point to a line included.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     CoincidentArguments,
@@ -65,8 +68,9 @@ class CycleKind(Enum):
     HYPERCYCLE = "hypercycle"
 
 
-@dataclass(frozen=True, slots=True)
-class HPoint:
+class HPoint(NamedTuple):
+    """A point as a homogeneous triple."""
+
     x: float
     y: float
     w: float
@@ -77,8 +81,7 @@ class HPoint:
 
     def to_json(self, model: str = "hyperboloid"):
         if model == "hyperboloid":
-            n = normalize(self)
-            return {"model": "hyperboloid", "coords": [n.x, n.y, n.w]}
+            return {"model": "hyperboloid", "coords": list(normalize(self))}
         if model == "klein":
             kx, ky = self.klein()
             return {"model": "klein", "coords": [kx, ky]}
@@ -104,8 +107,9 @@ class UnitPoint(HPoint):
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
-class HLine:
+class HLine(NamedTuple):
+    """A line, stored as the coordinates of its pole."""
+
     x: float
     y: float
     w: float

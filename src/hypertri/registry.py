@@ -19,7 +19,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from . import centers as ct
 from . import plane, trig
@@ -78,26 +80,13 @@ def _dist_ext_or_zero(p, q):
         return ExtLength(0.0)
 
 
-@dataclass(frozen=True, slots=True)
-class IdentityRecord:
+class IdentityRecord(NamedTuple):
     id: str
     name: str
     residual: float | None
     status: str  # "pass" | "fail" | "skipped"
     tolerance: float
     reason: str | None = None
-
-    def to_json(self):
-        out = {
-            "id": self.id,
-            "name": self.name,
-            "residual": self.residual,
-            "status": self.status,
-            "tolerance": self.tolerance,
-        }
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
 
 
 class TrialContext(ct.Frame):
@@ -303,9 +292,8 @@ def _half_side_sinh(c):
 def _half_side_cosh(c):
     t = c.t
     worst = 0.0
-    for (z, ga, al, be) in ((t.c, t.gamma, t.alpha, t.beta),
-                            (t.a, t.alpha, t.beta, t.gamma),
-                            (t.b, t.beta, t.gamma, t.alpha)):
+    for (z, al, be) in ((t.c, t.alpha, t.beta), (t.a, t.beta, t.gamma),
+                        (t.b, t.gamma, t.alpha)):
         rhs = math.sqrt(sin(t.delta + be) * sin(t.delta + al) / (sin(al) * sin(be)))
         worst = max(worst, _rel(cosh(z / 2), rhs))
     return worst
@@ -653,7 +641,7 @@ def _isogonal_inverse_ratio(c):
     x = c.random_interior
     xp = ct.isogonal_conjugate(x, c)
     worst = 0.0
-    for side, (p, q), (sfrom, sto) in (("a", (c.B, c.C), (t.c, t.b)),):
+    for side, sfrom, sto in (("a", t.c, t.b), ("b", t.a, t.c), ("c", t.b, t.a)):
         r1 = trig.cevian_ratio(x, t, side)
         r2 = trig.cevian_ratio(xp, t, side)
         worst = max(worst, _rel(r1 * r2, sinh(sfrom) ** 2 / sinh(sto) ** 2))
@@ -937,9 +925,11 @@ def _table_angles(c):
     # two tangents
     h1, h2 = plane.angle_ext(plane.HLine(1.0, 0.0, 1.0), plane.HLine(-1.0, 0.0, 1.0))
     worst = max(worst, _angle_value_matches(h1, math.inf, 0.0))
+    worst = max(worst, _angle_value_matches(h2, -math.inf, 0.0))
     # tangent against ideal line
     i1, i2 = plane.angle_ext(plane.HLine(1.0, 0.0, 1.0), ideal_line)
     worst = max(worst, _angle_value_matches(i1, math.inf, 0.0))
+    worst = max(worst, _angle_value_matches(i2, -math.inf, 0.0))
     # two ideal lines: angle pair (p/i, pi - p/i) with p the pole distance
     p1, p2 = klein_point(0.25, 0.1), klein_point(-0.2, 0.3)
     j1, j2 = plane.angle_ext(plane.polar(p1), plane.polar(p2))
@@ -1101,24 +1091,60 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     return IdentityRecord(d.id, d.name, float(residual), status, d.tolerance)
 
 
+def _line_parts(identity_id: str, name: str, tolerance: float) -> tuple[str, str]:
+    """The constant text of a record's report line: from after the seed to
+    the residual, and from after the status to the reason."""
+    return (f',"id":{_json_str(identity_id)},"name":{_json_str(name)},"residual":',
+            f',"tolerance":{_COMPACT_JSON.encode(tolerance)}')
+
+
+# (name, tolerance, *line parts) of each registered identity, built once
+_LINE_PARTS = {d.id: (d.name, d.tolerance, *_line_parts(d.id, d.name, d.tolerance))
+               for d in _DEFS}
+
+
 @dataclass(frozen=True, slots=True)
 class TrialReport:
     seed: int
     records: tuple
     centers: tuple
+    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def summary(self) -> dict:
-        count = {"pass": 0, "fail": 0, "skipped": 0}
-        failed = []
-        for r in self.records:
-            count[r.status] += 1
-            if r.status == "fail":
-                failed.append(r.id)
-        return {"seed": self.seed, **count, "failed_ids": failed}
+        """Counts by status and the failed ids.  Built on the first call;
+        later calls return the same dict."""
+        if self._summary is None:
+            count = {"pass": 0, "fail": 0, "skipped": 0}
+            failed = []
+            for r in self.records:
+                count[r.status] += 1
+                if r.status == "fail":
+                    failed.append(r.id)
+            object.__setattr__(self, "_summary",
+                               {"seed": self.seed, **count, "failed_ids": failed})
+        return self._summary
 
     def to_jsonl(self) -> str:
+        """One compact JSON line per record, then the summary line.  A record
+        line is the text `json` writes for ``{"seed": seed, "id": ...,
+        "name": ..., "residual": ..., "status": ..., "tolerance": ...}``,
+        plus ``"reason"`` when set, assembled from per-identity parts."""
         encode = _COMPACT_JSON.encode
-        lines = [encode({"seed": self.seed, **r.to_json()}) for r in self.records]
+        seed = '{"seed":' + encode(self.seed)
+        lines = []
+        for r in self.records:
+            parts = _LINE_PARTS.get(r.id)
+            if parts is not None and parts[0] is r.name and parts[1] is r.tolerance:
+                head, tail = parts[2], parts[3]
+            else:
+                head, tail = _line_parts(r.id, r.name, r.tolerance)
+            res = r.residual
+            # json writes a finite float as float.__repr__; None, inf and
+            # nan take the encoder's spelling
+            res = (repr(res) if res.__class__ is float and math.isfinite(res)
+                   else encode(res))
+            reason = "" if r.reason is None else ',"reason":' + _json_str(r.reason)
+            lines.append(f'{seed}{head}{res},"status":{_json_str(r.status)}{tail}{reason}}}')
         lines.append(encode({"summary": self.summary()}))
         return "\n".join(lines)
 

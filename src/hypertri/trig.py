@@ -402,7 +402,6 @@ def relative_residual(lhs, rhs) -> float:
 def proportionality_residual(u, v) -> float:
     """Scale-free mismatch of two triples viewed projectively."""
     uu = sum(x * x for x in u)
-    uv = sum(x * y for x, y in zip(u, v))
     vv = sum(y * y for y in v)
     if uu == 0.0 or vv == 0.0:
         return math.inf

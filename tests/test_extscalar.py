@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -230,3 +231,41 @@ class TestSerialization:
         assert ExtLength(0.5, Quantum.HALF_PI).to_json() == {"re": 0.5, "im": "pi/2"}
         assert ExtLength(-0.5, Quantum.PI).to_json() == {"re": -0.5, "im": "pi"}
         assert ExtLength.from_json({"re": "-inf", "im": "pi"}) == ExtLength(-INF)
+
+
+class TestValueType:
+    def test_immutable(self):
+        x = ExtLength(1.0, Quantum.PI)
+        with pytest.raises(AttributeError):
+            x.re = 2.0
+        with pytest.raises(AttributeError):
+            x.other = 2.0
+
+    def test_equal_values_give_equal_hashes(self):
+        assert hash(ExtLength(0.5, Quantum.PI)) == hash(ExtLength(0.5, Quantum.PI))
+        assert ExtLength(2.0) == ExtLength(2.0, Quantum.ZERO) == (2.0, Quantum.ZERO)
+        assert len({ExtLength(INF, Quantum.HALF_PI), ExtLength(INF)}) == 1
+
+    @pytest.mark.parametrize("x", [ExtLength(0.5, Quantum.HALF_PI), ExtLength(-INF)])
+    def test_pickling_keeps_the_type(self, x):
+        back = pickle.loads(pickle.dumps(x))
+        assert back.__class__ is ExtLength and back == x and back.im is x.im
+
+    def test_constructor_rules(self):
+        assert ExtLength(INF, Quantum.HALF_PI).im is Quantum.ZERO
+        assert ExtLength(-INF, Quantum.PI).im is Quantum.ZERO
+        assert ExtLength(1.0, Quantum.HALF_PI).im is Quantum.HALF_PI
+        with pytest.raises(ValueError):
+            ExtLength(math.nan)
+        with pytest.raises(ValueError):
+            ExtLength(math.nan, Quantum.PI)
+        assert ExtLength(1.0, Quantum.PI)._replace(re=INF).im is Quantum.ZERO
+        with pytest.raises(ValueError):
+            ExtLength(1.0)._replace(re=math.nan)
+
+    def test_order_stays_defined_on_lengths_only(self):
+        assert ExtLength(1.0) < ExtLength(2.0) and ExtLength(3.0) >= ExtLength(3.0)
+        with pytest.raises(UndefinedComparison):
+            ExtLength(1.0) < ExtLength(2.0, Quantum.PI)
+        with pytest.raises(TypeError):
+            ExtLength(1.0) < (2.0, Quantum.ZERO)

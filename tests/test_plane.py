@@ -98,6 +98,38 @@ class TestUnitPoint:
         assert back.__class__ is UnitPoint and back == u
 
 
+class TestValueTypes:
+    @pytest.mark.parametrize("v", [HPoint(0.1, 0.2, 1.0), HLine(0.0, 1.0, 0.0),
+                                   normalize(klein_point(0.3, -0.4))])
+    def test_immutable(self, v):
+        with pytest.raises(AttributeError):
+            v.x = 0.5
+        with pytest.raises(AttributeError):
+            v.z = 0.5
+
+    def test_equal_coordinates_give_equal_hashes(self):
+        u = normalize(klein_point(0.3, -0.4))
+        p = HPoint(u.x, u.y, u.w)
+        assert p == u and hash(p) == hash(u)
+        assert HLine(0.0, 1.0, 0.0) == HLine(0.0, 1.0, 0.0)
+        assert hash(HLine(0.0, 1.0, 0.0)) == hash(HLine(-0.0, 1.0, 0.0))
+        assert {p: 1}[u] == 1
+
+    def test_tuple_semantics(self):
+        # points and lines are plain tuples of coordinates, so a point equals
+        # the line with the same coordinates
+        p = HPoint(0.1, 0.2, 1.0)
+        x, y, w = p
+        assert (x, y, w) == p == (0.1, 0.2, 1.0) == HLine(0.1, 0.2, 1.0)
+        assert polar(p) == p and polar(p).__class__ is HLine
+
+    @pytest.mark.parametrize("v", [HPoint(0.1, 0.2, 1.0), HLine(0.0, 1.0, 0.0),
+                                   normalize(klein_point(2.0, 0.5))])
+    def test_pickling_keeps_the_type(self, v):
+        back = pickle.loads(pickle.dumps(v))
+        assert back.__class__ is v.__class__ and back == v
+
+
 class TestIncidence:
     def test_join_meet_axes(self):
         x_axis = join(origin(), HPoint(1, 0, 1))

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import random
 import weakref
 
@@ -196,3 +197,52 @@ def test_no_root_context_is_freed_without_gc():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def _dict_route_jsonl(rep) -> str:
+    # the report format as a dict per record through the compact encoder
+    encode = json.JSONEncoder(separators=(",", ":")).encode
+    lines = []
+    for r in rep.records:
+        out = {"seed": rep.seed, "id": r.id, "name": r.name, "residual": r.residual,
+               "status": r.status, "tolerance": r.tolerance}
+        if r.reason is not None:
+            out["reason"] = r.reason
+        lines.append(encode(out))
+    lines.append(encode({"summary": rep.summary()}))
+    return "\n".join(lines)
+
+
+def test_report_lines_match_the_dict_route_on_registry_seeds():
+    for seed in range(1, 201):
+        rep = rg.run_suite(seed, include_centers=False)
+        assert rep.to_jsonl() == _dict_route_jsonl(rep), seed
+
+
+def test_report_lines_match_the_dict_route_on_synthetic_records():
+    ls = rg.REGISTRY["LS"]
+    records = []
+    for residual in (None, math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300, 5e-324,
+                     1.5e300, 0.1):
+        status = "skipped" if residual is None else "fail"
+        # a registered identity; equal values not shared with the registry;
+        # a registered id with another name and tolerance; an unregistered id
+        records.append(rg.IdentityRecord(ls.id, ls.name, residual, status, ls.tolerance))
+        records.append(rg.IdentityRecord(ls.id, "".join(ls.name), residual, status,
+                                         float(repr(ls.tolerance))))
+        records.append(rg.IdentityRecord(ls.id, "law of signs", residual, status, 0.5))
+        records.append(rg.IdentityRecord("X\"1", "new\tname", residual, status, -0.0))
+    for reason in ('say "no"', "back\\slash", "d\u00e9faut \u221e \u2014 \U0001d54a",
+                   "\u0000\x7f"):
+        records.append(rg.IdentityRecord(ls.id, ls.name, None, "skipped", ls.tolerance,
+                                         reason))
+    for seed in (0, 7, 10**20):
+        rep = rg.TrialReport(seed=seed, records=tuple(records), centers=())
+        assert rep.to_jsonl() == _dict_route_jsonl(rep)
+
+
+def test_summary_is_built_once():
+    rep = rg.run_suite(3, include_centers=False)
+    assert rep.summary() is rep.summary()
+    assert rep.to_jsonl().endswith(json.dumps({"summary": rep.summary()},
+                                              separators=(",", ":")))

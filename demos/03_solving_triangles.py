@@ -50,7 +50,7 @@ x = point_from_coords((1.2, 0.7, 1.0), t)
 k = tri_coords(x, t)
 print(f"  a point with coordinates (1.2 : 0.7 : 1.0) reconstructs to {x.klein()}")
 print(f"  measured coordinates: ({k[0]:.6f} : {k[1]:.6f} : {k[2]:.6f})")
-print(f"  cevian ratio on side a = {cevian_ratio(x, t, 'a'):.9f}"
+print(f"  cevian ratio on side a = {cevian_ratio(x, t, 0):.9f}"
       f"  vs coordinate quotient {k[2]/k[1]:.9f}")
 
 print()

@@ -45,7 +45,7 @@ from .plane import (
     tangent_toward,
     vertex_angle,
 )
-from .trig import TriangleData, relative_residual, tri_coords
+from .trig import SIDE_ENDS, TriangleData, relative_residual, tri_coords
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,15 +92,17 @@ class Frame:
     opposite vertex.  Everything downstream (bisectors, feet, and every
     center builder's result) is cached here, so a batch of identity checks
     constructs each object once.  Every builder takes a triangle or its
-    frame (see `Frame.of`); only successful builds are cached.
+    frame (see `Frame.of`); only successful builds are cached.  Per-vertex
+    and per-side objects take an index, with the convention of
+    `trig.SIDE_ENDS`.
     """
 
     def __init__(self, t: TriangleData):
         if t.vertices is None:
             t = trig.embed(t)
         self.t = t
+        self.vertices, self.lines = t.vertices, t.lines
         self.A, self.B, self.C = t.vertices
-        self.lA, self.lB, self.lC = t.lines
         self._cache: dict = {}
 
     @staticmethod
@@ -115,46 +117,33 @@ class Frame:
             self._cache[key] = build()
         return self._cache[key]
 
-    # -- bisector lines: at vertex A the adjacent side lines are lB (= AC)
-    # and lC (= AB); the interior is where both signed distances are positive.
-    def internal_bisector(self, vertex: str) -> HLine:
-        return self.get(f"bis_int_{vertex}", lambda: {
-            "A": _line_sub(self.lC, self.lB),
-            "B": _line_sub(self.lA, self.lC),
-            "C": _line_sub(self.lB, self.lA),
-        }[vertex])
+    # -- bisector lines at vertex i: the adjacent side lines are lines[k]
+    # (toward vertex j) and lines[j], with (j, k) = SIDE_ENDS[i]; the
+    # interior is where both signed distances are positive.
+    def internal_bisector(self, i: int) -> HLine:
+        j, k = SIDE_ENDS[i]
+        return self.get(("bis_int", i), lambda: _line_sub(self.lines[k], self.lines[j]))
 
-    def external_bisector(self, vertex: str) -> HLine:
-        return self.get(f"bis_ext_{vertex}", lambda: {
-            "A": _line_add(self.lC, self.lB),
-            "B": _line_add(self.lA, self.lC),
-            "C": _line_add(self.lB, self.lA),
-        }[vertex])
+    def external_bisector(self, i: int) -> HLine:
+        j, k = SIDE_ENDS[i]
+        return self.get(("bis_ext", i), lambda: _line_add(self.lines[k], self.lines[j]))
 
-    def side_tangent(self, side: str):
-        """Unit tangent along the named side from its first vertex
-        (a: B->C, b: C->A, c: A->B)."""
-        def build():
-            start, end = {
-                "a": (self.B, self.C), "b": (self.C, self.A), "c": (self.A, self.B)
-            }[side]
-            return tangent_toward(start, end)
-        return self.get(f"tangent_{side}", build)
+    def side_tangent(self, i: int):
+        """Unit tangent along side ``i`` at its start, toward its end."""
+        j, k = SIDE_ENDS[i]
+        return self.get(("tangent", i),
+                        lambda: tangent_toward(self.vertices[j], self.vertices[k]))
 
-    def side_start(self, side: str) -> HPoint:
-        return {"a": self.B, "b": self.C, "c": self.A}[side]
+    def side_start(self, i: int) -> HPoint:
+        return self.vertices[SIDE_ENDS[i][0]]
 
-    def altitude_foot(self, vertex: str) -> HPoint:
-        def build():
-            v, l = {"A": (self.A, self.lA), "B": (self.B, self.lB), "C": (self.C, self.lC)}[vertex]
-            return normalize(foot_of_perpendicular(v, l))
-        return self.get(f"alt_foot_{vertex}", build)
+    def altitude_foot(self, i: int) -> HPoint:
+        return self.get(("alt_foot", i), lambda: normalize(
+            foot_of_perpendicular(self.vertices[i], self.lines[i])))
 
-    def bisector_foot(self, vertex: str) -> HPoint:
-        def build():
-            l = {"A": self.lA, "B": self.lB, "C": self.lC}[vertex]
-            return normalize(meet(self.internal_bisector(vertex), l))
-        return self.get(f"bis_foot_{vertex}", build)
+    def bisector_foot(self, i: int) -> HPoint:
+        return self.get(("bis_foot", i), lambda: normalize(
+            meet(self.internal_bisector(i), self.lines[i])))
 
 
 def _memo(build):
@@ -248,21 +237,21 @@ def incenter_excenters(f: Frame):
 
     The incenter is always real; excenters may be real, at infinity or ideal
     (their classification is reported and the radius becomes extended)."""
-    i_pt = meet(f.internal_bisector("A"), f.internal_bisector("B"))
-    ia = meet(f.internal_bisector("A"), f.external_bisector("B"))
-    ib = meet(f.internal_bisector("B"), f.external_bisector("C"))
-    ic = meet(f.internal_bisector("C"), f.external_bisector("A"))
+    i_pt = meet(f.internal_bisector(0), f.internal_bisector(1))
+    ia = meet(f.internal_bisector(0), f.external_bisector(1))
+    ib = meet(f.internal_bisector(1), f.external_bisector(2))
+    ic = meet(f.internal_bisector(2), f.external_bisector(0))
     out = []
     for name, center in (("I", i_pt), ("I_A", ia), ("I_B", ib), ("I_C", ic)):
         kind = classify(center)
         aux = {}
         if kind is PointKind.REAL:
             cn = normalize(center)
-            d = abs(signed_line_distance(cn, f.lA))
+            d = abs(signed_line_distance(cn, f.lines[0]))
             aux = {"tanh_r": math.tanh(d), "radius_re": d, "radius_quantum": 0.0}
         elif kind is PointKind.IDEAL:
             cn = normalize(center)
-            v = abs(mdot(cn, f.lA))
+            v = abs(mdot(cn, f.lines[0]))
             d = plane.acosh_clamped(max(v, 1.0))
             r = ExtLength(d, Quantum.HALF_PI)
             aux = {"tanh_r": ext_tanh(r).real, "radius_re": d,
@@ -327,14 +316,14 @@ def radius_identities(f: Frame) -> dict[str, float]:
 def orthocenter(f: Frame) -> CenterResult:
     """Meet of the altitudes.  May be real, at infinity or ideal; the common
     value h = tanh(HX) tanh(HH_X) is attached when the meet is real."""
-    alt_a = perpendicular_line(f.A, f.lA)
-    alt_b = perpendicular_line(f.B, f.lB)
+    alt_a = perpendicular_line(f.A, f.lines[0])
+    alt_b = perpendicular_line(f.B, f.lines[1])
     h = meet(alt_a, alt_b)
     aux = {}
     if classify(h) is PointKind.REAL:
         hn = normalize(h)
         ha = distance(hn, f.A)
-        hha = distance(hn, f.altitude_foot("A"))
+        hha = distance(hn, f.altitude_foot(0))
         aux["h"] = math.tanh(ha) * math.tanh(hha)
         h = hn
     return _result("H", h, f.t, aux=aux)
@@ -356,8 +345,8 @@ def isogonal_conjugate(x: HPoint, tri: TriangleData | Frame) -> HPoint:
     coords = tri_coords(xn, f.t)
     if min(abs(v) for v in coords) < 1e-13:
         raise OnSideLine("isogonal conjugate of a point on a side line")
-    la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector("A")))
-    lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector("B")))
+    la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector(0)))
+    lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector(1)))
     conj = meet(la, lb)
     if classify(conj) is not PointKind.REAL:
         raise ConjugateAtInfinity("reflected cevians meet in a non-real point")
@@ -416,37 +405,34 @@ def pseudo_centroid(f: Frame):
     (CenterResult, (N_A, N_B, N_C)) with N_X the foot on side x.
     """
     td = f.t
-    ch = {s: math.cosh(getattr(td, s) / 2.0) for s in "abc"}
-    # foot on a (from A, measured from B): sinh(BN_A/2):sinh(N_AC/2) = cosh(c/2):cosh(b/2)
-    arcs = {
-        "a": _pseudomedian_foot_arc(td.a / 2.0, ch["c"] / ch["b"]),
-        "b": _pseudomedian_foot_arc(td.b / 2.0, ch["a"] / ch["c"]),
-        "c": _pseudomedian_foot_arc(td.c / 2.0, ch["b"] / ch["a"]),
-    }
-    feet = {}
-    for side in "abc":
-        start = f.side_start(side)
-        feet[side] = normalize(geodesic_point(start, f.side_tangent(side), arcs[side]))
-    pm_a = join(f.A, feet["a"])
-    pm_b = join(f.B, feet["b"])
+    sides = td.sides
+    ch = [math.cosh(x / 2.0) for x in sides]
+    # foot on side i from vertex i, at arc u from vertex j (SIDE_ENDS[i] = (j, k)):
+    # sinh(u/2) : sinh((side i - u)/2) = cosh(side k/2) : cosh(side j/2)
+    arcs = [_pseudomedian_foot_arc(sides[i] / 2.0, ch[k] / ch[j])
+            for i, (j, k) in enumerate(SIDE_ENDS)]
+    feet = tuple(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), arcs[i]))
+                 for i in range(3))
+    pm_a = join(f.A, feet[0])
+    pm_b = join(f.B, feet[1])
     s_pt = meet(pm_a, pm_b)
     if classify(s_pt) is not PointKind.REAL:
         raise DegenerateTriangle("pseudomedians meet in a non-real point")
     sn = normalize(s_pt)
-    third = abs(mdot(sn, normalize_line(join(f.C, feet["c"]))))
+    third = abs(mdot(sn, normalize_line(join(f.C, feet[2]))))
     res = _result("S", sn, td, aux={
         "third_cevian_residual": third,
-        "foot_arc_a": arcs["a"], "foot_arc_b": arcs["b"], "foot_arc_c": arcs["c"],
+        "foot_arc_a": arcs[0], "foot_arc_b": arcs[1], "foot_arc_c": arcs[2],
     })
-    return res, (feet["a"], feet["b"], feet["c"])
+    return res, feet
 
 
 # --------------------------------------------------------------------------
 # pseudo-orthocenter (directed-angle balance cevians)
 
-def _pseudoaltitude_g(f: Frame, vertex: str, u: float) -> float:
-    """Directed-angle balance for the cevian from ``vertex`` with foot at arc
-    ``u`` along the opposite side.
+def _pseudoaltitude_g(f: Frame, i: int, u: float) -> float:
+    """Directed-angle balance for the cevian from vertex ``i`` with foot at
+    arc ``u`` along side ``i``.
 
     For the cevian AZ with Z on BC the balance is
     (AZB - ZBA - BAZ) - (CZA - ZAC - ACZ), all angles read as interior angles
@@ -454,10 +440,9 @@ def _pseudoaltitude_g(f: Frame, vertex: str, u: float) -> float:
     to 2*theta - pi + alpha - beta + gamma - 2*phi with theta the angle AZB
     and phi the angle BAZ.
     """
-    td = f.t
-    apex, side = {"A": (f.A, "a"), "B": (f.B, "b"), "C": (f.C, "c")}[vertex]
-    start = f.side_start(side)
-    t0 = f.side_tangent(side)
+    j, k = SIDE_ENDS[i]
+    apex, start = f.vertices[i], f.vertices[j]
+    t0 = f.side_tangent(i)
     z = geodesic_point(start, t0, u)
     # tangent at z pointing back toward the side's start vertex, by parallel
     # transport (stable even when z sits next to the vertex)
@@ -469,26 +454,25 @@ def _pseudoaltitude_g(f: Frame, vertex: str, u: float) -> float:
     cth = -(t_apex[2] * back[2] - t_apex[0] * back[0] - t_apex[1] * back[1])
     theta = math.acos(min(1.0, max(-1.0, cth)))
     phi = vertex_angle(apex, start, z)
-    ang = {"A": (td.alpha, td.beta, td.gamma),
-           "B": (td.beta, td.gamma, td.alpha),
-           "C": (td.gamma, td.alpha, td.beta)}[vertex]
-    return 2.0 * theta - math.pi + ang[0] - ang[1] + ang[2] - 2.0 * phi
+    td = f.t
+    ang = (td.alpha, td.beta, td.gamma)
+    return 2.0 * theta - math.pi + ang[i] - ang[j] + ang[k] - 2.0 * phi
 
 
-def _pseudoaltitude_ends(f: Frame, vertex: str) -> tuple[float, float]:
-    """The open side opposite ``vertex`` as the arc interval (eps, L - eps),
-    eps = 1e-9 L, on which its foot is searched."""
-    length = getattr(f.t, vertex.lower())
+def _pseudoaltitude_ends(f: Frame, i: int) -> tuple[float, float]:
+    """The open side ``i`` as the arc interval (eps, L - eps), eps = 1e-9 L,
+    on which the foot from vertex ``i`` is searched."""
+    length = f.t.sides[i]
     eps = 1e-9 * length
     return eps, length - eps
 
 
-def _pseudoaltitude_profile(f: Frame, vertex: str) -> list:
+def _pseudoaltitude_profile(f: Frame, i: int) -> list:
     """The balance function on 65 evenly spaced arcs of the open side, as
     (arc, value) pairs."""
-    lo, hi = _pseudoaltitude_ends(f, vertex)
-    us = [lo + (hi - lo) * i / 64 for i in range(65)]
-    return [(u, _pseudoaltitude_g(f, vertex, u)) for u in us]
+    lo, hi = _pseudoaltitude_ends(f, i)
+    us = [lo + (hi - lo) * n / 64 for n in range(65)]
+    return [(u, _pseudoaltitude_g(f, i, u)) for u in us]
 
 
 def _brent(g, a: float, b: float, fa: float, fb: float) -> float:
@@ -546,29 +530,27 @@ def pseudo_orthocenter(f: Frame):
     raises NoRootFound, whose scanned profile is computed when it is read.
     Every obtuse triangle raises, as do acute ones with a large defect.
     """
-    brackets = {}
-    for vertex in "ABC":
-        lo, hi = _pseudoaltitude_ends(f, vertex)
-        glo, ghi = _pseudoaltitude_g(f, vertex, lo), _pseudoaltitude_g(f, vertex, hi)
+    brackets = []
+    for i in range(3):
+        lo, hi = _pseudoaltitude_ends(f, i)
+        glo, ghi = _pseudoaltitude_g(f, i, lo), _pseudoaltitude_g(f, i, hi)
         if not (glo == 0.0 or glo * ghi < 0.0):
             raise NoRootFound(
-                f"no sign change for the pseudoaltitude from {vertex}",
-                profile=lambda: _pseudoaltitude_profile(f, vertex),
+                f"no sign change for the pseudoaltitude from {'ABC'[i]}",
+                profile=lambda: _pseudoaltitude_profile(f, i),
             )
-        brackets[vertex] = (lo, hi, glo, ghi)
-    feet = {}
-    for vertex, side in (("A", "a"), ("B", "b"), ("C", "c")):
-        lo, hi, glo, ghi = brackets[vertex]
-        u = _brent(lambda x: _pseudoaltitude_g(f, vertex, x), lo, hi, glo, ghi)
-        feet[vertex] = normalize(
-            geodesic_point(f.side_start(side), f.side_tangent(side), u))
-    z = meet(join(f.A, feet["A"]), join(f.B, feet["B"]))
+        brackets.append((lo, hi, glo, ghi))
+    feet = []
+    for i, (lo, hi, glo, ghi) in enumerate(brackets):
+        u = _brent(lambda x: _pseudoaltitude_g(f, i, x), lo, hi, glo, ghi)
+        feet.append(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), u)))
+    z = meet(join(f.A, feet[0]), join(f.B, feet[1]))
     if classify(z) is not PointKind.REAL:
         raise DegenerateTriangle("pseudoaltitudes meet in a non-real point")
     zn = normalize(z)
-    third = abs(mdot(zn, normalize_line(join(f.C, feet["C"]))))
+    third = abs(mdot(zn, normalize_line(join(f.C, feet[2]))))
     res = _result("Z", zn, f.t, aux={"third_cevian_residual": third})
-    return res, (feet["A"], feet["B"], feet["C"])
+    return res, tuple(feet)
 
 
 # --------------------------------------------------------------------------
@@ -601,11 +583,7 @@ def bisector_feet_center(f: Frame) -> CenterResult:
 
     A natural cycle of the triangle, kept for comparison; it does not lie on
     the four-center line."""
-    return _cycle_center_result(
-        "F_bis",
-        (f.bisector_foot("A"), f.bisector_foot("B"), f.bisector_foot("C")),
-        f.t,
-    )
+    return _cycle_center_result("F_bis", [f.bisector_foot(i) for i in range(3)], f.t)
 
 
 def collinearity_residual(p: HPoint, q: HPoint, r: HPoint) -> float:

@@ -136,28 +136,34 @@ def _maxnorm(u) -> float:
     return max(abs(u.x), abs(u.y), abs(u.w))
 
 
+def _qform_maxnorm(u, what: str) -> tuple[float, float]:
+    """``Q(u)`` and the max-norm of ``u``, reading each coordinate once; the
+    zero triple raises ZeroVector(f"{what} the zero triple")."""
+    x, y, w = u
+    m = max(abs(x), abs(y), abs(w))
+    if m == 0.0:
+        raise ZeroVector(f"{what} the zero triple")
+    return w * w - x * x - y * y, m
+
+
 def classify(p: HPoint) -> PointKind:
     if p.__class__ is UnitPoint:
         return _R
-    m = _maxnorm(p)
-    if m == 0.0:
-        raise ZeroVector("cannot classify the zero triple")
-    q = qform(p) / (m * m)
-    if q > EPS_CLS:
+    q, m = _qform_maxnorm(p, "cannot classify")
+    r = q / (m * m)
+    if r > EPS_CLS:
         return _R
-    if q < -EPS_CLS:
+    if r < -EPS_CLS:
         return _ID
     return _IN
 
 
 def classify_line(l: HLine) -> LineKind:
-    m = _maxnorm(l)
-    if m == 0.0:
-        raise ZeroVector("cannot classify the zero triple")
-    q = qform(l) / (m * m)
-    if q < -EPS_CLS:
+    q, m = _qform_maxnorm(l, "cannot classify")
+    r = q / (m * m)
+    if r < -EPS_CLS:
         return LineKind.REAL
-    if q > EPS_CLS:
+    if r > EPS_CLS:
         return LineKind.IDEAL
     return LineKind.AT_INFINITY
 
@@ -202,16 +208,14 @@ def normalize(p: HPoint) -> HPoint:
     `UnitPoint`), |Q| = 1 for ideal ones, max-norm 1 for boundary points."""
     if p.__class__ is UnitPoint:
         return p
-    q = qform(p)
-    m = _maxnorm(p)
-    if m == 0.0:
-        raise ZeroVector("normalize of the zero triple")
-    if q / (m * m) > EPS_CLS:
+    q, m = _qform_maxnorm(p, "normalize of")
+    r = q / (m * m)
+    if r > EPS_CLS:
         s = 1.0 / math.sqrt(q)
         if p.w < 0:
             s = -s
         return UnitPoint(p.x * s, p.y * s, p.w * s)
-    if q / (m * m) < -EPS_CLS:
+    if r < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
         return HPoint(p.x * s, p.y * s, p.w * s)
     return HPoint(p.x / m, p.y / m, p.w / m)
@@ -219,14 +223,12 @@ def normalize(p: HPoint) -> HPoint:
 
 def normalize_line(l: HLine) -> HLine:
     """Unit representative of a real line (Q = -1); others get max-norm 1."""
-    q = qform(l)
-    m = _maxnorm(l)
-    if m == 0.0:
-        raise ZeroVector("normalize of the zero triple")
-    if q / (m * m) < -EPS_CLS:
+    q, m = _qform_maxnorm(l, "normalize of")
+    r = q / (m * m)
+    if r < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
         return HLine(l.x * s, l.y * s, l.w * s)
-    if q / (m * m) > EPS_CLS:
+    if r > EPS_CLS:
         s = 1.0 / math.sqrt(q)
         return HLine(l.x * s, l.y * s, l.w * s)
     return HLine(l.x / m, l.y / m, l.w / m)

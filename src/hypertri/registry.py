@@ -54,7 +54,13 @@ from .plane import (
     normalize_line,
     signed_line_distance,
 )
-from .trig import TriangleData, tri_coords, relative_residual as _rel
+from .trig import (
+    SIDE_ENDS,
+    TriangleData,
+    proportionality_residual as _prop,
+    relative_residual as _rel,
+    tri_coords,
+)
 
 cosh, sinh, tanh = math.cosh, math.sinh, math.tanh
 sin, cos, tan = math.sin, math.cos, math.tan
@@ -63,13 +69,8 @@ sin, cos, tan = math.sin, math.cos, math.tan
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-def _prop(u, v) -> float:
-    return trig.proportionality_residual(tuple(u), tuple(v))
-
-
 class _Skip(Exception):
-    def __init__(self, reason):
-        self.reason = reason
+    """A declared non-configuration; the message is the skip reason."""
 
 
 def _dist_ext_or_zero(p, q):
@@ -260,7 +261,7 @@ def _staudtian_sines(c):
 
 def _staudtian_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_foot("C"))
+    h_c = distance(c.C, c.altitude_foot(2))
     return max(
         _rel(t.n, 0.5 * sin(t.alpha) * sinh(t.b) * sinh(t.c)),
         _rel(t.n, 0.5 * sinh(h_c) * sinh(t.c)),
@@ -272,9 +273,9 @@ def _section_ratio(c):
     x = c.random_interior
     k = tri_coords(x, t)
     worst = 0.0
-    for side, (num, den) in (("a", (2, 1)), ("b", (0, 2)), ("c", (1, 0))):
-        ratio = trig.cevian_ratio(x, t, side)
-        worst = max(worst, _rel(ratio, k[num] / k[den]))
+    for i, (j, kk) in enumerate(SIDE_ENDS):
+        ratio = trig.cevian_ratio(x, t, i)
+        worst = max(worst, _rel(ratio, k[kk] / k[j]))
     return worst
 
 
@@ -317,7 +318,7 @@ def _angular_sinh(c):
 
 def _angular_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_foot("C"))
+    h_c = distance(c.C, c.altitude_foot(2))
     return max(
         _rel(t.bign, 0.5 * sinh(t.a) * sin(t.beta) * sin(t.gamma)),
         _rel(t.bign, 0.5 * sinh(h_c) * sin(t.gamma)),
@@ -344,24 +345,22 @@ def _centroid_section(c):
     t = c.t
     m = c.M.point
     worst = 0.0
-    for v, other1, other2, side in ((c.A, c.B, c.C, "a"), (c.B, c.C, c.A, "b"),
-                                    (c.C, c.A, c.B, "c")):
-        foot = midpoint(other1, other2)
-        ratio = sinh(distance(v, m)) / sinh(distance(m, foot))
-        worst = max(worst, _rel(ratio, 2 * cosh(getattr(t, side) / 2)))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        foot = midpoint(c.vertices[j], c.vertices[k])
+        ratio = sinh(distance(c.vertices[i], m)) / sinh(distance(m, foot))
+        worst = max(worst, _rel(ratio, 2 * cosh(t.sides[i] / 2)))
     return worst
 
 
 def _centroid_common_ratio(c):
     t = c.t
     m = c.M.point
-    n_m = tri_coords(m, t)
     ratios = []
-    for v, other1, other2 in ((c.A, c.B, c.C), (c.B, c.C, c.A), (c.C, c.A, c.B)):
-        foot = midpoint(other1, other2)
-        ratios.append(sinh(distance(v, foot)) / sinh(distance(m, foot)))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        foot = midpoint(c.vertices[j], c.vertices[k])
+        ratios.append(sinh(distance(c.vertices[i], foot)) / sinh(distance(m, foot)))
     worst = max(_rel(ratios[0], ratios[1]), _rel(ratios[1], ratios[2]))
-    return max(worst, _rel(ratios[0], t.n / n_m[0]))
+    return max(worst, _rel(ratios[0], t.n / c.M.coords[0]))
 
 
 def _centroid_gravity_line(c):
@@ -383,7 +382,7 @@ def _centroid_minimality_form(c):
     t = c.t
     y = c.random_real_point()
     m = c.M.point
-    ratio = t.n / tri_coords(m, t)[0]
+    ratio = t.n / c.M.coords[0]
     lhs = cosh(distance(y, m))
     rhs = sum(cosh(distance(y, v)) for v in (c.A, c.B, c.C)) / ratio
     return _rel(lhs, rhs)
@@ -528,9 +527,8 @@ def _orthocenter_products(c):
     _need_real_orthocenter(c)
     h = c.H.point
     vals = []
-    for v in "ABC":
-        vert = {"A": c.A, "B": c.B, "C": c.C}[v]
-        vals.append(tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(v))))
+    for i, vert in enumerate(c.vertices):
+        vals.append(tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(i))))
     return max(_rel(vals[0], vals[1]), _rel(vals[1], vals[2]))
 
 
@@ -538,9 +536,8 @@ def _orthocenter_sinh_products(c):
     _need_real_orthocenter(c)
     h = c.H.point
     prods, heights = [], []
-    for v in "ABC":
-        vert = {"A": c.A, "B": c.B, "C": c.C}[v]
-        foot = c.altitude_foot(v)
+    for i, vert in enumerate(c.vertices):
+        foot = c.altitude_foot(i)
         prods.append(sinh(distance(h, vert)) * sinh(distance(h, foot)))
         heights.append(cosh(distance(vert, foot)))
     return _prop(prods, heights)
@@ -565,8 +562,8 @@ def _orthocenter_random_point(c):
 
 def _altitude_stewart(c):
     t = c.t
-    foot = c.altitude_foot("A")
-    u = plane.arc_coordinate(foot, c.side_tangent("a"))
+    foot = c.altitude_foot(0)
+    u = plane.arc_coordinate(foot, c.side_tangent(0))
     h_a = distance(c.A, foot)
     lhs = cosh(t.c) * sinh(t.a - u) + cosh(t.b) * sinh(u)
     return _rel(lhs, cosh(h_a) * sinh(t.a))
@@ -581,9 +578,8 @@ def _orthocenter_euler_distance(c):
     h = c.H.point
     hval = c.H.aux["h"]
     acc = 0.0
-    for v in "ABC":
-        vert = {"A": c.A, "B": c.B, "C": c.C}[v]
-        hx = distance(vert, c.altitude_foot(v))
+    for i, vert in enumerate(c.vertices):
+        hx = distance(vert, c.altitude_foot(i))
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
     radius = _circumradius(o)
     lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
@@ -608,7 +604,7 @@ def _orthocenter_circumcenter_form(c):
 def _stewart(c):
     t = c.t
     u = (0.05 + 0.9 * c.rng.random()) * t.a
-    p = geodesic_point(c.B, c.side_tangent("a"), u)
+    p = geodesic_point(c.B, c.side_tangent(0), u)
     return trig.stewart_residual(t, p)
 
 
@@ -641,10 +637,10 @@ def _isogonal_inverse_ratio(c):
     x = c.random_interior
     xp = ct.isogonal_conjugate(x, c)
     worst = 0.0
-    for side, sfrom, sto in (("a", t.c, t.b), ("b", t.a, t.c), ("c", t.b, t.a)):
-        r1 = trig.cevian_ratio(x, t, side)
-        r2 = trig.cevian_ratio(xp, t, side)
-        worst = max(worst, _rel(r1 * r2, sinh(sfrom) ** 2 / sinh(sto) ** 2))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        r1 = trig.cevian_ratio(x, t, i)
+        r2 = trig.cevian_ratio(xp, t, i)
+        worst = max(worst, _rel(r1 * r2, sinh(t.sides[k]) ** 2 / sinh(t.sides[j]) ** 2))
     return worst
 
 
@@ -705,8 +701,7 @@ def _symmedian_coords(c):
 def _symmedian_distances(c):
     t = c.t
     mp = ct.symmedian_point(c)
-    d = [sinh(abs(signed_line_distance(mp.point, l)))
-         for l in (c.lA, c.lB, c.lC)]
+    d = [sinh(abs(signed_line_distance(mp.point, l))) for l in c.lines]
     return _prop(d, (sinh(t.a), sinh(t.b), sinh(t.c)))
 
 
@@ -736,30 +731,25 @@ def _pseudomedian_feet(c):
     s_res, feet = c.S
     worst = s_res.aux["third_cevian_residual"]
     # defining property: each cevian halves the defect
-    for vertex, foot, other in (("A", feet[0], c.C), ("B", feet[1], c.A),
-                                ("C", feet[2], c.B)):
-        apex = {"A": c.A, "B": c.B, "C": c.C}[vertex]
-        sub = trig.solve_from_vertices(apex, foot, other)
+    for i, (_, k) in enumerate(SIDE_ENDS):
+        sub = trig.solve_from_vertices(c.vertices[i], feet[i], c.vertices[k])
         worst = max(worst, abs(sub.area - t.delta))
     # the stated half-angle ratios
-    ch = {s: cosh(getattr(t, s) / 2) for s in "abc"}
-    for side, foot, rho in (("a", feet[0], ch["c"] / ch["b"]),
-                            ("b", feet[1], ch["a"] / ch["c"]),
-                            ("c", feet[2], ch["b"] / ch["a"])):
-        u = plane.arc_coordinate(foot, c.side_tangent(side))
-        length = getattr(t, side)
-        worst = max(worst, _rel(sinh(u / 2) / sinh((length - u) / 2), rho))
+    ch = [cosh(x / 2) for x in t.sides]
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        u = plane.arc_coordinate(feet[i], c.side_tangent(i))
+        length = t.sides[i]
+        worst = max(worst, _rel(sinh(u / 2) / sinh((length - u) / 2), ch[k] / ch[j]))
     return worst
 
 
 def _pseudocentroid_coords(c):
     t = c.t
     s_res, _ = c.S
-    ch = {s: cosh(getattr(t, s) / 2) for s in "abc"}
-    prod = ch["a"] * ch["b"] * ch["c"]
-    target = (1 / (ch["b"] ** 2 * ch["c"] ** 2 + prod),
-              1 / (ch["a"] ** 2 * ch["c"] ** 2 + prod),
-              1 / (ch["a"] ** 2 * ch["b"] ** 2 + prod))
+    ch = [cosh(x / 2) for x in t.sides]
+    prod = ch[0] * ch[1] * ch[2]
+    # the two other sides in index order
+    target = [1 / (ch[j] ** 2 * ch[k] ** 2 + prod) for j, k in map(sorted, SIDE_ENDS)]
     return _prop(s_res.coords, target)
 
 
@@ -791,9 +781,9 @@ def _pseudomedian_product(c):
     t = c.t
     _, feet = c.S
     lhs = rhs = 1.0
-    for side, foot in zip("abc", feet):
-        u = plane.arc_coordinate(foot, c.side_tangent(side))
-        length = getattr(t, side)
+    for i, foot in enumerate(feet):
+        u = plane.arc_coordinate(foot, c.side_tangent(i))
+        length = t.sides[i]
         lhs *= sinh(u / 2)
         rhs *= sinh((length - u) / 2)
     return _rel(lhs, rhs)
@@ -1086,7 +1076,7 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     try:
         residual = d.evaluator(ctx)
     except _Skip as s:
-        return IdentityRecord(d.id, d.name, None, "skipped", d.tolerance, s.reason)
+        return IdentityRecord(d.id, d.name, None, "skipped", d.tolerance, str(s))
     status = "pass" if residual < d.tolerance else "fail"
     return IdentityRecord(d.id, d.name, float(residual), status, d.tolerance)
 
@@ -1181,9 +1171,7 @@ def center_table(ctx: TrialContext, which: list[str] | None = None) -> list[dict
             continue
         try:
             rows.append(builder(ctx).to_json())
-        except _Skip as s:
-            rows.append({"name": name, "status": f"unavailable: {s.reason}"})
-        except GeometryError as e:
+        except (_Skip, GeometryError) as e:
             rows.append({"name": name, "status": f"unavailable: {e}"})
     return rows
 

@@ -46,6 +46,12 @@ MAX_SIDE = 50.0
 
 TriCoords = tuple[float, float, float]
 
+# The index convention of every per-vertex and per-side construction:
+# index 0, 1, 2 is vertex A, B, C and side a, b, c; vertex i is opposite
+# side i, and side i runs from vertex i + 1 to vertex i + 2 (mod 3), the
+# pair SIDE_ENDS[i].  Letters name vertices and sides only in text.
+SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
+
 
 @dataclass(frozen=True, slots=True)
 class TriangleData:
@@ -57,7 +63,8 @@ class TriangleData:
     the two Staudtians.  ``vertices`` is filled when the triangle was built
     from, or embedded into, the plane; constructive operations require it.
     ``lines`` holds the side lines (a, b, c), derived from the vertices when
-    first read.
+    first read.  Per-vertex and per-side accessors take an index (see
+    `SIDE_ENDS`).
     """
 
     a: float
@@ -77,28 +84,33 @@ class TriangleData:
     @property
     def lines(self) -> tuple[HLine, HLine, HLine]:
         if self._lines is None:
-            va, vb, vc = self.require_vertices()
-            lines = (_side_line(va, vb, vc), _side_line(vb, vc, va), _side_line(vc, va, vb))
+            vs = self.require_vertices()
+            lines = tuple(_side_line(vs[i], vs[j], vs[k])
+                          for i, (j, k) in enumerate(SIDE_ENDS))
             object.__setattr__(self, "_lines", lines)
         return self._lines
+
+    @property
+    def sides(self) -> tuple[float, float, float]:
+        return (self.a, self.b, self.c)
 
     @property
     def area(self) -> float:
         return 2.0 * self.delta
 
-    def height(self, side: str) -> float:
-        """Altitude length onto the named side ('a', 'b' or 'c')."""
-        return math.asinh(2.0 * self.n / math.sinh(getattr(self, side)))
+    def height(self, i: int) -> float:
+        """Altitude length onto side ``i``."""
+        return math.asinh(2.0 * self.n / math.sinh(self.sides[i]))
 
     def require_vertices(self) -> tuple[HPoint, HPoint, HPoint]:
         if self.vertices is None:
             raise DegenerateTriangle("operation needs a triangle with vertices")
         return self.vertices
 
-    def side_line(self, side: str) -> HLine:
-        """Line of the named side, unit-normalized, oriented so the opposite
-        vertex has positive signed distance."""
-        return self.lines["abc".index(side)]
+    def side_line(self, i: int) -> HLine:
+        """Line of side ``i``, unit-normalized, oriented so vertex ``i`` has
+        positive signed distance."""
+        return self.lines[i]
 
     def to_json(self):
         data = {
@@ -260,7 +272,7 @@ def tan_half_area_from_height(t: TriangleData) -> tuple[float, float]:
     Needs vertices.
     """
     va, vb, vc = t.require_vertices()
-    la = t.side_line("a")
+    la = t.side_line(0)
     foot = normalize(plane.foot_of_perpendicular(va, la))
     u = plane.arc_coordinate(foot, tangent_toward(vb, vc))
     a1, a2 = u, t.a - u
@@ -348,25 +360,22 @@ def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
     to pass through the result.  At most one component of ``k`` may be
     nonpositive.
     """
-    va, vb, vc = t.require_vertices()
+    verts = t.require_vertices()
     zero = [i for i, v in enumerate(k) if v == 0.0]
     if len(zero) == 3:
         raise InconsistentCoords("all three coordinates are zero")
     if len(zero) == 2:
-        return (va, vb, vc)[3 - zero[0] - zero[1]]
+        return verts[3 - zero[0] - zero[1]]
     if sum(1 for v in k if v <= 0.0) > 1:
         raise InconsistentCoords("at most one nonpositive coordinate is supported")
 
-    verts = (va, vb, vc)
-    sides = ("a", "b", "c")
-    # cevian from vertex i crosses the opposite side with ratio k[next2]/k[next1]
+    # cevian from vertex i crosses side i with ratio k[kk]/k[j]
     cevians = []
-    for i in (0, 1, 2):
-        j, kk = (i + 1) % 3, (i + 2) % 3
+    for i, (j, kk) in enumerate(SIDE_ENDS):
         if k[j] == 0.0 or k[kk] == 0.0:
             continue
         rho = k[kk] / k[j]
-        length = getattr(t, sides[i])
+        length = t.sides[i]
         try:
             u = _solve_sinh_ratio(length, rho)
         except NoSolution:
@@ -413,20 +422,18 @@ def proportionality_residual(u, v) -> float:
     return cross / math.sqrt(uu * vv)
 
 
-def cevian_ratio(x: HPoint, t: TriangleData, side: str) -> float:
-    """Section ratio sinh(BF)/sinh(FC) of the cevian through ``x`` from the
-    vertex opposite ``side`` (names cycled accordingly for 'b' and 'c').
+def cevian_ratio(x: HPoint, t: TriangleData, i: int) -> float:
+    """Section ratio sinh(BF)/sinh(FC) of the cevian through ``x`` from
+    vertex ``i`` to its foot F on side ``i``; B and C stand for the start
+    and end of the side (they are B and C for i = 0).
 
     The ratio is signed: a foot outside the closed segment makes one factor
     negative.
     """
-    va, vb, vc = t.require_vertices()
-    vertex, start, end = {
-        "a": (va, vb, vc),
-        "b": (vb, vc, va),
-        "c": (vc, va, vb),
-    }[side]
-    length = getattr(t, side)
+    vs = t.require_vertices()
+    j, k = SIDE_ENDS[i]
+    vertex, start, end = vs[i], vs[j], vs[k]
+    length = t.sides[i]
     xn = normalize(x)
     line_side = join(start, end)
     cev = join(vertex, xn)

@@ -55,6 +55,30 @@ def scalene():
     return random_triangle(random.Random(100))
 
 
+class TestFrame:
+    @pytest.mark.parametrize("i", range(3))
+    def test_cevian_objects_follow_the_index_convention(self, scalene, i):
+        # vertex i is opposite side i, which runs from vertex i + 1 to i + 2
+        j, k = (i + 1) % 3, (i + 2) % 3
+        for t in [scalene] + [gen_triangle(seed) for seed in range(1, 21)]:
+            f = ct.Frame(t)
+            vertex, line = f.vertices[i], f.lines[i]
+            assert f.side_start(i) is f.vertices[j]
+            end = plane.geodesic_point(f.vertices[j], f.side_tangent(i), t.sides[i])
+            assert distance(end, f.vertices[k]) < 1e-12
+            foot = f.altitude_foot(i)
+            perpendicular = plane.normalize_line(plane.perpendicular_line(vertex, line))
+            assert abs(plane.mdot(foot, line)) < 1e-12
+            assert abs(plane.mdot(foot, perpendicular)) < 1e-12
+            internal = plane.normalize_line(f.internal_bisector(i))
+            external = plane.normalize_line(f.external_bisector(i))
+            incenter = ct.incenter_excenters(f)[0].point
+            assert abs(plane.mdot(vertex, internal)) < 1e-12
+            assert abs(plane.mdot(incenter, internal)) < 1e-12
+            assert abs(plane.mdot(internal, external)) < 1e-12
+            assert abs(plane.mdot(f.bisector_foot(i), line)) < 1e-12
+
+
 class TestCentroid:
     def test_equilateral_center(self, equilateral):
         m = ct.centroid(equilateral)
@@ -163,10 +187,9 @@ class TestOrthocenter:
         h = ct.orthocenter(f)
         assert h.classification is PointKind.REAL
         vals = []
-        for v in "ABC":
-            vert = {"A": f.A, "B": f.B, "C": f.C}[v]
+        for i, vert in enumerate(f.vertices):
             vals.append(math.tanh(distance(h.point, vert))
-                        * math.tanh(distance(h.point, f.altitude_foot(v))))
+                        * math.tanh(distance(h.point, f.altitude_foot(i))))
         assert max(vals) - min(vals) < 1e-12
 
     def test_acute_coordinates(self):
@@ -184,7 +207,7 @@ class TestOrthocenter:
     def test_third_altitude_passes_through(self, scalene):
         f = ct.Frame(scalene)
         h = ct.orthocenter(f)
-        alt_c = plane.perpendicular_line(f.C, f.lC)
+        alt_c = plane.perpendicular_line(f.C, f.lines[2])
         miss = abs(plane.mdot(normalize(h.point), plane.normalize_line(alt_c)))
         assert miss < 1e-9
 
@@ -280,7 +303,7 @@ class TestSymmedianLemoine:
         f = ct.Frame(t)
         mp = ct.symmedian_point(f)
         d = [sinh(abs(plane.signed_line_distance(mp.point, l)))
-             for l in (f.lA, f.lB, f.lC)]
+             for l in f.lines]
         assert proportionality_residual(d, (sinh(t.a), sinh(t.b), sinh(t.c))) < 1e-9
 
 
@@ -356,9 +379,9 @@ class TestPseudoCenters:
         calls = []
         original = ct._pseudoaltitude_g
 
-        def counting(f, vertex, u):
-            calls.append(vertex)
-            return original(f, vertex, u)
+        def counting(f, i, u):
+            calls.append(i)
+            return original(f, i, u)
 
         monkeypatch.setattr(ct, "_pseudoaltitude_g", counting)
         with pytest.raises(NoRootFound) as err:
@@ -385,11 +408,11 @@ class TestPseudoCenters:
         for seed in range(1, 5):
             t = gen_triangle(seed, shape=shape)
             f = ct.Frame(t)
-            for vertex, (b, c) in (("A", (t.beta, t.gamma)), ("B", (t.gamma, t.alpha)),
-                                   ("C", (t.alpha, t.beta))):
-                lo, hi = ct._pseudoaltitude_ends(f, vertex)
-                us = [lo + (hi - lo) * i / 199 for i in range(200)]
-                g = [ct._pseudoaltitude_g(f, vertex, u) for u in us]
+            for i, (b, c) in enumerate(((t.beta, t.gamma), (t.gamma, t.alpha),
+                                        (t.alpha, t.beta))):
+                lo, hi = ct._pseudoaltitude_ends(f, i)
+                us = [lo + (hi - lo) * n / 199 for n in range(200)]
+                g = [ct._pseudoaltitude_g(f, i, u) for u in us]
                 assert all(y < x for x, y in zip(g, g[1:]))
                 assert g[0] == pytest.approx(2 * math.pi - 2 * t.delta - 4 * b, abs=1e-6)
                 assert g[-1] == pytest.approx(4 * c - 2 * math.pi + 2 * t.delta, abs=1e-6)
@@ -404,9 +427,9 @@ class TestPseudoCenters:
             except NoRootFound:
                 continue
             solved += 1
-            for vertex, side, foot in zip("ABC", "abc", feet):
-                u = distance(f.side_start(side), foot)
-                assert abs(ct._pseudoaltitude_g(f, vertex, u)) < 1e-11
+            for i, foot in enumerate(feet):
+                u = distance(f.side_start(i), foot)
+                assert abs(ct._pseudoaltitude_g(f, i, u)) < 1e-11
         assert solved >= 5
 
     def test_brent_solver(self):

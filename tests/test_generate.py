@@ -30,8 +30,8 @@ def test_side_lines_are_built_for_the_accepted_triangle_only(monkeypatch):
     monkeypatch.setattr(trig, "_side_line", lambda *v: lines.append(v) or side_line(*v))
     t = gen_triangle(4, shape="acute")
     assert len(solved) == 4 and lines == []
-    first = t.side_line("a")
-    assert t.side_line("a") is first and t.lines[0] is first
+    first = t.side_line(0)
+    assert t.side_line(0) is first and t.lines[0] is first
     assert len(lines) == 3
 
 

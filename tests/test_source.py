@@ -67,3 +67,47 @@ def test_no_unread_locals():
                    for path in sorted(SRC.glob("*.py"))
                    for line, name in _unread_locals(path))
     assert found == []
+
+
+
+def _letters(node) -> str | None:
+    """The letters a dict key or an iterated sequence spells: a str
+    constant, or a tuple or list of one-letter str constants."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, (ast.Tuple, ast.List)):
+        parts = [_letters(e) for e in node.elts]
+        if all(p is not None and len(p) == 1 for p in parts):
+            return "".join(parts)
+    return None
+
+
+def _letter_keyed_dicts(path: Path):
+    """Dict displays whose keys are all one-letter strings, and dict
+    comprehensions whose key runs over a string of letters, where the
+    letters are all vertex letters or all side letters."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys = [None if k is None else _letters(k) for k in node.keys]
+            if not all(k is not None and len(k) == 1 for k in keys):
+                continue
+            letters = "".join(keys)
+        elif isinstance(node, ast.DictComp) and isinstance(node.key, ast.Name):
+            letters = next((_letters(g.iter) for g in node.generators
+                            if isinstance(g.target, ast.Name)
+                            and g.target.id == node.key.id), None)
+        else:
+            continue
+        if letters and any(set(letters) <= set(names) for names in ("ABC", "abc")):
+            yield node.lineno, letters
+
+
+def test_no_letter_keyed_dicts():
+    # vertices and sides are addressed by index (trig.SIDE_ENDS); a dict
+    # keyed by vertex letters or by side letters writes that convention out
+    # by hand again
+    found = sorted(f"{path.name}:{line}: {letters}"
+                   for path in sorted(SRC.glob("*.py"))
+                   for line, letters in _letter_keyed_dicts(path))
+    assert found == []

@@ -134,8 +134,8 @@ class TestAreaForms:
     def test_height_accessor_matches_the_construction(self):
         t = embed(solve_from_sides(1.0, 0.8, 0.7))
         from hypertri.plane import foot_of_perpendicular, normalize
-        foot = normalize(foot_of_perpendicular(t.vertices[0], t.side_line("a")))
-        assert t.height("a") == pytest.approx(distance(t.vertices[0], foot), rel=1e-10)
+        foot = normalize(foot_of_perpendicular(t.vertices[0], t.side_line(0)))
+        assert t.height(0) == pytest.approx(distance(t.vertices[0], foot), rel=1e-10)
 
     def test_staudtian_invariant_under_permutation(self):
         t = solve_from_sides(1.0, 0.8, 0.7)
@@ -156,7 +156,7 @@ class TestTriangularCoordinates:
     def test_incenter_coordinates_give_equal_side_distances(self, t0):
         k = (sinh(t0.a), sinh(t0.b), sinh(t0.c))
         i_pt = point_from_coords(k, t0)
-        ds = [abs(plane.signed_line_distance(i_pt, t0.side_line(s))) for s in "abc"]
+        ds = [abs(plane.signed_line_distance(i_pt, t0.side_line(i))) for i in range(3)]
         assert max(ds) - min(ds) < 1e-10
 
     def test_vertex_reconstruction(self, t0):
@@ -184,24 +184,24 @@ class TestTriangularCoordinates:
 class TestCevians:
     def test_median_foot_ratio_is_one(self, t0):
         m = point_from_coords((1.0, 1.0, 1.0), t0)
-        for side in "abc":
-            assert cevian_ratio(m, t0, side) == pytest.approx(1.0, rel=1e-10)
+        for i in range(3):
+            assert cevian_ratio(m, t0, i) == pytest.approx(1.0, rel=1e-10)
 
     def test_bisector_foot_ratio(self):
         rng = random.Random(23)
         t = random_triangle(rng)
         i_pt = point_from_coords((sinh(t.a), sinh(t.b), sinh(t.c)), t)
         # the interior bisector from A meets BC with sinh ratio sinh c : sinh b
-        assert cevian_ratio(i_pt, t, "a") == pytest.approx(sinh(t.c) / sinh(t.b), rel=1e-9)
+        assert cevian_ratio(i_pt, t, 0) == pytest.approx(sinh(t.c) / sinh(t.b), rel=1e-9)
 
-    def test_ratio_matches_coordinates(self):
+    @pytest.mark.parametrize("i", range(3))
+    def test_ratio_matches_coordinates(self, i):
         rng = random.Random(31)
         t = random_triangle(rng)
         x = point_from_coords((0.7, 1.3, 0.9), t)
         k = tri_coords(x, t)
-        assert cevian_ratio(x, t, "a") == pytest.approx(k[2] / k[1], rel=1e-9)
-        assert cevian_ratio(x, t, "b") == pytest.approx(k[0] / k[2], rel=1e-9)
-        assert cevian_ratio(x, t, "c") == pytest.approx(k[1] / k[0], rel=1e-9)
+        j, kk = (i + 1) % 3, (i + 2) % 3
+        assert cevian_ratio(x, t, i) == pytest.approx(k[kk] / k[j], rel=1e-9)
 
 
 class TestStewart:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
@@ -117,31 +118,6 @@ class TrialContext(ct.Frame):
             self._rng = random.Random(f"aux:{self.seed}:{self._tag}")
         return self._rng
 
-    # shared constructions -------------------------------------------------
-    @property
-    def M(self):
-        return ct.centroid(self)
-
-    @property
-    def O4(self):
-        return ct.circumcenters(self)
-
-    @property
-    def I4(self):
-        return ct.incenter_excenters(self)
-
-    @property
-    def H(self):
-        return ct.orthocenter(self)
-
-    @property
-    def S(self):
-        return ct.pseudo_centroid(self)
-
-    @property
-    def Z(self):
-        return ct.pseudo_orthocenter(self)
-
     @property
     def random_interior(self) -> HPoint:
         def build():
@@ -160,23 +136,37 @@ class TrialContext(ct.Frame):
         return klein_point(r * math.cos(th), r * math.sin(th))
 
 
-def _need_real_orthocenter(c: TrialContext):
-    if c.H.classification is not PointKind.REAL:
-        raise _Skip("orthocenter is not a real point")
-    return c.H
+def _need_center(c: TrialContext, name: str) -> ct.CenterResult:
+    """The center ``name`` of the triangle; a declared skip when the skip
+    rule of its `CENTERS` row applies."""
+    spec = CENTER_BY_NAME[name]
+    res = spec.build(c)
+    if spec.skip is not None and res.classification in spec.skip[0]:
+        raise _Skip(spec.skip[1])
+    return res
 
 
-def _orthocenter_conjugate_point(c: TrialContext) -> HPoint:
+def _need_inner_orthocenter(c: TrialContext, reason: str):
+    """H when it is a real point strictly inside the triangle: every
+    coordinate above 1e-13 of the largest, the side-line threshold of
+    `centers.isogonal_conjugate`.  A right angle is stored a rounding error
+    short of pi/2, so an angle test misses the right vertex; this test
+    sees H on it."""
+    h = _need_center(c, "H")
+    if min(h.coords) <= 1e-13 * max(map(abs, h.coords)):
+        raise _Skip(reason)
+    return h
+
+
+def _orthocenter_conjugate(c: TrialContext) -> ct.CenterResult:
     """H', the isogonal conjugate of the orthocenter, built once per trial."""
-    _need_real_orthocenter(c)
-    if max(c.t.alpha, c.t.beta, c.t.gamma) >= math.pi / 2:
-        raise _Skip("conjugate of an exterior orthocenter is not constructible")
-    return c.get("H'", lambda: ct.isogonal_conjugate(c.H.point, c))
+    h = _need_inner_orthocenter(c, "conjugate of an exterior orthocenter is not constructible")
+    return c.get("H'", lambda: ct._result("H'", ct.isogonal_conjugate(h.point, c), c.t))
 
 
 def _need_Z(c: TrialContext):
     try:
-        return c.Z
+        return ct.pseudo_orthocenter(c)
     except NoRootFound:
         raise _Skip(
             "pseudoaltitude foot leaves the open side "
@@ -337,13 +327,9 @@ def _staudtian_quotient(c):
 
 # -- centroid ---------------------------------------------------------------
 
-def _centroid_coords(c):
-    return _prop(c.M.coords, (1.0, 1.0, 1.0))
-
-
 def _centroid_section(c):
     t = c.t
-    m = c.M.point
+    m = ct.centroid(c).point
     worst = 0.0
     for i, (j, k) in enumerate(SIDE_ENDS):
         foot = midpoint(c.vertices[j], c.vertices[k])
@@ -354,13 +340,13 @@ def _centroid_section(c):
 
 def _centroid_common_ratio(c):
     t = c.t
-    m = c.M.point
+    m = ct.centroid(c)
     ratios = []
     for i, (j, k) in enumerate(SIDE_ENDS):
         foot = midpoint(c.vertices[j], c.vertices[k])
-        ratios.append(sinh(distance(c.vertices[i], foot)) / sinh(distance(m, foot)))
+        ratios.append(sinh(distance(c.vertices[i], foot)) / sinh(distance(m.point, foot)))
     worst = max(_rel(ratios[0], ratios[1]), _rel(ratios[1], ratios[2]))
-    return max(worst, _rel(ratios[0], t.n / c.M.coords[0]))
+    return max(worst, _rel(ratios[0], t.n / m.coords[0]))
 
 
 def _centroid_gravity_line(c):
@@ -371,7 +357,7 @@ def _centroid_gravity_line(c):
         y = normalize_line(join(p1, p2))
     except GeometryError:
         raise _Skip("auxiliary random line degenerated")
-    m = c.M.point
+    m = ct.centroid(c).point
     d_m = mdot(normalize(m), y)
     total = sum(mdot(normalize(v), y) for v in (c.A, c.B, c.C))
     denom = math.sqrt(1 + 2 * (1 + cosh(t.a) + cosh(t.b) + cosh(t.c)))
@@ -381,9 +367,9 @@ def _centroid_gravity_line(c):
 def _centroid_minimality_form(c):
     t = c.t
     y = c.random_real_point()
-    m = c.M.point
-    ratio = t.n / c.M.coords[0]
-    lhs = cosh(distance(y, m))
+    m = ct.centroid(c)
+    ratio = t.n / m.coords[0]
+    lhs = cosh(distance(y, m.point))
     rhs = sum(cosh(distance(y, v)) for v in (c.A, c.B, c.C)) / ratio
     return _rel(lhs, rhs)
 
@@ -399,7 +385,7 @@ def _circumradius_oracle(c):
         sin(t.delta + t.beta) / t.bign,
         sin(t.delta + t.gamma) / t.bign,
     ]
-    for res, want in zip(c.O4, closed):
+    for res, want in zip(ct.circumcenters(c), closed):
         worst = max(worst, _rel(res.aux["tanh_R"], want))
     return worst
 
@@ -413,23 +399,11 @@ def _circumradius_forms(c):
     return worst
 
 
-def _circumcenter_coords(c):
-    t = c.t
-    o = c.O4[0]
-    if o.classification is PointKind.INFINITE:
-        raise _Skip("circumcenter at infinity (paracycle): coordinates blow up")
-    target = (cos(t.delta + t.alpha) * sinh(t.a),
-              cos(t.delta + t.beta) * sinh(t.b),
-              cos(t.delta + t.gamma) * sinh(t.c))
-    return _prop(o.coords, target)
-
-
 # -- incenter / excenters ----------------------------------------------------
 
 def _skip_infinite_excenter(c):
-    for res in c.I4[1:]:
-        if res.classification is PointKind.INFINITE:
-            raise _Skip(f"excenter {res.name} is a point at infinity")
+    for name in ("I_A", "I_B", "I_C"):
+        _need_center(c, name)
 
 
 def _inradius_oracle(c):
@@ -437,18 +411,19 @@ def _inradius_oracle(c):
     _skip_infinite_excenter(c)
     closed = [t.n / sinh(t.s), t.n / sinh(t.s - t.a),
               t.n / sinh(t.s - t.b), t.n / sinh(t.s - t.c)]
-    return max(_rel(res.aux["tanh_r"], want) for res, want in zip(c.I4, closed))
+    return max(_rel(res.aux["tanh_r"], want)
+               for res, want in zip(ct.incenter_excenters(c), closed))
 
 
 def _inradius_angular(c):
     t = c.t
     rhs = t.bign / (2 * cos(t.alpha / 2) * cos(t.beta / 2) * cos(t.gamma / 2))
-    return _rel(c.I4[0].aux["tanh_r"], rhs)
+    return _rel(ct.incenter_excenters(c)[0].aux["tanh_r"], rhs)
 
 
 def _inradius_coth(c):
     t = c.t
-    lhs = 1.0 / c.I4[0].aux["tanh_r"]
+    lhs = 1.0 / ct.incenter_excenters(c)[0].aux["tanh_r"]
     rhs = (sin(t.delta + t.alpha) + sin(t.delta + t.beta)
            + sin(t.delta + t.gamma) + sin(t.delta)) / (2 * t.bign)
     return _rel(lhs, rhs)
@@ -464,32 +439,19 @@ def _exradius_coth(c):
         (sin(d + al) + sin(d + be) - sin(d + ga) - sin(d)) / (2 * t.bign),
     ]
     return max(_rel(1.0 / res.aux["tanh_r"], want)
-               for res, want in zip(c.I4[1:], targets))
+               for res, want in zip(ct.incenter_excenters(c)[1:], targets))
 
 
 def _mixed_radius_relations(c):
     _skip_infinite_excenter(c)
-    tr, tra, trb, trc = (res.aux["tanh_r"] for res in c.I4)
-    tR, tRA, tRB, tRC = (res.aux["tanh_R"] for res in c.O4)
+    tr, tra, trb, trc = (res.aux["tanh_r"] for res in ct.incenter_excenters(c))
+    tR, tRA, tRB, tRC = (res.aux["tanh_R"] for res in ct.circumcenters(c))
     # corrected first line: tanh R_A - tanh R = coth r_B + coth r_C
     worst = _rel(tRA - tR, 1 / trb + 1 / trc)
     worst = max(worst, _rel(tRB + tRC, 1 / tr + 1 / tra))
     # corrected third line: coth r = (sum of the four tanh R values) / 2
     worst = max(worst, _rel(1 / tr, 0.5 * (tR + tRA + tRB + tRC)))
     return worst
-
-
-def _incenter_coords(c):
-    t = c.t
-    return _prop(c.I4[0].coords, (sinh(t.a), sinh(t.b), sinh(t.c)))
-
-
-def _excenter_coords(c):
-    t = c.t
-    _skip_infinite_excenter(c)
-    sa, sb, sc = sinh(t.a), sinh(t.b), sinh(t.c)
-    targets = [(-sa, sb, sc), (sa, -sb, sc), (sa, sb, -sc)]
-    return max(_prop(res.coords, want) for res, want in zip(c.I4[1:], targets))
 
 
 def _radius_identity(key):
@@ -507,7 +469,7 @@ def _circumradius(o: ct.CenterResult) -> ExtLength:
 
 def _oi_distance(c):
     t = c.t
-    o, i_res = c.O4[0], c.I4[0]
+    o, i_res = ct.circumcenters(c)[0], ct.incenter_excenters(c)[0]
     if o.classification is PointKind.INFINITE:
         raise _Skip("circumcenter at infinity (paracycle)")
     r_len = math.atanh(i_res.aux["tanh_r"])
@@ -524,8 +486,7 @@ def _oi_distance(c):
 # -- orthocenter -------------------------------------------------------------
 
 def _orthocenter_products(c):
-    _need_real_orthocenter(c)
-    h = c.H.point
+    h = _need_center(c, "H").point
     vals = []
     for i, vert in enumerate(c.vertices):
         vals.append(tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(i))))
@@ -533,8 +494,7 @@ def _orthocenter_products(c):
 
 
 def _orthocenter_sinh_products(c):
-    _need_real_orthocenter(c)
-    h = c.H.point
+    h = _need_center(c, "H").point
     prods, heights = [], []
     for i, vert in enumerate(c.vertices):
         foot = c.altitude_foot(i)
@@ -543,21 +503,14 @@ def _orthocenter_sinh_products(c):
     return _prop(prods, heights)
 
 
-def _orthocenter_coords(c):
-    _need_real_orthocenter(c)
-    t = c.t
-    return _prop(c.H.coords, (tan(t.alpha), tan(t.beta), tan(t.gamma)))
-
-
 def _orthocenter_random_point(c):
-    _need_real_orthocenter(c)
+    h = _need_center(c, "H")
     t = c.t
-    h = c.H.point
     p = c.random_real_point()
-    n_h = c.H.coords
+    n_h = h.coords
     lhs = (n_h[0] * cosh(distance(p, c.A)) + n_h[1] * cosh(distance(p, c.B))
            + n_h[2] * cosh(distance(p, c.C)))
-    return _rel(lhs, t.n * cosh(distance(p, h)))
+    return _rel(lhs, t.n * cosh(distance(p, h.point)))
 
 
 def _altitude_stewart(c):
@@ -570,13 +523,10 @@ def _altitude_stewart(c):
 
 
 def _orthocenter_euler_distance(c):
-    _need_real_orthocenter(c)
-    t = c.t
-    if max(t.alpha, t.beta, t.gamma) >= math.pi / 2:
-        raise _Skip("altitude chain h_x = HX + HF_x needs an acute triangle")
-    o = c.O4[0]
-    h = c.H.point
-    hval = c.H.aux["h"]
+    h_res = _need_inner_orthocenter(c, "altitude chain h_x = HX + HF_x needs an acute triangle")
+    o = ct.circumcenters(c)[0]
+    h = h_res.point
+    hval = h_res.aux["h"]
     acc = 0.0
     for i, vert in enumerate(c.vertices):
         hx = distance(vert, c.altitude_foot(i))
@@ -588,14 +538,12 @@ def _orthocenter_euler_distance(c):
 
 
 def _orthocenter_circumcenter_form(c):
-    _need_real_orthocenter(c)
+    h = _need_center(c, "H")
     t = c.t
-    o = c.O4[0]
-    h = c.H.point
-    n_h = c.H.coords
+    o = ct.circumcenters(c)[0]
     radius = _circumradius(o)
-    lhs = sum(n_h) * ext_cosh(radius)
-    rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h))
+    lhs = sum(h.coords) * ext_cosh(radius)
+    rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h.point))
     return _rel(lhs, rhs)
 
 
@@ -653,13 +601,6 @@ def _isogonal_coords(c):
     return _prop(tri_coords(xp, t), target)
 
 
-def _orthocenter_conjugate_coords(c):
-    hp = _orthocenter_conjugate_point(c)
-    t = c.t
-    target = (sin(2 * t.alpha), sin(2 * t.beta), sin(2 * t.gamma))
-    return _prop(tri_coords(hp, t), target)
-
-
 def _generalized_center_form(c):
     t = c.t
     q = c.random_interior
@@ -681,7 +622,7 @@ def _coordinate_sum_minimality(c):
 
 def _coordinate_sum_minimality_corrected(c):
     # verified behaviour: minimized at the circumcenter with value (n / cosh R) cosh(PO)
-    o = c.O4[0]
+    o = ct.circumcenters(c)[0]
     if o.classification is not PointKind.REAL:
         raise _Skip("circumcenter not real: the coordinate sum has no interior minimum")
     rep = c.get("minrep", lambda: ct.incenter_minimality(c))
@@ -692,23 +633,11 @@ def _coordinate_sum_minimality_corrected(c):
 
 # -- symmedian / Lemoine -------------------------------------------------------
 
-def _symmedian_coords(c):
-    t = c.t
-    mp = ct.symmedian_point(c)
-    return _prop(mp.coords, (sinh(t.a) ** 2, sinh(t.b) ** 2, sinh(t.c) ** 2))
-
-
 def _symmedian_distances(c):
     t = c.t
     mp = ct.symmedian_point(c)
     d = [sinh(abs(signed_line_distance(mp.point, l))) for l in c.lines]
     return _prop(d, (sinh(t.a), sinh(t.b), sinh(t.c)))
-
-
-def _lemoine_coords(c):
-    t = c.t
-    lp = ct.lemoine_point(c)
-    return _prop(lp.coords, (cosh(t.a) - 1, cosh(t.b) - 1, cosh(t.c) - 1))
 
 
 def _lemoine_vs_symmedian(c):
@@ -728,7 +657,7 @@ def _lemoine_vs_symmedian(c):
 
 def _pseudomedian_feet(c):
     t = c.t
-    s_res, feet = c.S
+    s_res, feet = ct.pseudo_centroid(c)
     worst = s_res.aux["third_cevian_residual"]
     # defining property: each cevian halves the defect
     for i, (_, k) in enumerate(SIDE_ENDS):
@@ -741,16 +670,6 @@ def _pseudomedian_feet(c):
         length = t.sides[i]
         worst = max(worst, _rel(sinh(u / 2) / sinh((length - u) / 2), ch[k] / ch[j]))
     return worst
-
-
-def _pseudocentroid_coords(c):
-    t = c.t
-    s_res, _ = c.S
-    ch = [cosh(x / 2) for x in t.sides]
-    prod = ch[0] * ch[1] * ch[2]
-    # the two other sides in index order
-    target = [1 / (ch[j] ** 2 * ch[k] ** 2 + prod) for j, k in map(sorted, SIDE_ENDS)]
-    return _prop(s_res.coords, target)
 
 
 def _cagnoli_sin_delta(c):
@@ -779,7 +698,7 @@ def _cagnoli_ratio(c):
 
 def _pseudomedian_product(c):
     t = c.t
-    _, feet = c.S
+    _, feet = ct.pseudo_centroid(c)
     lhs = rhs = 1.0
     for i, foot in enumerate(feet):
         u = plane.arc_coordinate(foot, c.side_tangent(i))
@@ -798,7 +717,8 @@ def _euler_line(c):
 
 def _classical_line_dichotomy(c):
     t = c.t
-    det = ct.collinearity_residual(c.O4[0].point, c.M.point, c.H.point)
+    det = ct.collinearity_residual(ct.circumcenters(c)[0].point, ct.centroid(c).point,
+                                   ct.orthocenter(c).point)
     iso = min(abs(t.a - t.b), abs(t.b - t.c), abs(t.a - t.c))
     if iso < 1e-9:
         return det
@@ -967,6 +887,94 @@ def _ideal_vertex_medians(c):
 
 
 # --------------------------------------------------------------------------
+# the center table
+
+class CenterSpec(NamedTuple):
+    """One center of the catalogue, a row of `CENTERS`.
+
+    ``build(ctx)`` gives the center's `centers.CenterResult` on a
+    `TrialContext`, or raises `_Skip` or a GeometryError; it looks its
+    builder up on `centers` when called, so a rebound module attribute (as
+    perfbench's tracer installs) also sees the call.  ``coords(t)`` gives
+    the closed-form triangular coordinates, or is None when the center has
+    no coordinate check.  ``skip`` is None or ``(kinds, reason)``: a check
+    that needs the center (`_need_center`) is a declared skip with
+    ``reason`` when its classification is one of ``kinds``.  ``color``
+    fills the center's marker and label (the name) in rendered figures.
+    """
+
+    name: str
+    build: Callable
+    coords: Callable | None
+    skip: tuple | None
+    color: str
+
+
+def _pseudo_centroid_coords(t: TriangleData) -> list:
+    ch = [cosh(x / 2) for x in t.sides]
+    prod = ch[0] * ch[1] * ch[2]
+    # the two other sides in index order
+    return [1 / (ch[j] ** 2 * ch[k] ** 2 + prod) for j, k in map(sorted, SIDE_ENDS)]
+
+
+_AT_INFINITY = (PointKind.INFINITE,)
+_NOT_REAL = (PointKind.INFINITE, PointKind.IDEAL)
+
+# the center table, in report order; adding a center is adding a row
+CENTERS = (
+    CenterSpec("M", lambda c: ct.centroid(c), lambda t: (1.0, 1.0, 1.0), None, "#1f77b4"),
+    CenterSpec("O", lambda c: ct.circumcenters(c)[0],
+               lambda t: (cos(t.delta + t.alpha) * sinh(t.a),
+                          cos(t.delta + t.beta) * sinh(t.b),
+                          cos(t.delta + t.gamma) * sinh(t.c)),
+               (_AT_INFINITY, "circumcenter at infinity (paracycle): coordinates blow up"),
+               "#d62728"),
+    CenterSpec("O_A", lambda c: ct.circumcenters(c)[1], None, None, "#d62728"),
+    CenterSpec("O_B", lambda c: ct.circumcenters(c)[2], None, None, "#d62728"),
+    CenterSpec("O_C", lambda c: ct.circumcenters(c)[3], None, None, "#d62728"),
+    CenterSpec("I", lambda c: ct.incenter_excenters(c)[0],
+               lambda t: (sinh(t.a), sinh(t.b), sinh(t.c)), None, "#2ca02c"),
+    CenterSpec("I_A", lambda c: ct.incenter_excenters(c)[1],
+               lambda t: (-sinh(t.a), sinh(t.b), sinh(t.c)),
+               (_AT_INFINITY, "excenter I_A is a point at infinity"), "#2ca02c"),
+    CenterSpec("I_B", lambda c: ct.incenter_excenters(c)[2],
+               lambda t: (sinh(t.a), -sinh(t.b), sinh(t.c)),
+               (_AT_INFINITY, "excenter I_B is a point at infinity"), "#2ca02c"),
+    CenterSpec("I_C", lambda c: ct.incenter_excenters(c)[3],
+               lambda t: (sinh(t.a), sinh(t.b), -sinh(t.c)),
+               (_AT_INFINITY, "excenter I_C is a point at infinity"), "#2ca02c"),
+    CenterSpec("H", lambda c: ct.orthocenter(c),
+               lambda t: (tan(t.alpha), tan(t.beta), tan(t.gamma)),
+               (_NOT_REAL, "orthocenter is not a real point"), "#9467bd"),
+    CenterSpec("H'", _orthocenter_conjugate,
+               lambda t: (sin(2 * t.alpha), sin(2 * t.beta), sin(2 * t.gamma)), None,
+               "#000000"),
+    CenterSpec("M'", lambda c: ct.symmedian_point(c),
+               lambda t: (sinh(t.a) ** 2, sinh(t.b) ** 2, sinh(t.c) ** 2), None, "#8c564b"),
+    CenterSpec("L", lambda c: ct.lemoine_point(c),
+               lambda t: (cosh(t.a) - 1, cosh(t.b) - 1, cosh(t.c) - 1), None, "#e377c2"),
+    CenterSpec("S", lambda c: ct.pseudo_centroid(c)[0], _pseudo_centroid_coords, None,
+               "#ff7f0e"),
+    CenterSpec("Z", lambda c: _need_Z(c)[0], None, None, "#17becf"),
+    CenterSpec("F", lambda c: ct.pseudomedian_feet_center(c), None, None, "#bcbd22"),
+)
+CENTER_BY_NAME = {spec.name: spec for spec in CENTERS}
+
+
+def _center_coords(*names):
+    """The coordinate check of the named centers: the worst proportionality
+    residual between a center's triangular coordinates and the closed form
+    of its row.  Every named center is built and passed through its row's
+    skip rule before any residual is taken."""
+    closed = [CENTER_BY_NAME[name].coords for name in names]
+
+    def ev(c):
+        built = [_need_center(c, name) for name in names]
+        return max(_prop(res.coords, coords(c.t)) for res, coords in zip(built, closed))
+    return ev
+
+
+# --------------------------------------------------------------------------
 # the registry table
 
 @dataclass(frozen=True, slots=True)
@@ -1003,21 +1011,21 @@ _DEFS = [
     IdentityDef("AS5", "angular Staudtian from a height", _angular_height),
     IdentityDef("AS6", "link between the two Staudtians", _staudtian_link),
     IdentityDef("AS7", "Staudtian quotient", _staudtian_quotient),
-    IdentityDef("CE1", "centroid coordinates are equal", _centroid_coords),
+    IdentityDef("CE1", "centroid coordinates are equal", _center_coords("M")),
     IdentityDef("CE2", "median section ratio 2 cosh(side/2)", _centroid_section),
     IdentityDef("CE3", "common median ratio", _centroid_common_ratio),
     IdentityDef("CE4", "center-of-gravity line relation", _centroid_gravity_line),
     IdentityDef("CE5", "centroid cosh-sum form", _centroid_minimality_form),
     IdentityDef("CR1", "circumradius tanh forms vs oracle distances", _circumradius_oracle),
     IdentityDef("CR2", "two circumradius closed forms agree", _circumradius_forms, 1e-11),
-    IdentityDef("CR3", "circumcenter coordinates", _circumcenter_coords),
+    IdentityDef("CR3", "circumcenter coordinates", _center_coords("O")),
     IdentityDef("IN1", "in/ex-radius from the Staudtian vs oracle", _inradius_oracle),
     IdentityDef("IN2", "inradius from the angular Staudtian", _inradius_angular),
     IdentityDef("IN3", "coth of the inradius", _inradius_coth),
     IdentityDef("IN4", "coth of the exradii", _exradius_coth),
     IdentityDef("IN5", "mixed circum/in-radius relations (signs corrected)", _mixed_radius_relations),
-    IdentityDef("IN6", "incenter coordinates", _incenter_coords),
-    IdentityDef("IN7", "excenter coordinates", _excenter_coords),
+    IdentityDef("IN6", "incenter coordinates", _center_coords("I")),
+    IdentityDef("IN7", "excenter coordinates", _center_coords("I_A", "I_B", "I_C")),
     IdentityDef("RI1", "radius relation: coth sum vs 2 tanh R", _radius_identity("coth_sum_vs_tanh_R")),
     IdentityDef("RI2", "radius relation: coth pair products", _radius_identity("coth_products")),
     IdentityDef("RI3", "radius relation: tanh pair products", _radius_identity("tanh_products")),
@@ -1027,7 +1035,7 @@ _DEFS = [
     IdentityDef("OI1", "incenter-circumcenter distance (sign corrected)", _oi_distance),
     IdentityDef("OR1", "orthocenter tanh products share one value", _orthocenter_products, 1e-8),
     IdentityDef("OR2", "orthocenter sinh products vs height coshes", _orthocenter_sinh_products, 1e-8),
-    IdentityDef("OR3", "orthocenter coordinates (tan ratios)", _orthocenter_coords),
+    IdentityDef("OR3", "orthocenter coordinates (tan ratios)", _center_coords("H")),
     IdentityDef("OR4", "orthocenter coordinate identity at a random point", _orthocenter_random_point),
     IdentityDef("OR5", "Stewart relation at an altitude foot", _altitude_stewart),
     IdentityDef("OR6", "orthocenter-circumcenter distance chain (factor corrected)", _orthocenter_euler_distance, 1e-8),
@@ -1036,18 +1044,18 @@ _DEFS = [
     IdentityDef("ORP", "orthocenter identity specialized to the circumcenter", _orthocenter_circumcenter_form),
     IdentityDef("IS1", "isogonal conjugate inverts section ratios", _isogonal_inverse_ratio),
     IdentityDef("IS2", "isogonal conjugate coordinate inversion", _isogonal_coords),
-    IdentityDef("IS3", "conjugate of the orthocenter (sin 2x coordinates)", _orthocenter_conjugate_coords),
+    IdentityDef("IS3", "conjugate of the orthocenter (sin 2x coordinates)", _center_coords("H'")),
     IdentityDef("IS4", "generalized center identity for random points", _generalized_center_form),
     IdentityDef("MIN1", "coordinate sum minimal at the incenter (printed claim)",
                 _coordinate_sum_minimality, 1e-10, expected_to_fail=True),
     IdentityDef("MIN1C", "coordinate sum minimal at the circumcenter (verified form)",
                 _coordinate_sum_minimality_corrected, 1e-10),
-    IdentityDef("SY1", "symmedian coordinates (sinh^2)", _symmedian_coords, 1e-9),
+    IdentityDef("SY1", "symmedian coordinates (sinh^2)", _center_coords("M'"), 1e-9),
     IdentityDef("SY2", "symmedian distances proportional to side sinhs", _symmedian_distances),
-    IdentityDef("LE1", "Lemoine point coordinates (cosh - 1)", _lemoine_coords),
+    IdentityDef("LE1", "Lemoine point coordinates (cosh - 1)", _center_coords("L")),
     IdentityDef("LE2", "symmedian equals Lemoine only when equilateral", _lemoine_vs_symmedian, 1e-6),
     IdentityDef("PM1", "pseudomedian feet: ratios, area halving, concurrency", _pseudomedian_feet),
-    IdentityDef("PM2", "pseudo-centroid coordinates", _pseudocentroid_coords),
+    IdentityDef("PM2", "pseudo-centroid coordinates", _center_coords("S")),
     IdentityDef("CG1", "Cagnoli analog: sin(delta)", _cagnoli_sin_delta),
     IdentityDef("CG2", "Cagnoli analog: sin(delta + angle)", _cagnoli_sin_delta_alpha),
     IdentityDef("CG3", "tangent product for fixed area and angle", _cagnoli_ratio),
@@ -1139,40 +1147,21 @@ class TrialReport:
         return "\n".join(lines)
 
 
-_CENTER_BUILDERS = (
-    ("M", lambda c: c.M),
-    ("O", lambda c: c.O4[0]), ("O_A", lambda c: c.O4[1]),
-    ("O_B", lambda c: c.O4[2]), ("O_C", lambda c: c.O4[3]),
-    ("I", lambda c: c.I4[0]), ("I_A", lambda c: c.I4[1]),
-    ("I_B", lambda c: c.I4[2]), ("I_C", lambda c: c.I4[3]),
-    ("H", lambda c: c.H),
-    ("H'", lambda c: ct._result("H'", _orthocenter_conjugate_point(c), c.t)),
-    # builders are looked up on `ct` at call time, so a rebound module
-    # attribute (as perfbench's tracer installs) also sees these calls
-    ("M'", lambda c: ct.symmedian_point(c)),
-    ("L", lambda c: ct.lemoine_point(c)),
-    ("S", lambda c: c.S[0]),
-    ("Z", lambda c: _need_Z(c)[0]),
-    ("F", lambda c: ct.pseudomedian_feet_center(c)),
-)
-_CENTER_NAMES = frozenset(name for name, _ in _CENTER_BUILDERS)
-
-
 def center_table(ctx: TrialContext, which: list[str] | None = None) -> list[dict]:
     """Serialized center results for a triangle; unavailable centers carry an
     explanatory status instead of a point.  A name in ``which`` that is not
     a center raises UnknownCenter before anything is built."""
     for name in which or ():
-        if name not in _CENTER_NAMES:
+        if name not in CENTER_BY_NAME:
             raise UnknownCenter(f"unknown center {name!r}")
     rows = []
-    for name, builder in _CENTER_BUILDERS:
-        if which is not None and name not in which:
+    for spec in CENTERS:
+        if which is not None and spec.name not in which:
             continue
         try:
-            rows.append(builder(ctx).to_json())
+            rows.append(spec.build(ctx).to_json())
         except (_Skip, GeometryError) as e:
-            rows.append({"name": name, "status": f"unavailable: {e}"})
+            rows.append({"name": spec.name, "status": f"unavailable: {e}"})
     return rows
 
 

@@ -82,21 +82,14 @@ def _geodesic_path(p1, p2, model: str) -> str:
     return f"M {_fmt(x1)} {_fmt(y1)} L {_fmt(x2)} {_fmt(y2)}"
 
 
-_CENTER_STYLE = {
-    "M": ("#1f77b4", "M"), "O": ("#d62728", "O"), "I": ("#2ca02c", "I"),
-    "H": ("#9467bd", "H"), "M'": ("#8c564b", "M'"), "L": ("#e377c2", "L"),
-    "S": ("#ff7f0e", "S"), "Z": ("#17becf", "Z"), "F": ("#bcbd22", "F"),
-    "O_A": ("#d62728", "O_A"), "O_B": ("#d62728", "O_B"), "O_C": ("#d62728", "O_C"),
-    "I_A": ("#2ca02c", "I_A"), "I_B": ("#2ca02c", "I_B"), "I_C": ("#2ca02c", "I_C"),
-}
-
-
 def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
                euler_line: bool = False, seed: int = 0) -> str:
     """Write an SVG of the triangle with the selected centers; returns the path.
 
     ``which`` lists center names (as in the center table); non-real centers
     are silently omitted from the drawing (they have no disk position).
+    Each center is drawn in the colour of its `registry.CENTERS` row and
+    labelled with its name.
     """
     if model not in ("klein", "poincare"):
         raise OutOfDomain(f"unsupported drawing model {model!r}")
@@ -139,13 +132,13 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
         pos = _disk_coords(p, model)
         drawn[name] = p
         x, y = _svg_xy(pos)
-        color, label = _CENTER_STYLE.get(name, ("#000000", name))
+        color = rg.CENTER_BY_NAME[name].color
         parts.append(
             f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" fill="{color}"/>'
         )
         parts.append(
             f'<text x="{_fmt(x + 5)}" y="{_fmt(y + 4)}" font-size="11" '
-            f'font-family="monospace" fill="{color}">{label}</text>'
+            f'font-family="monospace" fill="{color}">{name}</text>'
         )
 
     if euler_line:

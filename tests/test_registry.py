@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from hypertri import plane, trig
+from hypertri import cli, plane, trig
 from hypertri import registry as rg
 from hypertri.errors import UnknownIdentity
 from hypertri.generate import gen_triangle
@@ -179,6 +179,23 @@ class TestSuite:
         back = rg.triangle_from_json(json.loads(json.dumps(obj)))
         assert back.a == pytest.approx(t.a, rel=1e-12)
         assert back.alpha == pytest.approx(t.alpha, rel=1e-10)
+
+
+def test_right_triangles_give_a_record_for_every_identity(tmp_path):
+    # a right angle is stored a rounding error short of pi/2; on seeds 5, 6,
+    # 9, 15 and 30 an angle test missed it, and with H on the right vertex
+    # IS3 raised OnSideLine and OR6 ZeroDivisionError
+    for seed in range(1, 41):
+        rep = rg.run_suite(seed, shape="right")
+        assert [rec.id for rec in rep.records] == rg.ALL_IDS
+        for rec in rep.records:
+            if rec.status == "skipped":
+                assert any(frag in rec.reason for frag in DECLARED_SKIP_FRAGMENTS), rec.reason
+    records = {rec.id: rec for rec in rg.run_suite(5, shape="right").records}
+    assert records["IS3"].reason == "conjugate of an exterior orthocenter is not constructible"
+    assert records["OR6"].reason == "altitude chain h_x = HX + HF_x needs an acute triangle"
+    out = tmp_path / "right.jsonl"
+    assert cli.main(["verify", "--shape", "right", "--seeds", "1..40", "-o", str(out)]) in (0, 1)
 
 
 def test_no_root_context_is_freed_without_gc():

@@ -2,13 +2,20 @@
 
 perfbench's tracer patches named functions and methods of hypertri
 (`Frame.__init__`, `TrialContext.__init__`, `TriangleData.side_line`,
-`TrialReport.to_jsonl`, `cli._verify_worker`, `run_identity`); renaming one
-of them fails these tests, not only a benchmark run.
+`TrialReport.to_jsonl`, `cli._verify_worker`, `run_identity`) and counts
+calls of the center builders through their `hypertri.centers` attributes;
+renaming one of them, or calling a builder past its attribute, fails these
+tests, not only a benchmark run.
 """
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from hypertri import centers as ct
+from hypertri import registry as rg
+from hypertri.generate import gen_triangle
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,3 +26,56 @@ def test_perfbench_unit_tests_pass():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def _perfbench_center_builders() -> tuple:
+    """The center builders whose calls perfbench's per-builder metrics
+    count (the `CENTER_BUILDERS` literal of perfbench/run.py)."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "CENTER_BUILDERS" for t in node.targets))
+
+
+# the builder each center row and each check must reach through the
+# `centers` module attribute, which the tracer rebinds
+_ROW_BUILDER = {
+    "M": "centroid", "O": "circumcenters", "O_A": "circumcenters",
+    "O_B": "circumcenters", "O_C": "circumcenters", "I": "incenter_excenters",
+    "I_A": "incenter_excenters", "I_B": "incenter_excenters",
+    "I_C": "incenter_excenters", "H": "orthocenter", "H'": "isogonal_conjugate",
+    "M'": "symmedian_point", "L": "lemoine_point", "S": "pseudo_centroid",
+    "Z": "pseudo_orthocenter", "F": "pseudomedian_feet_center",
+}
+_ID_BUILDER = {
+    "CE1": "centroid", "CR3": "circumcenters", "IN6": "incenter_excenters",
+    "IN7": "incenter_excenters", "OR3": "orthocenter", "IS3": "isogonal_conjugate",
+    "SY1": "symmedian_point", "LE1": "lemoine_point", "PM2": "pseudo_centroid",
+    "RI1": "radius_identities", "MIN1C": "incenter_minimality",
+}
+
+
+def test_center_table_and_coordinate_checks_reach_the_traced_builders(monkeypatch):
+    # perfbench counts builder calls by rebinding each builder on
+    # `hypertri.centers`; a table that held the builder objects themselves
+    # would bypass the rebinding and its per-builder metrics would read 0
+    builders = _perfbench_center_builders()
+    assert set(_ROW_BUILDER.values()) | set(_ID_BUILDER.values()) == set(builders)
+    calls = []
+    for name in builders:
+        def counting(*args, _name=name, _original=getattr(ct, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(ct, name, counting)
+
+    # acute seed 8: every center is available, H' and Z included
+    t = gen_triangle(8, shape="acute")
+    assert [row["name"] for row in rg.center_table(rg.TrialContext(8, t))] == list(_ROW_BUILDER)
+    for name, builder in _ROW_BUILDER.items():
+        calls.clear()
+        (row,) = rg.center_table(rg.TrialContext(8, t), which=[name])
+        assert "status" not in row and builder in calls, name
+    for identity_id, builder in _ID_BUILDER.items():
+        calls.clear()
+        assert rg.run_identity(identity_id, t, seed=8).status == "pass"
+        assert builder in calls, identity_id

@@ -388,13 +388,6 @@ def lemoine_point(f: Frame) -> CenterResult:
 # --------------------------------------------------------------------------
 # pseudo-centroid (area-bisecting cevians)
 
-def _pseudomedian_foot_arc(half_len: float, rho: float) -> float:
-    """Arc from the side's first vertex to the pseudomedian foot, from the
-    half-angle ratio equation sinh(u/2)/sinh((L-u)/2) = rho."""
-    arg = rho * math.sinh(half_len) / (1.0 + rho * math.cosh(half_len))
-    return 2.0 * math.atanh(arg)
-
-
 @_memo
 def pseudo_centroid(f: Frame):
     """Meet of the three area-bisecting cevians, with their feet.
@@ -408,8 +401,9 @@ def pseudo_centroid(f: Frame):
     sides = td.sides
     ch = [math.cosh(x / 2.0) for x in sides]
     # foot on side i from vertex i, at arc u from vertex j (SIDE_ENDS[i] = (j, k)):
-    # sinh(u/2) : sinh((side i - u)/2) = cosh(side k/2) : cosh(side j/2)
-    arcs = [_pseudomedian_foot_arc(sides[i] / 2.0, ch[k] / ch[j])
+    # sinh(u/2) : sinh((side i - u)/2) = cosh(side k/2) : cosh(side j/2),
+    # a sinh ratio on the half side
+    arcs = [2.0 * trig._solve_sinh_ratio(sides[i] / 2.0, ch[k] / ch[j])
             for i, (j, k) in enumerate(SIDE_ENDS)]
     feet = tuple(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), arcs[i]))
                  for i in range(3))

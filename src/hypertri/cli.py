@@ -17,9 +17,9 @@ from multiprocessing import Pool
 from . import registry as rg
 from . import render as rd
 from .errors import GeometryError, UnknownIdentity
-from .extscalar import PointKind, segment_lengths
+from .extscalar import _REAL_LINE_NEEDS_D, segment_lengths
 from .generate import SHAPES, gen_triangle
-from .plane import HLine, HPoint, angle_ext, join, origin, polar
+from .plane import HPoint, angle_ext
 from .registry import triangle_from_json, triangle_json
 
 
@@ -140,60 +140,19 @@ def _cmd_render(args) -> int:
     return 0
 
 
-_TABLE_CASES = {
-    # segment tables: (kind_a, kind_b, needs_d, line)
-    "RR": (PointKind.REAL, PointKind.REAL, True, "real"),
-    "RIn": (PointKind.REAL, PointKind.INFINITE, False, "real"),
-    "RId": (PointKind.REAL, PointKind.IDEAL, True, "real"),
-    "InIn": (PointKind.INFINITE, PointKind.INFINITE, False, "real"),
-    "InId": (PointKind.INFINITE, PointKind.IDEAL, False, "real"),
-    "IdId": (PointKind.IDEAL, PointKind.IDEAL, True, "real"),
-    "InIn@inf": (PointKind.INFINITE, PointKind.INFINITE, False, "infinity"),
-    "InId@inf": (PointKind.INFINITE, PointKind.IDEAL, False, "infinity"),
-    "IdId@inf": (PointKind.IDEAL, PointKind.IDEAL, False, "infinity"),
-}
-
-_ANGLE_CASES = ("aRR-R", "aRR-In", "aRR-Id", "aRIn-In", "aRIn-Id", "aRId",
-                "aInIn", "aInId", "aIdId")
-
-
-def _angle_case_lines(case: str, d: float):
-    x_axis = HLine(0.0, 1.0, 0.0)
-    tangent = HLine(1.0, 0.0, 1.0)
-    if case == "aRR-R":
-        return x_axis, HLine(math.sin(d), -math.cos(d), 0.0)
-    if case == "aRR-In":
-        return (join(HPoint(1.0, 0.0, 1.0), origin()),
-                join(HPoint(1.0, 0.0, 1.0), HPoint(0.0, 0.4, 1.0)))
-    if case == "aRR-Id":
-        return HLine(1.0, 0.0, 0.0), HLine(1.0, 0.0, math.tanh(d))
-    if case == "aRIn-In":
-        return join(HPoint(1.0, 0.0, 1.0), origin()), tangent
-    if case == "aRIn-Id":
-        return x_axis, HLine(0.0, 1.0, 1.0)
-    if case == "aRId":
-        return x_axis, polar(HPoint(0.0, math.tanh(d), 1.0))
-    if case == "aInIn":
-        return tangent, HLine(-1.0, 0.0, 1.0)
-    if case == "aInId":
-        return tangent, polar(HPoint(0.3, 0.2, 1.0))
-    if case == "aIdId":
-        return polar(origin()), polar(HPoint(math.tanh(d), 0.0, 1.0))
-    raise GeometryError(f"unknown angle case {case}")
-
-
 def _cmd_tables(args) -> int:
     cases = ([args.case] if args.case != "all"
-             else list(_TABLE_CASES) + list(_ANGLE_CASES))
+             else list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
     for case in cases:
-        if case in _TABLE_CASES:
-            ka, kb, needs_d, line = _TABLE_CASES[case]
-            pair = segment_lengths(ka, kb, d=args.d if needs_d else None, line=line)
-            suffix = f" d={args.d:g}" if needs_d else ""
+        if case in rg.SEGMENT_CASES:
+            ka, kb, line, _points = rg.SEGMENT_CASES[case]
+            pair = segment_lengths(ka, kb, d=args.d, line=line)
+            takes_d = line == "real" and (ka, kb) in _REAL_LINE_NEEDS_D
+            suffix = f" d={args.d:g}" if takes_d else ""
             print(f"{case:9s}{suffix:8s} AB = {pair[0]}, BA = {pair[1]}")
-        elif case in _ANGLE_CASES:
-            a, b = _angle_case_lines(case, args.d)
-            p = angle_ext(a, b)
+        elif case in rg.ANGLE_CASES:
+            lines, _expected = rg.ANGLE_CASES[case]
+            p = angle_ext(*lines(args.d))
             def show(v):
                 if math.isinf(v.re):
                     return "inf" if v.re > 0 else "-inf"
@@ -251,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="print the segment/angle table dispatch")
     p.add_argument("--case", default="all",
-                   help="one of " + "|".join(list(_TABLE_CASES) + list(_ANGLE_CASES))
+                   help="one of " + "|".join(list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
                         + " or 'all'")
     p.add_argument("--d", type=float, default=0.5,
                    help="auxiliary real distance for the cases that take one")

@@ -494,7 +494,13 @@ def _orthocenter_products(c):
 
 
 def _orthocenter_sinh_products(c):
-    h = _need_center(c, "H").point
+    h_res = _need_center(c, "H")
+    # H on a vertex: two coordinates vanish at the threshold of
+    # `_need_inner_orthocenter`, and with them every product
+    scale = 1e-13 * max(map(abs, h_res.coords))
+    if sum(abs(x) <= scale for x in h_res.coords) >= 2:
+        raise _Skip("orthocenter on a vertex (right angle): the sinh products vanish")
+    h = h_res.point
     prods, heights = [], []
     for i, vert in enumerate(c.vertices):
         foot = c.altitude_foot(i)
@@ -727,7 +733,68 @@ def _classical_line_dichotomy(c):
     return 0.0  # in-between shapes carry no sharp claim
 
 
-# -- segment tables ---------------------------------------------------------------
+# -- segment and angle tables ----------------------------------------------
+#
+# One catalogue of the extended length calculus, read by TBL1-TBL3 and by
+# `hypertri tables`.  A segment cell is (kind_a, kind_b, carrier line,
+# points(d)): a point pair whose lengths `distance_ext` constructs, or None
+# when no pair realizes the cell.  Whether a cell takes the auxiliary
+# distance d is `segment_lengths`' business.  An angle cell is (lines(d),
+# expected(d)): a line pair and its `angle_ext` pair as (re, over_i) values,
+# for 0 < d < pi/2.
+
+_R, _IN, _ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
+_EAST = HPoint(1.0, 0.0, 1.0)           # boundary point (1, 0)
+_X_AXIS = plane.HLine(0.0, 1.0, 0.0)
+_EAST_TANGENT = plane.HLine(1.0, 0.0, 1.0)   # tangent line at _EAST
+
+
+def _chord_pole(d: float) -> HPoint:
+    """The pole of the chord x = tanh d: an ideal point on the x axis whose
+    polar lies at distance d from the origin."""
+    return HPoint(1.0, 0.0, math.tanh(d))
+
+
+SEGMENT_CASES = {
+    "RR": (_R, _R, "real", lambda d: (plane.origin(), klein_point(math.tanh(d), 0.0))),
+    "RIn": (_R, _IN, "real", lambda d: (plane.origin(), _EAST)),
+    "RId": (_R, _ID, "real", lambda d: (plane.origin(), _chord_pole(d))),
+    "InIn": (_IN, _IN, "real", lambda d: (_EAST, HPoint(-1.0, 0.0, 1.0))),
+    "InId": (_IN, _ID, "real", lambda d: (_EAST, _chord_pole(d))),
+    "IdId": (_ID, _ID, "real", lambda d: (_chord_pole(0.0), _chord_pole(d))),
+    # a tangent line meets the boundary once, so no pair realizes InIn there
+    "InIn@inf": (_IN, _IN, "infinity", None),
+    "InId@inf": (_IN, _ID, "infinity", lambda d: (_EAST, HPoint(1.0, d, 1.0))),
+    "IdId@inf": (_ID, _ID, "infinity",
+                 lambda d: (HPoint(1.0, d, 1.0), HPoint(1.0, -d, 1.0))),
+}
+
+_INF_ANGLES = ((math.inf, 0.0), (-math.inf, 0.0))
+
+ANGLE_CASES = {
+    "aRR-R": (lambda d: (_X_AXIS, plane.HLine(math.sin(d), -math.cos(d), 0.0)),
+              lambda d: ((d, 0.0), (math.pi - d, 0.0))),
+    "aRR-In": (lambda d: (join(_EAST, plane.origin()), join(_EAST, HPoint(0.0, 0.4, 1.0))),
+               lambda d: ((0.0, 0.0), (math.pi, 0.0))),
+    "aRR-Id": (lambda d: (plane.HLine(1.0, 0.0, 0.0), plane.HLine(1.0, 0.0, math.tanh(d))),
+               lambda d: ((0.0, d), (math.pi, -d))),
+    "aRIn-In": (lambda d: (join(_EAST, plane.origin()), _EAST_TANGENT),
+                lambda d: ((math.pi / 2, 0.0), (math.pi / 2, 0.0))),
+    "aRIn-Id": (lambda d: (_X_AXIS, plane.HLine(0.0, 1.0, 1.0)), lambda d: _INF_ANGLES),
+    "aRId": (lambda d: (_X_AXIS, plane.polar(HPoint(0.0, math.tanh(d), 1.0))),
+             lambda d: ((math.pi / 2, d), (math.pi / 2, -d))),
+    "aInIn": (lambda d: (_EAST_TANGENT, plane.HLine(-1.0, 0.0, 1.0)), lambda d: _INF_ANGLES),
+    "aInId": (lambda d: (_EAST_TANGENT, plane.polar(HPoint(0.3, 0.2, 1.0))),
+              lambda d: _INF_ANGLES),
+    "aIdId": (lambda d: (plane.polar(plane.origin()),
+                         plane.polar(HPoint(math.tanh(d), 0.0, 1.0))),
+              lambda d: ((0.0, d), (math.pi, -d))),
+}
+
+
+def _table_d(c) -> float:
+    return 0.2 + 1.3 * c.rng.random()
+
 
 def _quantum_matches(value: ExtLength, re: float, quantum: Quantum) -> float:
     if value.im is not quantum:
@@ -737,55 +804,21 @@ def _quantum_matches(value: ExtLength, re: float, quantum: Quantum) -> float:
     return abs(value.re - re)
 
 
-def _table_real_line(c):
-    d = 0.2 + 1.3 * c.rng.random()
-    v = 0.2 + 1.0 * c.rng.random()
-    worst = 0.0
-    # real-real on the x axis
-    p = klein_point(math.tanh(d), 0.0)
-    got = distance_ext(plane.origin(), p)
-    worst = max(worst, _quantum_matches(got[0], d, Quantum.ZERO))
-    worst = max(worst, _quantum_matches(got[1], -d, Quantum.PI))
-    # real-infinite
-    got = distance_ext(plane.origin(), HPoint(1.0, 0.0, 1.0))
-    worst = max(worst, _quantum_matches(got[0], math.inf, Quantum.ZERO))
-    worst = max(worst, _quantum_matches(got[1], -math.inf, Quantum.ZERO))
-    # real-ideal: ideal point with polar chord at distance v
-    ideal = HPoint(1.0, 0.0, math.tanh(v))
-    got = distance_ext(plane.origin(), ideal)
-    worst = max(worst, _quantum_matches(got[0], v, Quantum.HALF_PI))
-    worst = max(worst, _quantum_matches(got[1], -v, Quantum.HALF_PI))
-    # infinite-infinite, infinite-ideal
-    got = distance_ext(HPoint(1.0, 0.0, 1.0), HPoint(-1.0, 0.0, 1.0))
-    worst = max(worst, _quantum_matches(got[0], math.inf, Quantum.ZERO))
-    got = distance_ext(HPoint(1.0, 0.0, 1.0), ideal)
-    worst = max(worst, _quantum_matches(got[0], math.inf, Quantum.ZERO))
-    # ideal-ideal with real join: two poles of ultraparallel chords
-    i2 = HPoint(1.0, 0.0, math.tanh(v + d))
-    got = distance_ext(ideal, i2)
-    worst = max(worst, _quantum_matches(got[0], d, Quantum.PI))
-    worst = max(worst, _quantum_matches(got[1], -d, Quantum.ZERO))
-    # tabulated builders agree with the geometric dispatch
-    pair = segment_lengths(PointKind.REAL, PointKind.IDEAL, d=v)
-    worst = max(worst, _quantum_matches(pair[0], v, Quantum.HALF_PI))
-    return worst
+def _segment_table(line: str):
+    """Evaluator of the `SEGMENT_CASES` cells on ``line``: for one drawn d,
+    each cell's construction against its `segment_lengths` value."""
+    cells = [(ka, kb, points) for ka, kb, carrier, points in SEGMENT_CASES.values()
+             if carrier == line and points is not None]
 
-
-def _table_infinity_line(c):
-    worst = 0.0
-    tangent_pt = HPoint(1.0, 0.0, 1.0)
-    ideal_on_tangent = HPoint(1.0, 0.8, 1.0)
-    ideal2 = HPoint(1.0, -0.5, 1.0)
-    got = distance_ext(tangent_pt, ideal_on_tangent)
-    worst = max(worst, _quantum_matches(got[0], 0.0, Quantum.HALF_PI))
-    worst = max(worst, _quantum_matches(got[1], 0.0, Quantum.HALF_PI))
-    got = distance_ext(ideal_on_tangent, ideal2)
-    worst = max(worst, _quantum_matches(got[0], 0.0, Quantum.ZERO))
-    worst = max(worst, _quantum_matches(got[1], 0.0, Quantum.PI))
-    pair = segment_lengths(PointKind.INFINITE, PointKind.INFINITE)
-    worst = max(worst, _quantum_matches(pair[0], 0.0, Quantum.ZERO))
-    worst = max(worst, _quantum_matches(pair[1], 0.0, Quantum.PI))
-    return worst
+    def evaluate(c):
+        d = _table_d(c)
+        worst = 0.0
+        for ka, kb, points in cells:
+            want = segment_lengths(ka, kb, d=d, line=line)
+            for got, w in zip(distance_ext(*points(d)), want):
+                worst = max(worst, _quantum_matches(got, w.re, w.im))
+        return worst
+    return evaluate
 
 
 def _angle_value_matches(a, re: float, over_i: float) -> float:
@@ -795,57 +828,11 @@ def _angle_value_matches(a, re: float, over_i: float) -> float:
 
 
 def _table_angles(c):
+    d = _table_d(c)
     worst = 0.0
-    phi = 0.3 + 2.0 * c.rng.random() / 2
-    v1 = 0.2 + 0.6 * c.rng.random()
-    v2 = v1 + 0.3 + 0.5 * c.rng.random()
-    x_axis = plane.HLine(0.0, 1.0, 0.0)
-    through = plane.HLine(math.sin(phi), -math.cos(phi), 0.0)
-    a1, a2 = plane.angle_ext(x_axis, through)
-    lo, hi = min(phi, math.pi - phi), max(phi, math.pi - phi)
-    worst = max(worst, _angle_value_matches(a1, lo, 0.0))
-    worst = max(worst, _angle_value_matches(a2, hi, 0.0))
-    # two chords sharing a boundary point
-    l1 = plane.join(HPoint(1.0, 0.0, 1.0), plane.origin())
-    l2 = plane.join(HPoint(1.0, 0.0, 1.0), klein_point(0.0, 0.4))
-    b1, b2 = plane.angle_ext(l1, l2)
-    worst = max(worst, _angle_value_matches(b1, 0.0, 0.0))
-    worst = max(worst, _angle_value_matches(b2, math.pi, 0.0))
-    # ultraparallel chords x = tanh v1, x = tanh v2
-    c1 = plane.HLine(1.0, 0.0, math.tanh(v1))
-    c2 = plane.HLine(1.0, 0.0, math.tanh(v2))
-    d1, d2 = plane.angle_ext(c1, c2)
-    worst = max(worst, _angle_value_matches(d1, 0.0, v2 - v1))
-    worst = max(worst, _angle_value_matches(d2, math.pi, -(v2 - v1)))
-    # chord and the tangent at its endpoint
-    tangent = plane.HLine(1.0, 0.0, 1.0)
-    e1, e2 = plane.angle_ext(l1, tangent)
-    worst = max(worst, _angle_value_matches(e1, math.pi / 2, 0.0))
-    worst = max(worst, _angle_value_matches(e2, math.pi / 2, 0.0))
-    # chord and a tangent elsewhere
-    f1, f2 = plane.angle_ext(plane.HLine(0.0, 1.0, 0.0), plane.HLine(0.0, 1.0, 1.0))
-    worst = max(worst, _angle_value_matches(f1, math.inf, 0.0))
-    worst = max(worst, _angle_value_matches(f2, -math.inf, 0.0))
-    # real chord against an ideal line (polar of an interior point off the chord)
-    ideal_line = plane.polar(klein_point(0.3, 0.2))
-    g1, g2 = plane.angle_ext(x_axis, ideal_line)
-    d_pole = abs(signed_line_distance(klein_point(0.3, 0.2), x_axis))
-    worst = max(worst, _angle_value_matches(g1, math.pi / 2, d_pole))
-    worst = max(worst, _angle_value_matches(g2, math.pi / 2, -d_pole))
-    # two tangents
-    h1, h2 = plane.angle_ext(plane.HLine(1.0, 0.0, 1.0), plane.HLine(-1.0, 0.0, 1.0))
-    worst = max(worst, _angle_value_matches(h1, math.inf, 0.0))
-    worst = max(worst, _angle_value_matches(h2, -math.inf, 0.0))
-    # tangent against ideal line
-    i1, i2 = plane.angle_ext(plane.HLine(1.0, 0.0, 1.0), ideal_line)
-    worst = max(worst, _angle_value_matches(i1, math.inf, 0.0))
-    worst = max(worst, _angle_value_matches(i2, -math.inf, 0.0))
-    # two ideal lines: angle pair (p/i, pi - p/i) with p the pole distance
-    p1, p2 = klein_point(0.25, 0.1), klein_point(-0.2, 0.3)
-    j1, j2 = plane.angle_ext(plane.polar(p1), plane.polar(p2))
-    p_dist = distance(p1, p2)
-    worst = max(worst, _angle_value_matches(j1, 0.0, p_dist))
-    worst = max(worst, _angle_value_matches(j2, math.pi, -p_dist))
+    for lines, expected in ANGLE_CASES.values():
+        for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d)):
+            worst = max(worst, _angle_value_matches(got, re, over_i))
     return worst
 
 
@@ -1062,8 +1049,8 @@ _DEFS = [
     IdentityDef("PMF", "pseudomedian half-arc product identity", _pseudomedian_product),
     IdentityDef("EU1", "four-center line (O, F, S, Z)", _euler_line, 1e-8),
     IdentityDef("EU0", "classical O-M-H line iff isosceles", _classical_line_dichotomy, 1e-9),
-    IdentityDef("TBL1", "segment table of the real line", _table_real_line, 1e-12),
-    IdentityDef("TBL2", "segment table of the line at infinity", _table_infinity_line, 1e-12),
+    IdentityDef("TBL1", "segment table of the real line", _segment_table("real"), 1e-12),
+    IdentityDef("TBL2", "segment table of the line at infinity", _segment_table("infinity"), 1e-12),
     IdentityDef("TBL3", "angle table of line pairs", _table_angles, 1e-12),
     IdentityDef("FIG2", "medians of an ideal-vertex triangle halve the sides", _ideal_vertex_medians, 1e-9),
 ]

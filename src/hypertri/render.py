@@ -122,7 +122,6 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
         )
 
     rows = rg.center_table(ctx, which=list(which))
-    drawn = {}
     for row in rows:
         name = row["name"]
         if "status" in row or row.get("classification") != "real":
@@ -130,7 +129,6 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
         coords = row["point"]["coords"]
         p = HPoint(*coords)
         pos = _disk_coords(p, model)
-        drawn[name] = p
         x, y = _svg_xy(pos)
         color = rg.CENTER_BY_NAME[name].color
         parts.append(

@@ -201,6 +201,29 @@ class TestRender:
         assert text.count("<circle") >= 8  # boundary + 3 vertices + 4 centers
 
 
+# `tables --case all --d 0.4`: nine segment cells, then nine angle cells
+ALL_CASES_D04 = """\
+RR        d=0.4   AB = 0.4, BA = -0.4 + (pi)i
+RIn               AB = inf, BA = -inf
+RId       d=0.4   AB = 0.4 + (pi/2)i, BA = -0.4 + (pi/2)i
+InIn              AB = inf, BA = -inf
+InId              AB = inf, BA = -inf
+IdId      d=0.4   AB = 0.4 + (pi)i, BA = -0.4
+InIn@inf          AB = 0, BA = 0 + (pi)i
+InId@inf          AB = 0 + (pi/2)i, BA = 0 + (pi/2)i
+IdId@inf          AB = 0, BA = 0 + (pi)i
+aRR-R     d=0.4    angles = (0.4, 2.74159)
+aRR-In    d=0.4    angles = (0, 3.14159)
+aRR-Id    d=0.4    angles = (0 + 0.4/i, 3.14159 - 0.4/i)
+aRIn-In   d=0.4    angles = (1.5708, 1.5708)
+aRIn-Id   d=0.4    angles = (inf, -inf)
+aRId      d=0.4    angles = (1.5708 + 0.4/i, 1.5708 - 0.4/i)
+aInIn     d=0.4    angles = (inf, -inf)
+aInId     d=0.4    angles = (inf, -inf)
+aIdId     d=0.4    angles = (0 + 0.4/i, 3.14159 - 0.4/i)
+"""
+
+
 class TestTables:
     def test_real_ideal_case(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--case", "RId", "--d", "0.3")
@@ -210,7 +233,7 @@ class TestTables:
     def test_all_cases(self, capsys):
         code, out, _ = run_cli(capsys, "tables", "--case", "all", "--d", "0.4")
         assert code == 0
-        assert len(out.strip().splitlines()) == 18
+        assert out == ALL_CASES_D04
 
     def test_unknown_case(self, capsys):
         code, _, _ = run_cli(capsys, "tables", "--case", "XX")

@@ -48,6 +48,7 @@ DECLARED_SKIP_FRAGMENTS = (
     "conjugate of an exterior orthocenter",
     "chords not pairwise ultraparallel",
     "auxiliary random line degenerated",
+    "orthocenter on a vertex",
 )
 
 
@@ -67,6 +68,20 @@ class TestCatalogue:
 
     def test_expected_failures_are_exactly_the_printed_minimality_claim(self):
         assert rg.EXPECTED_FAILURES == ("MIN1",)
+
+    def test_segment_pairs_realize_their_cells(self):
+        # InIn and InId tabulate the same lengths on a real line, so TBL1
+        # alone would not notice a pair of the wrong kinds
+        for name, (ka, kb, line, points) in rg.SEGMENT_CASES.items():
+            if points is None:
+                assert name == "InIn@inf"
+                continue
+            for d in (0.2, 0.9, 1.5):
+                p, q = points(d)
+                assert (plane.classify(p), plane.classify(q)) == (ka, kb), name
+                carrier = plane.classify_line(plane.join(p, q))
+                assert carrier is {"real": plane.LineKind.REAL,
+                                   "infinity": plane.LineKind.AT_INFINITY}[line], name
 
 
 class TestSuite:
@@ -184,13 +199,17 @@ class TestSuite:
 def test_right_triangles_give_a_record_for_every_identity(tmp_path):
     # a right angle is stored a rounding error short of pi/2; on seeds 5, 6,
     # 9, 15 and 30 an angle test missed it, and with H on the right vertex
-    # IS3 raised OnSideLine and OR6 ZeroDivisionError
+    # IS3 raised OnSideLine and OR6 ZeroDivisionError; OR2's sinh products
+    # all vanish there
     for seed in range(1, 41):
         rep = rg.run_suite(seed, shape="right")
         assert [rec.id for rec in rep.records] == rg.ALL_IDS
         for rec in rep.records:
             if rec.status == "skipped":
                 assert any(frag in rec.reason for frag in DECLARED_SKIP_FRAGMENTS), rec.reason
+        or2 = rep.records[rg.ALL_IDS.index("OR2")]
+        assert (or2.status, or2.reason) == (
+            "skipped", "orthocenter on a vertex (right angle): the sinh products vanish")
     records = {rec.id: rec for rec in rg.run_suite(5, shape="right").records}
     assert records["IS3"].reason == "conjugate of an exterior orthocenter is not constructible"
     assert records["OR6"].reason == "altitude chain h_x = HX + HF_x needs an acute triangle"

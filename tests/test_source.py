@@ -43,13 +43,22 @@ def _own_nodes(fn):
             stack.extend(ast.iter_child_nodes(node))
 
 
+def _reads(fn) -> set[str]:
+    """Names read anywhere in ``fn``.  The ``x`` of a subscript store
+    ``x[k] = v`` is written into, not read."""
+    written_into = {id(n.value) for n in ast.walk(fn)
+                    if isinstance(n, ast.Subscript) and isinstance(n.ctx, ast.Store)}
+    return {n.id for n in ast.walk(fn)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+            and id(n) not in written_into}
+
+
 def _unread_locals(path: Path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     for fn in ast.walk(tree):
         if not isinstance(fn, _SCOPES):
             continue
-        read = {n.id for n in ast.walk(fn)
-                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        read = _reads(fn)
         shared = {name for n in _own_nodes(fn)
                   if isinstance(n, (ast.Global, ast.Nonlocal)) for name in n.names}
         for n in _own_nodes(fn):
@@ -60,9 +69,9 @@ def _unread_locals(path: Path):
 
 
 def test_no_unread_locals():
-    # a local that is assigned and never read is dead work or a forgotten
-    # check; name it with a leading underscore when the value is discarded
-    # on purpose
+    # a local that is assigned and never read, or only written into
+    # (``x[k] = v``), is dead work or a forgotten check; name it with a
+    # leading underscore when the value is discarded on purpose
     found = sorted(f"{path.name}:{line}: {name}"
                    for path in sorted(SRC.glob("*.py"))
                    for line, name in _unread_locals(path))

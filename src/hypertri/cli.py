@@ -17,7 +17,7 @@ from multiprocessing import Pool
 from . import registry as rg
 from . import render as rd
 from .errors import GeometryError, UnknownIdentity
-from .extscalar import _REAL_LINE_NEEDS_D, segment_lengths
+from .extscalar import segment_lengths, takes_d
 from .generate import SHAPES, gen_triangle
 from .plane import HPoint, angle_ext
 from .registry import triangle_from_json, triangle_json
@@ -147,8 +147,7 @@ def _cmd_tables(args) -> int:
         if case in rg.SEGMENT_CASES:
             ka, kb, line, _points = rg.SEGMENT_CASES[case]
             pair = segment_lengths(ka, kb, d=args.d, line=line)
-            takes_d = line == "real" and (ka, kb) in _REAL_LINE_NEEDS_D
-            suffix = f" d={args.d:g}" if takes_d else ""
+            suffix = f" d={args.d:g}" if takes_d(ka, kb, line) else ""
             print(f"{case:9s}{suffix:8s} AB = {pair[0]}, BA = {pair[1]}")
         elif case in rg.ANGLE_CASES:
             lines, _expected = rg.ANGLE_CASES[case]

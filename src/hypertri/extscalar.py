@@ -300,6 +300,11 @@ _INFINITY_LINE_TABLE = {
 _REAL_LINE_NEEDS_D = {(_R, _R), (_R, _ID), (_ID, _R), (_ID, _ID)}
 
 
+def takes_d(kind_a: PointKind, kind_b: PointKind, line: str) -> bool:
+    """Whether the tabulated lengths of this cell depend on the distance d."""
+    return line == "real" and (kind_a, kind_b) in _REAL_LINE_NEEDS_D
+
+
 def segment_lengths(
     kind_a: PointKind,
     kind_b: PointKind,
@@ -329,7 +334,7 @@ def segment_lengths(
             raise UnsupportedConfiguration(
                 f"no real-line entry for ({kind_a.name}, {kind_b.name})"
             )
-        needs_d = (kind_a, kind_b) in _REAL_LINE_NEEDS_D
+        needs_d = takes_d(kind_a, kind_b, line)
         if needs_d:
             if d is None:
                 raise UnsupportedConfiguration(

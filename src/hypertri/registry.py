@@ -146,14 +146,19 @@ def _need_center(c: TrialContext, name: str) -> ct.CenterResult:
     return res
 
 
+def _side_tol(h) -> float:
+    """Where a coordinate of H counts as zero: 1e-13 of the largest in
+    absolute value, the side-line threshold of `centers.isogonal_conjugate`."""
+    return 1e-13 * max(map(abs, h.coords))
+
+
 def _need_inner_orthocenter(c: TrialContext, reason: str):
     """H when it is a real point strictly inside the triangle: every
-    coordinate above 1e-13 of the largest, the side-line threshold of
-    `centers.isogonal_conjugate`.  A right angle is stored a rounding error
+    coordinate above `_side_tol`.  A right angle is stored a rounding error
     short of pi/2, so an angle test misses the right vertex; this test
     sees H on it."""
     h = _need_center(c, "H")
-    if min(h.coords) <= 1e-13 * max(map(abs, h.coords)):
+    if min(h.coords) <= _side_tol(h):
         raise _Skip(reason)
     return h
 
@@ -495,10 +500,9 @@ def _orthocenter_products(c):
 
 def _orthocenter_sinh_products(c):
     h_res = _need_center(c, "H")
-    # H on a vertex: two coordinates vanish at the threshold of
-    # `_need_inner_orthocenter`, and with them every product
-    scale = 1e-13 * max(map(abs, h_res.coords))
-    if sum(abs(x) <= scale for x in h_res.coords) >= 2:
+    # H on a vertex: two coordinates vanish, and with them every product
+    tol = _side_tol(h_res)
+    if sum(abs(x) <= tol for x in h_res.coords) >= 2:
         raise _Skip("orthocenter on a vertex (right angle): the sinh products vanish")
     h = h_res.point
     prods, heights = [], []

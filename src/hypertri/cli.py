@@ -3,6 +3,10 @@
 Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage
 error.  `verify --seeds` reports are JSON lines ordered by seed, written as
 each seed finishes, and byte-identical across runs and across --jobs settings.
+`verify --jobs N` runs the seeds on n = min(N, seed count) processes: the
+command's own process takes seeds 0, n, 2n, ... and child k (1 <= k < n)
+takes seeds k, k+n, ..., sending each result down its own pipe.  Every child
+is stopped and joined before the command returns.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import json
 import math
 import sys
 from contextlib import ExitStack
-from multiprocessing import Pool
 
 from . import registry as rg
 from . import render as rd
@@ -84,6 +87,56 @@ def _verify_worker(job):
     return rep.to_jsonl(), rep.summary()
 
 
+def _verify_stride(jobs, conn):
+    """Child body: send each job's result down ``conn`` in order; a
+    GeometryError is sent in place of its result and ends the stride."""
+    with conn:
+        for job in jobs:
+            try:
+                result = _verify_worker(job)
+            except GeometryError as e:
+                conn.send(e)
+                return
+            conn.send(result)
+
+
+def _verify_results(jobs, n, stack):
+    """Each job's (jsonl, summary), in job order, computed on n processes.
+
+    Children 1..n-1 run jobs k, k+n, ... and are registered on ``stack``,
+    which terminates and joins them on every exit; the caller runs jobs 0,
+    n, 2n, ... itself between reads of the children's pipes.
+    """
+    if n <= 1:
+        yield from map(_verify_worker, jobs)
+        return
+    import multiprocessing
+    conns = []
+    for k in range(1, n):
+        recv, send = multiprocessing.Pipe(duplex=False)
+        proc = multiprocessing.Process(target=_verify_stride, args=(jobs[k::n], send))
+        proc.start()
+        stack.callback(proc.join)
+        stack.callback(proc.terminate)
+        stack.callback(recv.close)
+        # a child that dies must leave its pipe at EOF, so the caller keeps
+        # no send end open (and later children inherit none)
+        send.close()
+        conns.append(recv)
+    for i, job in enumerate(jobs):
+        if i % n == 0:
+            yield _verify_worker(job)
+            continue
+        try:
+            result = conns[i % n - 1].recv()
+        except EOFError:
+            raise RuntimeError(f"verify child for seed {job[0]} exited "
+                               "without a result") from None
+        if isinstance(result, GeometryError):
+            raise result
+        yield result
+
+
 def _cmd_verify(args) -> int:
     ids = None
     if args.ids:
@@ -105,20 +158,17 @@ def _cmd_verify(args) -> int:
     else:
         print("verify needs a triangle file or --seeds", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
 
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     failed_seeds = []
     with ExitStack() as stack:
         out = (stack.enter_context(open(args.output, "w", encoding="utf-8"))
                if args.output else sys.stdout)
-        if args.jobs > 1 and len(jobs) > 1:
-            pool = stack.enter_context(Pool(args.jobs))
-            results = pool.imap(_verify_worker, jobs,
-                                chunksize=math.ceil(len(jobs) / (4 * args.jobs)))
-        else:
-            results = map(_verify_worker, jobs)
-        # leaving the stack terminates the pool, so --fail-fast drops queued seeds
-        for jsonl, summary in results:
+        # leaving the stack stops the children, so --fail-fast drops their seeds
+        for jsonl, summary in _verify_results(jobs, min(args.jobs, len(jobs)), stack):
             out.write(jsonl + "\n")
             for k in totals:
                 totals[k] += summary[k]

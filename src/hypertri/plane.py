@@ -419,12 +419,11 @@ def distance_ext(a: HPoint, b: HPoint):
     if lk is LineKind.AT_INFINITY:
         return (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
     # ideal line: length is the angle of the polars (at a real point) times i
-    m = meet(polar(a), polar(b))
-    phi = _line_angle_at(polar(a), polar(b), m)
+    phi = _line_angle_at(polar(a), polar(b))
     return (PureImaginary(phi), PureImaginary(math.pi - phi))
 
 
-def _line_angle_at(u: HLine, v: HLine, m: HPoint) -> float:
+def _line_angle_at(u: HLine, v: HLine) -> float:
     """Angle in (0, pi) between two real lines at their real meet, canonically
     the acute member of the pair."""
     un, vn = normalize_line(u), normalize_line(v)

@@ -1,7 +1,13 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
+import hypertri
 from hypertri import registry as rg
 from hypertri.cli import main
 from hypertri.errors import GeometryError
@@ -127,8 +133,10 @@ class TestVerify:
     def test_fail_fast_byte_identical_across_jobs(self, capsys):
         argv = ["verify", "--seeds", "1..5", "--ids", "MIN1", "--fail-fast"]
         code1, out1, _ = run_cli(capsys, *argv)
-        code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
-        assert (code2, out2) == (code1, out1)
+        for jobs in ("2", "3"):
+            code2, out2, _ = run_cli(capsys, *argv, "--jobs", jobs)
+            assert (code2, out2) == (code1, out1)
+            assert multiprocessing.active_children() == []
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         argv = ["verify", "--seeds", "1..3", "--ids", "LS,EU0"]
@@ -137,22 +145,97 @@ class TestVerify:
         run_cli(capsys, *argv, "-o", str(path))
         assert path.read_bytes() == out.encode()
 
-    def test_error_mid_run_keeps_earlier_seeds(self, tmp_path, capsys, monkeypatch):
+    # over seeds 1..5, jobs 2 runs seeds 1, 3, 5 in the caller and 2, 4 in
+    # its child; jobs 3 runs 1, 4 in the caller and 2, 5 and 3 in children
+    @pytest.mark.parametrize("jobs, bad", [("1", 3), ("2", 3), ("2", 4), ("3", 4), ("3", 3)],
+                             ids=["jobs1", "jobs2-caller", "jobs2-child",
+                                  "jobs3-caller", "jobs3-child"])
+    def test_error_mid_run_keeps_earlier_seeds(self, jobs, bad, tmp_path, capsys,
+                                               monkeypatch):
         run_suite = rg.run_suite
 
         def failing_run_suite(seed, *args, **kwargs):
-            if seed == 3:
-                raise GeometryError("no triangle for seed 3")
+            if seed == bad:
+                raise GeometryError(f"no triangle for seed {seed}")
             return run_suite(seed, *args, **kwargs)
 
         monkeypatch.setattr(rg, "run_suite", failing_run_suite)
         path = tmp_path / "report.jsonl"
         code, _, err = run_cli(capsys, "verify", "--seeds", "1..5", "--ids", "LS",
-                               "-o", str(path))
-        assert code == 2 and "seed 3" in err
+                               "--jobs", jobs, "-o", str(path))
+        assert code == 2 and err == f"error: no triangle for seed {bad}\n"
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["summary"]["seed"] for r in rows if "summary" in r] == [1, 2]
+        assert [r["summary"]["seed"] for r in rows if "summary" in r] == list(range(1, bad))
         assert not any("total" in r for r in rows)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["2", "3"])
+    def test_crashed_child_raises(self, jobs, tmp_path, capsys, monkeypatch):
+        # a programming error in a child ends it; the caller raises at that
+        # seed instead of waiting on its pipe
+        run_suite = rg.run_suite
+
+        def crashing_run_suite(seed, *args, **kwargs):
+            if seed == 2:
+                raise ValueError("not a geometry error")
+            return run_suite(seed, *args, **kwargs)
+
+        def hung(*_):
+            pytest.fail("the caller still waits on the dead child's pipe")
+
+        monkeypatch.setattr(rg, "run_suite", crashing_run_suite)
+        path = tmp_path / "report.jsonl"
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="seed 2"):
+                main(["verify", "--seeds", "1..5", "--ids", "LS", "--jobs", jobs,
+                      "-o", str(path)])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["summary"]["seed"] for r in rows if "summary" in r] == [1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
+        path = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--seeds", "1..2", "--ids", "LS",
+                                 "--jobs", jobs, "-o", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "--jobs" in err
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seeds, jobs, started", [("1..2", "5", 1), ("1..1", "4", 0),
+                                                      ("1..3", "2", 1)])
+    def test_children_capped_by_seed_count(self, seeds, jobs, started, capsys,
+                                           monkeypatch):
+        starts = []
+        start = multiprocessing.Process.start
+
+        def counting_start(proc):
+            starts.append(proc)
+            start(proc)
+
+        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        code, _, _ = run_cli(capsys, "verify", "--seeds", seeds, "--ids", "LS",
+                             "--jobs", jobs)
+        assert code == 0
+        assert len(starts) == started
+
+    def test_import_leaves_out_multiprocessing(self):
+        # only `verify --jobs N` with N > 1 and more than one seed needs it
+        src = os.path.dirname(os.path.dirname(hypertri.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hypertri.cli; print('multiprocessing' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout == "False\n"
 
 
 class TestRender:

@@ -78,5 +78,5 @@ here = os.path.dirname(os.path.abspath(__file__))
 for model in ("klein", "poincare"):
     path = os.path.join(here, f"centers_{model}.svg")
     render.render_svg(t, ["M", "O", "I", "H", "M'", "L", "S", "Z", "F"],
-                      model, path, euler_line=True, seed=424242)
+                      model, path, euler_line=True)
     print(f"wrote {path}")

@@ -41,7 +41,9 @@ from .plane import (
     normalize_line,
     perpendicular_bisector,
     perpendicular_line,
+    real_point,
     signed_line_distance,
+    tangent_angle,
     tangent_toward,
     vertex_angle,
 )
@@ -187,10 +189,8 @@ def centroid(f: Frame) -> CenterResult:
     """Meet of the medians; coordinates (1 : 1 : 1)."""
     ma = midpoint(f.B, f.C)
     mb = midpoint(f.C, f.A)
-    m = meet(join(f.A, ma), join(f.B, mb))
-    if classify(m) is not PointKind.REAL:
-        raise DegenerateTriangle("median meet is not a real point")
-    mn = normalize(m)
+    mn = real_point(meet(join(f.A, ma), join(f.B, mb)), DegenerateTriangle,
+                    "median meet is not a real point")
     ratio = math.sinh(distance(f.A, mn)) / math.sinh(distance(mn, ma))
     return _result("M", mn, f.t, aux={"median_section_ratio": ratio})
 
@@ -347,10 +347,17 @@ def isogonal_conjugate(x: HPoint, tri: TriangleData | Frame) -> HPoint:
         raise OnSideLine("isogonal conjugate of a point on a side line")
     la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector(0)))
     lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector(1)))
-    conj = meet(la, lb)
-    if classify(conj) is not PointKind.REAL:
-        raise ConjugateAtInfinity("reflected cevians meet in a non-real point")
-    return normalize(conj)
+    return real_point(meet(la, lb), ConjugateAtInfinity,
+                      "reflected cevians meet in a non-real point")
+
+
+def _cevian_meet(f: Frame, targets, what: str) -> tuple[HPoint, float]:
+    """The real meet of the cevians from A and B toward ``targets[0]`` and
+    ``targets[1]``, and by how much the cevian from C toward ``targets[2]``
+    misses it; DegenerateTriangle names ``what`` when the meet is not real."""
+    p = real_point(meet(join(f.A, targets[0]), join(f.B, targets[1])),
+                   DegenerateTriangle, f"{what} meet in a non-real point")
+    return p, abs(mdot(p, normalize_line(join(f.C, targets[2]))))
 
 
 @_memo
@@ -374,14 +381,8 @@ def lemoine_point(f: Frame) -> CenterResult:
     tan_a = perpendicular_line(f.A, join(o, f.A))
     tan_b = perpendicular_line(f.B, join(o, f.B))
     tan_c = perpendicular_line(f.C, join(o, f.C))
-    ap = meet(tan_b, tan_c)
-    bp = meet(tan_a, tan_c)
-    cp = meet(tan_a, tan_b)
-    l = meet(join(f.A, ap), join(f.B, bp))
-    if classify(l) is not PointKind.REAL:
-        raise DegenerateTriangle("tangent-triangle cevians meet in a non-real point")
-    ln = normalize(l)
-    third = abs(mdot(ln, normalize_line(join(f.C, cp))))
+    tangent_triangle = (meet(tan_b, tan_c), meet(tan_a, tan_c), meet(tan_a, tan_b))
+    ln, third = _cevian_meet(f, tangent_triangle, "tangent-triangle cevians")
     return _result("L", ln, f.t, aux={"third_cevian_residual": third})
 
 
@@ -407,13 +408,7 @@ def pseudo_centroid(f: Frame):
             for i, (j, k) in enumerate(SIDE_ENDS)]
     feet = tuple(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), arcs[i]))
                  for i in range(3))
-    pm_a = join(f.A, feet[0])
-    pm_b = join(f.B, feet[1])
-    s_pt = meet(pm_a, pm_b)
-    if classify(s_pt) is not PointKind.REAL:
-        raise DegenerateTriangle("pseudomedians meet in a non-real point")
-    sn = normalize(s_pt)
-    third = abs(mdot(sn, normalize_line(join(f.C, feet[2]))))
+    sn, third = _cevian_meet(f, feet, "pseudomedians")
     res = _result("S", sn, td, aux={
         "third_cevian_residual": third,
         "foot_arc_a": arcs[0], "foot_arc_b": arcs[1], "foot_arc_c": arcs[2],
@@ -444,9 +439,7 @@ def _pseudoaltitude_g(f: Frame, i: int, u: float) -> float:
     back = (-(su * start.x + cu * t0[0]),
             -(su * start.y + cu * t0[1]),
             -(su * start.w + cu * t0[2]))
-    t_apex = tangent_toward(z, apex)
-    cth = -(t_apex[2] * back[2] - t_apex[0] * back[0] - t_apex[1] * back[1])
-    theta = math.acos(min(1.0, max(-1.0, cth)))
+    theta = tangent_angle(tangent_toward(z, apex), back)
     phi = vertex_angle(apex, start, z)
     td = f.t
     ang = (td.alpha, td.beta, td.gamma)
@@ -538,11 +531,7 @@ def pseudo_orthocenter(f: Frame):
     for i, (lo, hi, glo, ghi) in enumerate(brackets):
         u = _brent(lambda x: _pseudoaltitude_g(f, i, x), lo, hi, glo, ghi)
         feet.append(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), u)))
-    z = meet(join(f.A, feet[0]), join(f.B, feet[1]))
-    if classify(z) is not PointKind.REAL:
-        raise DegenerateTriangle("pseudoaltitudes meet in a non-real point")
-    zn = normalize(z)
-    third = abs(mdot(zn, normalize_line(join(f.C, feet[2]))))
+    zn, third = _cevian_meet(f, feet, "pseudoaltitudes")
     res = _result("Z", zn, f.t, aux={"third_cevian_residual": third})
     return res, tuple(feet)
 
@@ -690,9 +679,7 @@ def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
     k = pn.klein()
     ref = plane.origin() if (k[0] ** 2 + k[1] ** 2) > 1e-4 else plane.klein_point(0.3, 0.0)
     t1 = HPoint(*tangent_toward(pn, ref))
-    # second tangent: metric dual of the cross product of p and t1
-    t2 = HPoint(-(pn.y * t1.w - pn.w * t1.y), -(pn.w * t1.x - pn.x * t1.w),
-                pn.x * t1.y - pn.y * t1.x)
+    t2 = HPoint(*plane.normal_tangent(pn, t1))
     w0, w1, w2 = mdot(pn, w), mdot(t1, w), mdot(t2, w)
     p0, p1, p2 = mdot(pn, pn), mdot(t1, pn), mdot(t2, pn)
     ok = True

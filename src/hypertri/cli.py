@@ -182,11 +182,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    t, seed = _load_triangle(args.triangle)
+    t, _seed = _load_triangle(args.triangle)
     which = (_center_names(args.centers) if args.centers != "all" else
              ["M", "O", "I", "H", "M'", "L", "S", "Z", "F"])
-    rd.render_svg(t, which, args.model, args.output,
-                  euler_line=args.euler_line, seed=seed)
+    rd.render_svg(t, which, args.model, args.output, euler_line=args.euler_line)
     return 0
 
 

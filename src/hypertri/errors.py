@@ -112,7 +112,3 @@ class UnknownIdentity(GeometryError):
 
 class UnknownCenter(GeometryError):
     """Center name not present in the center table."""
-
-
-class IoFailure(GeometryError):
-    """Could not write a requested output file."""

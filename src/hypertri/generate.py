@@ -30,7 +30,9 @@ class Constraints:
     min_side_diff: float = 0.1  # applies to shape="scalene" only
 
 
-def _sample_disk_point(rng: random.Random, max_radius: float) -> HPoint:
+def sample_disk_point(rng: random.Random, max_radius: float) -> HPoint:
+    """A point uniform in the Klein disk of radius ``max_radius``; draws two
+    numbers from ``rng``, the radius first."""
     r = max_radius * math.sqrt(rng.random())
     th = 2.0 * math.pi * rng.random()
     return klein_point(r * math.cos(th), r * math.sin(th))
@@ -51,7 +53,7 @@ def _satisfies(t: TriangleData, shape: str, c: Constraints) -> bool:
 
 
 def _sampled_triangle(rng, shape, c) -> TriangleData | None:
-    pts = [_sample_disk_point(rng, c.max_klein_radius) for _ in range(3)]
+    pts = [sample_disk_point(rng, c.max_klein_radius) for _ in range(3)]
     try:
         t = trig.solve_from_vertices(*pts)
     except GeometryError:
@@ -61,12 +63,12 @@ def _sampled_triangle(rng, shape, c) -> TriangleData | None:
 
 def _right_triangle(rng, c) -> TriangleData | None:
     # exact right angle: two orthogonal tangent directions at a random vertex
-    v = _sample_disk_point(rng, 0.6 * c.max_klein_radius)
+    v = sample_disk_point(rng, 0.6 * c.max_klein_radius)
     vn = normalize(v)
     th = 2.0 * math.pi * rng.random()
     ref = geodesic_point(vn, _direction(vn, th), 1.0)
     t1 = tangent_toward(vn, ref)
-    t2 = _rotate_tangent(vn, t1)
+    t2 = plane.normal_tangent(vn, t1)
     d1 = 0.2 + 1.2 * rng.random()
     d2 = 0.2 + 1.2 * rng.random()
     p = geodesic_point(vn, t1, d1)
@@ -82,20 +84,12 @@ def _direction(p: HPoint, theta: float):
     # unit tangent at p along chart angle theta (valid at any real point)
     base = tangent_toward(p, plane.origin()) if (p.x ** 2 + p.y ** 2) > 1e-12 * p.w ** 2 \
         else tangent_toward(p, klein_point(0.5, 0.0))
-    orth = _rotate_tangent(p, base)
+    orth = plane.normal_tangent(p, base)
     return tuple(math.cos(theta) * base[i] + math.sin(theta) * orth[i] for i in range(3))
 
 
-def _rotate_tangent(p: HPoint, t):
-    # tangent orthogonal to t at p: metric dual of the cross product
-    cx = p.y * t[2] - p.w * t[1]
-    cy = p.w * t[0] - p.x * t[2]
-    cw = p.x * t[1] - p.y * t[0]
-    return (-cx, -cy, cw)
-
-
 def _isosceles_triangle(rng, c) -> TriangleData | None:
-    apex = _sample_disk_point(rng, 0.6 * c.max_klein_radius)
+    apex = sample_disk_point(rng, 0.6 * c.max_klein_radius)
     an = normalize(apex)
     th = 2.0 * math.pi * rng.random()
     axis = _direction(an, th)
@@ -103,7 +97,7 @@ def _isosceles_triangle(rng, c) -> TriangleData | None:
     half = 0.2 + 0.9 * rng.random()
     base_mid = normalize(geodesic_point(an, axis, h))
     # transport of the orthogonal direction along the axis
-    t_at_mid = _rotate_tangent(base_mid, tangent_toward(base_mid, an))
+    t_at_mid = plane.normal_tangent(base_mid, tangent_toward(base_mid, an))
     p = geodesic_point(base_mid, t_at_mid, half)
     q = geodesic_point(base_mid, t_at_mid, -half)
     try:

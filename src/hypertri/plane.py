@@ -234,6 +234,15 @@ def normalize_line(l: HLine) -> HLine:
     return HLine(l.x / m, l.y / m, l.w / m)
 
 
+def real_point(p: HPoint, error, message: str) -> UnitPoint:
+    """``normalize(p)`` when ``p`` is a real point (the step that built it
+    landed inside the disk); otherwise raises ``error(message)``."""
+    pn = normalize(p)
+    if pn.__class__ is not UnitPoint:
+        raise error(message)
+    return pn
+
+
 def acosh_clamped(x: float) -> float:
     """arccosh with rounding just below the domain absorbed to 1."""
     if x < 1.0:
@@ -293,12 +302,26 @@ def arc_coordinate(f: HPoint, t: tuple[float, float, float]) -> float:
     return math.asinh(-mdot(fn, HPoint(*t)))
 
 
+def normal_tangent(p: HPoint, t) -> tuple[float, float, float]:
+    """The unit tangent at unit ``p`` Minkowski-orthogonal to the unit tangent
+    ``t`` (a quarter turn of ``t``): the metric dual of the cross product
+    ``p x t``."""
+    cx = p.y * t[2] - p.w * t[1]
+    cy = p.w * t[0] - p.x * t[2]
+    cw = p.x * t[1] - p.y * t[0]
+    return (-cx, -cy, cw)
+
+
+def tangent_angle(t1, t2) -> float:
+    """Angle in [0, pi] between two unit tangents at one point, the ``acos``
+    of ``-<t1, t2>`` clamped to its domain."""
+    c = -(t1[2] * t2[2] - t1[0] * t2[0] - t1[1] * t2[1])
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
 def vertex_angle(p: HPoint, q: HPoint, r: HPoint) -> float:
     """Interior angle at real ``p`` between the geodesics toward ``q`` and ``r``."""
-    tq = tangent_toward(p, q)
-    tr = tangent_toward(p, r)
-    c = -(tq[2] * tr[2] - tq[0] * tr[0] - tq[1] * tr[1])
-    return math.acos(min(1.0, max(-1.0, c)))
+    return tangent_angle(tangent_toward(p, q), tangent_toward(p, r))
 
 
 def foot_of_perpendicular(p: HPoint, l: HLine) -> HPoint:
@@ -350,22 +373,23 @@ def angle_bisectors(vertex: HPoint, ray1: HLine, ray2: HLine) -> tuple[HLine, HL
     )
 
 
-def reflect(p: HPoint, l: HLine) -> HPoint:
-    """Reflection of a point in a line; a point on the line is returned as is."""
+def _householder(v, l: HLine, kind):
+    """The Householder reflection of the triple ``v`` in ``l``, as a ``kind``."""
     q = qform(l)
     if q == 0.0:
         raise ZeroVector("reflection in a degenerate (tangent) line")
-    k = 2.0 * mdot(p, l) / q
-    return HPoint(p.x - k * l.x, p.y - k * l.y, p.w - k * l.w)
+    k = 2.0 * mdot(v, l) / q
+    return kind(v.x - k * l.x, v.y - k * l.y, v.w - k * l.w)
+
+
+def reflect(p: HPoint, l: HLine) -> HPoint:
+    """Reflection of a point in a line; a point on the line is returned as is."""
+    return _householder(p, l, HPoint)
 
 
 def reflect_line(m: HLine, l: HLine) -> HLine:
-    """Reflection of a line in a line (same Householder formula)."""
-    q = qform(l)
-    if q == 0.0:
-        raise ZeroVector("reflection in a degenerate (tangent) line")
-    k = 2.0 * mdot(m, l) / q
-    return HLine(m.x - k * l.x, m.y - k * l.y, m.w - k * l.w)
+    """Reflection of a line in a line."""
+    return _householder(m, l, HLine)
 
 
 # --------------------------------------------------------------------------
@@ -494,9 +518,8 @@ def cycle_through(p: HPoint, q: HPoint, r: HPoint) -> Cycle:
     kind; the kind of the cycle (circle, paracycle, hypercycle) follows the
     kind of the center, and the radius is extended-valued accordingly.
     """
-    for s in (p, q, r):
-        if classify(s) is not _R:
-            raise OutOfDomain("cycle construction needs three real points")
+    p, q, r = (real_point(s, OutOfDomain, "cycle construction needs three real points")
+               for s in (p, q, r))
     l_pq = join(p, q)
     if abs(mdot(normalize(r), normalize_line(l_pq))) < 1e-12:
         raise CollinearPoints("cycle through collinear points")

@@ -40,7 +40,7 @@ from .extscalar import (
     ext_cosh,
     segment_lengths,
 )
-from .generate import gen_triangle
+from .generate import gen_triangle, sample_disk_point
 from .plane import (
     HPoint,
     distance,
@@ -131,9 +131,7 @@ class TrialContext(ct.Frame):
         return self.get("random_interior", build)
 
     def random_real_point(self, maxr=0.9) -> HPoint:
-        r = maxr * math.sqrt(self.rng.random())
-        th = 2.0 * math.pi * self.rng.random()
-        return klein_point(r * math.cos(th), r * math.sin(th))
+        return sample_disk_point(self.rng, maxr)
 
 
 def _need_center(c: TrialContext, name: str) -> ct.CenterResult:
@@ -152,6 +150,13 @@ def _side_tol(h) -> float:
     return 1e-13 * max(map(abs, h.coords))
 
 
+def _on_vertex(h) -> bool:
+    """Whether H sits on a vertex, as at a right angle: two coordinates
+    within `_side_tol` of zero."""
+    tol = _side_tol(h)
+    return sum(abs(x) <= tol for x in h.coords) >= 2
+
+
 def _need_inner_orthocenter(c: TrialContext, reason: str):
     """H when it is a real point strictly inside the triangle: every
     coordinate above `_side_tol`.  A right angle is stored a rounding error
@@ -165,6 +170,8 @@ def _need_inner_orthocenter(c: TrialContext, reason: str):
 
 def _orthocenter_conjugate(c: TrialContext) -> ct.CenterResult:
     """H', the isogonal conjugate of the orthocenter, built once per trial."""
+    if _on_vertex(_need_center(c, "H")):
+        raise _Skip("orthocenter on a vertex (right angle): its conjugate is not constructible")
     h = _need_inner_orthocenter(c, "conjugate of an exterior orthocenter is not constructible")
     return c.get("H'", lambda: ct._result("H'", ct.isogonal_conjugate(h.point, c), c.t))
 
@@ -501,8 +508,7 @@ def _orthocenter_products(c):
 def _orthocenter_sinh_products(c):
     h_res = _need_center(c, "H")
     # H on a vertex: two coordinates vanish, and with them every product
-    tol = _side_tol(h_res)
-    if sum(abs(x) <= tol for x in h_res.coords) >= 2:
+    if _on_vertex(h_res):
         raise _Skip("orthocenter on a vertex (right angle): the sinh products vanish")
     h = h_res.point
     prods, heights = [], []
@@ -1138,7 +1144,7 @@ class TrialReport:
         return "\n".join(lines)
 
 
-def center_table(ctx: TrialContext, which: list[str] | None = None) -> list[dict]:
+def center_table(ctx: ct.Frame, which: list[str] | None = None) -> list[dict]:
     """Serialized center results for a triangle; unavailable centers carry an
     explanatory status instead of a point.  A name in ``which`` that is not
     a center raises UnknownCenter before anything is built."""
@@ -1163,14 +1169,10 @@ def run_suite(seed: int, ids: list[str] | None = None, shape: str = "any",
     deterministic per (seed, identity set)."""
     t = triangle if triangle is not None else gen_triangle(seed, shape=shape)
     ctx = TrialContext(seed=seed, t=t)
-    use = ALL_IDS if ids is None else ids
-    records = []
-    for identity_id in use:
-        if identity_id not in REGISTRY:
-            raise UnknownIdentity(identity_id)
-        records.append(run_identity(identity_id, ctx))
+    records = tuple(run_identity(identity_id, ctx)
+                    for identity_id in (ALL_IDS if ids is None else ids))
     table = tuple(center_table(ctx)) if include_centers else ()
-    return TrialReport(seed=seed, records=tuple(records), centers=table)
+    return TrialReport(seed=seed, records=records, centers=table)
 
 
 def triangle_json(t: TriangleData, seed: int | None = None) -> dict:

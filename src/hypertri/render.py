@@ -12,7 +12,7 @@ import math
 
 from . import centers as ct
 from . import registry as rg
-from .errors import IoFailure, NoRootFound, OutOfDomain
+from .errors import NoRootFound, OutOfDomain
 from .plane import HPoint, join, model_convert, normalize, normalize_line
 from .trig import TriangleData
 
@@ -83,7 +83,7 @@ def _geodesic_path(p1, p2, model: str) -> str:
 
 
 def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
-               euler_line: bool = False, seed: int = 0) -> str:
+               euler_line: bool = False) -> str:
     """Write an SVG of the triangle with the selected centers; returns the path.
 
     ``which`` lists center names (as in the center table); non-real centers
@@ -93,7 +93,7 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
     """
     if model not in ("klein", "poincare"):
         raise OutOfDomain(f"unsupported drawing model {model!r}")
-    ctx = rg.TrialContext(seed=seed, t=t)
+    ctx = ct.Frame(t)
     va, vb, vc = t.require_vertices()
     corners = [_disk_coords(v, model) for v in (va, vb, vc)]
 
@@ -154,9 +154,6 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
 
     parts.append("</svg>")
     payload = "\n".join(parts) + "\n"
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    except OSError as e:
-        raise IoFailure(str(e)) from e
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(payload)
     return out_path

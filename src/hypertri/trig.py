@@ -25,12 +25,10 @@ from .errors import (
     OutOfDomain,
     OverflowRisk,
 )
-from .extscalar import PointKind
 from .plane import (
     HLine,
     HPoint,
     acosh_clamped,
-    classify,
     distance,
     geodesic_point,
     join,
@@ -38,6 +36,7 @@ from .plane import (
     meet,
     normalize,
     normalize_line,
+    real_point,
     tangent_toward,
     vertex_angle,
 )
@@ -215,10 +214,8 @@ def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
     Klein chart (by swapping B and C if needed), so orientation-dependent
     constructions are well defined.
     """
-    pts = [normalize(v) for v in (va, vb, vc)]
-    for p in pts:
-        if classify(p) is not PointKind.REAL:
-            raise DegenerateTriangle("vertices must be real points")
+    pts = [real_point(v, DegenerateTriangle, "vertices must be real points")
+           for v in (va, vb, vc)]
     ka, kb, kc = (p.klein() for p in pts)
     orient = (kb[0] - ka[0]) * (kc[1] - ka[1]) - (kb[1] - ka[1]) * (kc[0] - ka[0])
     if abs(orient) < 1e-14:
@@ -253,11 +250,6 @@ def embed(t: TriangleData) -> TriangleData:
 
 # --------------------------------------------------------------------------
 # area forms
-
-def area(t: TriangleData) -> float:
-    """The area, i.e. the defect ``pi - (alpha + beta + gamma)``."""
-    return t.area
-
 
 def tan_half_area_from_height(t: TriangleData) -> tuple[float, float]:
     """Both sides of the height form of the area.
@@ -387,10 +379,8 @@ def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
             break
     if len(cevians) < 2:
         raise NoSolution("fewer than two cevians could be constructed")
-    x = meet(cevians[0], cevians[1])
-    if classify(x) is not PointKind.REAL:
-        raise NoSolution("cevians meet in a non-real point")
-    xn = normalize(x)
+    xn = real_point(meet(cevians[0], cevians[1]), NoSolution,
+                    "cevians meet in a non-real point")
     if len(cevians) == 3:
         miss = abs(mdot(xn, normalize_line(cevians[2])))
         if miss > 1e-9:
@@ -437,9 +427,8 @@ def cevian_ratio(x: HPoint, t: TriangleData, i: int) -> float:
     xn = normalize(x)
     line_side = join(start, end)
     cev = join(vertex, xn)
-    foot = meet(cev, line_side)
-    if classify(foot) is not PointKind.REAL:
-        raise CevianParallel("cevian meets the side line in a non-real point")
+    foot = real_point(meet(cev, line_side), CevianParallel,
+                      "cevian meets the side line in a non-real point")
     u = plane.arc_coordinate(foot, tangent_toward(start, end))
     denom = math.sinh(length - u)
     if denom == 0.0:
@@ -453,9 +442,7 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
         cosh(AB) sinh(A'C) + cosh(AC) sinh(BA') - cosh(AA') sinh(BC)
     """
     va, vb, vc = t.require_vertices()
-    p = normalize(aprime)
-    if classify(p) is not PointKind.REAL:
-        raise FootOutsideSegment("the point must be a real point of side BC")
+    p = real_point(aprime, FootOutsideSegment, "the point must be a real point of side BC")
     on_line = abs(mdot(p, normalize_line(join(vb, vc))))
     if on_line > 1e-9:
         raise FootOutsideSegment("the point is not on line BC")
@@ -502,10 +489,7 @@ def lambert_from_legs(a: float, d: float) -> LambertQuadrangle:
     side_ad = join(va, vd)
     line_bc = plane.perpendicular_line(vb, side_ab)
     line_dc = plane.perpendicular_line(vd, side_ad)
-    vc = meet(line_bc, line_dc)
-    if classify(vc) is not PointKind.REAL:
-        raise OutOfDomain("far vertex is not a real point")
-    vcn = normalize(vc)
+    vcn = real_point(meet(line_bc, line_dc), OutOfDomain, "far vertex is not a real point")
     return LambertQuadrangle(
         a=a,
         b=distance(vb, vcn),

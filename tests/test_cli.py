@@ -257,6 +257,12 @@ class TestRender:
         assert err == "error: unknown center 'Q'\n"
         assert not out.exists()
 
+    def test_unwritable_output_is_usage_error(self, tri_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.svg"
+        code, _, err = run_cli(capsys, "render", tri_file, "--model", "klein", "-o", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_byte_identical(self, tri_file, tmp_path, capsys):
         a = tmp_path / "a.svg"
         b = tmp_path / "b.svg"

@@ -92,6 +92,17 @@ class TestUnitPoint:
         assert n.__class__ is HPoint
         assert classify(n) is classify(p) is not PointKind.REAL
 
+    def test_real_point_is_the_unit_point(self):
+        p = HPoint(-0.2, 0.1, -2.0)
+        got = plane.real_point(p, CollinearPoints, "unused")
+        assert got.__class__ is UnitPoint and got == normalize(p)
+
+    @pytest.mark.parametrize("p", [klein_point(2.0, 0.5), HPoint(1.0, 0.0, 1.0)])
+    def test_real_point_raises_the_given_error(self, p):
+        # an ideal point and a boundary point
+        with pytest.raises(CollinearPoints, match="^the step left the disk$"):
+            plane.real_point(p, CollinearPoints, "the step left the disk")
+
     def test_unit_point_survives_pickling(self):
         u = normalize(klein_point(0.3, -0.4))
         back = pickle.loads(pickle.dumps(u))
@@ -349,6 +360,18 @@ class TestConstructions:
         p = klein_point(0.2, 0.0)
         got = reflect(p, HLine(0, 1, 0))
         assert normalize(got).klein() == pytest.approx((0.2, 0.0))
+
+    @given(klein_points(), klein_points())
+    @settings(max_examples=40)
+    def test_normal_tangent_is_orthogonal_to_point_and_tangent(self, p, q):
+        if distance(p, q) < 1e-3:
+            return
+        pn = normalize(p)
+        t = HPoint(*plane.tangent_toward(pn, q))
+        n = HPoint(*plane.normal_tangent(pn, t))
+        assert abs(mdot(n, pn)) < 1e-12
+        assert abs(mdot(n, t)) < 1e-12
+        assert plane.qform(n) == pytest.approx(-1.0, rel=1e-12)
 
     @given(klein_points(), klein_points())
     @settings(max_examples=40)

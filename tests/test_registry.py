@@ -211,7 +211,8 @@ def test_right_triangles_give_a_record_for_every_identity(tmp_path):
         assert (or2.status, or2.reason) == (
             "skipped", "orthocenter on a vertex (right angle): the sinh products vanish")
     records = {rec.id: rec for rec in rg.run_suite(5, shape="right").records}
-    assert records["IS3"].reason == "conjugate of an exterior orthocenter is not constructible"
+    assert records["IS3"].reason == (
+        "orthocenter on a vertex (right angle): its conjugate is not constructible")
     assert records["OR6"].reason == "altitude chain h_x = HX + HF_x needs an acute triangle"
     out = tmp_path / "right.jsonl"
     assert cli.main(["verify", "--shape", "right", "--seeds", "1..40", "-o", str(out)]) in (0, 1)

@@ -15,7 +15,7 @@ def test_legend_colours_and_labels(tmp_path):
     # acute seed 8 draws every real center: the incenter, all three
     # excenters, H' and Z included; the O_X are ideal and are not drawn
     out = tmp_path / "fig.svg"
-    render.render_svg(gen_triangle(8, shape="acute"), ALL_CENTERS, "klein", str(out), seed=8)
+    render.render_svg(gen_triangle(8, shape="acute"), ALL_CENTERS, "klein", str(out))
     assert _MARKER.findall(out.read_text()) == [
         ("#1f77b4", "#1f77b4", "M"),
         ("#d62728", "#d62728", "O"),

@@ -78,6 +78,34 @@ def test_no_unread_locals():
     assert found == []
 
 
+def _name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    return node.attr if isinstance(node, ast.Attribute) else None
+
+
+def _hand_real_guards(path: Path):
+    """``if classify(x) is not REAL:`` statements whose body raises."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        test = node.test if isinstance(node, ast.If) else None
+        if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Call)
+                and _name(test.left.func) == "classify"
+                and isinstance(test.ops[0], ast.IsNot)
+                and _name(test.comparators[0]) in ("REAL", "_R")
+                and any(isinstance(n, ast.Raise)
+                        for stmt in node.body for n in ast.walk(stmt))):
+            yield node.lineno
+
+
+def test_real_meets_go_through_real_point():
+    # "this step lands on a real point, else raise" is `plane.real_point`;
+    # a classify-then-raise guard elsewhere writes that check out again
+    found = [f"{path.name}:{line}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "plane.py"
+             for line in _hand_real_guards(path)]
+    assert found == []
+
 
 def _letters(node) -> str | None:
     """The letters a dict key or an iterated sequence spells: a str

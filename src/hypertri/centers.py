@@ -14,7 +14,6 @@ by which side keeps its real length.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from . import plane, trig
@@ -28,6 +27,7 @@ from .extscalar import ExtLength, PointKind, Quantum, ext_tanh
 from .plane import (
     HLine,
     HPoint,
+    UnitPoint,
     classify,
     distance,
     distance_ext,
@@ -218,8 +218,10 @@ def circumcenters(f: Frame):
     oc = meet(pab, qbc)
     out = []
     for name, center in (("O", o), ("O_A", oa), ("O_B", ob), ("O_C", oc)):
-        radius = _radius_ext(center if classify(center) is not PointKind.REAL
-                             else normalize(center), f.A)
+        cn = normalize(center)  # real: passed on as a UnitPoint, classified once
+        if cn.__class__ is UnitPoint:
+            center = cn
+        radius = _radius_ext(center, f.A)
         out.append(_result(name, center, f.t, aux={
             "tanh_R": ext_tanh(radius).real,
             "radius_re": radius.re,
@@ -243,14 +245,13 @@ def incenter_excenters(f: Frame):
     ic = meet(f.internal_bisector(2), f.external_bisector(0))
     out = []
     for name, center in (("I", i_pt), ("I_A", ia), ("I_B", ib), ("I_C", ic)):
-        kind = classify(center)
+        cn = normalize(center)  # real: passed on as a UnitPoint, classified once
         aux = {}
-        if kind is PointKind.REAL:
-            cn = normalize(center)
+        if cn.__class__ is UnitPoint:
+            center = cn
             d = abs(signed_line_distance(cn, f.lines[0]))
             aux = {"tanh_r": math.tanh(d), "radius_re": d, "radius_quantum": 0.0}
-        elif kind is PointKind.IDEAL:
-            cn = normalize(center)
+        elif classify(center) is PointKind.IDEAL:
             v = abs(mdot(cn, f.lines[0]))
             d = plane.acosh_clamped(max(v, 1.0))
             r = ExtLength(d, Quantum.HALF_PI)
@@ -446,90 +447,36 @@ def _pseudoaltitude_g(f: Frame, i: int, u: float) -> float:
     return 2.0 * theta - math.pi + ang[i] - ang[j] + ang[k] - 2.0 * phi
 
 
-def _pseudoaltitude_ends(f: Frame, i: int) -> tuple[float, float]:
-    """The open side ``i`` as the arc interval (eps, L - eps), eps = 1e-9 L,
-    on which the foot from vertex ``i`` is searched."""
-    length = f.t.sides[i]
-    eps = 1e-9 * length
-    return eps, length - eps
+def _pseudoaltitude_arc(t: TriangleData, i: int) -> float:
+    """Arc from vertex ``j`` to the zero of the balance function of the
+    cevian from vertex ``i``, with (j, k) = SIDE_ENDS[i]; the foot exists
+    exactly when it lies in (0, side i).
 
-
-def _pseudoaltitude_profile(f: Frame, i: int) -> list:
-    """The balance function on 65 evenly spaced arcs of the open side, as
-    (arc, value) pairs."""
-    lo, hi = _pseudoaltitude_ends(f, i)
-    us = [lo + (hi - lo) * n / 64 for n in range(65)]
-    return [(u, _pseudoaltitude_g(f, i, u)) for u in us]
-
-
-def _brent(g, a: float, b: float, fa: float, fb: float) -> float:
-    """Root of ``g`` in the bracket [a, b], where ``fa = g(a)`` and
-    ``fb = g(b)`` have opposite signs, by Brent's method (R. P. Brent,
-    *Algorithms for Minimization without Derivatives*, 1973, ch. 4): inverse
-    quadratic or secant steps, with a bisection step whenever these would
-    leave the bracket or shrink it too slowly.  Stops at an exact zero or
-    once the bracket is about 1e-13 wide.
+    The zero fixes theta - phi = (pi - ang_i + ang_j - ang_k) / 2 in the
+    triangle (i, j, foot), and Napier's analogy there gives
+    tanh(u/2) = tanh(side_k/2) (1 - rho) / (1 + rho), with
+    rho = tan((theta - phi)/2) tan(ang_j/2) > 0.
     """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol = 2.0 * sys.float_info.epsilon * abs(b) + 0.5e-13
-        m = 0.5 * (c - b)
-        if abs(m) <= tol or fb == 0.0:
-            return b
-        if abs(e) < tol or abs(fa) <= abs(fb):
-            d = e = m
-        else:
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * m * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, m)
-        fb = g(b)
+    j, k = SIDE_ENDS[i]
+    ang = (t.alpha, t.beta, t.gamma)
+    rho = math.tan((math.pi - ang[i] + ang[j] - ang[k]) / 4.0) * math.tan(ang[j] / 2.0)
+    return 2.0 * math.atanh(math.tanh(t.sides[k] / 2.0) * (1.0 - rho) / (1.0 + rho))
 
 
 @_memo
 def pseudo_orthocenter(f: Frame):
     """Meet of the three pseudoaltitudes, with their feet.
 
-    Returns (CenterResult, (Z_A, Z_B, Z_C)).  The balance function of each
-    vertex decreases strictly along the open side, so its foot exists exactly
-    when the values at the two ends differ in sign.  All three brackets are
-    checked before any foot is solved, and the first vertex without one
-    raises NoRootFound, whose scanned profile is computed when it is read.
-    Every obtuse triangle raises, as do acute ones with a large defect.
+    Returns (CenterResult, (Z_A, Z_B, Z_C)).  Each foot is placed at its
+    closed-form arc (`_pseudoaltitude_arc`); the first vertex whose arc
+    falls outside its open side raises NoRootFound.  Every obtuse triangle
+    raises, as do acute ones with a large defect.
     """
-    brackets = []
-    for i in range(3):
-        lo, hi = _pseudoaltitude_ends(f, i)
-        glo, ghi = _pseudoaltitude_g(f, i, lo), _pseudoaltitude_g(f, i, hi)
-        if not (glo == 0.0 or glo * ghi < 0.0):
-            raise NoRootFound(
-                f"no sign change for the pseudoaltitude from {'ABC'[i]}",
-                profile=lambda: _pseudoaltitude_profile(f, i),
-            )
-        brackets.append((lo, hi, glo, ghi))
     feet = []
-    for i, (lo, hi, glo, ghi) in enumerate(brackets):
-        u = _brent(lambda x: _pseudoaltitude_g(f, i, x), lo, hi, glo, ghi)
+    for i in range(3):
+        u = _pseudoaltitude_arc(f.t, i)
+        if not 0.0 < u < f.t.sides[i]:
+            raise NoRootFound(f"no sign change for the pseudoaltitude from {'ABC'[i]}")
         feet.append(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), u)))
     zn, third = _cevian_meet(f, feet, "pseudoaltitudes")
     res = _result("Z", zn, f.t, aux={"third_cevian_residual": third})

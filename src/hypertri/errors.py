@@ -78,28 +78,7 @@ class FootOutsideSegment(GeometryError):
 
 
 class NoRootFound(GeometryError):
-    """No root bracket on the open side.
-
-    Carries the scanned profile as ``profile`` (list of (parameter, value))
-    so the failure can be inspected rather than hidden.  ``profile`` may be
-    given as a zero-argument callable; the scan then runs once, when the
-    attribute is first read, so raising costs nothing extra.  Such a
-    callable may hold the frame it scans; the frame never holds the error
-    (failed builds are not cached), so the two form no reference cycle.
-    """
-
-    def __init__(self, message, profile=None):
-        super().__init__(message)
-        self._profile = profile or []
-
-    @property
-    def profile(self) -> list:
-        if callable(self._profile):
-            self._profile = self._profile()
-        return self._profile
-
-    def __reduce__(self):
-        return type(self), (str(self), self.profile)
+    """A cevian foot defined by a balance equation falls outside the open side."""
 
 
 class ExhaustedAttempts(GeometryError):

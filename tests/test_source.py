@@ -148,3 +148,27 @@ def test_no_letter_keyed_dicts():
                    for path in sorted(SRC.glob("*.py"))
                    for line, letters in _letter_keyed_dicts(path))
     assert found == []
+
+
+def _unused_imports(path: Path):
+    """Names bound by an import and never read in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield node.lineno, name
+
+
+def test_no_unused_imports():
+    # an import nothing reads is left over from deleted code; the package
+    # `__init__` imports to re-export, so it is not checked
+    found = sorted(f"{path.name}:{line}: {name}"
+                   for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+                   for line, name in _unused_imports(path))
+    assert found == []

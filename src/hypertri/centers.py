@@ -272,40 +272,38 @@ def radius_identities(f: Frame) -> dict[str, float]:
     bisector meets to the side lines, extended arithmetic for ideal excenters
     (where coth of the complex radius is the real tanh of its real part).
     """
-    td = f.t
-    centers = incenter_excenters(f)
-    tvals = [c.aux["tanh_r"] for c in centers]  # tanh r, tanh r_A, ...
-    tr, tra, trb, trc = tvals
-    o = circumcenters(f)[0]
-    tR = o.aux["tanh_R"]
-    a, b, c, s = td.a, td.b, td.c, td.s
-    sh = math.sinh
+    tr, *tex = (c.aux["tanh_r"] for c in incenter_excenters(f))  # tanh r, tanh r_X
+    tR = circumcenters(f)[0].aux["tanh_R"]
+    x, s = f.t.sides, f.t.s
+    sh, ch = math.sinh, math.cosh
     rel = relative_residual
-
+    # every sum adds its terms left to right in the order the identity is
+    # written, so each residual keeps its bits
+    pairs = ((0, 1), (0, 2), (1, 2))
+    tex_pairs = [tex[i] * tex[j] for i, j in pairs]
+    cosh_sum = sum(map(ch, x))
+    coth_ex = sum(1 / v for v in tex)
     res = {}
-    res["coth_sum_vs_tanh_R"] = rel(-1 / tra - 1 / trb - 1 / trc + 1 / tr, 2 * tR)
+    res["coth_sum_vs_tanh_R"] = rel(-coth_ex + 1 / tr, 2 * tR)
     res["coth_products"] = rel(
-        1 / (tra * trb) + 1 / (tra * trc) + 1 / (trb * trc),
-        1 / (sh(s) * sh(s - a)) + 1 / (sh(s) * sh(s - b)) + 1 / (sh(s) * sh(s - c)),
+        sum(1 / v for v in tex_pairs),
+        sum(1 / (sh(s) * sh(s - v)) for v in x),
     )
     res["tanh_products"] = rel(
-        tra * trb + tra * trc + trb * trc,
-        0.5 * (math.cosh(a + b) + math.cosh(a + c) + math.cosh(b + c)
-               - math.cosh(a) - math.cosh(b) - math.cosh(c)),
+        sum(tex_pairs),
+        0.5 * sum((-ch(v) for v in x), sum(ch(x[i] + x[j]) for i, j in pairs)),
     )
     res["coth_sum"] = rel(
-        1 / tra + 1 / trb + 1 / trc,
-        (math.cosh(a) + math.cosh(b) + math.cosh(c)
-         - (sh(a) + sh(b) + sh(c)) / math.tanh(s)) / tr,
+        coth_ex,
+        (cosh_sum - sum(map(sh, x)) / math.tanh(s)) / tr,
     )
     res["tanh_sum"] = rel(
-        tra + trb + trc,
-        (math.cosh(a) + math.cosh(b) + math.cosh(c)
-         - math.cosh(b - a) - math.cosh(c - a) - math.cosh(c - b)) / (2 * tr),
+        sum(tex),
+        sum((-ch(x[j] - x[i]) for i, j in pairs), cosh_sum) / (2 * tr),
     )
     res["sinh_products"] = rel(
-        sh(a) * sh(b) + sh(a) * sh(c) + sh(b) * sh(c),
-        tr * (tra + trb + trc) + tra * trb + tra * trc + trb * trc,
+        sum(sh(x[i]) * sh(x[j]) for i, j in pairs),
+        sum(tex_pairs, tr * sum(tex)),
     )
     return res
 
@@ -442,8 +440,7 @@ def _pseudoaltitude_g(f: Frame, i: int, u: float) -> float:
             -(su * start.w + cu * t0[2]))
     theta = tangent_angle(tangent_toward(z, apex), back)
     phi = vertex_angle(apex, start, z)
-    td = f.t
-    ang = (td.alpha, td.beta, td.gamma)
+    ang = f.t.angles
     return 2.0 * theta - math.pi + ang[i] - ang[j] + ang[k] - 2.0 * phi
 
 
@@ -458,7 +455,7 @@ def _pseudoaltitude_arc(t: TriangleData, i: int) -> float:
     rho = tan((theta - phi)/2) tan(ang_j/2) > 0.
     """
     j, k = SIDE_ENDS[i]
-    ang = (t.alpha, t.beta, t.gamma)
+    ang = t.angles
     rho = math.tan((math.pi - ang[i] + ang[j] - ang[k]) / 4.0) * math.tan(ang[j] / 2.0)
     return 2.0 * math.atanh(math.tanh(t.sides[k] / 2.0) * (1.0 - rho) / (1.0 + rho))
 
@@ -534,7 +531,6 @@ class EulerLineReport:
 
     residuals: dict
     classical_det: float
-    isosceles_measure: float
     missing: tuple = ()
 
     @property
@@ -546,8 +542,7 @@ class EulerLineReport:
 def euler_line(f: Frame) -> EulerLineReport:
     """Check that O (circumcenter), F (pseudomedian-feet cycle center), S
     (pseudo-centroid) and Z (pseudo-orthocenter) are collinear, and report
-    the classical det(O, M, H) with the isosceles shape measure."""
-    td = f.t
+    the classical det(O, M, H)."""
     o = circumcenters(f)[0].point
     fc = pseudomedian_feet_center(f).point
     s = pseudo_centroid(f)[0].point
@@ -563,11 +558,9 @@ def euler_line(f: Frame) -> EulerLineReport:
     m = centroid(f).point
     h = orthocenter(f).point
     classical = collinearity_residual(o, m, h)
-    iso = min(abs(td.a - td.b), abs(td.b - td.c), abs(td.a - td.c))
     return EulerLineReport(
         residuals=residuals,
         classical_det=classical,
-        isosceles_measure=iso,
         missing=tuple(missing),
     )
 
@@ -600,11 +593,8 @@ def coordinate_sum_functional(t: TriangleData) -> HLine:
     """The coordinate sum as one linear functional:
     Sum n_X(P) = <P, V> for unit P, with V = Sum 1/2 sinh(x) l_X built from
     the side lines."""
-    la, lb, lc = t.lines
-    ka, kb, kc = (0.5 * math.sinh(x) for x in (t.a, t.b, t.c))
-    return HLine(ka * la.x + kb * lb.x + kc * lc.x,
-                 ka * la.y + kb * lb.y + kc * lc.y,
-                 ka * la.w + kb * lb.w + kc * lc.w)
+    ks = [0.5 * math.sinh(x) for x in t.sides]
+    return HLine(*(sum(k * u for k, u in zip(ks, us)) for us in zip(*t.lines)))
 
 
 _GRID_RADII = (1e-3, 1e-2, 1e-1)
@@ -680,8 +670,7 @@ def incenter_minimality(tri: TriangleData | Frame, samples: int = 24) -> Minimal
 
     # centroid claim: Sum cosh(YX) minimized at M, closed form via the
     # median section ratio n / n_A(M)
-    a, b, c = (normalize(x) for x in (f.A, f.B, f.C))
-    vertex_sum = HPoint(a.x + b.x + c.x, a.y + b.y + c.y, a.w + b.w + c.w)
+    vertex_sum = HPoint(*map(sum, zip(*f.vertices)))
     cen_ok, cen_closed = _grid_minimum(m_res.point, vertex_sum, td.n / m_res.coords[0],
                                        directions)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import plane, trig
 from .errors import ExhaustedAttempts, GeometryError
 from .plane import HPoint, geodesic_point, klein_point, normalize, tangent_toward
-from .trig import TriangleData
+from .trig import SIDE_ENDS, TriangleData
 
 SHAPES = ("any", "acute", "scalene", "isosceles", "equilateral", "right")
 MAX_ATTEMPTS = 10_000
@@ -39,14 +39,15 @@ def sample_disk_point(rng: random.Random, max_radius: float) -> HPoint:
 
 
 def _satisfies(t: TriangleData, shape: str, c: Constraints) -> bool:
-    if min(t.alpha, t.beta, t.gamma) < c.min_angle:
+    if min(t.angles) < c.min_angle:
         return False
-    if min(t.a, t.b, t.c) < c.min_side:
+    if min(t.sides) < c.min_side:
         return False
-    if shape == "acute" and max(t.alpha, t.beta, t.gamma) >= math.pi / 2:
+    if shape == "acute" and max(t.angles) >= math.pi / 2:
         return False
     if shape == "scalene":
-        diff = min(abs(t.a - t.b), abs(t.b - t.c), abs(t.a - t.c))
+        x = t.sides
+        diff = min(abs(x[j] - x[k]) for j, k in SIDE_ENDS)
         if diff < c.min_side_diff:
             return False
     return True

@@ -123,11 +123,8 @@ class TrialContext(ct.Frame):
         def build():
             rng = random.Random(f"aux:{self.seed}:interior")
             w = [rng.random() + 0.05 for _ in range(3)]
-            return normalize(HPoint(
-                w[0] * self.A.x + w[1] * self.B.x + w[2] * self.C.x,
-                w[0] * self.A.y + w[1] * self.B.y + w[2] * self.C.y,
-                w[0] * self.A.w + w[1] * self.B.w + w[2] * self.C.w,
-            ))
+            return normalize(HPoint(*(sum(wi * u for wi, u in zip(w, us))
+                                      for us in zip(*self.vertices))))
         return self.get("random_interior", build)
 
     def random_real_point(self, maxr=0.9) -> HPoint:
@@ -192,26 +189,25 @@ def _need_Z(c: TrialContext):
 
 def _law_of_sines(c):
     t = c.t
-    r = [sinh(t.a) / sin(t.alpha), sinh(t.b) / sin(t.beta), sinh(t.c) / sin(t.gamma)]
+    r = [sinh(x) / sin(ang) for x, ang in zip(t.sides, t.angles)]
     return max(_rel(r[0], r[1]), _rel(r[1], r[2]))
 
 
 def _law_of_cosines(c):
-    t = c.t
+    x, ang = c.t.sides, c.t.angles
     worst = 0.0
-    for (x, y, z, w) in ((t.a, t.b, t.c, t.gamma), (t.b, t.c, t.a, t.alpha),
-                         (t.c, t.a, t.b, t.beta)):
-        worst = max(worst, _rel(cosh(z), cosh(x) * cosh(y) - sinh(x) * sinh(y) * cos(w)))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        rhs = cosh(x[j]) * cosh(x[k]) - sinh(x[j]) * sinh(x[k]) * cos(ang[i])
+        worst = max(worst, _rel(cosh(x[i]), rhs))
     return worst
 
 
 def _law_of_cosines_angles(c):
-    t = c.t
+    x, ang = c.t.sides, c.t.angles
     worst = 0.0
-    for (al, be, ga, z) in ((t.alpha, t.beta, t.gamma, t.c),
-                            (t.beta, t.gamma, t.alpha, t.a),
-                            (t.gamma, t.alpha, t.beta, t.b)):
-        worst = max(worst, _rel(cos(ga), -cos(al) * cos(be) + sin(al) * sin(be) * cosh(z)))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        rhs = -cos(ang[j]) * cos(ang[k]) + sin(ang[j]) * sin(ang[k]) * cosh(x[i])
+        worst = max(worst, _rel(cos(ang[i]), rhs))
     return worst
 
 
@@ -254,11 +250,9 @@ def _staudtian_product(c):
 
 def _staudtian_sines(c):
     t = c.t
-    return max(
-        _rel(sin(t.alpha), 2 * t.n / (sinh(t.b) * sinh(t.c))),
-        _rel(sin(t.beta), 2 * t.n / (sinh(t.a) * sinh(t.c))),
-        _rel(sin(t.gamma), 2 * t.n / (sinh(t.a) * sinh(t.b))),
-    )
+    x = t.sides
+    return max(_rel(sin(t.angles[i]), 2 * t.n / (sinh(x[j]) * sinh(x[k])))
+               for i, (j, k) in enumerate(SIDE_ENDS))
 
 
 def _staudtian_height(c):
@@ -283,22 +277,22 @@ def _section_ratio(c):
 
 def _half_side_sinh(c):
     t = c.t
+    ang = t.angles
     worst = 0.0
-    for (z, ga, al, be) in ((t.c, t.gamma, t.alpha, t.beta),
-                            (t.a, t.alpha, t.beta, t.gamma),
-                            (t.b, t.beta, t.gamma, t.alpha)):
-        rhs = math.sqrt(sin(t.delta) * sin(t.delta + ga) / (sin(al) * sin(be)))
-        worst = max(worst, _rel(sinh(z / 2), rhs))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        rhs = math.sqrt(sin(t.delta) * sin(t.delta + ang[i]) / (sin(ang[j]) * sin(ang[k])))
+        worst = max(worst, _rel(sinh(t.sides[i] / 2), rhs))
     return worst
 
 
 def _half_side_cosh(c):
     t = c.t
+    ang = t.angles
     worst = 0.0
-    for (z, al, be) in ((t.c, t.alpha, t.beta), (t.a, t.beta, t.gamma),
-                        (t.b, t.gamma, t.alpha)):
-        rhs = math.sqrt(sin(t.delta + be) * sin(t.delta + al) / (sin(al) * sin(be)))
-        worst = max(worst, _rel(cosh(z / 2), rhs))
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        rhs = math.sqrt(sin(t.delta + ang[j]) * sin(t.delta + ang[k])
+                        / (sin(ang[j]) * sin(ang[k])))
+        worst = max(worst, _rel(cosh(t.sides[i] / 2), rhs))
     return worst
 
 
@@ -311,11 +305,9 @@ def _half_side_product(c):
 
 def _angular_sinh(c):
     t = c.t
-    return max(
-        _rel(sinh(t.a), 2 * t.bign / (sin(t.beta) * sin(t.gamma))),
-        _rel(sinh(t.b), 2 * t.bign / (sin(t.alpha) * sin(t.gamma))),
-        _rel(sinh(t.c), 2 * t.bign / (sin(t.alpha) * sin(t.beta))),
-    )
+    ang = t.angles
+    return max(_rel(sinh(t.sides[i]), 2 * t.bign / (sin(ang[j]) * sin(ang[k])))
+               for i, (j, k) in enumerate(SIDE_ENDS))
 
 
 def _angular_height(c):
@@ -371,8 +363,8 @@ def _centroid_gravity_line(c):
         raise _Skip("auxiliary random line degenerated")
     m = ct.centroid(c).point
     d_m = mdot(normalize(m), y)
-    total = sum(mdot(normalize(v), y) for v in (c.A, c.B, c.C))
-    denom = math.sqrt(1 + 2 * (1 + cosh(t.a) + cosh(t.b) + cosh(t.c)))
+    total = sum(mdot(normalize(v), y) for v in c.vertices)
+    denom = math.sqrt(1 + 2 * sum(map(cosh, t.sides), 1))
     return _rel(d_m, total / denom)
 
 
@@ -382,7 +374,7 @@ def _centroid_minimality_form(c):
     m = ct.centroid(c)
     ratio = t.n / m.coords[0]
     lhs = cosh(distance(y, m.point))
-    rhs = sum(cosh(distance(y, v)) for v in (c.A, c.B, c.C)) / ratio
+    rhs = sum(cosh(distance(y, v)) for v in c.vertices) / ratio
     return _rel(lhs, rhs)
 
 
@@ -391,12 +383,8 @@ def _centroid_minimality_form(c):
 def _circumradius_oracle(c):
     t = c.t
     worst = 0.0
-    closed = [
-        sin(t.delta) / t.bign,
-        sin(t.delta + t.alpha) / t.bign,
-        sin(t.delta + t.beta) / t.bign,
-        sin(t.delta + t.gamma) / t.bign,
-    ]
+    # O, then O_A, O_B, O_C
+    closed = [sin(t.delta) / t.bign] + [sin(t.delta + ang) / t.bign for ang in t.angles]
     for res, want in zip(ct.circumcenters(c), closed):
         worst = max(worst, _rel(res.aux["tanh_R"], want))
     return worst
@@ -421,8 +409,8 @@ def _skip_infinite_excenter(c):
 def _inradius_oracle(c):
     t = c.t
     _skip_infinite_excenter(c)
-    closed = [t.n / sinh(t.s), t.n / sinh(t.s - t.a),
-              t.n / sinh(t.s - t.b), t.n / sinh(t.s - t.c)]
+    # I, then I_A, I_B, I_C
+    closed = [t.n / sinh(t.s)] + [t.n / sinh(t.s - x) for x in t.sides]
     return max(_rel(res.aux["tanh_r"], want)
                for res, want in zip(ct.incenter_excenters(c), closed))
 
@@ -444,12 +432,11 @@ def _inradius_coth(c):
 def _exradius_coth(c):
     t = c.t
     _skip_infinite_excenter(c)
-    d, al, be, ga = t.delta, t.alpha, t.beta, t.gamma
-    targets = [
-        (-sin(d + al) + sin(d + be) + sin(d + ga) - sin(d)) / (2 * t.bign),
-        (sin(d + al) - sin(d + be) + sin(d + ga) - sin(d)) / (2 * t.bign),
-        (sin(d + al) + sin(d + be) - sin(d + ga) - sin(d)) / (2 * t.bign),
-    ]
+    terms = [sin(t.delta + ang) for ang in t.angles]
+    # coth r_X: the sin(delta + angle) terms summed with the one at X negated,
+    # less sin(delta), over 2N
+    targets = [(sum(-v if j == i else v for j, v in enumerate(terms)) - sin(t.delta))
+               / (2 * t.bign) for i in range(3)]
     return max(_rel(1.0 / res.aux["tanh_r"], want)
                for res, want in zip(ct.incenter_excenters(c)[1:], targets))
 
@@ -519,14 +506,17 @@ def _orthocenter_sinh_products(c):
     return _prop(prods, heights)
 
 
+def _center_form(c, q: HPoint, n_q) -> float:
+    """Residual of Sum n_X(Q) cosh(PX) = n cosh(PQ) at a random real point
+    P, for the point ``q`` with triangular coordinates ``n_q``."""
+    p = c.random_real_point()
+    lhs = sum(n * cosh(distance(p, v)) for n, v in zip(n_q, c.vertices))
+    return _rel(lhs, c.t.n * cosh(distance(p, q)))
+
+
 def _orthocenter_random_point(c):
     h = _need_center(c, "H")
-    t = c.t
-    p = c.random_real_point()
-    n_h = h.coords
-    lhs = (n_h[0] * cosh(distance(p, c.A)) + n_h[1] * cosh(distance(p, c.B))
-           + n_h[2] * cosh(distance(p, c.C)))
-    return _rel(lhs, t.n * cosh(distance(p, h.point)))
+    return _center_form(c, h.point, h.coords)
 
 
 def _altitude_stewart(c):
@@ -612,19 +602,13 @@ def _isogonal_coords(c):
     t = c.t
     x = c.random_interior
     xp = ct.isogonal_conjugate(x, c)
-    k = tri_coords(x, t)
-    target = (sinh(t.a) ** 2 / k[0], sinh(t.b) ** 2 / k[1], sinh(t.c) ** 2 / k[2])
+    target = [sinh(side) ** 2 / k for side, k in zip(t.sides, tri_coords(x, t))]
     return _prop(tri_coords(xp, t), target)
 
 
 def _generalized_center_form(c):
-    t = c.t
     q = c.random_interior
-    p = c.random_real_point()
-    n_q = tri_coords(q, t)
-    lhs = (n_q[0] * cosh(distance(p, c.A)) + n_q[1] * cosh(distance(p, c.B))
-           + n_q[2] * cosh(distance(p, c.C)))
-    return _rel(lhs, t.n * cosh(distance(p, q)))
+    return _center_form(c, q, tri_coords(q, c.t))
 
 
 def _coordinate_sum_minimality(c):
@@ -649,11 +633,17 @@ def _coordinate_sum_minimality_corrected(c):
 
 # -- symmedian / Lemoine -------------------------------------------------------
 
+def _side_gaps(t: TriangleData):
+    """|side j - side k| for each pair of sides."""
+    x = t.sides
+    return [abs(x[j] - x[k]) for j, k in SIDE_ENDS]
+
+
 def _symmedian_distances(c):
     t = c.t
     mp = ct.symmedian_point(c)
     d = [sinh(abs(signed_line_distance(mp.point, l))) for l in c.lines]
-    return _prop(d, (sinh(t.a), sinh(t.b), sinh(t.c)))
+    return _prop(d, [sinh(x) for x in t.sides])
 
 
 def _lemoine_vs_symmedian(c):
@@ -661,7 +651,7 @@ def _lemoine_vs_symmedian(c):
     mp = ct.symmedian_point(c)
     lp = ct.lemoine_point(c)
     gap = distance(mp.point, lp.point)
-    spread = max(abs(t.a - t.b), abs(t.b - t.c), abs(t.a - t.c))
+    spread = max(_side_gaps(t))
     if spread < 1e-9:
         return gap  # equilateral: the two centers must coincide
     if spread > 0.1:
@@ -696,11 +686,12 @@ def _cagnoli_sin_delta(c):
 
 def _cagnoli_sin_delta_alpha(c):
     t = c.t
+    x = t.sides
     worst = 0.0
-    for (x, y, z, al) in ((t.a, t.b, t.c, t.alpha), (t.b, t.a, t.c, t.beta),
-                          (t.c, t.a, t.b, t.gamma)):
-        rhs = t.n / (2 * cosh(x / 2) * sinh(y / 2) * sinh(z / 2))
-        worst = max(worst, _rel(sin(t.delta + al), rhs))
+    # the two other sides in index order
+    for i, (j, k) in enumerate(map(sorted, SIDE_ENDS)):
+        rhs = t.n / (2 * cosh(x[i] / 2) * sinh(x[j] / 2) * sinh(x[k] / 2))
+        worst = max(worst, _rel(sin(t.delta + t.angles[i]), rhs))
     return worst
 
 
@@ -732,10 +723,9 @@ def _euler_line(c):
 
 
 def _classical_line_dichotomy(c):
-    t = c.t
     det = ct.collinearity_residual(ct.circumcenters(c)[0].point, ct.centroid(c).point,
                                    ct.orthocenter(c).point)
-    iso = min(abs(t.a - t.b), abs(t.b - t.c), abs(t.a - t.c))
+    iso = min(_side_gaps(c.t))
     if iso < 1e-9:
         return det
     if iso > 0.1:
@@ -917,39 +907,37 @@ def _pseudo_centroid_coords(t: TriangleData) -> list:
 _AT_INFINITY = (PointKind.INFINITE,)
 _NOT_REAL = (PointKind.INFINITE, PointKind.IDEAL)
 
+
+def _excenter_spec(i: int) -> CenterSpec:
+    """The row of the excenter opposite vertex ``i``: coordinates
+    (sinh a : sinh b : sinh c) with the sign of entry ``i`` flipped."""
+    name = "I_" + "ABC"[i]
+    return CenterSpec(name, lambda c: ct.incenter_excenters(c)[1 + i],
+                      lambda t: [-sinh(x) if j == i else sinh(x) for j, x in enumerate(t.sides)],
+                      (_AT_INFINITY, f"excenter {name} is a point at infinity"), "#2ca02c")
+
+
 # the center table, in report order; adding a center is adding a row
 CENTERS = (
     CenterSpec("M", lambda c: ct.centroid(c), lambda t: (1.0, 1.0, 1.0), None, "#1f77b4"),
     CenterSpec("O", lambda c: ct.circumcenters(c)[0],
-               lambda t: (cos(t.delta + t.alpha) * sinh(t.a),
-                          cos(t.delta + t.beta) * sinh(t.b),
-                          cos(t.delta + t.gamma) * sinh(t.c)),
+               lambda t: [cos(t.delta + ang) * sinh(x) for ang, x in zip(t.angles, t.sides)],
                (_AT_INFINITY, "circumcenter at infinity (paracycle): coordinates blow up"),
                "#d62728"),
     CenterSpec("O_A", lambda c: ct.circumcenters(c)[1], None, None, "#d62728"),
     CenterSpec("O_B", lambda c: ct.circumcenters(c)[2], None, None, "#d62728"),
     CenterSpec("O_C", lambda c: ct.circumcenters(c)[3], None, None, "#d62728"),
     CenterSpec("I", lambda c: ct.incenter_excenters(c)[0],
-               lambda t: (sinh(t.a), sinh(t.b), sinh(t.c)), None, "#2ca02c"),
-    CenterSpec("I_A", lambda c: ct.incenter_excenters(c)[1],
-               lambda t: (-sinh(t.a), sinh(t.b), sinh(t.c)),
-               (_AT_INFINITY, "excenter I_A is a point at infinity"), "#2ca02c"),
-    CenterSpec("I_B", lambda c: ct.incenter_excenters(c)[2],
-               lambda t: (sinh(t.a), -sinh(t.b), sinh(t.c)),
-               (_AT_INFINITY, "excenter I_B is a point at infinity"), "#2ca02c"),
-    CenterSpec("I_C", lambda c: ct.incenter_excenters(c)[3],
-               lambda t: (sinh(t.a), sinh(t.b), -sinh(t.c)),
-               (_AT_INFINITY, "excenter I_C is a point at infinity"), "#2ca02c"),
-    CenterSpec("H", lambda c: ct.orthocenter(c),
-               lambda t: (tan(t.alpha), tan(t.beta), tan(t.gamma)),
+               lambda t: [sinh(x) for x in t.sides], None, "#2ca02c"),
+    *map(_excenter_spec, range(3)),
+    CenterSpec("H", lambda c: ct.orthocenter(c), lambda t: [tan(ang) for ang in t.angles],
                (_NOT_REAL, "orthocenter is not a real point"), "#9467bd"),
-    CenterSpec("H'", _orthocenter_conjugate,
-               lambda t: (sin(2 * t.alpha), sin(2 * t.beta), sin(2 * t.gamma)), None,
-               "#000000"),
-    CenterSpec("M'", lambda c: ct.symmedian_point(c),
-               lambda t: (sinh(t.a) ** 2, sinh(t.b) ** 2, sinh(t.c) ** 2), None, "#8c564b"),
-    CenterSpec("L", lambda c: ct.lemoine_point(c),
-               lambda t: (cosh(t.a) - 1, cosh(t.b) - 1, cosh(t.c) - 1), None, "#e377c2"),
+    CenterSpec("H'", _orthocenter_conjugate, lambda t: [sin(2 * ang) for ang in t.angles],
+               None, "#000000"),
+    CenterSpec("M'", lambda c: ct.symmedian_point(c), lambda t: [sinh(x) ** 2 for x in t.sides],
+               None, "#8c564b"),
+    CenterSpec("L", lambda c: ct.lemoine_point(c), lambda t: [cosh(x) - 1 for x in t.sides],
+               None, "#e377c2"),
     CenterSpec("S", lambda c: ct.pseudo_centroid(c)[0], _pseudo_centroid_coords, None,
                "#ff7f0e"),
     CenterSpec("Z", lambda c: _need_Z(c)[0], None, None, "#17becf"),

@@ -45,10 +45,11 @@ MAX_SIDE = 50.0
 
 TriCoords = tuple[float, float, float]
 
-# The index convention of every per-vertex and per-side construction:
-# index 0, 1, 2 is vertex A, B, C and side a, b, c; vertex i is opposite
-# side i, and side i runs from vertex i + 1 to vertex i + 2 (mod 3), the
-# pair SIDE_ENDS[i].  Letters name vertices and sides only in text.
+# The index convention of every per-vertex, per-side and per-angle
+# construction: index 0, 1, 2 is vertex A, B, C, side a, b, c and angle
+# alpha, beta, gamma; vertex i is opposite side i and carries angle i, and
+# side i runs from vertex i + 1 to vertex i + 2 (mod 3), the pair
+# SIDE_ENDS[i].  Letters name vertices, sides and angles only in text.
 SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
@@ -62,8 +63,9 @@ class TriangleData:
     the two Staudtians.  ``vertices`` is filled when the triangle was built
     from, or embedded into, the plane; constructive operations require it.
     ``lines`` holds the side lines (a, b, c), derived from the vertices when
-    first read.  Per-vertex and per-side accessors take an index (see
-    `SIDE_ENDS`).
+    first read; ``sides`` and ``angles`` are the triples (a, b, c) and
+    (alpha, beta, gamma).  Per-vertex and per-side accessors take an index
+    (see `SIDE_ENDS`).
     """
 
     a: float
@@ -92,6 +94,10 @@ class TriangleData:
     @property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
+
+    @property
+    def angles(self) -> tuple[float, float, float]:
+        return (self.alpha, self.beta, self.gamma)
 
     @property
     def area(self) -> float:
@@ -130,13 +136,13 @@ def _side_line(opposite: HPoint, p: HPoint, q: HPoint) -> HLine:
     return l
 
 
-def _validate_sides(a: float, b: float, c: float):
-    for x in (a, b, c):
+def _validate_sides(sides):
+    for x in sides:
         if not (x > 0.0):
             raise DegenerateTriangle(f"side {x} is not positive")
         if x > MAX_SIDE:
             raise OverflowRisk(f"side {x} exceeds the supported range {MAX_SIDE}")
-    if a >= b + c or b >= a + c or c >= a + b:
+    if any(sides[i] >= sides[j] + sides[k] for i, (j, k) in enumerate(SIDE_ENDS)):
         raise DegenerateTriangle("triangle inequality violated")
 
 
@@ -159,15 +165,15 @@ def angular_staudtian(alpha: float, beta: float, gamma: float) -> float:
     return math.sqrt(max(prod, 0.0))
 
 
-def _assemble(a, b, c, alpha, beta, gamma, vertices=None) -> TriangleData:
-    delta = 0.5 * (math.pi - alpha - beta - gamma)
+def _assemble(sides, angles, vertices=None) -> TriangleData:
+    delta = 0.5 * (math.pi - angles[0] - angles[1] - angles[2])
     if delta <= 0.0:
         raise DegenerateTriangle("angle sum reaches pi (zero defect)")
     return TriangleData(
-        a=a, b=b, c=c, alpha=alpha, beta=beta, gamma=gamma,
-        s=0.5 * (a + b + c), delta=delta,
-        n=staudtian(a, b, c),
-        bign=angular_staudtian(alpha, beta, gamma),
+        *sides, *angles,
+        s=0.5 * sum(sides), delta=delta,
+        n=staudtian(*sides),
+        bign=angular_staudtian(*angles),
         vertices=vertices,
     )
 
@@ -180,19 +186,19 @@ def _angle_from_sides(adj1: float, adj2: float, opposite: float) -> float:
 
 def solve_from_sides(a: float, b: float, c: float) -> TriangleData:
     """Triangle from its three side lengths (law of cosines on the sides)."""
-    _validate_sides(a, b, c)
-    alpha = _angle_from_sides(b, c, a)
-    beta = _angle_from_sides(a, c, b)
-    gamma = _angle_from_sides(a, b, c)
-    return _assemble(a, b, c, alpha, beta, gamma)
+    sides = (a, b, c)
+    _validate_sides(sides)
+    return _assemble(sides, [_angle_from_sides(sides[j], sides[k], sides[i])
+                             for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
     """Triangle from its three angles (law of cosines on the angles)."""
-    for x in (alpha, beta, gamma):
+    angles = (alpha, beta, gamma)
+    for x in angles:
         if not (0.0 < x < math.pi):
             raise DegenerateTriangle(f"angle {x} outside (0, pi)")
-    if alpha + beta + gamma >= math.pi:
+    if sum(angles) >= math.pi:
         raise DegenerateTriangle("angle sum must stay below pi")
 
     def side(opp, adj1, adj2):
@@ -200,11 +206,9 @@ def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
         den = math.sin(adj1) * math.sin(adj2)
         return acosh_clamped(num / den)
 
-    a = side(alpha, beta, gamma)
-    b = side(beta, alpha, gamma)
-    c = side(gamma, alpha, beta)
-    _validate_sides(a, b, c)
-    return _assemble(a, b, c, alpha, beta, gamma)
+    sides = [side(angles[i], angles[j], angles[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
+    _validate_sides(sides)
+    return _assemble(sides, angles)
 
 
 def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
@@ -222,15 +226,10 @@ def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
         raise DegenerateTriangle("vertices are (numerically) collinear")
     if orient < 0:
         pts[1], pts[2] = pts[2], pts[1]
-    va, vb, vc = pts
-    a = distance(vb, vc)
-    b = distance(vc, va)
-    c = distance(va, vb)
-    _validate_sides(a, b, c)
-    alpha = vertex_angle(va, vb, vc)
-    beta = vertex_angle(vb, vc, va)
-    gamma = vertex_angle(vc, va, vb)
-    return _assemble(a, b, c, alpha, beta, gamma, vertices=(va, vb, vc))
+    sides = [distance(pts[j], pts[k]) for j, k in SIDE_ENDS]
+    _validate_sides(sides)
+    angles = [vertex_angle(pts[i], pts[j], pts[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
+    return _assemble(sides, angles, vertices=tuple(pts))
 
 
 def embed(t: TriangleData) -> TriangleData:
@@ -304,44 +303,22 @@ def tri_coords(x: HPoint, t: TriangleData) -> TriCoords:
     """
     xn = normalize(x)
     return tuple(0.5 * mdot(xn, l) * math.sinh(length)
-                 for l, length in zip(t.lines, (t.a, t.b, t.c)))
-
-
-def _log_sinh(u: float) -> float:
-    if u > 20.0:
-        return u + math.log1p(-math.exp(-2.0 * u)) - math.log(2.0)
-    return math.log(math.sinh(u))
+                 for l, length in zip(t.lines, t.sides))
 
 
 def _solve_sinh_ratio(length: float, rho: float) -> float:
     """Solve sinh(u) / sinh(length - u) = rho for the signed arc u.
 
-    Closed form u = artanh(rho sinh L / (1 + rho cosh L)); for very long
-    sides the closed form overflows in sinh/cosh, so a monotone bisection on
-    the log form takes over (interior roots only there).
+    With u = L/2 + v the ratio is (tanh(L/2) + tanh v) / (tanh(L/2) - tanh v),
+    so u = L/2 + artanh(tanh(L/2) (rho - 1) / (rho + 1)).  Every factor stays
+    bounded, so the form holds its accuracy on sides of any length.  Raises
+    NoSolution when no real u exists (rho = -1, or the artanh argument
+    leaves (-1, 1)).
     """
-    if length <= 30.0:
-        arg = rho * math.sinh(length) / (1.0 + rho * math.cosh(length))
-        if not -1.0 < arg < 1.0:
-            raise NoSolution(f"no real foot for ratio {rho:g} on length {length:g}")
-        return math.atanh(arg)
-    if rho <= 0.0:
-        raise NoSolution("exterior foot with an extreme side length")
-    target = math.log(rho)
-
-    def g(u):
-        return _log_sinh(u) - _log_sinh(length - u) - target
-
-    lo, hi = 1e-12, length - 1e-12
-    if g(lo) > 0.0 or g(hi) < 0.0:
-        raise NoSolution("ratio out of range for the interior of the side")
-    while hi - lo > 1e-13:
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    half = 0.5 * length
+    if rho == -1.0 or not -1.0 < (arg := math.tanh(half) * (rho - 1.0) / (rho + 1.0)) < 1.0:
+        raise NoSolution(f"no real foot for ratio {rho:g} on length {length:g}")
+    return half + math.atanh(arg)
 
 
 def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:

@@ -172,3 +172,50 @@ def test_no_unused_imports():
                    for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
                    for line, name in _unused_imports(path))
     assert found == []
+
+
+_LETTER_FAMILIES = (("a", "b", "c"), ("alpha", "beta", "gamma"), ("A", "B", "C"))
+
+
+def _letters_read(node) -> set[tuple[int, str]]:
+    """(family, letter) pairs of the attributes ``.a``, ``.alpha``, ``.A``
+    and their siblings that ``node`` reads."""
+    return {(f, n.attr) for n in ast.walk(node) if isinstance(n, ast.Attribute)
+            for f, family in enumerate(_LETTER_FAMILIES) if n.attr in family}
+
+
+def _letter_spelled_triples(path: Path, exempt: set[str]):
+    """Tuple and list displays, other than assignment targets, in which two
+    elements read different letters of one family, with the function (or
+    class) that holds them.  Displays inside the functions and classes named
+    in ``exempt`` are skipped."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node, scope):
+        if isinstance(node, (*_SCOPES, ast.ClassDef)) and not isinstance(node, ast.Lambda):
+            scope = node.name
+            if scope in exempt:
+                return
+        if (isinstance(node, (ast.Tuple, ast.List))
+                and not isinstance(node.ctx, ast.Store)):
+            reads = [_letters_read(e) for e in node.elts]
+            if any(f1 == f2 and x != y
+                   for e1, r1 in enumerate(reads) for e2, r2 in enumerate(reads) if e1 < e2
+                   for f1, x in r1 for f2, y in r2):
+                yield node.lineno, scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+
+    yield from visit(tree, "<module>")
+
+
+def test_no_letter_spelled_triples():
+    # angles, sides and vertices are triples indexed under trig.SIDE_ENDS; a
+    # tuple or list that spells the letters out restates which angle belongs
+    # to which side by hand.  TriangleData builds the triples themselves, and
+    # a Lambert quadrangle's a-d are the sides of a quadrangle, not a triangle
+    exempt = {"trig.py": {"TriangleData", "lambert_relations"}}
+    found = sorted({f"{path.name}:{line} in {scope}"
+                    for path in sorted(SRC.glob("*.py"))
+                    for line, scope in _letter_spelled_triples(path, exempt.get(path.name, set()))})
+    assert found == []

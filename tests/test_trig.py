@@ -13,6 +13,7 @@ from hypertri.errors import (
     OutOfDomain,
     OverflowRisk,
 )
+from hypertri.generate import gen_triangle
 from hypertri.plane import distance, geodesic_point, klein_point, midpoint
 from hypertri.trig import (
     cevian_ratio,
@@ -266,3 +267,31 @@ class TestEmbedding:
         t2 = solve_from_vertices(*te.vertices)
         assert t2.a == pytest.approx(t.a, rel=1e-12)
         assert t2.alpha == pytest.approx(t.alpha, rel=1e-10)
+
+
+def test_angles_follow_the_index_convention():
+    # angle i sits at vertex i, between the sides toward the ends of side i
+    for shape in ("any", "right"):
+        for seed in range(1, 51):
+            t = gen_triangle(seed, shape=shape)
+            v, x, ang = t.vertices, t.sides, t.angles
+            for i, (j, k) in enumerate(trig.SIDE_ENDS):
+                assert ang[i] == plane.vertex_angle(v[i], v[j], v[k])
+                law = cosh(x[j]) * cosh(x[k]) - sinh(x[j]) * sinh(x[k]) * math.cos(ang[i])
+                assert cosh(x[i]) == pytest.approx(law, rel=1e-12)
+
+
+@pytest.mark.parametrize("length", [0.1, 1.0, 5.0, 14.0, 18.0, 26.0, 30.0, 40.0])
+def test_sinh_ratio_solution_holds_on_every_side_length(length):
+    for rho in (0.05, 0.7, 1.3, 3.0, -0.05, -3.0):
+        # a foot outside the side (rho < 0) exists only while
+        # tanh(length/2) < |rho + 1| / |rho - 1|, which fails for these rho
+        # from length 5 on
+        if rho < 0.0 and length >= 5.0:
+            with pytest.raises(NoSolution):
+                trig._solve_sinh_ratio(length, rho)
+            continue
+        u = trig._solve_sinh_ratio(length, rho)
+        assert abs(sinh(u) / sinh(length - u) - rho) <= 1e-12 * abs(rho)
+    with pytest.raises(NoSolution):
+        trig._solve_sinh_ratio(length, -1.0)

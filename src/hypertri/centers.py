@@ -2,8 +2,10 @@
 
 Every center has a constructive definition (meets of medians, bisectors,
 altitudes, tangents...) carried out by the `plane` incidence kernel, and most
-have closed-form triangular coordinates or radius formulas.  The registry
-module compares the two routes; this module provides both.
+have closed-form triangular coordinates or radius formulas.  This module
+builds the constructions and the radius formulas; the closed-form
+coordinates are the ``coords`` of the `registry.CENTERS` rows, and the
+registry compares the two routes.
 
 Conventions: triangles are counterclockwise in the Klein chart (enforced at
 construction), side lines are oriented so the opposite vertex has positive
@@ -331,18 +333,25 @@ def orthocenter(f: Frame) -> CenterResult:
 # --------------------------------------------------------------------------
 # isogonal conjugation
 
+def side_tol(coords) -> float:
+    """Where a triangular coordinate counts as zero, i.e. the point as on a
+    side line: 1e-13 of the largest coordinate in absolute value.  The
+    threshold is relative, so it does not depend on the triangle's size."""
+    return 1e-13 * max(map(abs, coords))
+
+
 def isogonal_conjugate(x: HPoint, tri: TriangleData | Frame) -> HPoint:
     """Reflect the cevians through ``x`` in the internal bisectors at two
     vertices and intersect the reflected lines.
 
-    Raises OnSideLine for points of a side line (their conjugate cevians
-    degenerate) and ConjugateAtInfinity when the reflected cevians meet in a
-    non-real point.
+    Raises OnSideLine for points of a side line, a coordinate within
+    `side_tol` of zero (their conjugate cevians degenerate), and
+    ConjugateAtInfinity when the reflected cevians meet in a non-real point.
     """
     f = Frame.of(tri)
     xn = normalize(x)
     coords = tri_coords(xn, f.t)
-    if min(abs(v) for v in coords) < 1e-13:
+    if min(map(abs, coords)) <= side_tol(coords):
         raise OnSideLine("isogonal conjugate of a point on a side line")
     la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector(0)))
     lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector(1)))

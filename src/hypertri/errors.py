@@ -61,10 +61,6 @@ class ConjugateAtInfinity(GeometryError):
     """Reflected cevians meet in a non-real point."""
 
 
-class InconsistentCoords(GeometryError):
-    """Cevian reconstruction from a coordinate triple failed its closure check."""
-
-
 class NoSolution(GeometryError):
     """A ratio equation has no root on the (real) line."""
 

@@ -53,13 +53,18 @@ def _satisfies(t: TriangleData, shape: str, c: Constraints) -> bool:
     return True
 
 
-def _sampled_triangle(rng, shape, c) -> TriangleData | None:
-    pts = [sample_disk_point(rng, c.max_klein_radius) for _ in range(3)]
+def _accept(pts, shape, c) -> TriangleData | None:
+    """The triangle on the vertices ``pts`` when it solves and meets the
+    constraints of ``shape``, else None (the candidate is rejected)."""
     try:
         t = trig.solve_from_vertices(*pts)
     except GeometryError:
         return None
     return t if _satisfies(t, shape, c) else None
+
+
+def _sampled_triangle(rng, shape, c) -> TriangleData | None:
+    return _accept([sample_disk_point(rng, c.max_klein_radius) for _ in range(3)], shape, c)
 
 
 def _right_triangle(rng, c) -> TriangleData | None:
@@ -74,11 +79,7 @@ def _right_triangle(rng, c) -> TriangleData | None:
     d2 = 0.2 + 1.2 * rng.random()
     p = geodesic_point(vn, t1, d1)
     q = geodesic_point(vn, t2, d2)
-    try:
-        t = trig.solve_from_vertices(vn, p, q)
-    except GeometryError:
-        return None
-    return t if _satisfies(t, "any", c) else None
+    return _accept((vn, p, q), "any", c)
 
 
 def _direction(p: HPoint, theta: float):
@@ -101,11 +102,7 @@ def _isosceles_triangle(rng, c) -> TriangleData | None:
     t_at_mid = plane.normal_tangent(base_mid, tangent_toward(base_mid, an))
     p = geodesic_point(base_mid, t_at_mid, half)
     q = geodesic_point(base_mid, t_at_mid, -half)
-    try:
-        t = trig.solve_from_vertices(an, p, q)
-    except GeometryError:
-        return None
-    return t if _satisfies(t, "any", c) else None
+    return _accept((an, p, q), "any", c)
 
 
 def _equilateral_triangle(rng, c) -> TriangleData | None:
@@ -116,8 +113,7 @@ def _equilateral_triangle(rng, c) -> TriangleData | None:
                     radius * math.sin(th0 + 2.0 * math.pi * k / 3.0))
         for k in range(3)
     ]
-    t = trig.solve_from_vertices(*pts)
-    return t if _satisfies(t, "any", c) else None
+    return _accept(pts, "any", c)
 
 
 def gen_triangle(seed: int, shape: str = "any",

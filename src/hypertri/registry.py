@@ -122,9 +122,8 @@ class TrialContext(ct.Frame):
     def random_interior(self) -> HPoint:
         def build():
             rng = random.Random(f"aux:{self.seed}:interior")
-            w = [rng.random() + 0.05 for _ in range(3)]
-            return normalize(HPoint(*(sum(wi * u for wi, u in zip(w, us))
-                                      for us in zip(*self.vertices))))
+            w = tuple(rng.random() + 0.05 for _ in range(3))
+            return trig.point_from_coords(w, self.t)
         return self.get("random_interior", build)
 
     def random_real_point(self, maxr=0.9) -> HPoint:
@@ -141,26 +140,20 @@ def _need_center(c: TrialContext, name: str) -> ct.CenterResult:
     return res
 
 
-def _side_tol(h) -> float:
-    """Where a coordinate of H counts as zero: 1e-13 of the largest in
-    absolute value, the side-line threshold of `centers.isogonal_conjugate`."""
-    return 1e-13 * max(map(abs, h.coords))
-
-
 def _on_vertex(h) -> bool:
     """Whether H sits on a vertex, as at a right angle: two coordinates
-    within `_side_tol` of zero."""
-    tol = _side_tol(h)
+    within `centers.side_tol` of zero."""
+    tol = ct.side_tol(h.coords)
     return sum(abs(x) <= tol for x in h.coords) >= 2
 
 
 def _need_inner_orthocenter(c: TrialContext, reason: str):
     """H when it is a real point strictly inside the triangle: every
-    coordinate above `_side_tol`.  A right angle is stored a rounding error
-    short of pi/2, so an angle test misses the right vertex; this test
-    sees H on it."""
+    coordinate above `centers.side_tol`.  A right angle is stored a
+    rounding error short of pi/2, so an angle test misses the right vertex;
+    this test sees H on it."""
     h = _need_center(c, "H")
-    if min(h.coords) <= _side_tol(h):
+    if min(h.coords) <= ct.side_tol(h.coords):
         raise _Skip(reason)
     return h
 

@@ -20,7 +20,6 @@ from .errors import (
     CevianParallel,
     DegenerateTriangle,
     FootOutsideSegment,
-    InconsistentCoords,
     NoSolution,
     OutOfDomain,
     OverflowRisk,
@@ -30,7 +29,6 @@ from .plane import (
     HPoint,
     acosh_clamped,
     distance,
-    geodesic_point,
     join,
     mdot,
     meet,
@@ -322,50 +320,16 @@ def _solve_sinh_ratio(length: float, rho: float) -> float:
 
 
 def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
-    """Reconstruct the point with triangular coordinates ``k``.
+    """The point with triangular coordinates ``k``: the vertex sum
+    ``k_A A + k_B B + k_C C`` over the unit vertices.
 
-    Two cevian feet are found by solving the sinh section-ratio equations on
-    two sides, the cevians are intersected, and the third cevian is checked
-    to pass through the result.  At most one component of ``k`` may be
-    nonpositive.
+    Each unit vertex lies on the two side lines through it, and
+    ``<V_i, l_i> sinh(side i) = 2n`` on every side, so the sum has
+    coordinates proportional to ``k``.  Every nonzero triple gives its point,
+    real, ideal or at infinity; the zero triple raises ZeroVector.
     """
-    verts = t.require_vertices()
-    zero = [i for i, v in enumerate(k) if v == 0.0]
-    if len(zero) == 3:
-        raise InconsistentCoords("all three coordinates are zero")
-    if len(zero) == 2:
-        return verts[3 - zero[0] - zero[1]]
-    if sum(1 for v in k if v <= 0.0) > 1:
-        raise InconsistentCoords("at most one nonpositive coordinate is supported")
-
-    # cevian from vertex i crosses side i with ratio k[kk]/k[j]
-    cevians = []
-    for i, (j, kk) in enumerate(SIDE_ENDS):
-        if k[j] == 0.0 or k[kk] == 0.0:
-            continue
-        rho = k[kk] / k[j]
-        length = t.sides[i]
-        try:
-            u = _solve_sinh_ratio(length, rho)
-        except NoSolution:
-            continue
-        start, end = normalize(verts[j]), normalize(verts[kk])
-        foot = geodesic_point(start, tangent_toward(start, end), u)
-        cevians.append(join(verts[i], foot))
-        if len(cevians) == 3:
-            break
-    if len(cevians) < 2:
-        raise NoSolution("fewer than two cevians could be constructed")
-    xn = real_point(meet(cevians[0], cevians[1]), NoSolution,
-                    "cevians meet in a non-real point")
-    if len(cevians) == 3:
-        miss = abs(mdot(xn, normalize_line(cevians[2])))
-        if miss > 1e-9:
-            raise InconsistentCoords(f"third cevian misses the meet by {miss:g}")
-    got = tri_coords(xn, t)
-    if proportionality_residual(got, k) > 1e-9:
-        raise InconsistentCoords("reconstructed point does not reproduce the coordinates")
-    return xn
+    return normalize(HPoint(*(sum(ki * u for ki, u in zip(k, us))
+                              for us in zip(*t.require_vertices()))))
 
 
 def relative_residual(lhs, rhs) -> float:

@@ -245,6 +245,17 @@ class TestIsogonal:
         with pytest.raises(OnSideLine):
             ct.isogonal_conjugate(plane.midpoint(*scalene.vertices[1:]), scalene)
 
+    def test_side_line_threshold_is_relative(self):
+        # an equilateral triangle of Klein circumradius 3e-7 has centroid
+        # coordinates of order 4e-14, none of them on a side line
+        r = 3e-7
+        t = solve_from_vertices(*(klein_point(r * math.cos(2 * math.pi * i / 3),
+                                              r * math.sin(2 * math.pi * i / 3))
+                                  for i in range(3)))
+        assert max(ct.centroid(t).coords) < 1e-13
+        mp = ct.symmedian_point(t)
+        assert proportionality_residual(mp.coords, [sinh(x) ** 2 for x in t.sides]) < 1e-10
+
     def test_symmedian_coordinates(self, scalene):
         t = scalene
         mp = ct.symmedian_point(t)

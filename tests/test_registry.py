@@ -8,7 +8,8 @@ import pytest
 
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
-from hypertri.errors import UnknownIdentity
+from hypertri.errors import GeometryError, UnknownIdentity
+from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 
 # the registry must cover exactly this catalogue (one code per closed-form
@@ -283,3 +284,31 @@ def test_summary_is_built_once():
     assert rep.summary() is rep.summary()
     assert rep.to_jsonl().endswith(json.dumps({"summary": rep.summary()},
                                               separators=(",", ":")))
+
+
+@pytest.mark.parametrize("shape", ["any", "acute"])
+def test_point_from_coords_reproduces_every_center_with_coords(shape):
+    # the vertex sum of a row's closed-form coordinates is the point its
+    # builder constructs: within 1e-10 in distance for a real center, and
+    # projectively for an ideal one or one at infinity
+    worst, kinds = {}, set()
+    for seed in range(1, 201):
+        c = rg.TrialContext(seed, gen_triangle(seed, shape))
+        for spec in rg.CENTERS:
+            if spec.coords is None:
+                continue
+            try:
+                res = spec.build(c)
+            except (rg._Skip, GeometryError):
+                continue
+            x = trig.point_from_coords(spec.coords(c.t), c.t)
+            assert plane.classify(x) is res.classification, (seed, spec.name)
+            kinds.add(res.classification)
+            if res.classification is PointKind.REAL:
+                miss = plane.distance(x, res.point)
+            else:
+                miss = trig.proportionality_residual(x, res.point)
+            worst[spec.name] = max(worst.get(spec.name, 0.0), miss)
+    assert set(worst) == {spec.name for spec in rg.CENTERS if spec.coords is not None}
+    assert PointKind.IDEAL in kinds
+    assert max(worst.values()) <= 1e-10, worst

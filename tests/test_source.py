@@ -219,3 +219,14 @@ def test_no_letter_spelled_triples():
                     for path in sorted(SRC.glob("*.py"))
                     for line, scope in _letter_spelled_triples(path, exempt.get(path.name, set()))})
     assert found == []
+
+
+def test_every_error_type_is_named():
+    # an error type that no module raises, catches, subclasses or otherwise
+    # names outside an import is left over from deleted code
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    named = {_name(n) for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert sorted(declared - named) == []

@@ -8,11 +8,12 @@ from hypertri import plane, trig
 from hypertri.errors import (
     DegenerateTriangle,
     FootOutsideSegment,
-    InconsistentCoords,
     NoSolution,
     OutOfDomain,
     OverflowRisk,
+    ZeroVector,
 )
+from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 from hypertri.plane import distance, geodesic_point, klein_point, midpoint
 from hypertri.trig import (
@@ -172,14 +173,41 @@ class TestTriangularCoordinates:
             x = point_from_coords(k, t)
             assert proportionality_residual(tri_coords(x, t), k) < 1e-9
 
-    def test_inconsistent_coords_rejected(self, t0):
-        with pytest.raises(InconsistentCoords):
-            point_from_coords((-1.0, -1.0, 1.0), t0)
-
-    def test_unreachable_exterior_coords(self, t0):
+    @pytest.mark.parametrize("coords, kind", [
         # the excenter opposite the right angle of this triangle is ideal
-        with pytest.raises(NoSolution):
-            point_from_coords((-sinh(t0.a), sinh(t0.b), sinh(t0.c)), t0)
+        (lambda t: (-sinh(t.a), sinh(t.b), sinh(t.c)), PointKind.IDEAL),
+        (lambda t: (-1.0, -1.0, 1.0), PointKind.REAL),
+    ], ids=["ideal-excenter", "two-negative"])
+    def test_exterior_coords_reach_their_point(self, t0, coords, kind):
+        k = coords(t0)
+        x = point_from_coords(k, t0)
+        # the Minkowski form of the vertex sum, from the side lengths alone,
+        # says which kind of point it is
+        cosh_sides = [cosh(s) for s in t0.sides]
+        form = sum(v * v for v in k) + 2.0 * sum(k[j] * k[kk] * cosh_sides[i]
+                                                 for i, (j, kk) in enumerate(trig.SIDE_ENDS))
+        assert (form > 0) == (kind is PointKind.REAL)
+        assert plane.classify(x) is kind
+        assert proportionality_residual(tri_coords(x, t0), k) < 1e-14
+
+    def test_zero_triple_has_no_point(self, t0):
+        with pytest.raises(ZeroVector):
+            point_from_coords((0.0, 0.0, 0.0), t0)
+
+    def test_round_trip_on_a_tiny_triangle(self):
+        # Klein size 1e-6: the coordinates are of order 1e-13, yet the
+        # vertex sum reproduces them, signs included
+        s = 1e-6
+        t = solve_from_vertices(klein_point(0, 0), klein_point(s, 0), klein_point(0.3 * s, 0.8 * s))
+        rng = random.Random(5)
+        for _ in range(50):
+            k = tuple(rng.uniform(-1.0, 1.0) for _ in range(3))
+            x = point_from_coords(k, t)
+            assert proportionality_residual(tri_coords(x, t), k) < 1e-12
+
+    def test_needs_vertices(self):
+        with pytest.raises(DegenerateTriangle):
+            point_from_coords((1.0, 1.0, 1.0), solve_from_sides(1.0, 0.8, 0.7))
 
 
 class TestCevians:

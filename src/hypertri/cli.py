@@ -12,6 +12,7 @@ is stopped and joined before the command returns.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -74,6 +75,8 @@ def _cmd_centers(args) -> int:
 
 
 def _parse_seed_range(text: str) -> list[int]:
+    """The seeds of ``A..B`` (both ends included) or of a comma list;
+    ValueError if the text is malformed.  A reversed range is empty."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
@@ -151,12 +154,16 @@ def _cmd_verify(args) -> int:
             print(f"error: malformed --seeds {args.seeds!r}; expected A..B or a comma list",
                   file=sys.stderr)
             return 2
+        if not seeds:
+            print(f"error: --seeds {args.seeds!r} names no seed; expected A..B with A <= B",
+                  file=sys.stderr)
+            return 2
         jobs = [(seed, ids, args.shape, None) for seed in seeds]
     elif args.triangle:
         t, seed = _load_triangle(args.triangle)
         jobs = [(seed, ids, args.shape, t)]
     else:
-        print("verify needs a triangle file or --seeds", file=sys.stderr)
+        print("error: verify needs a triangle file or --seeds", file=sys.stderr)
         return 2
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
@@ -210,12 +217,22 @@ def _cmd_tables(args) -> int:
                 return f"{v.re:g} {sign} {abs(v.over_i):g}/i"
             print(f"{case:9s} d={args.d:<6g} angles = ({show(p[0])}, {show(p[1])})")
         else:
-            print(f"unknown case {case!r}", file=sys.stderr)
+            print(f"error: unknown case {case!r}", file=sys.stderr)
             return 2
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``hypertri`` argument parser, built on the first call and shared
+    by every later call in the process; callers must not mutate it.
+
+    Its subcommands dispatch through ``fn`` defaults that name only the
+    private ``_cmd_*`` functions, which look up everything else (such as
+    ``_verify_worker`` and ``registry.run_suite``) when they run, so a
+    rebinding made after the first build still takes effect.  Help text is
+    wrapped when it is printed, to the terminal width of that moment.
+    """
     parser = argparse.ArgumentParser(
         prog="hypertri",
         description="Hyperbolic triangle geometry: generation, centers, "
@@ -267,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (GeometryError, OSError, json.JSONDecodeError) as e:

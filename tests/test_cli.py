@@ -1,3 +1,4 @@
+import argparse
 import json
 import multiprocessing
 import os
@@ -8,6 +9,7 @@ import sys
 import pytest
 
 import hypertri
+from hypertri import cli
 from hypertri import registry as rg
 from hypertri.cli import main
 from hypertri.errors import GeometryError
@@ -90,14 +92,16 @@ class TestVerify:
         assert rows[0]["status"] == "fail"
 
     def test_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "verify")
+        code, out, err = run_cli(capsys, "verify")
         assert code == 2
+        assert err == "error: verify needs a triangle file or --seeds\n"
+        assert out == ""
 
     def test_unknown_identity_is_usage_error(self, tri_file, capsys):
         code, _, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")
         assert code == 2
 
-    @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a"])
+    @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a", "5..3"])
     def test_malformed_seeds_is_usage_error(self, seeds, tmp_path, capsys):
         path = tmp_path / "report.jsonl"
         code, out, err = run_cli(capsys, "verify", "--seeds", seeds, "--ids", "LS",
@@ -325,5 +329,65 @@ class TestTables:
         assert out == ALL_CASES_D04
 
     def test_unknown_case(self, capsys):
-        code, _, _ = run_cli(capsys, "tables", "--case", "XX")
+        code, out, err = run_cli(capsys, "tables", "--case", "XX")
         assert code == 2
+        assert err == "error: unknown case 'XX'\n"
+        assert out == ""
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestSharedParser:
+    """`main` builds its parser on the first call and reuses it."""
+
+    def test_built_once_over_many_calls(self, capsys, monkeypatch):
+        builds = []
+        add_subparsers = argparse.ArgumentParser.add_subparsers
+
+        def counting(parser, **kwargs):
+            builds.append(parser)
+            return add_subparsers(parser, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+        cli.build_parser.cache_clear()
+        for argv in (["gen", "--seed", "4"], ["tables", "--case", "RId"],
+                     ["verify", "--seeds", "1..1", "--ids", "LS"], ["verify"]):
+            main(argv)
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self):
+        src = os.path.dirname(os.path.dirname(hypertri.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import hypertri.cli; print(hypertri.cli.build_parser.cache_info().misses)"],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 0, proc.stderr[-4000:]
+        assert proc.stdout == "0\n"
+
+    @pytest.mark.parametrize("bad", [["verify", "--bogus"], ["verify", "--jobs", "x"],
+                                     ["gen"], ["tables", "--d", "x"], ["nope"]])
+    def test_argparse_exit_leaves_next_call_unchanged(self, bad, capsys):
+        argv = ["verify", "--seeds", "1..2", "--ids", "LS,HER"]
+        before = run_cli(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hypertri")
+        assert run_cli(capsys, *argv) == before
+
+    def test_help_wraps_to_columns_at_call_time(self, capsys, monkeypatch):
+        cli.build_parser.cache_clear()
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = _help(capsys, "verify")
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = _help(capsys, "verify")
+        cli.build_parser.cache_clear()
+        assert _help(capsys, "verify") == narrow != wide

@@ -88,6 +88,9 @@ def _line_add(p: HLine, q: HLine) -> HLine:
     return HLine(p.x + q.x, p.y + q.y, p.w + q.w)
 
 
+_MISSING = object()
+
+
 class Frame:
     """The one per-triangle handle: shared constructive scaffolding, built
     lazily.
@@ -114,40 +117,47 @@ class Frame:
         """``tri`` itself if it is a frame, else a new frame of the triangle."""
         return tri if isinstance(tri, Frame) else Frame(tri)
 
-    def get(self, key, build):
-        """``build()`` once per frame, then the stored value.  Nothing is
-        stored when ``build`` raises."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+    def get(self, key, build, *args):
+        """``build(*args)`` once per frame, then the stored value.  The key
+        is looked up first, so a stored value costs no call of ``build``.
+        Nothing is stored when ``build`` raises."""
+        value = self._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = self._cache[key] = build(*args)
+        return value
 
     # -- bisector lines at vertex i: the adjacent side lines are lines[k]
     # (toward vertex j) and lines[j], with (j, k) = SIDE_ENDS[i]; the
     # interior is where both signed distances are positive.
     def internal_bisector(self, i: int) -> HLine:
         j, k = SIDE_ENDS[i]
-        return self.get(("bis_int", i), lambda: _line_sub(self.lines[k], self.lines[j]))
+        return self.get(("bis_int", i), _line_sub, self.lines[k], self.lines[j])
 
     def external_bisector(self, i: int) -> HLine:
         j, k = SIDE_ENDS[i]
-        return self.get(("bis_ext", i), lambda: _line_add(self.lines[k], self.lines[j]))
+        return self.get(("bis_ext", i), _line_add, self.lines[k], self.lines[j])
 
     def side_tangent(self, i: int):
         """Unit tangent along side ``i`` at its start, toward its end."""
         j, k = SIDE_ENDS[i]
-        return self.get(("tangent", i),
-                        lambda: tangent_toward(self.vertices[j], self.vertices[k]))
+        return self.get(("tangent", i), tangent_toward, self.vertices[j], self.vertices[k])
 
     def side_start(self, i: int) -> HPoint:
         return self.vertices[SIDE_ENDS[i][0]]
 
     def altitude_foot(self, i: int) -> HPoint:
-        return self.get(("alt_foot", i), lambda: normalize(
-            foot_of_perpendicular(self.vertices[i], self.lines[i])))
+        return self.get(("alt_foot", i), _altitude_foot, self, i)
 
     def bisector_foot(self, i: int) -> HPoint:
-        return self.get(("bis_foot", i), lambda: normalize(
-            meet(self.internal_bisector(i), self.lines[i])))
+        return self.get(("bis_foot", i), _bisector_foot, self, i)
+
+
+def _altitude_foot(f: Frame, i: int) -> HPoint:
+    return normalize(foot_of_perpendicular(f.vertices[i], f.lines[i]))
+
+
+def _bisector_foot(f: Frame, i: int) -> HPoint:
+    return normalize(meet(f.internal_bisector(i), f.lines[i]))
 
 
 def _memo(build):
@@ -163,7 +173,7 @@ def _memo(build):
 
     def builder(tri: TriangleData | Frame):
         f = Frame.of(tri)
-        return f.get(key, lambda: build(f))
+        return f.get(key, build, f)
 
     builder.__name__ = builder.__qualname__ = key
     builder.__doc__ = build.__doc__

@@ -74,12 +74,13 @@ def _cmd_centers(args) -> int:
     return 0
 
 
-def _parse_seed_range(text: str) -> list[int]:
-    """The seeds of ``A..B`` (both ends included) or of a comma list;
-    ValueError if the text is malformed.  A reversed range is empty."""
+def _parse_seed_range(text: str) -> range | list[int]:
+    """The seeds of ``A..B`` (both ends included, as a `range`, so memory
+    does not grow with the count) or of a comma list; ValueError if the text
+    is malformed.  A reversed range is empty."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        return range(int(lo), int(hi) + 1)
     return [int(s) for s in text.split(",")]
 
 
@@ -90,34 +91,37 @@ def _verify_worker(job):
     return rep.to_jsonl(), rep.summary()
 
 
-def _verify_stride(jobs, conn):
-    """Child body: send each job's result down ``conn`` in order; a
-    GeometryError is sent in place of its result and ends the stride."""
+def _verify_stride(seeds, rest, conn):
+    """Child body: send the result of each job ``(seed, *rest)`` down
+    ``conn`` in order; a GeometryError is sent in place of its result and
+    ends the stride."""
     with conn:
-        for job in jobs:
+        for seed in seeds:
             try:
-                result = _verify_worker(job)
+                result = _verify_worker((seed, *rest))
             except GeometryError as e:
                 conn.send(e)
                 return
             conn.send(result)
 
 
-def _verify_results(jobs, n, stack):
-    """Each job's (jsonl, summary), in job order, computed on n processes.
+def _verify_results(seeds, rest, n, stack):
+    """The (jsonl, summary) of each job ``(seed, *rest)``, in seed order,
+    computed on n processes.  Jobs are made one seed at a time.
 
-    Children 1..n-1 run jobs k, k+n, ... and are registered on ``stack``,
-    which terminates and joins them on every exit; the caller runs jobs 0,
+    Children 1..n-1 run seeds k, k+n, ... and are registered on ``stack``,
+    which terminates and joins them on every exit; the caller runs seeds 0,
     n, 2n, ... itself between reads of the children's pipes.
     """
     if n <= 1:
-        yield from map(_verify_worker, jobs)
+        for seed in seeds:
+            yield _verify_worker((seed, *rest))
         return
     import multiprocessing
     conns = []
     for k in range(1, n):
         recv, send = multiprocessing.Pipe(duplex=False)
-        proc = multiprocessing.Process(target=_verify_stride, args=(jobs[k::n], send))
+        proc = multiprocessing.Process(target=_verify_stride, args=(seeds[k::n], rest, send))
         proc.start()
         stack.callback(proc.join)
         stack.callback(proc.terminate)
@@ -126,14 +130,14 @@ def _verify_results(jobs, n, stack):
         # no send end open (and later children inherit none)
         send.close()
         conns.append(recv)
-    for i, job in enumerate(jobs):
+    for i, seed in enumerate(seeds):
         if i % n == 0:
-            yield _verify_worker(job)
+            yield _verify_worker((seed, *rest))
             continue
         try:
             result = conns[i % n - 1].recv()
         except EOFError:
-            raise RuntimeError(f"verify child for seed {job[0]} exited "
+            raise RuntimeError(f"verify child for seed {seed} exited "
                                "without a result") from None
         if isinstance(result, GeometryError):
             raise result
@@ -147,7 +151,7 @@ def _cmd_verify(args) -> int:
         for identity_id in ids:
             if identity_id not in rg.REGISTRY:
                 raise UnknownIdentity(identity_id)
-    if args.seeds:
+    if args.seeds is not None:
         try:
             seeds = _parse_seed_range(args.seeds)
         except ValueError:
@@ -158,10 +162,10 @@ def _cmd_verify(args) -> int:
             print(f"error: --seeds {args.seeds!r} names no seed; expected A..B with A <= B",
                   file=sys.stderr)
             return 2
-        jobs = [(seed, ids, args.shape, None) for seed in seeds]
+        triangle = None
     elif args.triangle:
-        t, seed = _load_triangle(args.triangle)
-        jobs = [(seed, ids, args.shape, t)]
+        triangle, seed = _load_triangle(args.triangle)
+        seeds = [seed]
     else:
         print("error: verify needs a triangle file or --seeds", file=sys.stderr)
         return 2
@@ -175,7 +179,8 @@ def _cmd_verify(args) -> int:
         out = (stack.enter_context(open(args.output, "w", encoding="utf-8"))
                if args.output else sys.stdout)
         # leaving the stack stops the children, so --fail-fast drops their seeds
-        for jsonl, summary in _verify_results(jobs, min(args.jobs, len(jobs)), stack):
+        for jsonl, summary in _verify_results(seeds, (ids, args.shape, triangle),
+                                              min(args.jobs, len(seeds)), stack):
             out.write(jsonl + "\n")
             for k in totals:
                 totals[k] += summary[k]

@@ -115,6 +115,12 @@ class HLine(NamedTuple):
     w: float
 
 
+# Kernel results are built by ``_new(HPoint, (x, y, w))``: the same object
+# as ``HPoint(x, y, w)`` (the named tuples validate nothing), without the
+# generated ``__new__``.
+_new = tuple.__new__
+
+
 @dataclass(frozen=True, slots=True)
 class Cycle:
     """A circumscribing cycle: circle, paracycle or hypercycle by center kind."""
@@ -125,15 +131,23 @@ class Cycle:
 
 
 def mdot(u, v) -> float:
-    return u.w * v.w - u.x * v.x - u.y * v.y
+    ux, uy, uw = u
+    vx, vy, vw = v
+    return uw * vw - ux * vx - uy * vy
 
 
 def qform(u) -> float:
-    return u.w * u.w - u.x * u.x - u.y * u.y
+    x, y, w = u
+    return w * w - x * x - y * y
 
 
 def _maxnorm(u) -> float:
-    return max(abs(u.x), abs(u.y), abs(u.w))
+    """max(|x|, |y|, |w|); for a `UnitPoint` that is its ``w`` exactly
+    (Q > 0 forces |w| > |x|, |y|, rounding keeps the order and w > 0)."""
+    if u.__class__ is UnitPoint:
+        return u[2]
+    x, y, w = u
+    return max(abs(x), abs(y), abs(w))
 
 
 def _qform_maxnorm(u, what: str) -> tuple[float, float]:
@@ -172,35 +186,39 @@ def _mcross(u, v, error, message) -> tuple[float, float, float]:
     """Metric dual of the Euclidean cross product, G @ (u x v) with
     G = diag(-1, -1, 1); raises ``error(message)`` when u and v are
     proportional (the cross product vanishes relative to their max-norms)."""
-    cx = u.y * v.w - u.w * v.y
-    cy = u.w * v.x - u.x * v.w
-    cw = u.x * v.y - u.y * v.x
-    if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * (_maxnorm(u) * _maxnorm(v)):
+    ux, uy, uw = u
+    vx, vy, vw = v
+    cx = uy * vw - uw * vy
+    cy = uw * vx - ux * vw
+    cw = ux * vy - uy * vx
+    mu = uw if u.__class__ is UnitPoint else max(abs(ux), abs(uy), abs(uw))
+    mv = vw if v.__class__ is UnitPoint else max(abs(vx), abs(vy), abs(vw))
+    if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * (mu * mv):
         raise error(message)
     return (-cx, -cy, cw)
 
 
 def join(p: HPoint, q: HPoint) -> HLine:
     """The unique line through two distinct points."""
-    return HLine(*_mcross(p, q, CoincidentArguments, "join of proportional points"))
+    return _new(HLine, _mcross(p, q, CoincidentArguments, "join of proportional points"))
 
 
 def meet(l: HLine, m: HLine) -> HPoint:
     """The common point of two distinct lines."""
-    return HPoint(*_mcross(l, m, CoincidentArguments, "meet of proportional lines"))
+    return _new(HPoint, _mcross(l, m, CoincidentArguments, "meet of proportional lines"))
 
 
 def polar(p: HPoint) -> HLine:
     """Index-lowering by the bilinear form; same coordinates, dual type."""
     if _maxnorm(p) == 0.0:
         raise ZeroVector("polar of the zero triple")
-    return HLine(p.x, p.y, p.w)
+    return _new(HLine, p)
 
 
 def pole(l: HLine) -> HPoint:
     if _maxnorm(l) == 0.0:
         raise ZeroVector("pole of the zero triple")
-    return HPoint(l.x, l.y, l.w)
+    return _new(HPoint, l)
 
 
 def normalize(p: HPoint) -> HPoint:
@@ -208,30 +226,38 @@ def normalize(p: HPoint) -> HPoint:
     `UnitPoint`), |Q| = 1 for ideal ones, max-norm 1 for boundary points."""
     if p.__class__ is UnitPoint:
         return p
-    q, m = _qform_maxnorm(p, "normalize of")
+    x, y, w = p
+    m = max(abs(x), abs(y), abs(w))
+    if m == 0.0:
+        raise ZeroVector("normalize of the zero triple")
+    q = w * w - x * x - y * y
     r = q / (m * m)
     if r > EPS_CLS:
         s = 1.0 / math.sqrt(q)
-        if p.w < 0:
+        if w < 0:
             s = -s
-        return UnitPoint(p.x * s, p.y * s, p.w * s)
+        return _new(UnitPoint, (x * s, y * s, w * s))
     if r < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
-        return HPoint(p.x * s, p.y * s, p.w * s)
-    return HPoint(p.x / m, p.y / m, p.w / m)
+        return _new(HPoint, (x * s, y * s, w * s))
+    return _new(HPoint, (x / m, y / m, w / m))
 
 
 def normalize_line(l: HLine) -> HLine:
     """Unit representative of a real line (Q = -1); others get max-norm 1."""
-    q, m = _qform_maxnorm(l, "normalize of")
+    x, y, w = l
+    m = max(abs(x), abs(y), abs(w))
+    if m == 0.0:
+        raise ZeroVector("normalize of the zero triple")
+    q = w * w - x * x - y * y
     r = q / (m * m)
     if r < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
-        return HLine(l.x * s, l.y * s, l.w * s)
+        return _new(HLine, (x * s, y * s, w * s))
     if r > EPS_CLS:
         s = 1.0 / math.sqrt(q)
-        return HLine(l.x * s, l.y * s, l.w * s)
-    return HLine(l.x / m, l.y / m, l.w / m)
+        return _new(HLine, (x * s, y * s, w * s))
+    return _new(HLine, (x / m, y / m, w / m))
 
 
 def real_point(p: HPoint, error, message: str) -> UnitPoint:
@@ -259,13 +285,14 @@ def distance(p: HPoint, q: HPoint) -> float:
     ``2 sinh(d/2) = |p - q|`` in the Minkowski norm, which keeps full
     relative precision where ``acosh`` near 1 would lose half of it.
     """
-    pn, qn = normalize(p), normalize(q)
-    c = mdot(pn, qn)
+    px, py, pw = p if p.__class__ is UnitPoint else normalize(p)
+    qx, qy, qw = q if q.__class__ is UnitPoint else normalize(q)
+    c = pw * qw - px * qx - py * qy
     if c < 1.005:
-        dv = (pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
-        s2 = dv[0] * dv[0] + dv[1] * dv[1] - dv[2] * dv[2]
+        dx, dy, dw = px - qx, py - qy, pw - qw
+        s2 = dx * dx + dy * dy - dw * dw
         return 2.0 * math.asinh(0.5 * math.sqrt(max(s2, 0.0)))
-    return acosh_clamped(c)
+    return math.acosh(c)
 
 
 def signed_line_distance(p: HPoint, l: HLine) -> float:
@@ -279,36 +306,40 @@ def tangent_toward(p: HPoint, q: HPoint) -> tuple[float, float, float]:
     sinh of the distance is taken from the difference vector (see `distance`)
     so directions stay accurate for nearby points.
     """
-    pn, qn = normalize(p), normalize(q)
-    c = mdot(pn, qn)
-    dv = (pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
-    half2 = dv[0] * dv[0] + dv[1] * dv[1] - dv[2] * dv[2]
+    px, py, pw = p if p.__class__ is UnitPoint else normalize(p)
+    qx, qy, qw = q if q.__class__ is UnitPoint else normalize(q)
+    c = pw * qw - px * qx - py * qy
+    dx, dy, dw = px - qx, py - qy, pw - qw
+    half2 = dx * dx + dy * dy - dw * dw
     s = math.sqrt(max(half2 * (1.0 + 0.25 * half2), 0.0))  # 2 sinh(d/2) cosh(d/2)
     if s == 0.0:
         raise IdenticalPoints("tangent direction between coincident points")
-    return ((qn.x - c * pn.x) / s, (qn.y - c * pn.y) / s, (qn.w - c * pn.w) / s)
+    return ((qx - c * px) / s, (qy - c * py) / s, (qw - c * pw) / s)
 
 
 def geodesic_point(p: HPoint, t: tuple[float, float, float], u: float) -> HPoint:
     """Point at signed arc length ``u`` from normalized ``p`` along unit tangent ``t``."""
     cu, su = math.cosh(u), math.sinh(u)
-    return HPoint(cu * p.x + su * t[0], cu * p.y + su * t[1], cu * p.w + su * t[2])
+    px, py, pw = p
+    tx, ty, tw = t
+    return _new(HPoint, (cu * px + su * tx, cu * py + su * ty, cu * pw + su * tw))
 
 
 def arc_coordinate(f: HPoint, t: tuple[float, float, float]) -> float:
     """Signed arc length of real ``f`` on the geodesic with unit tangent ``t``,
     measured from the point where ``t`` is taken."""
-    fn = normalize(f)
-    return math.asinh(-mdot(fn, HPoint(*t)))
+    return math.asinh(-mdot(normalize(f), t))
 
 
 def normal_tangent(p: HPoint, t) -> tuple[float, float, float]:
     """The unit tangent at unit ``p`` Minkowski-orthogonal to the unit tangent
     ``t`` (a quarter turn of ``t``): the metric dual of the cross product
     ``p x t``."""
-    cx = p.y * t[2] - p.w * t[1]
-    cy = p.w * t[0] - p.x * t[2]
-    cw = p.x * t[1] - p.y * t[0]
+    px, py, pw = p
+    tx, ty, tw = t
+    cx = py * tw - pw * ty
+    cy = pw * tx - px * tw
+    cw = px * ty - py * tx
     return (-cx, -cy, cw)
 
 
@@ -328,7 +359,7 @@ def foot_of_perpendicular(p: HPoint, l: HLine) -> HPoint:
     """Foot of the perpendicular from ``p`` to ``l`` (the meet of ``l`` with the
     perpendicular through ``p``, which passes through the pole of ``l``)."""
     perp = _mcross(p, pole(l), CoincidentArguments, "point is the pole of the line")
-    return meet(HLine(*perp), l)
+    return meet(perp, l)
 
 
 def perpendicular_line(p: HPoint, l: HLine) -> HLine:
@@ -337,24 +368,27 @@ def perpendicular_line(p: HPoint, l: HLine) -> HLine:
 
 
 def midpoint(p: HPoint, q: HPoint) -> HPoint:
-    pn, qn = normalize(p), normalize(q)
-    return normalize(HPoint(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w))
+    px, py, pw = normalize(p)
+    qx, qy, qw = normalize(q)
+    return normalize((px + qx, py + qy, pw + qw))
 
 
 def perpendicular_bisector(p: HPoint, q: HPoint) -> HLine:
     """Locus of points equidistant from two real points (of the segment through
     the disk); its coordinate vector is the difference of the unit representatives."""
-    pn, qn = normalize(p), normalize(q)
-    l = HLine(pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
-    if _maxnorm(l) <= 1e-15:
+    px, py, pw = normalize(p)
+    qx, qy, qw = normalize(q)
+    dx, dy, dw = px - qx, py - qy, pw - qw
+    if max(abs(dx), abs(dy), abs(dw)) <= 1e-15:
         raise IdenticalPoints("bisector of coincident points")
-    return l
+    return _new(HLine, (dx, dy, dw))
 
 
 def complementary_bisector(p: HPoint, q: HPoint) -> HLine:
     """Perpendicular bisector of the complementary segment (sum of units)."""
-    pn, qn = normalize(p), normalize(q)
-    return HLine(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w)
+    px, py, pw = normalize(p)
+    qx, qy, qw = normalize(q)
+    return _new(HLine, (px + qx, py + qy, pw + qw))
 
 
 def angle_bisectors(vertex: HPoint, ray1: HLine, ray2: HLine) -> tuple[HLine, HLine]:
@@ -366,20 +400,23 @@ def angle_bisectors(vertex: HPoint, ray1: HLine, ray2: HLine) -> tuple[HLine, HL
     triangle at hand should orient the side lines first.
     """
     _mcross(ray1, ray2, CoincidentLines, "bisectors of one line")
-    a, b = normalize_line(ray1), normalize_line(ray2)
+    ax, ay, aw = normalize_line(ray1)
+    bx, by, bw = normalize_line(ray2)
     return (
-        HLine(a.x - b.x, a.y - b.y, a.w - b.w),
-        HLine(a.x + b.x, a.y + b.y, a.w + b.w),
+        _new(HLine, (ax - bx, ay - by, aw - bw)),
+        _new(HLine, (ax + bx, ay + by, aw + bw)),
     )
 
 
 def _householder(v, l: HLine, kind):
     """The Householder reflection of the triple ``v`` in ``l``, as a ``kind``."""
-    q = qform(l)
+    vx, vy, vw = v
+    lx, ly, lw = l
+    q = lw * lw - lx * lx - ly * ly
     if q == 0.0:
         raise ZeroVector("reflection in a degenerate (tangent) line")
-    k = 2.0 * mdot(v, l) / q
-    return kind(v.x - k * l.x, v.y - k * l.y, v.w - k * l.w)
+    k = 2.0 * (vw * lw - vx * lx - vy * ly) / q
+    return _new(kind, (vx - k * lx, vy - k * ly, vw - k * lw))
 
 
 def reflect(p: HPoint, l: HLine) -> HPoint:

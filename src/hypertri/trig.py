@@ -79,6 +79,8 @@ class TriangleData:
     vertices: tuple[HPoint, HPoint, HPoint] | None = None
     _lines: tuple[HLine, HLine, HLine] | None = field(
         default=None, init=False, repr=False, compare=False)
+    _coord_rows: tuple | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def lines(self) -> tuple[HLine, HLine, HLine]:
@@ -88,6 +90,16 @@ class TriangleData:
                           for i, (j, k) in enumerate(SIDE_ENDS))
             object.__setattr__(self, "_lines", lines)
         return self._lines
+
+    @property
+    def coord_rows(self) -> tuple:
+        """Per side ``i``: the coordinates of side line ``i`` and the factor
+        ``0.5 * sinh(side i)`` of `tri_coords`, built when first read."""
+        if self._coord_rows is None:
+            rows = tuple((*l, 0.5 * math.sinh(length))
+                         for l, length in zip(self.lines, self.sides))
+            object.__setattr__(self, "_coord_rows", rows)
+        return self._coord_rows
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -299,9 +311,8 @@ def tri_coords(x: HPoint, t: TriangleData) -> TriCoords:
     an ideal X the three values share a factor ``i`` which is dropped, so the
     triple stays a real projective triple.
     """
-    xn = normalize(x)
-    return tuple(0.5 * mdot(xn, l) * math.sinh(length)
-                 for l, length in zip(t.lines, t.sides))
+    xx, xy, xw = normalize(x)
+    return tuple([(xw * lw - xx * lx - xy * ly) * h for lx, ly, lw, h in t.coord_rows])
 
 
 def _solve_sinh_ratio(length: float, rho: float) -> float:

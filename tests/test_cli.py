@@ -101,15 +101,35 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")
         assert code == 2
 
-    @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a", "5..3"])
+    @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a", "5..3", ""])
     def test_malformed_seeds_is_usage_error(self, seeds, tmp_path, capsys):
         path = tmp_path / "report.jsonl"
         code, out, err = run_cli(capsys, "verify", "--seeds", seeds, "--ids", "LS",
                                  "-o", str(path))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"--seeds {seeds!r}" in err   # named as given, not taken for a missing --seeds
         assert out == ""
         assert not path.exists()
+
+    def test_long_seed_range_costs_no_memory_up_front(self, tmp_path, capsys):
+        # MIN1 fails on seed 1, so --fail-fast stops there; a range that held
+        # a job per seed would allocate about 240 MB before running it
+        import tracemalloc
+        path = tmp_path / "report.jsonl"
+        argv = ["verify", "--seeds", "1..2000000", "--fail-fast", "--ids", "MIN1",
+                "--jobs", "1", "-o", str(path)]
+        main(argv[:2] + ["1..1"] + argv[3:])   # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and peak < 5_000_000
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["seed"] for r in rows if "id" in r] == [1]
+        assert rows[-1]["seeds_with_failures"] == [1]
 
     def test_byte_identical_across_jobs(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--seeds", "1..6", "--ids", "LS,HER,EU0")

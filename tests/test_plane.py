@@ -1,9 +1,10 @@
 import math
 import pickle
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from hypertri import plane
 from hypertri.errors import (
@@ -499,3 +500,354 @@ class TestModels:
         kx, _ = model_convert((math.tanh(r / 2), 0.0), "poincare", "klein")
         assert kx == pytest.approx(math.tanh(r), rel=1e-12)
         assert distance(origin(), klein_point(math.tanh(r), 0)) == pytest.approx(r)
+
+
+# --------------------------------------------------------------------------
+# The kernel reads each triple once and builds its results with
+# tuple.__new__.  `_Reference` keeps each rewritten primitive written the
+# way it was before (attribute reads, named-tuple constructors); the new
+# primitives must give the same result class, the same float bits (sign of
+# zero included) and the same exception class and message.
+
+class _Reference:
+    @staticmethod
+    def mdot(u, v):
+        return u.w * v.w - u.x * v.x - u.y * v.y
+
+    @staticmethod
+    def qform(u):
+        return u.w * u.w - u.x * u.x - u.y * u.y
+
+    @staticmethod
+    def maxnorm(u):
+        return max(abs(u.x), abs(u.y), abs(u.w))
+
+    @staticmethod
+    def qform_maxnorm(u, what):
+        m = max(abs(u.x), abs(u.y), abs(u.w))
+        if m == 0.0:
+            raise ZeroVector(f"{what} the zero triple")
+        return u.w * u.w - u.x * u.x - u.y * u.y, m
+
+    @classmethod
+    def classify(cls, p):
+        if p.__class__ is UnitPoint:
+            return PointKind.REAL
+        q, m = cls.qform_maxnorm(p, "cannot classify")
+        r = q / (m * m)
+        if r > plane.EPS_CLS:
+            return PointKind.REAL
+        if r < -plane.EPS_CLS:
+            return PointKind.IDEAL
+        return PointKind.INFINITE
+
+    @classmethod
+    def classify_line(cls, l):
+        q, m = cls.qform_maxnorm(l, "cannot classify")
+        r = q / (m * m)
+        if r < -plane.EPS_CLS:
+            return LineKind.REAL
+        if r > plane.EPS_CLS:
+            return LineKind.IDEAL
+        return LineKind.AT_INFINITY
+
+    @classmethod
+    def mcross(cls, u, v, error, message):
+        cx = u.y * v.w - u.w * v.y
+        cy = u.w * v.x - u.x * v.w
+        cw = u.x * v.y - u.y * v.x
+        if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * (cls.maxnorm(u) * cls.maxnorm(v)):
+            raise error(message)
+        return (-cx, -cy, cw)
+
+    @classmethod
+    def join(cls, p, q):
+        return HLine(*cls.mcross(p, q, CoincidentArguments, "join of proportional points"))
+
+    @classmethod
+    def meet(cls, l, m):
+        return HPoint(*cls.mcross(l, m, CoincidentArguments, "meet of proportional lines"))
+
+    @classmethod
+    def polar(cls, p):
+        if cls.maxnorm(p) == 0.0:
+            raise ZeroVector("polar of the zero triple")
+        return HLine(p.x, p.y, p.w)
+
+    @classmethod
+    def pole(cls, l):
+        if cls.maxnorm(l) == 0.0:
+            raise ZeroVector("pole of the zero triple")
+        return HPoint(l.x, l.y, l.w)
+
+    @classmethod
+    def normalize(cls, p):
+        if p.__class__ is UnitPoint:
+            return p
+        q, m = cls.qform_maxnorm(p, "normalize of")
+        r = q / (m * m)
+        if r > plane.EPS_CLS:
+            s = 1.0 / math.sqrt(q)
+            if p.w < 0:
+                s = -s
+            return UnitPoint(p.x * s, p.y * s, p.w * s)
+        if r < -plane.EPS_CLS:
+            s = 1.0 / math.sqrt(-q)
+            return HPoint(p.x * s, p.y * s, p.w * s)
+        return HPoint(p.x / m, p.y / m, p.w / m)
+
+    @classmethod
+    def normalize_line(cls, l):
+        q, m = cls.qform_maxnorm(l, "normalize of")
+        r = q / (m * m)
+        if r < -plane.EPS_CLS:
+            s = 1.0 / math.sqrt(-q)
+            return HLine(l.x * s, l.y * s, l.w * s)
+        if r > plane.EPS_CLS:
+            s = 1.0 / math.sqrt(q)
+            return HLine(l.x * s, l.y * s, l.w * s)
+        return HLine(l.x / m, l.y / m, l.w / m)
+
+    @classmethod
+    def distance(cls, p, q):
+        pn, qn = cls.normalize(p), cls.normalize(q)
+        c = cls.mdot(pn, qn)
+        if c < 1.005:
+            dv = (pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
+            s2 = dv[0] * dv[0] + dv[1] * dv[1] - dv[2] * dv[2]
+            return 2.0 * math.asinh(0.5 * math.sqrt(max(s2, 0.0)))
+        return plane.acosh_clamped(c)
+
+    @classmethod
+    def tangent_toward(cls, p, q):
+        pn, qn = cls.normalize(p), cls.normalize(q)
+        c = cls.mdot(pn, qn)
+        dv = (pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
+        half2 = dv[0] * dv[0] + dv[1] * dv[1] - dv[2] * dv[2]
+        s = math.sqrt(max(half2 * (1.0 + 0.25 * half2), 0.0))
+        if s == 0.0:
+            raise IdenticalPoints("tangent direction between coincident points")
+        return ((qn.x - c * pn.x) / s, (qn.y - c * pn.y) / s, (qn.w - c * pn.w) / s)
+
+    @staticmethod
+    def geodesic_point(p, t, u):
+        cu, su = math.cosh(u), math.sinh(u)
+        return HPoint(cu * p.x + su * t[0], cu * p.y + su * t[1], cu * p.w + su * t[2])
+
+    @classmethod
+    def arc_coordinate(cls, f, t):
+        return math.asinh(-cls.mdot(cls.normalize(f), HPoint(*t)))
+
+    @staticmethod
+    def normal_tangent(p, t):
+        cx = p.y * t[2] - p.w * t[1]
+        cy = p.w * t[0] - p.x * t[2]
+        cw = p.x * t[1] - p.y * t[0]
+        return (-cx, -cy, cw)
+
+    @classmethod
+    def foot_of_perpendicular(cls, p, l):
+        perp = cls.mcross(p, cls.pole(l), CoincidentArguments, "point is the pole of the line")
+        return cls.meet(HLine(*perp), l)
+
+    @classmethod
+    def midpoint(cls, p, q):
+        pn, qn = cls.normalize(p), cls.normalize(q)
+        return cls.normalize(HPoint(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w))
+
+    @classmethod
+    def perpendicular_bisector(cls, p, q):
+        pn, qn = cls.normalize(p), cls.normalize(q)
+        l = HLine(pn.x - qn.x, pn.y - qn.y, pn.w - qn.w)
+        if cls.maxnorm(l) <= 1e-15:
+            raise IdenticalPoints("bisector of coincident points")
+        return l
+
+    @classmethod
+    def complementary_bisector(cls, p, q):
+        pn, qn = cls.normalize(p), cls.normalize(q)
+        return HLine(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w)
+
+    @classmethod
+    def angle_bisectors(cls, vertex, ray1, ray2):
+        cls.mcross(ray1, ray2, CoincidentLines, "bisectors of one line")
+        a, b = cls.normalize_line(ray1), cls.normalize_line(ray2)
+        return (HLine(a.x - b.x, a.y - b.y, a.w - b.w), HLine(a.x + b.x, a.y + b.y, a.w + b.w))
+
+    @classmethod
+    def householder(cls, v, l, kind):
+        q = cls.qform(l)
+        if q == 0.0:
+            raise ZeroVector("reflection in a degenerate (tangent) line")
+        k = 2.0 * cls.mdot(v, l) / q
+        return kind(v.x - k * l.x, v.y - k * l.y, v.w - k * l.w)
+
+    @classmethod
+    def reflect(cls, p, l):
+        return cls.householder(p, l, HPoint)
+
+    @classmethod
+    def reflect_line(cls, m, l):
+        return cls.householder(m, l, HLine)
+
+
+def _bits(v):
+    """A comparable image of a result: floats by their bit pattern (so -0.0
+    and 0.0 differ), tuples with their class, anything else as itself."""
+    if isinstance(v, float):
+        return ("float", struct.pack("<d", v))
+    if isinstance(v, tuple):
+        return (v.__class__, tuple(_bits(e) for e in v))
+    return v
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", _bits(fn(*args)))
+    except Exception as e:   # the exception class and message are compared
+        return ("raise", type(e), str(e))
+
+
+# (name, argument kinds): "p" a point (HPoint or UnitPoint), "l" a line,
+# "t" a unit tangent, "u" an arc length
+_KERNEL = [
+    ("mdot", "pl"), ("qform", "p"), ("classify", "p"), ("classify_line", "l"),
+    ("join", "pp"), ("meet", "ll"), ("polar", "p"), ("pole", "l"),
+    ("normalize", "p"), ("normalize_line", "l"), ("distance", "pp"),
+    ("tangent_toward", "pp"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
+    ("normal_tangent", "pt"), ("foot_of_perpendicular", "pl"), ("midpoint", "pp"),
+    ("perpendicular_bisector", "pp"), ("complementary_bisector", "pp"),
+    ("angle_bisectors", "pll"), ("reflect", "pl"), ("reflect_line", "ll"),
+]
+
+
+def _new_and_reference(name):
+    ref = {"_mcross": "mcross"}.get(name, name)
+    return getattr(plane, name), getattr(_Reference, ref)
+
+
+# special triples: the zero triple, boundary points, signed zeros,
+# proportional and coincident pairs are drawn from here as well
+_SPECIAL = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, 0.0, 1.0), (0.6, -0.8, 1.0),
+            (0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (0.3, 0.2, 0.05), (0.0, 1.0, 0.0),
+            (2.0, 0.5, 1.0), (1e-300, 0.0, 1e-300), (0.25, -0.1, 0.5)]
+
+
+def _random_triple(rng):
+    pick = rng.random()
+    if pick < 0.15:
+        return rng.choice(_SPECIAL)
+    if pick < 0.6:   # inside the disk, any scale and sign of w
+        r, th = 0.95 * math.sqrt(rng.random()), rng.uniform(0, 2 * math.pi)
+        s = rng.choice((1.0, -1.0)) * math.exp(rng.uniform(-3, 3))
+        return (s * r * math.cos(th), s * r * math.sin(th), s)
+    return tuple(rng.uniform(-3, 3) for _ in range(3))
+
+
+def _argument(kind, rng, previous):
+    if kind == "u":
+        return rng.uniform(-4, 4)
+    if kind == "t":
+        p = normalize(klein_point(0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1)))
+        q = klein_point(0.6 * rng.uniform(-1, 1), 0.6 * rng.uniform(-1, 1))
+        try:
+            return plane.tangent_toward(p, q)
+        except IdenticalPoints:
+            return (1.0, 0.0, 0.0)
+    if previous and rng.random() < 0.2:   # proportional to, or the same as, an earlier one
+        k = rng.choice((1.0, -2.5, 1e-3))
+        triple = tuple(k * c for c in previous[-1])
+    else:
+        triple = _random_triple(rng)
+    if kind == "l":
+        return HLine(*triple)
+    p = HPoint(*triple)
+    if rng.random() < 0.4:
+        try:
+            return normalize(p)   # a UnitPoint when p is real
+        except (ZeroVector, ZeroDivisionError):
+            # the zero triple, and a triple whose max-norm squared underflows
+            return p
+    return p
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("name, kinds", _KERNEL, ids=[n for n, _ in _KERNEL])
+    def test_seeded_arguments(self, name, kinds):
+        new, ref = _new_and_reference(name)
+        rng = random.Random(f"kernel:{name}")
+        raised = 0
+        for _ in range(3000):
+            args = []
+            for kind in kinds:
+                args.append(_argument(kind, rng, [a for a in args if isinstance(a, tuple)]))
+            got, want = _outcome(new, *args), _outcome(ref, *args)
+            assert got == want, (name, args)
+            raised += got[0] == "raise"
+        if name in ("join", "meet", "polar", "pole", "normalize", "normalize_line",
+                    "foot_of_perpendicular", "angle_bisectors"):
+            assert raised > 0, name   # the error paths were reached
+
+    @pytest.mark.parametrize("name, kinds", [(n, k) for n, k in _KERNEL if set(k) <= set("pl")],
+                             ids=[n for n, k in _KERNEL if set(k) <= set("pl")])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_arguments(self, name, kinds, data):
+        new, ref = _new_and_reference(name)
+        coord = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0]))
+        args = []
+        for kind in kinds:
+            x, y, w = data.draw(st.tuples(coord, coord, coord))
+            if kind == "l":
+                args.append(HLine(x, y, w))
+            elif data.draw(st.booleans()) and w * w - x * x - y * y > 0:
+                args.append(normalize(HPoint(x, y, w)))
+            else:
+                args.append(HPoint(x, y, w))
+        assert _outcome(new, *args) == _outcome(ref, *args)
+
+    @pytest.mark.parametrize("a, b", [
+        (HPoint(0.1, 0.2, 1.0), HPoint(0.2, 0.4, 2.0)),
+        (HLine(0.3, -0.1, 0.2), HLine(-0.6, 0.2, -0.4)),
+        (HPoint(0.0, 0.0, 0.0), HPoint(0.1, 0.2, 1.0)),
+        (HPoint(0.1, 0.2, 1.0), HPoint(0.1, 0.2, 1.0)),
+        (normalize(HPoint(0.1, 0.2, 1.0)), HPoint(-0.1, -0.2, -1.0)),
+    ], ids=["proportional-points", "proportional-lines", "zero", "coincident", "unit-and-negated"])
+    def test_degenerate_pairs_raise_alike(self, a, b):
+        for name in ("mdot", "join", "meet", "distance", "tangent_toward", "midpoint",
+                     "perpendicular_bisector", "complementary_bisector",
+                     "foot_of_perpendicular", "reflect", "reflect_line", "_mcross"):
+            new, ref = _new_and_reference(name)
+            extra = (CoincidentArguments, "m") if name == "_mcross" else ()
+            assert _outcome(new, a, b, *extra) == _outcome(ref, a, b, *extra), name
+        for name in ("polar", "pole", "normalize", "normalize_line", "classify",
+                     "classify_line", "qform"):
+            new, ref = _new_and_reference(name)
+            assert _outcome(new, a) == _outcome(ref, a), name
+        assert (_outcome(angle_bisectors, origin(), a, b)
+                == _outcome(_Reference.angle_bisectors, origin(), a, b))
+
+    def test_unit_point_max_norm_is_its_w(self):
+        rng = random.Random(7)
+        seen = 0
+        for _ in range(20000):
+            p = HPoint(*_random_triple(rng))
+            try:
+                u = normalize(p)
+            except (ZeroVector, ZeroDivisionError):
+                continue
+            if u.__class__ is not UnitPoint:
+                continue
+            seen += 1
+            x, y, w = u
+            assert plane._maxnorm(u) == max(abs(x), abs(y), abs(w)) == w
+        assert seen > 5000
+
+    @given(disk_xy, disk_xy, st.floats(-1e3, 1e3).filter(lambda s: abs(s) > 1e-6))
+    @settings(max_examples=200)
+    def test_unit_point_max_norm_property(self, kx, ky, scale):
+        assume(kx * kx + ky * ky < 0.95)
+        u = normalize(HPoint(kx * scale, ky * scale, scale))
+        assert u.__class__ is UnitPoint
+        x, y, w = u
+        assert plane._maxnorm(u) == max(abs(x), abs(y), abs(w))

@@ -1,8 +1,12 @@
 import gc
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,100 @@ def test_point_from_coords_reproduces_every_center_with_coords(shape):
     assert set(worst) == {spec.name for spec in rg.CENTERS if spec.coords is not None}
     assert PointKind.IDEAL in kinds
     assert max(worst.values()) <= 1e-10, worst
+
+
+# -- the fixed table cells ----------------------------------------------------
+#
+# TBL1 and TBL3 check the cells whose entries do not depend on d once per
+# process and start every seed's max from their worst.
+
+FIXED_CELLS = {"RIn", "InIn", "aRR-In", "aRIn-In", "aRIn-Id", "aInIn", "aInId"}
+
+
+def _cell_entries(name, d):
+    """Everything a cell contributes at d: its construction input and its
+    expected value."""
+    from hypertri.extscalar import segment_lengths
+    if name in rg.SEGMENT_CASES:
+        ka, kb, line, points = rg.SEGMENT_CASES[name]
+        return (None if points is None else points(d),
+                segment_lengths(ka, kb, d=d, line=line))
+    lines, expected = rg.ANGLE_CASES[name]
+    return lines(d), expected(d)
+
+
+def test_fixed_marks_are_exactly_the_cells_that_ignore_d():
+    marked = {name for name, (*_, points) in rg.SEGMENT_CASES.items()
+              if isinstance(points, rg._Fixed)}
+    marked |= {name for name, (lines, expected) in rg.ANGLE_CASES.items()
+               if isinstance(lines, rg._Fixed) and isinstance(expected, rg._Fixed)}
+    assert marked == FIXED_CELLS
+    for name in [*rg.SEGMENT_CASES, *rg.ANGLE_CASES]:
+        if name == "InIn@inf":
+            continue   # table-only, TBL2 has no construction for it
+        same = _cell_entries(name, 0.3) == _cell_entries(name, 1.1)
+        assert same is (name in FIXED_CELLS), name
+
+
+def _reference_table(identity_id, seed):
+    """TBL1 or TBL3 as a plain loop over every cell at the seed's d."""
+    from hypertri.extscalar import segment_lengths
+    c = rg.TrialContext(seed=seed, t=trig.embed(trig.solve_from_sides(1.0, 1.1, 1.2)))
+    c.use_stream(identity_id)
+    d = rg._table_d(c)
+    worst = 0.0
+    if identity_id == "TBL3":
+        for lines, expected in rg.ANGLE_CASES.values():
+            for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d)):
+                worst = max(worst, rg._angle_value_matches(got, re, over_i))
+        return worst
+    for ka, kb, line, points in rg.SEGMENT_CASES.values():
+        if line == "real" and points is not None:
+            want = segment_lengths(ka, kb, d=d, line=line)
+            for got, w in zip(plane.distance_ext(*points(d)), want):
+                worst = max(worst, rg._quantum_matches(got, w.re, w.im))
+    return worst
+
+
+def _table_records(seeds):
+    t = gen_triangle(1)
+    return {(i, s): rg.run_identity(i, t, seed=s) for s in seeds for i in ("TBL1", "TBL3")}
+
+
+def test_tables_match_the_reference_on_every_cell():
+    records = _table_records(range(1, 201))
+    for (identity_id, seed), rec in records.items():
+        assert rec.residual == _reference_table(identity_id, seed), (identity_id, seed)
+    assert _table_records(range(200, 0, -1)) == records
+
+
+def test_tables_agree_in_a_fresh_process_that_starts_elsewhere():
+    # the fixed cells are first checked on whichever seed comes first
+    seeds = (150, 7, 3, 200)
+    code = ("import sys; from hypertri import cli; "
+            f"sys.exit(cli.main(['verify', '--seeds', '{','.join(map(str, seeds))}', "
+            "'--ids', 'TBL1,TBL3']))")
+    path = os.pathsep.join(filter(None, (str(Path(rg.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = {(r["id"], r["seed"]): r["residual"]
+           for r in map(json.loads, proc.stdout.splitlines()) if "id" in r}
+    want = {k: rec.residual for k, rec in _table_records(seeds).items()}
+    assert got == {(i, s): want[(i, s)] for (i, s) in want}
+
+
+def test_fixed_cells_are_checked_once_and_start_every_max():
+    calls = []
+
+    def residual(value, d):
+        calls.append((value, d))
+        return value
+
+    evaluate = rg._table_check([(True, (0.5,)), (False, (0.25,)), (True, (0.125,))], residual)
+    t = trig.embed(trig.solve_from_sides(1.0, 1.1, 1.2))
+    results = [evaluate(rg.TrialContext(seed=s, t=t)) for s in (3, 1, 2)]
+    assert results == [0.5, 0.5, 0.5]
+    assert [c for c in calls if c[1] is None] == [(0.5, None), (0.125, None)]
+    assert [c[0] for c in calls if c[1] is not None] == [0.25, 0.25, 0.25]

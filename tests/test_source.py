@@ -230,3 +230,30 @@ def test_every_error_type_is_named():
              for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(n, (ast.Name, ast.Attribute))}
     assert sorted(declared - named) == []
+
+
+_KERNEL_EXEMPT = {"klein_point", "origin"}
+
+
+def _kernel_spellings(path: Path):
+    """``.x``/``.y``/``.w`` reads and ``HPoint(``/``HLine(``/``UnitPoint(``
+    calls inside the module-level functions of ``path``, other than those
+    in `_KERNEL_EXEMPT`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef) or fn.name in _KERNEL_EXEMPT:
+            continue
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Attribute) and n.attr in ("x", "y", "w"):
+                yield f"{fn.name}:{n.lineno}: .{n.attr}"
+            elif isinstance(n, ast.Call) and _name(n.func) in ("HPoint", "HLine", "UnitPoint"):
+                yield f"{fn.name}:{n.lineno}: {_name(n.func)}(...)"
+
+
+def test_kernel_reads_each_triple_once():
+    # the plane primitives unpack each triple once (x, y, w = p) and build
+    # each result with tuple.__new__; an attribute read goes through the
+    # named tuple's descriptor and a constructor call through its generated
+    # __new__, both slower.  klein_point and origin build points from
+    # scalars, and HPoint's own methods are not module-level primitives
+    assert sorted(_kernel_spellings(SRC / "plane.py")) == []

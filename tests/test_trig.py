@@ -209,6 +209,22 @@ class TestTriangularCoordinates:
         with pytest.raises(DegenerateTriangle):
             point_from_coords((1.0, 1.0, 1.0), solve_from_sides(1.0, 0.8, 0.7))
 
+    def test_coords_are_the_staudtian_products_bit_for_bit(self):
+        # tri_coords folds 0.5 into the per-triangle factor 0.5 sinh(side);
+        # scaling by 0.5 is exact, so the values are those of the plain form
+        rng = random.Random(11)
+        for seed in range(1, 101):
+            t = gen_triangle(seed)
+            points = [*t.vertices, klein_point(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                      klein_point(0.1 * rng.random(), 0.1 * rng.random())]
+            for x in points:
+                xn = plane.normalize(x)
+                want = tuple(0.5 * plane.mdot(xn, l) * math.sinh(length)
+                             for l, length in zip(t.lines, t.sides))
+                got = tri_coords(x, t)
+                assert got.__class__ is tuple
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
 
 class TestCevians:
     def test_median_foot_ratio_is_one(self, t0):

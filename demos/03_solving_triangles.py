@@ -45,7 +45,6 @@ print(f"  rhs  = {t.bign*sinh(t.a)*sinh(t.b)*sinh(t.c):.12e}")
 
 print()
 print("Triangular coordinates and cevian ratios")
-t = trig.embed(t)
 x = point_from_coords((1.2, 0.7, 1.0), t)
 k = tri_coords(x, t)
 print(f"  a point with coordinates (1.2 : 0.7 : 1.0) reconstructs to {x.klein()}")

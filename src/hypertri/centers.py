@@ -71,9 +71,7 @@ class CenterResult:
             coords = [v / m for v in self.coords] if m > 0 else list(self.coords)
         return {
             "name": self.name,
-            "point": self.point.to_json("hyperboloid")
-            if self.classification is PointKind.REAL
-            else {"model": "hyperboloid", "coords": list(self.point)},
+            "point": {"model": "hyperboloid", "coords": list(self.point)},
             "coords": coords,
             "classification": self.classification.value,
             "aux": dict(sorted(self.aux.items())),
@@ -105,8 +103,6 @@ class Frame:
     """
 
     def __init__(self, t: TriangleData):
-        if t.vertices is None:
-            t = trig.embed(t)
         self.t = t
         self.vertices, self.lines = t.vertices, t.lines
         self.A, self.B, self.C = t.vertices
@@ -612,8 +608,8 @@ def coordinate_sum_functional(t: TriangleData) -> HLine:
     """The coordinate sum as one linear functional:
     Sum n_X(P) = <P, V> for unit P, with V = Sum 1/2 sinh(x) l_X built from
     the side lines."""
-    ks = [0.5 * math.sinh(x) for x in t.sides]
-    return HLine(*(sum(k * u for k, u in zip(ks, us)) for us in zip(*t.lines)))
+    *components, ks = zip(*t.coord_rows)
+    return HLine(*(sum(k * u for k, u in zip(ks, us)) for us in components))
 
 
 _GRID_RADII = (1e-3, 1e-2, 1e-1)

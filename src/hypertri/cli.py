@@ -113,12 +113,9 @@ def _verify_results(seeds, rest, n, stack):
     which terminates and joins them on every exit; the caller runs seeds 0,
     n, 2n, ... itself between reads of the children's pipes.
     """
-    if n <= 1:
-        for seed in seeds:
-            yield _verify_worker((seed, *rest))
-        return
-    import multiprocessing
     conns = []
+    if n > 1:
+        import multiprocessing
     for k in range(1, n):
         recv, send = multiprocessing.Pipe(duplex=False)
         proc = multiprocessing.Process(target=_verify_stride, args=(seeds[k::n], rest, send))

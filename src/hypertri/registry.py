@@ -70,8 +70,10 @@ sin, cos, tan = math.sin, math.cos, math.tan
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
 
-class _Skip(Exception):
-    """A declared non-configuration; the message is the skip reason."""
+class _Skip(GeometryError):
+    """A declared non-configuration; the message is the skip reason.  A
+    handler that tells skips from errors must catch it before
+    GeometryError."""
 
 
 def _dist_ext_or_zero(p, q):
@@ -1175,7 +1177,7 @@ def center_table(ctx: ct.Frame, which: list[str] | None = None) -> list[dict]:
             continue
         try:
             rows.append(spec.build(ctx).to_json())
-        except (_Skip, GeometryError) as e:
+        except GeometryError as e:
             rows.append({"name": spec.name, "status": f"unavailable: {e}"})
     return rows
 
@@ -1195,7 +1197,7 @@ def run_suite(seed: int, ids: list[str] | None = None, shape: str = "any",
 
 def triangle_json(t: TriangleData, seed: int | None = None) -> dict:
     out = {
-        "vertices": [v.to_json("klein") for v in t.require_vertices()],
+        "vertices": [v.to_json("klein") for v in t.vertices],
         "model": "klein",
         "meta": {},
         "data": t.to_json(),

@@ -94,7 +94,7 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
     if model not in ("klein", "poincare"):
         raise OutOfDomain(f"unsupported drawing model {model!r}")
     ctx = ct.Frame(t)
-    va, vb, vc = t.require_vertices()
+    va, vb, vc = t.vertices
     corners = [_disk_coords(v, model) for v in (va, vb, vc)]
 
     parts = []

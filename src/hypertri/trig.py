@@ -13,7 +13,7 @@ on every formula here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import plane
 from .errors import (
@@ -58,12 +58,13 @@ class TriangleData:
     Sides ``a, b, c`` are opposite the vertices ``A, B, C``; angles
     ``alpha, beta, gamma`` sit at those vertices.  ``s`` is the semiperimeter,
     ``delta`` the half-defect (the area is ``2 * delta``), ``n`` and ``bign``
-    the two Staudtians.  ``vertices`` is filled when the triangle was built
-    from, or embedded into, the plane; constructive operations require it.
-    ``lines`` holds the side lines (a, b, c), derived from the vertices when
-    first read; ``sides`` and ``angles`` are the triples (a, b, c) and
-    (alpha, beta, gamma).  Per-vertex and per-side accessors take an index
-    (see `SIDE_ENDS`).
+    the two Staudtians.  ``vertices`` are the points A, B, C: those given to
+    `solve_from_vertices`, or, for a triangle solved from its sides or
+    angles, A at the origin, B on the positive x-axis and C in the upper
+    half plane.  ``lines`` holds the side lines (a, b, c), derived from the
+    vertices when first read; ``sides`` and ``angles`` are the triples
+    (a, b, c) and (alpha, beta, gamma).  Per-vertex and per-side accessors
+    take an index (see `SIDE_ENDS`).
     """
 
     a: float
@@ -76,7 +77,7 @@ class TriangleData:
     delta: float
     n: float
     bign: float
-    vertices: tuple[HPoint, HPoint, HPoint] | None = None
+    vertices: tuple[HPoint, HPoint, HPoint]
     _lines: tuple[HLine, HLine, HLine] | None = field(
         default=None, init=False, repr=False, compare=False)
     _coord_rows: tuple | None = field(
@@ -85,7 +86,7 @@ class TriangleData:
     @property
     def lines(self) -> tuple[HLine, HLine, HLine]:
         if self._lines is None:
-            vs = self.require_vertices()
+            vs = self.vertices
             lines = tuple(_side_line(vs[i], vs[j], vs[k])
                           for i, (j, k) in enumerate(SIDE_ENDS))
             object.__setattr__(self, "_lines", lines)
@@ -117,25 +118,18 @@ class TriangleData:
         """Altitude length onto side ``i``."""
         return math.asinh(2.0 * self.n / math.sinh(self.sides[i]))
 
-    def require_vertices(self) -> tuple[HPoint, HPoint, HPoint]:
-        if self.vertices is None:
-            raise DegenerateTriangle("operation needs a triangle with vertices")
-        return self.vertices
-
     def side_line(self, i: int) -> HLine:
         """Line of side ``i``, unit-normalized, oriented so vertex ``i`` has
         positive signed distance."""
         return self.lines[i]
 
     def to_json(self):
-        data = {
+        return {
             "a": self.a, "b": self.b, "c": self.c,
             "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
             "s": self.s, "delta": self.delta, "n": self.n, "N": self.bign,
+            "vertices": [v.to_json("klein") for v in self.vertices],
         }
-        if self.vertices is not None:
-            data["vertices"] = [v.to_json("klein") for v in self.vertices]
-        return data
 
 
 def _side_line(opposite: HPoint, p: HPoint, q: HPoint) -> HLine:
@@ -175,7 +169,7 @@ def angular_staudtian(alpha: float, beta: float, gamma: float) -> float:
     return math.sqrt(max(prod, 0.0))
 
 
-def _assemble(sides, angles, vertices=None) -> TriangleData:
+def _assemble(sides, angles, vertices) -> TriangleData:
     delta = 0.5 * (math.pi - angles[0] - angles[1] - angles[2])
     if delta <= 0.0:
         raise DegenerateTriangle("angle sum reaches pi (zero defect)")
@@ -188,6 +182,17 @@ def _assemble(sides, angles, vertices=None) -> TriangleData:
     )
 
 
+def _assemble_placed(sides, angles) -> TriangleData:
+    """`_assemble` with A at the origin, B on the positive x-axis and C in
+    the upper half plane."""
+    b, c, alpha = sides[1], sides[2], angles[0]
+    return _assemble(sides, angles, (
+        plane.origin(),
+        HPoint(math.sinh(c), 0.0, math.cosh(c)),
+        HPoint(math.sinh(b) * math.cos(alpha), math.sinh(b) * math.sin(alpha), math.cosh(b)),
+    ))
+
+
 def _angle_from_sides(adj1: float, adj2: float, opposite: float) -> float:
     num = math.cosh(adj1) * math.cosh(adj2) - math.cosh(opposite)
     den = math.sinh(adj1) * math.sinh(adj2)
@@ -198,8 +203,8 @@ def solve_from_sides(a: float, b: float, c: float) -> TriangleData:
     """Triangle from its three side lengths (law of cosines on the sides)."""
     sides = (a, b, c)
     _validate_sides(sides)
-    return _assemble(sides, [_angle_from_sides(sides[j], sides[k], sides[i])
-                             for i, (j, k) in enumerate(SIDE_ENDS)])
+    return _assemble_placed(sides, [_angle_from_sides(sides[j], sides[k], sides[i])
+                                    for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
@@ -218,7 +223,7 @@ def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
 
     sides = [side(angles[i], angles[j], angles[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
     _validate_sides(sides)
-    return _assemble(sides, angles)
+    return _assemble_placed(sides, angles)
 
 
 def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
@@ -239,22 +244,7 @@ def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
     sides = [distance(pts[j], pts[k]) for j, k in SIDE_ENDS]
     _validate_sides(sides)
     angles = [vertex_angle(pts[i], pts[j], pts[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
-    return _assemble(sides, angles, vertices=tuple(pts))
-
-
-def embed(t: TriangleData) -> TriangleData:
-    """Give a side-solved triangle canonical vertices: A at the origin, B on
-    the positive x-axis, C in the upper half plane."""
-    if t.vertices is not None:
-        return t
-    va = plane.origin()
-    vb = HPoint(math.sinh(t.c), 0.0, math.cosh(t.c))
-    vc = HPoint(
-        math.sinh(t.b) * math.cos(t.alpha),
-        math.sinh(t.b) * math.sin(t.alpha),
-        math.cosh(t.b),
-    )
-    return replace(t, vertices=(va, vb, vc))
+    return _assemble(sides, angles, tuple(pts))
 
 
 # --------------------------------------------------------------------------
@@ -269,10 +259,8 @@ def tan_half_area_from_height(t: TriangleData) -> tuple[float, float]:
     side a.  Composing by the tangent addition rule:
 
         tan(T/2) = (x1 + x2) / (1 - x1 x2),   x_i = tanh(a_i/2) tanh(m_a/2)
-
-    Needs vertices.
     """
-    va, vb, vc = t.require_vertices()
+    va, vb, vc = t.vertices
     la = t.side_line(0)
     foot = normalize(plane.foot_of_perpendicular(va, la))
     u = plane.arc_coordinate(foot, tangent_toward(vb, vc))
@@ -340,7 +328,7 @@ def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
     real, ideal or at infinity; the zero triple raises ZeroVector.
     """
     return normalize(HPoint(*(sum(ki * u for ki, u in zip(k, us))
-                              for us in zip(*t.require_vertices()))))
+                              for us in zip(*t.vertices))))
 
 
 def relative_residual(lhs, rhs) -> float:
@@ -372,7 +360,7 @@ def cevian_ratio(x: HPoint, t: TriangleData, i: int) -> float:
     The ratio is signed: a foot outside the closed segment makes one factor
     negative.
     """
-    vs = t.require_vertices()
+    vs = t.vertices
     j, k = SIDE_ENDS[i]
     vertex, start, end = vs[i], vs[j], vs[k]
     length = t.sides[i]
@@ -393,7 +381,7 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
 
         cosh(AB) sinh(A'C) + cosh(AC) sinh(BA') - cosh(AA') sinh(BC)
     """
-    va, vb, vc = t.require_vertices()
+    va, vb, vc = t.vertices
     p = real_point(aprime, FootOutsideSegment, "the point must be a real point of side BC")
     on_line = abs(mdot(p, normalize_line(join(vb, vc))))
     if on_line > 1e-9:

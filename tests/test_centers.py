@@ -40,7 +40,7 @@ def random_triangle(rng, maxr=0.85, min_angle=0.15, min_side=0.15,
 
 @pytest.fixture
 def equilateral():
-    return trig.embed(solve_from_angles(0.5, 0.5, 0.5))
+    return solve_from_angles(0.5, 0.5, 0.5)
 
 
 @pytest.fixture
@@ -281,8 +281,7 @@ class TestIsogonal:
         gaps = []
         for k in range(0, 11):
             scale = 2.0 ** -k
-            t = trig.embed(trig.solve_from_sides(base.a * scale, base.b * scale,
-                                                 base.c * scale))
+            t = trig.solve_from_sides(base.a * scale, base.b * scale, base.c * scale)
             hp = ct.isogonal_conjugate(ct.orthocenter(t).point, t)
             o = ct.circumcenters(t)[0]
             gaps.append(proportionality_residual(tri_coords(hp, t), o.coords))

@@ -250,12 +250,15 @@ class TestVerify:
         assert len(starts) == started
 
     def test_import_leaves_out_multiprocessing(self):
-        # only `verify --jobs N` with N > 1 and more than one seed needs it
+        # only `verify --jobs N` with N > 1 and more than one seed needs it;
+        # neither the import nor a `--jobs 1` run loads it
         src = os.path.dirname(os.path.dirname(hypertri.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import sys, hypertri.cli; print('multiprocessing' in sys.modules)"],
+             "import os, sys; from hypertri import cli; "
+             "cli.main(['verify', '--seeds', '1..3', '--ids', 'LS', '--jobs', '1', "
+             "'-o', os.devnull]); print('multiprocessing' in sys.modules)"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
             timeout=60)
         assert proc.returncode == 0, proc.stderr[-4000:]

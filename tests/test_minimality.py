@@ -115,7 +115,7 @@ TRIANGLES = ([("any", s) for s in range(1, 101)] + [("acute", s) for s in range(
 
 def _triangle(shape, seed):
     if shape == "equilateral":
-        return trig.embed(solve_from_angles(0.5, 0.5, 0.5))
+        return solve_from_angles(0.5, 0.5, 0.5)
     return gen_triangle(seed, shape=shape)
 
 

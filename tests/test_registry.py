@@ -223,6 +223,15 @@ def test_right_triangles_give_a_record_for_every_identity(tmp_path):
     assert cli.main(["verify", "--shape", "right", "--seeds", "1..40", "-o", str(out)]) in (0, 1)
 
 
+def test_center_builds_raise_only_geometry_errors():
+    # H' is not constructible with H on the right vertex; its row's build
+    # says so with a GeometryError, like every other unavailable center
+    ctx = rg.TrialContext(seed=5, t=gen_triangle(5, shape="right"))
+    with pytest.raises(GeometryError, match=r"^orthocenter on a vertex \(right angle\): "
+                       "its conjugate is not constructible$"):
+        rg.CENTER_BY_NAME["H'"].build(ctx)
+
+
 def test_no_root_context_is_freed_without_gc():
     # a pseudo-orthocenter without a root leaves no reference cycle behind:
     # reference counting alone frees the context once its last name goes
@@ -303,7 +312,7 @@ def test_point_from_coords_reproduces_every_center_with_coords(shape):
                 continue
             try:
                 res = spec.build(c)
-            except (rg._Skip, GeometryError):
+            except GeometryError:
                 continue
             x = trig.point_from_coords(spec.coords(c.t), c.t)
             assert plane.classify(x) is res.classification, (seed, spec.name)
@@ -354,7 +363,7 @@ def test_fixed_marks_are_exactly_the_cells_that_ignore_d():
 def _reference_table(identity_id, seed):
     """TBL1 or TBL3 as a plain loop over every cell at the seed's d."""
     from hypertri.extscalar import segment_lengths
-    c = rg.TrialContext(seed=seed, t=trig.embed(trig.solve_from_sides(1.0, 1.1, 1.2)))
+    c = rg.TrialContext(seed=seed, t=trig.solve_from_sides(1.0, 1.1, 1.2))
     c.use_stream(identity_id)
     d = rg._table_d(c)
     worst = 0.0
@@ -408,7 +417,7 @@ def test_fixed_cells_are_checked_once_and_start_every_max():
         return value
 
     evaluate = rg._table_check([(True, (0.5,)), (False, (0.25,)), (True, (0.125,))], residual)
-    t = trig.embed(trig.solve_from_sides(1.0, 1.1, 1.2))
+    t = trig.solve_from_sides(1.0, 1.1, 1.2)
     results = [evaluate(rg.TrialContext(seed=s, t=t)) for s in (3, 1, 2)]
     assert results == [0.5, 0.5, 0.5]
     assert [c for c in calls if c[1] is None] == [(0.5, None), (0.125, None)]

@@ -1,17 +1,22 @@
-"""The benchmark's own unit tests, run as part of this suite.
+"""The benchmark's own unit tests and output checks, run as part of this suite.
 
 perfbench's tracer patches named functions and methods of hypertri
 (`Frame.__init__`, `TrialContext.__init__`, `TriangleData.side_line`,
 `TrialReport.to_jsonl`, `cli._verify_worker`, `run_identity`) and counts
 calls of the center builders through their `hypertri.centers` attributes;
-renaming one of them, or calling a builder past its attribute, fails these
-tests, not only a benchmark run.
+its reference rows come from `run_suite(..., include_centers=False)`, and
+its centers workload builds `TrialContext(seed=, t=)` and reads the row keys
+of `center_table(ctx)`.  Renaming one of them, calling a builder past its
+attribute, or changing an output the benchmark pins fails these tests, not
+only a benchmark run.
 """
 
 import ast
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from hypertri import centers as ct
 from hypertri import registry as rg
@@ -79,3 +84,43 @@ def test_center_table_and_coordinate_checks_reach_the_traced_builders(monkeypatc
         calls.clear()
         assert rg.run_identity(identity_id, t, seed=8).status == "pass"
         assert builder in calls, identity_id
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """perfbench's `reference` and `workloads` modules, imported from its
+    directory as its scripts import them, and unloaded afterwards."""
+    here = str(ROOT / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        import reference
+        import workloads
+        yield reference, workloads
+    finally:
+        sys.path.remove(here)
+        for name in ("reference", "workloads", "probe"):
+            sys.modules.pop(name, None)
+
+
+def _sample(w, base, count=40):
+    """``count`` seeds spread over the window the reference pins."""
+    return range(base, base + w.window, w.window // count)
+
+
+@pytest.mark.parametrize("base", [1, 1_000_001])
+def test_outputs_match_the_benchmark_reference(perfbench, base):
+    # the checks a benchmark run makes on every op, on a sample of seeds
+    reference, workloads = perfbench
+    for name in ("verify-any", "oracle-c3"):
+        w = workloads.WORKLOADS[name]
+        ref = reference.load(name, base)
+        ids = list(w.ids) if w.ids else None
+        for seed in _sample(w, base):
+            assert reference._verify_row((seed, ids)) == (ref.ids, ref.statuses[seed]), \
+                (name, seed)
+    w = workloads.WORKLOADS["centers-acute"]
+    ref = reference.load(w.name, base)
+    for seed in _sample(w, base):
+        rows, _ = workloads.centers_op(seed)
+        assert not workloads.centers_mismatch(workloads.center_summary(rows),
+                                              ref.centers[seed]), seed

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -18,7 +19,6 @@ from hypertri.generate import gen_triangle
 from hypertri.plane import distance, geodesic_point, klein_point, midpoint
 from hypertri.trig import (
     cevian_ratio,
-    embed,
     point_from_coords,
     proportionality_residual,
     solve_from_angles,
@@ -134,7 +134,7 @@ class TestAreaForms:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
     def test_height_accessor_matches_the_construction(self):
-        t = embed(solve_from_sides(1.0, 0.8, 0.7))
+        t = solve_from_sides(1.0, 0.8, 0.7)
         from hypertri.plane import foot_of_perpendicular, normalize
         foot = normalize(foot_of_perpendicular(t.vertices[0], t.side_line(0)))
         assert t.height(0) == pytest.approx(distance(t.vertices[0], foot), rel=1e-10)
@@ -205,10 +205,6 @@ class TestTriangularCoordinates:
             x = point_from_coords(k, t)
             assert proportionality_residual(tri_coords(x, t), k) < 1e-12
 
-    def test_needs_vertices(self):
-        with pytest.raises(DegenerateTriangle):
-            point_from_coords((1.0, 1.0, 1.0), solve_from_sides(1.0, 0.8, 0.7))
-
     def test_coords_are_the_staudtian_products_bit_for_bit(self):
         # tri_coords folds 0.5 into the per-triangle factor 0.5 sinh(side);
         # scaling by 0.5 is exact, so the values are those of the plain form
@@ -275,8 +271,8 @@ class TestStewart:
         # scale the T0 shape by 1e-3: the euclidean Stewart relation holds
         # through fourth order in the scale
         eps = 1e-3
-        t = embed(solve_from_sides(math.acosh(4 / 3) * eps,
-                                   math.atanh(0.5) * eps, math.atanh(0.5) * eps))
+        t = solve_from_sides(math.acosh(4 / 3) * eps,
+                             math.atanh(0.5) * eps, math.atanh(0.5) * eps)
         vb, vc = t.vertices[1], t.vertices[2]
         mid = midpoint(vb, vc)
         u = distance(vb, mid)
@@ -304,13 +300,38 @@ class TestLambert:
             trig.lambert_from_legs(2.0, 2.0)
 
 
-class TestEmbedding:
-    def test_embed_reproduces_the_data(self):
-        t = solve_from_sides(1.1, 0.9, 0.6)
-        te = embed(t)
-        t2 = solve_from_vertices(*te.vertices)
-        assert t2.a == pytest.approx(t.a, rel=1e-12)
-        assert t2.alpha == pytest.approx(t.alpha, rel=1e-10)
+class TestPlacedVertices:
+    """A triangle solved from its sides or its angles carries vertices: A at
+    the origin, B on the positive x-axis, C in the upper half plane."""
+
+    @pytest.fixture(params=["sides", "angles"])
+    def t(self, request):
+        if request.param == "sides":
+            return solve_from_sides(1.1, 0.9, 0.6)
+        return solve_from_angles(0.5, 0.6, 0.7)
+
+    def test_vertices_reproduce_the_data(self, t):
+        va, vb, vc = t.vertices
+        assert va == plane.origin()
+        assert vb.x > 0.0 and vb.y == 0.0
+        assert vc.y > 0.0
+        t2 = solve_from_vertices(*t.vertices)
+        assert t2.sides == pytest.approx(t.sides, rel=1e-12)
+        assert t2.angles == pytest.approx(t.angles, rel=1e-10)
+
+    def test_every_constructive_operation_accepts_it(self, t, tmp_path):
+        from hypertri import centers, registry, render
+        k = (1.2, 0.7, 1.0)
+        x = point_from_coords(k, t)
+        assert proportionality_residual(tri_coords(x, t), k) < 1e-12
+        assert cevian_ratio(x, t, 0) == pytest.approx(k[2] / k[1], rel=1e-9)
+        assert stewart_residual(t, midpoint(t.vertices[1], t.vertices[2])) < 1e-12
+        out = tmp_path / "fig.svg"
+        render.render_svg(t, ["M", "O", "I", "H"], "klein", str(out))
+        assert out.read_text().startswith("<svg")
+        back = registry.triangle_from_json(json.loads(json.dumps(registry.triangle_json(t))))
+        assert back.sides == pytest.approx(t.sides, rel=1e-12)
+        assert centers.Frame(t).t is t
 
 
 def test_angles_follow_the_index_convention():

@@ -16,7 +16,8 @@ by which side keeps its real length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import plane, trig
 from .errors import (
@@ -30,9 +31,9 @@ from .plane import (
     HLine,
     HPoint,
     UnitPoint,
+    _new,
     classify,
     distance,
-    distance_ext,
     foot_of_perpendicular,
     geodesic_point,
     join,
@@ -51,31 +52,37 @@ from .plane import (
 )
 from .trig import SIDE_ENDS, TriangleData, relative_residual, tri_coords
 
+_R, _IN = PointKind.REAL, PointKind.INFINITE
 
-@dataclass(frozen=True, slots=True)
-class CenterResult:
+
+class CenterResult(NamedTuple):
     """A computed center: its point, triangular coordinates, classification,
-    and a map of named scalars (radii, common ratios...) tied to it."""
+    and a map of named scalars (radii, common ratios...) tied to it.  A
+    real point is stored in unit form, any other point as constructed."""
 
     name: str
     point: HPoint
     coords: tuple[float, float, float]
     classification: PointKind
-    aux: dict = field(default_factory=dict)
+    aux: dict
 
     def to_json(self):
-        if any(math.isnan(v) for v in self.coords):
+        name, point, (c0, c1, c2), kind, aux = self
+        if c0 != c0 or c1 != c1 or c2 != c2:   # a NaN: no coordinates
             coords = None
         else:
-            m = max(abs(v) for v in self.coords)
-            coords = [v / m for v in self.coords] if m > 0 else list(self.coords)
+            m = max(abs(c0), abs(c1), abs(c2))
+            coords = [c0 / m, c1 / m, c2 / m] if m > 0 else [c0, c1, c2]
         return {
-            "name": self.name,
-            "point": {"model": "hyperboloid", "coords": list(self.point)},
+            "name": name,
+            "point": {"model": "hyperboloid", "coords": list(point)},
             "coords": coords,
-            "classification": self.classification.value,
-            "aux": dict(sorted(self.aux.items())),
+            "classification": _KIND_JSON[kind],
+            "aux": dict(sorted(aux.items())),
         }
+
+
+_KIND_JSON = {kind: kind.value for kind in PointKind}
 
 
 def _line_sub(p: HLine, q: HLine) -> HLine:
@@ -176,17 +183,22 @@ def _memo(build):
     return builder
 
 
+_NO_COORDS = (math.nan, math.nan, math.nan)
+
+
 def _result(name: str, point: HPoint, t: TriangleData, aux=None) -> CenterResult:
-    kind = classify(point)
-    pt = normalize(point) if kind is PointKind.REAL else point
-    coords = tri_coords(pt, t) if kind is not PointKind.INFINITE else (
-        math.nan, math.nan, math.nan)
-    return CenterResult(name=name, point=pt, coords=coords,
-                        classification=kind, aux=aux or {})
-
-
-def _radius_ext(center: HPoint, to: HPoint) -> ExtLength:
-    return distance_ext(center, to)[0]
+    """The center ``name`` at ``point`` of the triangle ``t``, with ``aux``
+    (a new empty dict when None).  A `UnitPoint` is taken as it is; any
+    other point is classified, and normalized when real.  A point at
+    infinity has NaN coordinates."""
+    if point.__class__ is UnitPoint:
+        kind = _R
+    else:
+        kind = classify(point)
+        if kind is _R:
+            point = normalize(point)
+    coords = _NO_COORDS if kind is _IN else tri_coords(point, t)
+    return _new(CenterResult, (name, point, coords, kind, {} if aux is None else aux))
 
 
 # --------------------------------------------------------------------------
@@ -226,15 +238,11 @@ def circumcenters(f: Frame):
     oc = meet(pab, qbc)
     out = []
     for name, center in (("O", o), ("O_A", oa), ("O_B", ob), ("O_C", oc)):
-        cn = normalize(center)  # real: passed on as a UnitPoint, classified once
-        if cn.__class__ is UnitPoint:
-            center = cn
-        radius = _radius_ext(center, f.A)
-        out.append(_result(name, center, f.t, aux={
-            "tanh_R": ext_tanh(radius).real,
-            "radius_re": radius.re,
-            "radius_quantum": radius.im.radians,
-        }))
+        res = _result(name, center, f.t)
+        radius = plane.radius_ext(res.point, res.classification, f.A)
+        res.aux.update(tanh_R=ext_tanh(radius).real, radius_re=radius.re,
+                       radius_quantum=radius.im.radians)
+        out.append(res)
     return tuple(out)
 
 
@@ -327,8 +335,8 @@ def orthocenter(f: Frame) -> CenterResult:
     alt_b = perpendicular_line(f.B, f.lines[1])
     h = meet(alt_a, alt_b)
     aux = {}
-    if classify(h) is PointKind.REAL:
-        hn = normalize(h)
+    hn = normalize(h)
+    if hn.__class__ is UnitPoint:
         ha = distance(hn, f.A)
         hha = distance(hn, f.altitude_foot(0))
         aux["h"] = math.tanh(ha) * math.tanh(hha)

@@ -15,7 +15,15 @@ from dataclasses import dataclass
 
 from . import plane, trig
 from .errors import ExhaustedAttempts, GeometryError
-from .plane import HPoint, geodesic_point, klein_point, normalize, tangent_toward
+from .plane import (
+    HPoint,
+    UnitPoint,
+    geodesic_point,
+    klein_point,
+    mdot,
+    normalize,
+    tangent_toward,
+)
 from .trig import SIDE_ENDS, TriangleData
 
 SHAPES = ("any", "acute", "scalene", "isosceles", "equilateral", "right")
@@ -53,10 +61,46 @@ def _satisfies(t: TriangleData, shape: str, c: Constraints) -> bool:
     return True
 
 
+# The Gram test of `_surely_rejected` leaves the candidate to the full solve
+# when cosh^2 - 1 of a side is below _GRAM_MIN_SINH2 (a side below about
+# 1e-3), where the subtraction cancels; its margins are _GRAM_MARGIN times
+# the largest w of the unit vertices squared, far above the rounding of the
+# Gram entries and of the solve.
+_GRAM_MIN_SINH2 = 1e-6
+_GRAM_MARGIN = 1e-7
+
+
+def _surely_rejected(pts, shape, c) -> bool:
+    """Whether `solve_from_vertices` on the unit vertices ``pts`` would
+    surely fail `_satisfies`, read from their Gram entries: cosh of side i
+    is ``<V_j, V_k>`` and ``cos angle_i = (cosh_j cosh_k - cosh_i) /
+    (sinh_j sinh_k)``.  The test is one-sided: False leaves the candidate to
+    the full solve."""
+    ch = [mdot(pts[j], pts[k]) for j, k in SIDE_ENDS]
+    w = max(p[2] for p in pts)
+    margin = _GRAM_MARGIN * w * w
+    if min(ch) < math.cosh(c.min_side) - margin:
+        return True
+    sh2 = [x * x - 1.0 for x in ch]
+    if min(sh2) < _GRAM_MIN_SINH2:
+        return False
+    cos_min = math.cos(c.min_angle) + margin
+    for i, (j, k) in enumerate(SIDE_ENDS):
+        cos_i = (ch[j] * ch[k] - ch[i]) / math.sqrt(sh2[j] * sh2[k])
+        if cos_i > cos_min or (shape == "acute" and cos_i < -margin):
+            return True
+    return False
+
+
 def _accept(pts, shape, c) -> TriangleData | None:
     """The triangle on the vertices ``pts`` when it solves and meets the
-    constraints of ``shape``, else None (the candidate is rejected)."""
+    constraints of ``shape``, else None (the candidate is rejected).  The
+    vertices are normalized once; a candidate that `_surely_rejected` turns
+    down is not solved."""
     try:
+        pts = [normalize(p) for p in pts]
+        if any(p.__class__ is not UnitPoint for p in pts) or _surely_rejected(pts, shape, c):
+            return None
         t = trig.solve_from_vertices(*pts)
     except GeometryError:
         return None

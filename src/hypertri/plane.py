@@ -150,13 +150,28 @@ def _maxnorm(u) -> float:
     return max(abs(x), abs(y), abs(w))
 
 
-def _qform_maxnorm(u, what: str) -> tuple[float, float]:
-    """``Q(u)`` and the max-norm of ``u``, reading each coordinate once; the
-    zero triple raises ZeroVector(f"{what} the zero triple")."""
-    x, y, w = u
-    m = max(abs(x), abs(y), abs(w))
+# A max-norm outside (2**-500, 2**500) could underflow or overflow once
+# squared; such a triple is divided by its max-norm first (`_rescaled`).
+_NORM_MIN, _NORM_MAX = 2.0 ** -500, 2.0 ** 500
+
+
+def _rescaled(x: float, y: float, w: float, m: float, what: str):
+    """``(x, y, w) / m``, whose max-norm is 1; the zero triple (``m == 0``)
+    raises ZeroVector(f"{what} the zero triple")."""
     if m == 0.0:
         raise ZeroVector(f"{what} the zero triple")
+    return x / m, y / m, w / m
+
+
+def _qform_maxnorm(u, what: str) -> tuple[float, float]:
+    """``Q(u)`` and the max-norm of ``u``, reading each coordinate once (of
+    ``u`` rescaled to max-norm 1 when its max-norm is out of range, see
+    `_rescaled`)."""
+    x, y, w = u
+    m = max(abs(x), abs(y), abs(w))
+    if not _NORM_MIN < m < _NORM_MAX:
+        x, y, w = _rescaled(x, y, w, m, what)
+        m = 1.0
     return w * w - x * x - y * y, m
 
 
@@ -228,8 +243,9 @@ def normalize(p: HPoint) -> HPoint:
         return p
     x, y, w = p
     m = max(abs(x), abs(y), abs(w))
-    if m == 0.0:
-        raise ZeroVector("normalize of the zero triple")
+    if not _NORM_MIN < m < _NORM_MAX:
+        x, y, w = _rescaled(x, y, w, m, "normalize of")
+        m = 1.0
     q = w * w - x * x - y * y
     r = q / (m * m)
     if r > EPS_CLS:
@@ -247,8 +263,9 @@ def normalize_line(l: HLine) -> HLine:
     """Unit representative of a real line (Q = -1); others get max-norm 1."""
     x, y, w = l
     m = max(abs(x), abs(y), abs(w))
-    if m == 0.0:
-        raise ZeroVector("normalize of the zero triple")
+    if not _NORM_MIN < m < _NORM_MAX:
+        x, y, w = _rescaled(x, y, w, m, "normalize of")
+        m = 1.0
     q = w * w - x * x - y * y
     r = q / (m * m)
     if r < -EPS_CLS:
@@ -447,14 +464,12 @@ def distance_ext(a: HPoint, b: HPoint):
     ka, kb = classify(a), classify(b)
 
     if ka is _R and kb is _R:
-        d = distance(a, b)
-        return (ExtLength(d), ExtLength(-d, Quantum.PI))
+        first = radius_ext(a, _R, b)
+        return (first, ExtLength(-first.re, Quantum.PI))
 
     if (ka is _R and kb is _ID) or (ka is _ID and kb is _R):
-        real_pt = a if ka is _R else b
-        ideal_pt = b if ka is _R else a
-        d = abs(signed_line_distance(real_pt, polar(ideal_pt)))
-        return (ExtLength(d, Quantum.HALF_PI), ExtLength(-d, Quantum.HALF_PI))
+        first = radius_ext(a, _ID, b) if ka is _ID else radius_ext(b, _ID, a)
+        return (first, ExtLength(-first.re, Quantum.HALF_PI))
 
     if _R in (ka, kb):
         # real with infinite
@@ -482,6 +497,19 @@ def distance_ext(a: HPoint, b: HPoint):
     # ideal line: length is the angle of the polars (at a real point) times i
     phi = _line_angle_at(polar(a), polar(b))
     return (PureImaginary(phi), PureImaginary(math.pi - phi))
+
+
+def radius_ext(center: HPoint, kind: PointKind, p: HPoint) -> ExtLength:
+    """``distance_ext(center, p)[0]`` for a real point ``p`` and a
+    ``center`` whose classification ``kind`` is known: the radius of the
+    cycle about ``center`` through ``p``.  It is ``d`` for a real center,
+    ``d + (pi/2) i`` for an ideal one (``d`` the distance from ``p`` to its
+    polar) and ``inf`` for a center at infinity."""
+    if kind is _R:
+        return ExtLength(distance(center, p))
+    if kind is _ID:
+        return ExtLength(abs(signed_line_distance(p, polar(center))), Quantum.HALF_PI)
+    return ExtLength(math.inf)
 
 
 def _line_angle_at(u: HLine, v: HLine) -> float:
@@ -548,6 +576,9 @@ def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
 # --------------------------------------------------------------------------
 # cycles
 
+_CYCLE_KIND = {_R: CycleKind.CIRCLE, _IN: CycleKind.PARACYCLE, _ID: CycleKind.HYPERCYCLE}
+
+
 def cycle_through(p: HPoint, q: HPoint, r: HPoint) -> Cycle:
     """The cycle through three real, non-collinear points.
 
@@ -561,12 +592,9 @@ def cycle_through(p: HPoint, q: HPoint, r: HPoint) -> Cycle:
     if abs(mdot(normalize(r), normalize_line(l_pq))) < 1e-12:
         raise CollinearPoints("cycle through collinear points")
     center = meet(perpendicular_bisector(p, q), perpendicular_bisector(q, r))
-    kind = {
-        _R: CycleKind.CIRCLE,
-        _IN: CycleKind.PARACYCLE,
-        _ID: CycleKind.HYPERCYCLE,
-    }[classify(center)]
-    radii = [distance_ext(center, s)[0] for s in (p, q, r)]
+    center_kind = classify(center)
+    kind = _CYCLE_KIND[center_kind]
+    radii = [radius_ext(center, center_kind, s) for s in (p, q, r)]
     radius = radii[0]
     if kind is not CycleKind.PARACYCLE:
         spread = max(abs(radius.re - other.re) for other in radii[1:])

@@ -16,6 +16,7 @@ deterministic `TrialReport`; reports serialize as JSON lines.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
@@ -566,8 +567,15 @@ def _stewart(c):
 
 
 def _stewart_euclidean_limit(c):
+    return _stewart_euclidean_order_gap()
+
+
+@functools.cache
+def _stewart_euclidean_order_gap() -> float:
     # fixed shape scaled down; the residual of the euclidean Stewart relation
-    # evaluated on hyperbolic lengths must vanish at order >= 4 in the scale
+    # evaluated on hyperbolic lengths must vanish at order >= 4 in the scale.
+    # Nothing depends on the triangle under test, so it is computed once per
+    # process.
     logs = []
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
         a, b, cc = 1.0 * eps, 0.8 * eps, 0.7 * eps
@@ -670,8 +678,7 @@ def _pseudomedian_feet(c):
     worst = s_res.aux["third_cevian_residual"]
     # defining property: each cevian halves the defect
     for i, (_, k) in enumerate(SIDE_ENDS):
-        sub = trig.solve_from_vertices(c.vertices[i], feet[i], c.vertices[k])
-        worst = max(worst, abs(sub.area - t.delta))
+        worst = max(worst, abs(trig.defect(c.vertices[i], feet[i], c.vertices[k]) - t.delta))
     # the stated half-angle ratios
     ch = [cosh(x / 2) for x in t.sides]
     for i, (j, k) in enumerate(SIDE_ENDS):
@@ -1091,7 +1098,11 @@ EXPECTED_FAILURES = tuple(d.id for d in _DEFS if d.expected_to_fail)
 
 
 def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRecord:
-    """Evaluate one identity on a triangle (or prebuilt TrialContext)."""
+    """Evaluate one identity on a triangle (or prebuilt TrialContext).
+
+    A declared non-configuration (`_Skip`) is a ``skipped`` record; any
+    other GeometryError the evaluator raises is a ``fail`` record with no
+    residual and the reason ``"<Class>: <message>"``."""
     d = REGISTRY.get(identity_id)
     if d is None:
         raise UnknownIdentity(identity_id)
@@ -1102,6 +1113,9 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
         residual = d.evaluator(ctx)
     except _Skip as s:
         return IdentityRecord(d.id, d.name, None, "skipped", d.tolerance, str(s))
+    except GeometryError as e:
+        return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
+                              f"{type(e).__name__}: {e}")
     status = "pass" if residual < d.tolerance else "fail"
     return IdentityRecord(d.id, d.name, float(residual), status, d.tolerance)
 

@@ -226,13 +226,10 @@ def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
     return _assemble_placed(sides, angles)
 
 
-def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
-    """Triangle from three real points, measured entirely by the plane oracle.
-
-    The vertex triple is normalized to counterclockwise orientation in the
-    Klein chart (by swapping B and C if needed), so orientation-dependent
-    constructions are well defined.
-    """
+def _oriented(va: HPoint, vb: HPoint, vc: HPoint) -> list:
+    """The three vertices in unit form and counterclockwise in the Klein
+    chart (B and C swapped if needed); raises DegenerateTriangle when one
+    is not a real point or the three are (numerically) collinear."""
     pts = [real_point(v, DegenerateTriangle, "vertices must be real points")
            for v in (va, vb, vc)]
     ka, kb, kc = (p.klein() for p in pts)
@@ -241,10 +238,33 @@ def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
         raise DegenerateTriangle("vertices are (numerically) collinear")
     if orient < 0:
         pts[1], pts[2] = pts[2], pts[1]
+    return pts
+
+
+def _vertex_angles(pts) -> list:
+    return [vertex_angle(pts[i], pts[j], pts[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
+
+
+def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
+    """Triangle from three real points, measured entirely by the plane oracle.
+
+    The vertex triple is normalized to counterclockwise orientation in the
+    Klein chart (by swapping B and C if needed), so orientation-dependent
+    constructions are well defined.
+    """
+    pts = _oriented(va, vb, vc)
     sides = [distance(pts[j], pts[k]) for j, k in SIDE_ENDS]
     _validate_sides(sides)
-    angles = [vertex_angle(pts[i], pts[j], pts[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
-    return _assemble(sides, angles, tuple(pts))
+    return _assemble(sides, _vertex_angles(pts), tuple(pts))
+
+
+def defect(va: HPoint, vb: HPoint, vc: HPoint) -> float:
+    """The defect ``pi - alpha - beta - gamma`` of the triangle on three real
+    points, which is its area.  The angles are measured and summed as
+    `solve_from_vertices` does, so the value is that triangle's ``area`` to
+    the bit; the sides are not measured or checked."""
+    angles = _vertex_angles(_oriented(va, vb, vc))
+    return math.pi - angles[0] - angles[1] - angles[2]
 
 
 # --------------------------------------------------------------------------

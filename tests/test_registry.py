@@ -12,7 +12,7 @@ import pytest
 
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
-from hypertri.errors import GeometryError, UnknownIdentity
+from hypertri.errors import DegenerateTriangle, GeometryError, UnknownIdentity
 from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 
@@ -113,6 +113,33 @@ class TestSuite:
         # the context's triangle carries the vertices its frame attached
         rec = rg.run_identity(identity_id, trig.solve_from_sides(1.0, 1.2, 0.9))
         assert rec.status == "pass"
+
+    def test_an_evaluator_error_is_a_failed_record(self, monkeypatch, tmp_path):
+        def raises(c):
+            raise DegenerateTriangle("the probe cannot be built")
+
+        def skips(c):
+            raise rg._Skip("declared non-configuration")
+
+        monkeypatch.setitem(rg.REGISTRY, "XERR", rg.IdentityDef("XERR", "raises", raises))
+        monkeypatch.setitem(rg.REGISTRY, "XSKIP", rg.IdentityDef("XSKIP", "skips", skips))
+        rec = rg.run_identity("XERR", gen_triangle(1), seed=1)
+        assert rec == ("XERR", "raises", None, "fail", 1e-9,
+                       "DegenerateTriangle: the probe cannot be built")
+        assert rg.run_identity("XSKIP", gen_triangle(1), seed=1).status == "skipped"
+        out = tmp_path / "report.jsonl"
+        assert cli.main(["verify", "--seeds", "1..2", "--ids", "XERR,XSKIP,LS",
+                         "-o", str(out)]) == 1
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["id"], r["status"]) for r in rows if r.get("seed") == 2] == [
+            ("XERR", "fail"), ("XSKIP", "skipped"), ("LS", "pass")]
+        assert rows[0]["residual"] is None
+        assert rows[0]["reason"] == "DegenerateTriangle: the probe cannot be built"
+
+    def test_stewart_euclidean_limit_is_computed_once(self, monkeypatch):
+        first = rg.run_identity("STW-EU", gen_triangle(1), seed=1)
+        monkeypatch.setattr(rg, "cosh", None)   # a second computation would raise
+        assert rg.run_identity("STW-EU", gen_triangle(2), seed=2) == first
 
     def test_suite_statuses(self):
         rep = rg.run_suite(7)

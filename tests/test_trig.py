@@ -110,6 +110,22 @@ class TestAreaForms:
         assert t0.area == pytest.approx(math.pi - (t0.alpha + t0.beta + t0.gamma))
         assert t0.area > 0
 
+    def test_defect_is_the_solved_area_to_the_bit(self):
+        # both vertex orders, so the orientation swap is exercised
+        rng = random.Random(11)
+        for _ in range(200):
+            pts = [klein_point(*(0.9 * rng.uniform(-0.7, 0.7) for _ in "xy")) for _ in "abc"]
+            try:
+                area = solve_from_vertices(*pts).area
+            except DegenerateTriangle:
+                continue
+            assert trig.defect(*pts) == area
+            assert trig.defect(pts[0], pts[2], pts[1]) == area
+
+    def test_defect_rejects_collinear_points(self):
+        with pytest.raises(DegenerateTriangle, match="collinear"):
+            trig.defect(klein_point(0.0, 0.0), klein_point(0.1, 0.0), klein_point(0.2, 0.0))
+
     def test_tiny_triangle_area_vanishes(self):
         t = solve_from_sides(1e-3, 1e-3, 1.2e-3)
         assert 0 < t.area < 1e-5

@@ -150,9 +150,10 @@ def _maxnorm(u) -> float:
     return max(abs(x), abs(y), abs(w))
 
 
-# A max-norm outside (2**-500, 2**500) could underflow or overflow once
-# squared; such a triple is divided by its max-norm first (`_rescaled`).
-_NORM_MIN, _NORM_MAX = 2.0 ** -500, 2.0 ** 500
+# A triple whose max-norm squared underflows to 0 or overflows to inf is
+# divided by its max-norm first (`_rescaled`); every other triple is read as
+# it is, so its bits do not depend on this rare branch.
+_INF = math.inf
 
 
 def _rescaled(x: float, y: float, w: float, m: float, what: str):
@@ -163,23 +164,24 @@ def _rescaled(x: float, y: float, w: float, m: float, what: str):
     return x / m, y / m, w / m
 
 
-def _qform_maxnorm(u, what: str) -> tuple[float, float]:
-    """``Q(u)`` and the max-norm of ``u``, reading each coordinate once (of
-    ``u`` rescaled to max-norm 1 when its max-norm is out of range, see
-    `_rescaled`)."""
+def _qform_maxnorm2(u, what: str) -> tuple[float, float]:
+    """``Q(u)`` and the max-norm of ``u`` squared, reading each coordinate
+    once (of ``u`` rescaled to max-norm 1 when that square underflows or
+    overflows, see `_rescaled`)."""
     x, y, w = u
     m = max(abs(x), abs(y), abs(w))
-    if not _NORM_MIN < m < _NORM_MAX:
+    mm = m * m
+    if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, what)
-        m = 1.0
-    return w * w - x * x - y * y, m
+        mm = 1.0
+    return w * w - x * x - y * y, mm
 
 
 def classify(p: HPoint) -> PointKind:
     if p.__class__ is UnitPoint:
         return _R
-    q, m = _qform_maxnorm(p, "cannot classify")
-    r = q / (m * m)
+    q, mm = _qform_maxnorm2(p, "cannot classify")
+    r = q / mm
     if r > EPS_CLS:
         return _R
     if r < -EPS_CLS:
@@ -188,8 +190,8 @@ def classify(p: HPoint) -> PointKind:
 
 
 def classify_line(l: HLine) -> LineKind:
-    q, m = _qform_maxnorm(l, "cannot classify")
-    r = q / (m * m)
+    q, mm = _qform_maxnorm2(l, "cannot classify")
+    r = q / mm
     if r < -EPS_CLS:
         return LineKind.REAL
     if r > EPS_CLS:
@@ -243,11 +245,12 @@ def normalize(p: HPoint) -> HPoint:
         return p
     x, y, w = p
     m = max(abs(x), abs(y), abs(w))
-    if not _NORM_MIN < m < _NORM_MAX:
+    mm = m * m
+    if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, "normalize of")
-        m = 1.0
+        m = mm = 1.0
     q = w * w - x * x - y * y
-    r = q / (m * m)
+    r = q / mm
     if r > EPS_CLS:
         s = 1.0 / math.sqrt(q)
         if w < 0:
@@ -263,11 +266,12 @@ def normalize_line(l: HLine) -> HLine:
     """Unit representative of a real line (Q = -1); others get max-norm 1."""
     x, y, w = l
     m = max(abs(x), abs(y), abs(w))
-    if not _NORM_MIN < m < _NORM_MAX:
+    mm = m * m
+    if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, "normalize of")
-        m = 1.0
+        m = mm = 1.0
     q = w * w - x * x - y * y
-    r = q / (m * m)
+    r = q / mm
     if r < -EPS_CLS:
         s = 1.0 / math.sqrt(-q)
         return _new(HLine, (x * s, y * s, w * s))

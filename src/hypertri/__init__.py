@@ -66,6 +66,7 @@ from .centers import (
     isogonal_conjugate,
     lemoine_point,
     orthocenter,
+    orthocenter_conjugate,
     pseudo_centroid,
     pseudo_orthocenter,
     pseudomedian_feet_center,

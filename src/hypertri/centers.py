@@ -392,6 +392,13 @@ def symmedian_point(f: Frame) -> CenterResult:
 
 
 @_memo
+def orthocenter_conjugate(f: Frame) -> CenterResult:
+    """H', the isogonal conjugate of the orthocenter; coordinates
+    (sin 2 alpha : sin 2 beta : sin 2 gamma)."""
+    return _result("H'", isogonal_conjugate(orthocenter(f).point, f), f.t)
+
+
+@_memo
 def lemoine_point(f: Frame) -> CenterResult:
     """Meet of the cevians to the tangent triangle of the circumscribed cycle;
     coordinates (cosh a - 1 : cosh b - 1 : cosh c - 1).
@@ -622,14 +629,16 @@ def coordinate_sum_functional(t: TriangleData) -> HLine:
 
 _GRID_RADII = (1e-3, 1e-2, 1e-1)
 _GRID_HYP = tuple((math.cosh(r), math.sinh(r)) for r in _GRID_RADII)
+_GRID_DIRECTIONS = tuple((math.cos(th), math.sin(th))
+                         for th in (2.0 * math.pi * i / 8 for i in range(8)))
 
 
-def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
+def _grid_minimum(p: HPoint, w, scale: float, closed: float = 0.0):
     """Check ``<X, w>`` on the radial grid of unit points X around real ``p``.
 
-    ``directions`` holds (cos th, sin th) pairs; each direction is the unit
-    tangent d = (cos th t1 + sin th t2) / |.|, from a reference tangent t1
-    and its normal t2, taken at each radius r of `_GRID_RADII`.  A sample
+    Each (cos th, sin th) of `_GRID_DIRECTIONS` gives the unit tangent
+    d = (cos th t1 + sin th t2) / |.|, from a reference tangent t1 and its
+    normal t2, taken at each radius r of `_GRID_RADII`.  A sample
     is X = cosh r p + sinh r d, so <X, w> and cosh XP = <X, p> are scalar
     sums of <p, .>, <t1, .> and <t2, .>.  Returns whether every sample
     exceeds <p, w>, and the largest relative gap between <X, w> and
@@ -643,7 +652,7 @@ def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
     w0, w1, w2 = mdot(pn, w), mdot(t1, w), mdot(t2, w)
     p0, p1, p2 = mdot(pn, pn), mdot(t1, pn), mdot(t2, pn)
     ok = True
-    for c, s in directions:
+    for c, s in _GRID_DIRECTIONS:
         dx, dy, dw = c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.w + s * t2.w
         nrm = math.sqrt(abs(dw * dw - dx * dx - dy * dy))
         d_w, d_p = (c * w1 + s * w2) / nrm, (c * p1 + s * p2) / nrm
@@ -658,20 +667,16 @@ def _grid_minimum(p: HPoint, w, scale: float, directions, closed: float = 0.0):
     return ok, closed
 
 
-def incenter_minimality(tri: TriangleData | Frame, samples: int = 24) -> MinimalityReport:
+@_memo
+def incenter_minimality(f: Frame) -> MinimalityReport:
     """Evaluate the coordinate-sum minimality claims on a radial grid.
 
-    ``samples`` points are spread over ``samples // 3`` geodesic directions
-    at radii 1e-3, 1e-2, 1e-1 around each tested center.  The coordinate sum
-    is evaluated as the functional `coordinate_sum_functional` of the side
-    lines, Sum cosh(YX) over the vertices Y as <X, A + B + C>; the centers
-    come from their constructions.
+    The grid takes 8 geodesic directions at radii 1e-3, 1e-2, 1e-1 around
+    each tested center.  The coordinate sum is evaluated as the functional
+    `coordinate_sum_functional` of the side lines, Sum cosh(YX) over the
+    vertices Y as <X, A + B + C>; the centers come from their constructions.
     """
-    f = Frame.of(tri)
     td = f.t
-    n_dir = max(1, samples // 3)
-    angles = [2.0 * math.pi * i / n_dir for i in range(n_dir)]
-    directions = [(math.cos(th), math.sin(th)) for th in angles]
     v = coordinate_sum_functional(td)
 
     i_res = incenter_excenters(f)[0]
@@ -679,7 +684,7 @@ def incenter_minimality(tri: TriangleData | Frame, samples: int = 24) -> Minimal
     m_res = centroid(f)
 
     # printed claim: minimum at I with value (N/2) cosh(PI)
-    inc_ok, inc_closed = _grid_minimum(i_res.point, v, td.bign / 2.0, directions)
+    inc_ok, inc_closed = _grid_minimum(i_res.point, v, td.bign / 2.0)
 
     # verified behaviour: minimum at O with value (n / cosh R) cosh(PO)
     circ_ok = False
@@ -688,14 +693,13 @@ def incenter_minimality(tri: TriangleData | Frame, samples: int = 24) -> Minimal
         cosh_r = math.cosh(math.atanh(o_res.aux["tanh_R"]))
         f_o = mdot(o_res.point, v)
         circ_ok, circ_closed = _grid_minimum(
-            o_res.point, v, td.n / cosh_r, directions,
+            o_res.point, v, td.n / cosh_r,
             closed=abs(f_o - td.n / cosh_r) / max(f_o, td.n / cosh_r))
 
     # centroid claim: Sum cosh(YX) minimized at M, closed form via the
     # median section ratio n / n_A(M)
     vertex_sum = HPoint(*map(sum, zip(*f.vertices)))
-    cen_ok, cen_closed = _grid_minimum(m_res.point, vertex_sum, td.n / m_res.coords[0],
-                                       directions)
+    cen_ok, cen_closed = _grid_minimum(m_res.point, vertex_sum, td.n / m_res.coords[0])
 
     return MinimalityReport(
         incenter_min_ok=inc_ok,

@@ -20,7 +20,7 @@ from contextlib import ExitStack
 
 from . import registry as rg
 from . import render as rd
-from .errors import GeometryError, UnknownIdentity
+from .errors import GeometryError, OutOfDomain, UnknownIdentity
 from .extscalar import segment_lengths, takes_d
 from .generate import SHAPES, gen_triangle
 from .plane import HPoint, angle_ext
@@ -28,10 +28,18 @@ from .registry import triangle_from_json, triangle_json
 
 
 def _load_triangle(path: str):
+    """The triangle of a JSON file and its ``meta.seed`` (0 when absent).
+    A file that is not a triangle object raises OutOfDomain."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    seed = obj.get("meta", {}).get("seed", 0)
-    return triangle_from_json(obj), seed
+    t = triangle_from_json(obj)
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise OutOfDomain(f"'meta' must be a JSON object, got {meta!r}")
+    seed = meta.get("seed", 0)
+    if type(seed) is not int:
+        raise OutOfDomain(f"'meta.seed' must be an integer, got {seed!r}")
+    return t, seed
 
 
 def _cmd_gen(args) -> int:
@@ -142,6 +150,9 @@ def _verify_results(seeds, rest, n, stack):
 
 
 def _cmd_verify(args) -> int:
+    if args.triangle and args.seeds is not None:
+        print("error: verify takes a triangle file or --seeds, not both", file=sys.stderr)
+        return 2
     ids = None
     if args.ids:
         ids = [s.strip() for s in args.ids.split(",")]

@@ -92,8 +92,19 @@ class HPoint(NamedTuple):
 
     @classmethod
     def from_json(cls, obj) -> "HPoint":
-        model = obj["model"]
-        coords = obj["coords"]
+        """The point of a ``{"model": ..., "coords": [...]}`` object: two
+        finite numbers in a disk model, three on the hyperboloid.  Anything
+        else raises OutOfDomain."""
+        if not isinstance(obj, dict):
+            raise OutOfDomain(f"a point must be a JSON object, got {obj!r}")
+        model = obj.get("model")
+        if model not in _MODELS:
+            raise OutOfDomain(f"unknown point model {model!r}")
+        coords = obj.get("coords")
+        size = 3 if model == "hyperboloid" else 2
+        if (not isinstance(coords, list) or len(coords) != size
+                or not all(type(v) in (int, float) and math.isfinite(v) for v in coords)):
+            raise OutOfDomain(f"a {model} point needs {size} finite numbers, got {coords!r}")
         if model == "hyperboloid":
             return cls(*coords)
         x, y = model_convert(tuple(coords), model, "klein")
@@ -291,11 +302,12 @@ def real_point(p: HPoint, error, message: str) -> UnitPoint:
 
 
 def acosh_clamped(x: float) -> float:
-    """arccosh with rounding just below the domain absorbed to 1."""
+    """arccosh with rounding just below the domain absorbed to 1; below
+    that slack, OutOfDomain."""
     if x < 1.0:
         if x > 1.0 - 1e-12:
             return 0.0
-        raise ValueError(f"acosh argument {x} below domain")
+        raise OutOfDomain(f"acosh argument {x} below domain")
     return math.acosh(x)
 
 

@@ -31,6 +31,7 @@ from .errors import (
     GeometryError,
     IdenticalPoints,
     NoRootFound,
+    OutOfDomain,
     UnknownCenter,
     UnknownIdentity,
 )
@@ -164,15 +165,12 @@ def _need_inner_orthocenter(c: TrialContext, reason: str):
 
 
 def _orthocenter_conjugate(c: TrialContext) -> ct.CenterResult:
-    """H', the isogonal conjugate of the orthocenter, built once per trial."""
+    """H', the isogonal conjugate of the orthocenter; a declared skip when H
+    sits on a vertex or outside the triangle."""
     if _on_vertex(_need_center(c, "H")):
         raise _Skip("orthocenter on a vertex (right angle): its conjugate is not constructible")
-    h = _need_inner_orthocenter(c, "conjugate of an exterior orthocenter is not constructible")
-    return c.get("H'", _conjugate_of_orthocenter, h, c)
-
-
-def _conjugate_of_orthocenter(h: ct.CenterResult, c: TrialContext) -> ct.CenterResult:
-    return ct._result("H'", ct.isogonal_conjugate(h.point, c), c.t)
+    _need_inner_orthocenter(c, "conjugate of an exterior orthocenter is not constructible")
+    return ct.orthocenter_conjugate(c)
 
 
 def _need_Z(c: TrialContext):
@@ -625,7 +623,7 @@ def _generalized_center_form(c):
 def _coordinate_sum_minimality(c):
     # the printed claim: sum minimized at the incenter with value (N/2) cosh(PI);
     # expected to fail, kept verbatim so the defect stays visible
-    rep = c.get("minrep", ct.incenter_minimality, c)
+    rep = ct.incenter_minimality(c)
     if not rep.incenter_min_ok:
         return 1.0
     return rep.incenter_closed_residual
@@ -636,7 +634,7 @@ def _coordinate_sum_minimality_corrected(c):
     o = ct.circumcenters(c)[0]
     if o.classification is not PointKind.REAL:
         raise _Skip("circumcenter not real: the coordinate sum has no interior minimum")
-    rep = c.get("minrep", ct.incenter_minimality, c)
+    rep = ct.incenter_minimality(c)
     if not rep.circumcenter_min_ok:
         return 1.0
     return rep.circumcenter_closed_residual
@@ -825,14 +823,14 @@ def _table_check(cells, residual):
     `_Fixed`, are checked on the first call only (with d = None), and every
     call's max starts from their worst."""
     varying = [args for fixed, args in cells if not fixed]
-    fixed_worst = None
+
+    @functools.cache
+    def fixed_worst():
+        return max([0.0, *(residual(*args, None) for fixed, args in cells if fixed)])
 
     def evaluate(c):
-        nonlocal fixed_worst
         d = _table_d(c)
-        if fixed_worst is None:
-            fixed_worst = max([0.0, *(residual(*args, None) for fixed, args in cells if fixed)])
-        worst = fixed_worst
+        worst = fixed_worst()
         for args in varying:
             worst = max(worst, residual(*args, d))
         return worst
@@ -1222,5 +1220,11 @@ def triangle_json(t: TriangleData, seed: int | None = None) -> dict:
 
 
 def triangle_from_json(obj) -> TriangleData:
-    pts = [HPoint.from_json(p) for p in obj["vertices"]]
-    return trig.solve_from_vertices(*pts)
+    """The triangle of a `triangle_json` object, solved from its three
+    vertices.  An object without a list of exactly three vertices raises
+    OutOfDomain, as does a vertex that is not a point object."""
+    vertices = obj.get("vertices") if isinstance(obj, dict) else None
+    if not isinstance(vertices, list) or len(vertices) != 3:
+        raise OutOfDomain("a triangle must be a JSON object whose 'vertices' "
+                          "is a list of exactly three points")
+    return trig.solve_from_vertices(*map(HPoint.from_json, vertices))

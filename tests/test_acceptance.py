@@ -240,7 +240,7 @@ def test_criterion_7_incenter_minimality_as_printed():
     worst_closed = 0.0
     for seed in range(1, 101):
         t = gen_triangle(seed)
-        rep = ct.incenter_minimality(t, 24)
+        rep = ct.incenter_minimality(t)
         if not rep.incenter_min_ok:
             bad_min += 1
         worst_closed = max(worst_closed, rep.incenter_closed_residual)
@@ -260,7 +260,7 @@ def test_criterion_7_companion_circumcenter_minimality_verified():
         if ct.circumcenters(frame)[0].classification is not PointKind.REAL:
             continue
         checked += 1
-        rep = ct.incenter_minimality(frame, 24)
+        rep = ct.incenter_minimality(frame)
         assert rep.circumcenter_min_ok, seed
         assert rep.circumcenter_closed_residual < 1e-10, seed
     assert checked > 50
@@ -270,7 +270,7 @@ def test_criterion_7_centroid_minimality():
     worst = 0.0
     for seed in range(1, 101):
         t = gen_triangle(seed)
-        rep = ct.incenter_minimality(t, 24)
+        rep = ct.incenter_minimality(t)
         assert rep.centroid_min_ok, seed
         worst = max(worst, rep.centroid_closed_residual)
     ok = worst < 1e-10

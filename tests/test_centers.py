@@ -275,6 +275,14 @@ class TestIsogonal:
             target = (sin(2 * t.alpha), sin(2 * t.beta), sin(2 * t.gamma))
             assert proportionality_residual(tri_coords(hp, t), target) < 1e-9
 
+    def test_orthocenter_conjugate_has_the_double_angle_coordinates(self):
+        for seed in range(1, 41):
+            t = gen_triangle(seed, shape="acute")
+            hp = ct.orthocenter_conjugate(t)
+            assert hp.name == "H'" and hp.classification is PointKind.REAL
+            target = [sin(2 * ang) for ang in t.angles]
+            assert proportionality_residual(hp.coords, target) < 1e-9, seed
+
     def test_conjugate_of_orthocenter_approaches_circumcenter_as_shapes_shrink(self):
         # scaling a fixed shape down drives the defect to zero and H' to O
         base = solve_from_angles(0.7, 0.6, 0.5)
@@ -486,23 +494,27 @@ class TestEulerLine:
 
 class TestMinimality:
     def test_circumcenter_minimizes_the_coordinate_sum(self, scalene):
-        rep = ct.incenter_minimality(scalene, 24)
+        rep = ct.incenter_minimality(scalene)
         assert rep.circumcenter_min_ok
         assert rep.circumcenter_closed_residual < 1e-10
 
     def test_incenter_claim_fails_off_center(self, scalene):
         # the coordinate sum is (n / cosh R) cosh(d(P, O)): moving from I
         # toward O decreases it, so the printed incenter claim cannot hold
-        rep = ct.incenter_minimality(scalene, 24)
+        rep = ct.incenter_minimality(scalene)
         assert not rep.incenter_min_ok
 
     def test_centroid_minimizes_the_cosh_sum(self, scalene):
-        rep = ct.incenter_minimality(scalene, 24)
+        rep = ct.incenter_minimality(scalene)
         assert rep.centroid_min_ok
         assert rep.centroid_closed_residual < 1e-10
 
+    def test_report_is_built_once_per_frame(self, scalene):
+        f = ct.Frame(scalene)
+        assert ct.incenter_minimality(f) is ct.incenter_minimality(f)
+
     def test_equilateral_sum_grows_away_from_center(self, equilateral):
-        rep = ct.incenter_minimality(equilateral, 24)
+        rep = ct.incenter_minimality(equilateral)
         # for the equilateral the incenter IS the circumcenter
         assert rep.incenter_min_ok
         assert rep.circumcenter_min_ok

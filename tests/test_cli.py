@@ -50,6 +50,58 @@ def tri_file(tmp_path, capsys):
     return str(out)
 
 
+def _replace(key, value):
+    return lambda obj: {**obj, key: value}
+
+
+def _first_vertex(point):
+    return lambda obj: {**obj, "vertices": [point, *obj["vertices"][1:]]}
+
+
+# (edit of a generated triangle file, fragment of the error it must give)
+MALFORMED_FILES = {
+    "empty-object": (lambda obj: {}, "'vertices'"),
+    "list": (lambda obj: [1, 2], "'vertices'"),
+    "two-vertices": (lambda obj: {**obj, "vertices": obj["vertices"][:2]}, "exactly three"),
+    "vertices-object": (_replace("vertices", {"A": 1}), "exactly three"),
+    "vertex-number": (_first_vertex(1), "a point must be a JSON object"),
+    "unknown-model": (_first_vertex({"model": "upper", "coords": [0.1, 0.2]}),
+                      "unknown point model"),
+    "klein-three-coords": (_first_vertex({"model": "klein", "coords": [0.1, 0.2, 0.3]}),
+                           "2 finite numbers"),
+    "hyperboloid-two-coords": (_first_vertex({"model": "hyperboloid", "coords": [0.0, 1.0]}),
+                               "3 finite numbers"),
+    "string-coord": (_first_vertex({"model": "klein", "coords": ["0.1", 0.2]}),
+                     "2 finite numbers"),
+    "nan-coord": (_first_vertex({"model": "poincare", "coords": [float("nan"), 0.2]}),
+                  "2 finite numbers"),
+    "meta-list": (_replace("meta", []), "'meta'"),
+    "seed-string": (_replace("meta", {"seed": "3"}), "'meta.seed'"),
+    "seed-bool": (_replace("meta", {"seed": True}), "'meta.seed'"),
+}
+COMMAND_ARGS = {
+    "centers": lambda out: [],
+    "verify": lambda out: ["-o", out],
+    "render": lambda out: ["--model", "klein", "-o", out],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGS)
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_malformed_triangle_file_is_usage_error(case, command, tri_file, tmp_path, capsys):
+    edit, fragment = MALFORMED_FILES[case]
+    with open(tri_file, encoding="utf-8") as fh:
+        obj = edit(json.load(fh))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj), encoding="utf-8")
+    out = tmp_path / "out"
+    code, stdout, err = run_cli(capsys, command, str(bad), *COMMAND_ARGS[command](str(out)))
+    assert code == 2
+    assert err.startswith("error: ") and fragment in err, err
+    assert stdout == ""
+    assert not out.exists()
+
+
 class TestCenters:
     def test_json_output(self, tri_file, capsys):
         code, out, _ = run_cli(capsys, "centers", tri_file)
@@ -96,6 +148,15 @@ class TestVerify:
         assert code == 2
         assert err == "error: verify needs a triangle file or --seeds\n"
         assert out == ""
+
+    def test_file_and_seeds_is_usage_error(self, tri_file, tmp_path, capsys):
+        path = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", tri_file, "--seeds", "1..2",
+                                 "--ids", "LS", "-o", str(path))
+        assert code == 2
+        assert err == "error: verify takes a triangle file or --seeds, not both\n"
+        assert out == ""
+        assert not path.exists()
 
     def test_unknown_identity_is_usage_error(self, tri_file, capsys):
         code, _, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")

@@ -58,6 +58,35 @@ def klein_points(max_r=0.9):
         lambda p: p.x ** 2 + p.y ** 2 < max_r ** 2)
 
 
+# any finite float: huge, subnormal, signed zeros and tiny ones included
+FINITE_TRIPLES = st.tuples(*3 * [st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-290, 1e-290),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e160, 1e308, -1.7e308]))])
+
+# every public `plane` function whose arguments are triples, with what each
+# triple is passed as: a point, a line or a tangent (a plain tuple)
+_P, _L, _T = HPoint._make, HLine._make, tuple
+TRIPLE_FUNCTIONS = (
+    ("polar", (_P,)), ("pole", (_L,)), ("join", (_P, _P)), ("meet", (_L, _L)),
+    ("real_point", (_P,)), ("distance", (_P, _P)), ("signed_line_distance", (_P, _L)),
+    ("tangent_toward", (_P, _P)), ("vertex_angle", (_P, _P, _P)),
+    ("tangent_angle", (_T, _T)), ("normal_tangent", (_P, _T)), ("arc_coordinate", (_P, _T)),
+    ("foot_of_perpendicular", (_P, _L)), ("perpendicular_line", (_P, _L)),
+    ("midpoint", (_P, _P)), ("perpendicular_bisector", (_P, _P)),
+    ("complementary_bisector", (_P, _P)), ("angle_bisectors", (_P, _L, _L)),
+    ("reflect", (_P, _L)), ("reflect_line", (_L, _L)), ("distance_ext", (_P, _P)),
+    *((f"radius_ext/{kind.value}", (_P, _P)) for kind in PointKind),
+    ("angle_ext", (_L, _L)), ("cycle_through", (_P, _P, _P)),
+)
+# the calls that take more than triples
+TRIPLE_FUNCTION_CALLS = {
+    "real_point": lambda p: plane.real_point(p, OutOfDomain, "not a real point"),
+    **{f"radius_ext/{kind.value}": (lambda c, p, kind=kind: plane.radius_ext(c, kind, p))
+       for kind in PointKind},
+}
+
+
 class TestClassification:
     def test_examples(self):
         assert classify(origin()) is PointKind.REAL
@@ -83,10 +112,7 @@ class TestClassification:
         assert classify_line(HLine(0.0, 1e-300, 0.0)) is LineKind.REAL
         assert normalize_line(HLine(0.0, 1e-300, 0.0)) == (0.0, 1.0, 0.0)
 
-    @given(st.tuples(*3 * [st.one_of(
-        st.floats(allow_nan=False, allow_infinity=False),
-        st.floats(-1e-290, 1e-290),
-        st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e160, 1e308, -1.7e308]))]))
+    @given(FINITE_TRIPLES)
     @settings(max_examples=300)
     def test_any_finite_triple_gives_a_value_or_a_geometry_error(self, triple):
         for fn, kind in ((normalize, HPoint), (classify, HPoint),
@@ -97,6 +123,18 @@ class TestClassification:
                 continue
             if isinstance(got, tuple):
                 assert all(map(math.isfinite, got)), (fn.__name__, triple, got)
+
+    @given(st.tuples(FINITE_TRIPLES, FINITE_TRIPLES, FINITE_TRIPLES))
+    @settings(max_examples=300)
+    def test_every_triple_function_gives_a_value_or_a_geometry_error(self, triples):
+        for name, kinds in TRIPLE_FUNCTIONS:
+            fn = TRIPLE_FUNCTION_CALLS.get(name) or getattr(plane, name)
+            args = [kind(triple) for kind, triple in zip(kinds, triples)]
+            try:
+                fn(*args)
+            except GeometryError:
+                pass
+
 
 
 class TestUnitPoint:
@@ -253,6 +291,11 @@ class TestDistances:
         for p in (origin(), klein_point(0.2, 0.7), normalize(klein_point(-0.4, -0.4))):
             assert (plane.radius_ext(center, classify(center), p)
                     == distance_ext(center, p)[0])
+
+    def test_acosh_below_its_slack_is_out_of_domain(self):
+        assert plane.acosh_clamped(1.0 - 1e-13) == 0.0
+        with pytest.raises(OutOfDomain):
+            plane.acosh_clamped(0.5)
 
     def test_real_real_oracle_value(self):
         # cosh d = 4/3 for the Klein points (0.5, 0) and (0, 0.5)

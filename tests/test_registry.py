@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from hypertri import centers as ct
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
 from hypertri.errors import DegenerateTriangle, GeometryError, UnknownIdentity
@@ -324,6 +325,35 @@ def test_summary_is_built_once():
     assert rep.summary() is rep.summary()
     assert rep.to_jsonl().endswith(json.dumps({"summary": rep.summary()},
                                               separators=(",", ":")))
+
+
+def test_the_h_prime_row_is_the_orthocenter_conjugate_builder():
+    for seed in range(1, 21):
+        ctx = rg.TrialContext(seed, gen_triangle(seed, shape="acute"))
+        assert rg.CENTER_BY_NAME["H'"].build(ctx) is ct.orthocenter_conjugate(ctx), seed
+
+
+def test_a_suite_runs_the_minimality_grid_and_builds_h_prime_once(monkeypatch):
+    grids, h_primes = [], []
+    grid_minimum, result = ct._grid_minimum, ct._result
+
+    def counting_grid(*args, **kwargs):
+        grids.append(args[0])
+        return grid_minimum(*args, **kwargs)
+
+    def counting_result(name, *args, **kwargs):
+        if name == "H'":
+            h_primes.append(name)
+        return result(name, *args, **kwargs)
+
+    monkeypatch.setattr(ct, "_grid_minimum", counting_grid)
+    monkeypatch.setattr(ct, "_result", counting_result)
+    # acute seed 8: O is real, so the report runs all three grids
+    rep = rg.run_suite(8, shape="acute")
+    assert {r.id: r.status for r in rep.records}["MIN1C"] == "pass"
+    assert "status" not in next(row for row in rep.centers if row["name"] == "H'")
+    assert len(grids) == 3
+    assert len(h_primes) == 1
 
 
 @pytest.mark.parametrize("shape", ["any", "acute"])

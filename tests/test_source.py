@@ -257,3 +257,36 @@ def test_kernel_reads_each_triple_once():
     # __new__, both slower.  klein_point and origin build points from
     # scalars, and HPoint's own methods are not module-level primitives
     assert sorted(_kernel_spellings(SRC / "plane.py")) == []
+
+
+def _private_centers_reads(path: Path):
+    """Private names of `centers` that ``path`` reads: ``ct._name`` for a
+    module alias ``ct`` of `centers`, or ``from .centers import _name``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("centers"):
+            yield from ((node.lineno, a.name) for a in node.names if a.name.startswith("_"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name.split(".")[-1] == "centers"}
+    for n in ast.walk(tree):
+        if (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id in aliases and n.attr.startswith("_")):
+            yield n.lineno, f"{n.value.id}.{n.attr}"
+
+
+def test_registry_reads_no_private_centers_name():
+    # `centers` constructs and the registry compares: a center the registry
+    # needs is a public `centers` builder, not assembled from its private
+    # helpers
+    assert sorted(_private_centers_reads(SRC / "registry.py")) == []
+
+
+def test_no_nonlocal():
+    # a value computed once per process is a functools.cache'd function,
+    # not a closure that rebinds an enclosing variable
+    found = sorted(f"{path.name}:{n.lineno}" for path in sorted(SRC.glob("*.py"))
+                   for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(n, ast.Nonlocal))
+    assert found == []

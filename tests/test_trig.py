@@ -76,6 +76,12 @@ class TestSolving:
         with pytest.raises(DegenerateTriangle):
             solve_from_angles(math.pi / 2, math.pi / 4, math.pi / 4)
 
+    def test_angle_sum_a_rounding_below_pi_is_out_of_domain(self):
+        # the angles sum to 4.4e-16 below pi: a side's cosh lands below 1
+        # by more than acosh_clamped's slack
+        with pytest.raises(OutOfDomain):
+            solve_from_angles(0.056331857755617394, 0.0018175770050048927, 3.0834432188291703)
+
     def test_triangle_inequality_enforced(self):
         with pytest.raises(DegenerateTriangle):
             solve_from_sides(3.0, 1.0, 1.0)

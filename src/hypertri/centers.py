@@ -58,21 +58,20 @@ _R, _IN = PointKind.REAL, PointKind.INFINITE
 class CenterResult(NamedTuple):
     """A computed center: its point, triangular coordinates, classification,
     and a map of named scalars (radii, common ratios...) tied to it.  A
-    real point is stored in unit form, any other point as constructed."""
+    real point is stored in unit form, any other point as constructed; a
+    point at infinity has no coordinates (None)."""
 
     name: str
     point: HPoint
-    coords: tuple[float, float, float]
+    coords: tuple[float, float, float] | None
     classification: PointKind
     aux: dict
 
     def to_json(self):
-        name, point, (c0, c1, c2), kind, aux = self
-        if c0 != c0 or c1 != c1 or c2 != c2:   # a NaN: no coordinates
-            coords = None
-        else:
-            m = max(abs(c0), abs(c1), abs(c2))
-            coords = [c0 / m, c1 / m, c2 / m] if m > 0 else [c0, c1, c2]
+        name, point, coords, kind, aux = self
+        if coords is not None:
+            m = max(map(abs, coords))
+            coords = [x / m for x in coords] if m > 0 else list(coords)
         return {
             "name": name,
             "point": {"model": "hyperboloid", "coords": list(point)},
@@ -183,21 +182,19 @@ def _memo(build):
     return builder
 
 
-_NO_COORDS = (math.nan, math.nan, math.nan)
-
-
 def _result(name: str, point: HPoint, t: TriangleData, aux=None) -> CenterResult:
     """The center ``name`` at ``point`` of the triangle ``t``, with ``aux``
-    (a new empty dict when None).  A `UnitPoint` is taken as it is; any
-    other point is classified, and normalized when real.  A point at
-    infinity has NaN coordinates."""
+    (a new empty dict when None).  The one place a constructed center is
+    classified: a `UnitPoint` is taken as it is; any other point is
+    classified, and normalized when real.  A point at infinity has no
+    coordinates (None)."""
     if point.__class__ is UnitPoint:
         kind = _R
     else:
         kind = classify(point)
         if kind is _R:
             point = normalize(point)
-    coords = _NO_COORDS if kind is _IN else tri_coords(point, t)
+    coords = None if kind is _IN else tri_coords(point, t)
     return _new(CenterResult, (name, point, coords, kind, {} if aux is None else aux))
 
 
@@ -254,26 +251,26 @@ def incenter_excenters(f: Frame):
     """Bisector meets (I, I_A, I_B, I_C) with extended-valued radii.
 
     The incenter is always real; excenters may be real, at infinity or ideal
-    (their classification is reported and the radius becomes extended)."""
+    (their classification is reported and the radius becomes extended; a
+    center at infinity has none)."""
     i_pt = meet(f.internal_bisector(0), f.internal_bisector(1))
     ia = meet(f.internal_bisector(0), f.external_bisector(1))
     ib = meet(f.internal_bisector(1), f.external_bisector(2))
     ic = meet(f.internal_bisector(2), f.external_bisector(0))
     out = []
     for name, center in (("I", i_pt), ("I_A", ia), ("I_B", ib), ("I_C", ic)):
-        cn = normalize(center)  # real: passed on as a UnitPoint, classified once
-        aux = {}
-        if cn.__class__ is UnitPoint:
-            center = cn
-            d = abs(signed_line_distance(cn, f.lines[0]))
-            aux = {"tanh_r": math.tanh(d), "radius_re": d, "radius_quantum": 0.0}
-        elif classify(center) is PointKind.IDEAL:
-            v = abs(mdot(cn, f.lines[0]))
-            d = plane.acosh_clamped(max(v, 1.0))
-            r = ExtLength(d, Quantum.HALF_PI)
-            aux = {"tanh_r": ext_tanh(r).real, "radius_re": d,
-                   "radius_quantum": r.im.radians}
-        out.append(_result(name, center, f.t, aux=aux))
+        res = _result(name, center, f.t)
+        out.append(res)
+        kind = res.classification
+        if kind is _IN:
+            continue  # no radius
+        if kind is _R:
+            radius = ExtLength(abs(signed_line_distance(res.point, f.lines[0])))
+        else:
+            v = abs(mdot(normalize(center), f.lines[0]))
+            radius = ExtLength(plane.acosh_clamped(max(v, 1.0)), Quantum.HALF_PI)
+        res.aux.update(tanh_r=ext_tanh(radius).real, radius_re=radius.re,
+                       radius_quantum=radius.im.radians)
     return tuple(out)
 
 
@@ -333,15 +330,11 @@ def orthocenter(f: Frame) -> CenterResult:
     value h = tanh(HX) tanh(HH_X) is attached when the meet is real."""
     alt_a = perpendicular_line(f.A, f.lines[0])
     alt_b = perpendicular_line(f.B, f.lines[1])
-    h = meet(alt_a, alt_b)
-    aux = {}
-    hn = normalize(h)
-    if hn.__class__ is UnitPoint:
-        ha = distance(hn, f.A)
-        hha = distance(hn, f.altitude_foot(0))
-        aux["h"] = math.tanh(ha) * math.tanh(hha)
-        h = hn
-    return _result("H", h, f.t, aux=aux)
+    res = _result("H", meet(alt_a, alt_b), f.t)
+    if res.classification is _R:
+        h = res.point
+        res.aux["h"] = math.tanh(distance(h, f.A)) * math.tanh(distance(h, f.altitude_foot(0)))
+    return res
 
 
 # --------------------------------------------------------------------------

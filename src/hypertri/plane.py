@@ -577,10 +577,7 @@ def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
     common perpendicular length, and so on through the table.
     """
     _mcross(a, b, CoincidentLines, "angle of proportional lines")
-    try:
-        first, second = distance_ext(pole(a), pole(b))
-    except IdenticalPoints:
-        raise CoincidentLines("angle of proportional lines")
+    first, second = distance_ext(pole(a), pole(b))
     if (isinstance(first, ExtLength) and first.finite
             and first.im is Quantum.PI and second.im is Quantum.ZERO):
         # pole pair on a real line: the canonical angle pair puts the free

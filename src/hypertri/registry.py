@@ -232,8 +232,8 @@ def _lambert_relations(seed: int) -> dict[str, float]:
     rng = random.Random(f"aux:{seed}:lambert")
     leg_a = 0.15 + 0.5 * rng.random()
     leg_d = 0.15 + 0.5 * rng.random()
-    if math.sinh(leg_a) * math.sinh(leg_d) >= 0.98:
-        leg_a = leg_d = 0.4
+    # both legs below 0.65: sinh(leg_a) sinh(leg_d) < 0.49 < 1, so the
+    # quadrilateral exists
     return trig.lambert_relations(trig.lambert_from_legs(leg_a, leg_d))
 
 
@@ -462,19 +462,13 @@ def _radius_identity(key):
     return ev
 
 
-def _circumradius(o: ct.CenterResult) -> ExtLength:
-    """Circumradius of the circumcenter result ``o`` as an extended length."""
-    return ExtLength(o.aux["radius_re"], Quantum.ZERO
-                     if o.aux["radius_quantum"] == 0.0 else Quantum.HALF_PI)
-
-
 def _oi_distance(c):
     t = c.t
     o, i_res = ct.circumcenters(c)[0], ct.incenter_excenters(c)[0]
     if o.classification is PointKind.INFINITE:
         raise _Skip("circumcenter at infinity (paracycle)")
     r_len = math.atanh(i_res.aux["tanh_r"])
-    radius = _circumradius(o)
+    radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = ext_cosh(_dist_ext_or_zero(o.point, i_res.point))
     cosh_R = ext_cosh(radius)
     cosh_R_minus_r = ext_cosh(ExtLength(radius.re - r_len, radius.im))
@@ -539,7 +533,7 @@ def _orthocenter_euler_distance(c):
     for i, vert in enumerate(c.vertices):
         hx = distance(vert, c.altitude_foot(i))
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
-    radius = _circumradius(o)
+    radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
     rhs = acc * ext_cosh(radius)
     return _rel(lhs, rhs)
@@ -549,7 +543,7 @@ def _orthocenter_circumcenter_form(c):
     h = _need_center(c, "H")
     t = c.t
     o = ct.circumcenters(c)[0]
-    radius = _circumradius(o)
+    radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = sum(h.coords) * ext_cosh(radius)
     rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h.point))
     return _rel(lhs, rhs)
@@ -648,6 +642,17 @@ def _side_gaps(t: TriangleData):
     return [abs(x[j] - x[k]) for j, k in SIDE_ENDS]
 
 
+def _dichotomy(measured: float, spread: float, threshold: float) -> float:
+    """Residual of "``measured`` vanishes exactly when ``spread`` does": at a
+    spread below 1e-9, ``measured`` itself; above 0.1, 0 when ``measured``
+    exceeds ``threshold`` and 1 when not; in between, no sharp claim (0)."""
+    if spread < 1e-9:
+        return measured
+    if spread > 0.1:
+        return 0.0 if measured > threshold else 1.0
+    return 0.0
+
+
 def _symmedian_distances(c):
     t = c.t
     mp = ct.symmedian_point(c)
@@ -659,13 +664,8 @@ def _lemoine_vs_symmedian(c):
     t = c.t
     mp = ct.symmedian_point(c)
     lp = ct.lemoine_point(c)
-    gap = distance(mp.point, lp.point)
-    spread = max(_side_gaps(t))
-    if spread < 1e-9:
-        return gap  # equilateral: the two centers must coincide
-    if spread > 0.1:
-        return 0.0 if gap > 1e-6 else 1.0
-    return 0.0  # nearly regular: no sharp claim either way
+    # equilateral exactly when the two centers coincide
+    return _dichotomy(distance(mp.point, lp.point), max(_side_gaps(t)), 1e-6)
 
 
 # -- pseudomedians / pseudoaltitudes -------------------------------------------
@@ -733,12 +733,8 @@ def _euler_line(c):
 def _classical_line_dichotomy(c):
     det = ct.collinearity_residual(ct.circumcenters(c)[0].point, ct.centroid(c).point,
                                    ct.orthocenter(c).point)
-    iso = min(_side_gaps(c.t))
-    if iso < 1e-9:
-        return det
-    if iso > 0.1:
-        return 0.0 if det > 1e-4 else 1.0
-    return 0.0  # in-between shapes carry no sharp claim
+    # isosceles exactly when O, M and H are collinear
+    return _dichotomy(det, min(_side_gaps(c.t)), 1e-4)
 
 
 # -- segment and angle tables ----------------------------------------------
@@ -876,7 +872,8 @@ _table_angles = _table_check(
 def _ideal_vertex_medians(c):
     # three pairwise-ultraparallel chords; their poles are ideal "vertices"
     # joined by real lines; the median feet halve the extended side lengths
-    # and the three medians are concurrent
+    # and the three medians are concurrent.  Two of the chords meet at Klein
+    # radius 2 tanh(off) >= 1.27, outside the disk, for every draw
     off = 0.75 + 0.3 * c.rng.random()
     chords = []
     for k in range(3):
@@ -888,8 +885,6 @@ def _ideal_vertex_medians(c):
     feet = {}
     for (i, j) in ((0, 1), (1, 2), (0, 2)):
         line = join(poles[i], poles[j])
-        if plane.classify_line(line) is not plane.LineKind.REAL:
-            raise _Skip("chords not pairwise ultraparallel for this draw")
         f1 = normalize(meet(line, chords[i]))
         f2 = normalize(meet(line, chords[j]))
         sides[(i, j)] = distance_ext(poles[i], poles[j])[0]

@@ -184,13 +184,18 @@ def _assemble(sides, angles, vertices) -> TriangleData:
 
 def _assemble_placed(sides, angles) -> TriangleData:
     """`_assemble` with A at the origin, B on the positive x-axis and C in
-    the upper half plane."""
+    the upper half plane, each vertex stored as placed.  A vertex x from A
+    has Q / max-norm^2 = 1 / cosh^2 x, below `plane.EPS_CLS` from x ~ 11.05,
+    where the kernel reads it as a point at infinity: OverflowRisk."""
     b, c, alpha = sides[1], sides[2], angles[0]
-    return _assemble(sides, angles, (
-        plane.origin(),
+    placed = (
         HPoint(math.sinh(c), 0.0, math.cosh(c)),
         HPoint(math.sinh(b) * math.cos(alpha), math.sinh(b) * math.sin(alpha), math.cosh(b)),
-    ))
+    )
+    for v, x in zip(placed, (c, b)):
+        real_point(v, OverflowRisk, f"side {x} places a vertex the kernel cannot read "
+                                    "as a real point")
+    return _assemble(sides, angles, (plane.origin(), *placed))
 
 
 def _angle_from_sides(adj1: float, adj2: float, opposite: float) -> float:

@@ -5,9 +5,9 @@ import pytest
 
 from hypertri import centers as ct
 from hypertri import plane, trig
-from hypertri.errors import NoRootFound, OnSideLine
+from hypertri.errors import GeometryError, NoRootFound, OnSideLine
 from hypertri.extscalar import PointKind
-from hypertri.generate import gen_triangle
+from hypertri.generate import SHAPES, gen_triangle
 from hypertri.plane import distance, klein_point, normalize
 from hypertri.trig import (
     proportionality_residual,
@@ -125,6 +125,44 @@ class TestCircumcenters:
     def test_side_circumcenters_are_hypercycles(self, scalene):
         for res in ct.circumcenters(scalene)[1:]:
             assert res.classification is PointKind.IDEAL
+
+
+_BUILDERS = (
+    ct.centroid, ct.circumcenters, ct.incenter_excenters, ct.orthocenter,
+    ct.orthocenter_conjugate, ct.symmedian_point, ct.lemoine_point,
+    lambda f: ct.pseudo_centroid(f)[0], lambda f: ct.pseudo_orthocenter(f)[0],
+    ct.pseudomedian_feet_center, ct.bisector_feet_center,
+)
+
+
+def _center_results(t):
+    """Every center result the builders give on ``t``; a center that is not
+    available (a GeometryError) is left out."""
+    f = ct.Frame(t)
+    for build in _BUILDERS:
+        try:
+            built = build(f)
+        except GeometryError:
+            continue
+        yield from (built,) if isinstance(built, ct.CenterResult) else built
+
+
+class TestCenterKinds:
+    def test_circumcenter_of_a_horocycle_triangle_has_no_coordinates(self, horocycle):
+        o = ct.circumcenters(horocycle)[0]
+        assert o.classification is PointKind.INFINITE
+        assert o.coords is None
+        assert o.to_json()["coords"] is None
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_kind_follows_the_point_and_the_coordinates(self, shape, horocycle):
+        # a real center is stored in unit form, and exactly a center at
+        # infinity has no coordinates
+        for t in (horocycle, *(gen_triangle(seed, shape=shape) for seed in range(1, 301))):
+            for res in _center_results(t):
+                kind = res.classification
+                assert (kind is PointKind.REAL) == (res.point.__class__ is plane.UnitPoint), res
+                assert (kind is PointKind.INFINITE) == (res.coords is None), res
 
 
 class TestIncenter:

@@ -114,6 +114,14 @@ class TestCenters:
         assert code == 0
         assert "M" in out and "O" in out and "I" in out
 
+    def test_a_center_at_infinity_has_null_coords(self, horocycle, tmp_path, capsys):
+        path = tmp_path / "horocycle.json"
+        path.write_text(json.dumps(rg.triangle_json(horocycle)))
+        code, out, _ = run_cli(capsys, "centers", str(path), "--json")
+        assert code == 0
+        o = next(row for row in json.loads(out) if row["name"] == "O")
+        assert (o["classification"], o["coords"]) == ("infinite", None)
+
     @pytest.mark.parametrize("fmt", ["--json", "--table"])
     def test_unknown_center_is_usage_error(self, tri_file, fmt, capsys):
         code, out, err = run_cli(capsys, "centers", tri_file, fmt, "--which", "Q,M")

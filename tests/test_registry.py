@@ -13,7 +13,7 @@ import pytest
 from hypertri import centers as ct
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
-from hypertri.errors import DegenerateTriangle, GeometryError, UnknownIdentity
+from hypertri.errors import DegenerateTriangle, GeometryError, OverflowRisk, UnknownIdentity
 from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 
@@ -249,6 +249,30 @@ def test_right_triangles_give_a_record_for_every_identity(tmp_path):
     assert records["OR6"].reason == "altitude chain h_x = HX + HF_x needs an acute triangle"
     out = tmp_path / "right.jsonl"
     assert cli.main(["verify", "--shape", "right", "--seeds", "1..40", "-o", str(out)]) in (0, 1)
+
+
+def test_a_circumcenter_at_infinity_skips_its_checks(horocycle):
+    ctx = rg.TrialContext(seed=0, t=horocycle)
+    records = [rg.run_identity(identity_id, ctx) for identity_id in ("CR3", "OI1")]
+    assert [(rec.status, rec.reason) for rec in records] == [
+        ("skipped", "circumcenter at infinity (paracycle): coordinates blow up"),
+        ("skipped", "circumcenter at infinity (paracycle)"),
+    ]
+
+
+@pytest.mark.parametrize("x", [0.5 * k for k in range(2, 100)])
+@pytest.mark.parametrize("ratios", [(1.0, 1.0, 1.0), (1.0, 0.9, 0.8)], ids=["equal", "scalene"])
+def test_side_solved_triangles_give_a_record_for_every_identity(ratios, x):
+    # a vertex placed about 11.05 or more from A reads as a point at
+    # infinity; the solver turns such a triangle down, and on every other
+    # one each identity gives a record rather than an untyped exception
+    try:
+        t = trig.solve_from_sides(*(r * x for r in ratios))
+    except OverflowRisk:
+        assert max(r * x for r in ratios[1:]) > 11.0
+        return
+    ctx = rg.TrialContext(seed=0, t=t)
+    assert [rg.run_identity(identity_id, ctx).id for identity_id in rg.ALL_IDS] == rg.ALL_IDS
 
 
 def test_center_builds_raise_only_geometry_errors():

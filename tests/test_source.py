@@ -290,3 +290,34 @@ def test_no_nonlocal():
                    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                    if isinstance(n, ast.Nonlocal))
     assert found == []
+
+
+def _callers(path: Path, callee: str) -> list[str]:
+    """The innermost enclosing function of each call of ``callee`` in
+    ``path`` ("<module>" outside any function, "<lambda>" in a lambda)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = node.name
+        elif isinstance(node, ast.Lambda):
+            scope = "<lambda>"
+        if isinstance(node, ast.Call) and _name(node.func) == callee:
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, scope)
+    return list(visit(tree, "<module>"))
+
+
+def test_only_result_classifies_a_center():
+    # a builder hands `_result` its raw construction, and reads the kind
+    # from the result; classifying the construction first repeats the work
+    assert _callers(SRC / "centers.py", "classify") == ["_result"]
+
+
+def test_registry_does_not_decode_radii():
+    # a circumradius is `plane.radius_ext` of the center, not rebuilt from
+    # the floats a center result carries for the report
+    tree = ast.parse((SRC / "registry.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and n.value == "radius_quantum"] == []

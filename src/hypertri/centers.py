@@ -16,7 +16,6 @@ by which side keeps its real length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import plane, trig
@@ -547,8 +546,7 @@ def collinearity_residual(p: HPoint, q: HPoint, r: HPoint) -> float:
     return abs(a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h))
 
 
-@dataclass(frozen=True, slots=True)
-class EulerLineReport:
+class EulerLineReport(NamedTuple):
     """Collinearity diagnostics for the four-center line (O, F, S, Z) and the
     classical O, M, H test."""
 
@@ -591,8 +589,7 @@ def euler_line(f: Frame) -> EulerLineReport:
 # --------------------------------------------------------------------------
 # minimality of coordinate sums
 
-@dataclass(frozen=True, slots=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     """Grid verdicts for the two coordinate-sum minimality statements.
 
     ``incenter_min_ok`` / ``incenter_closed_residual`` refer to the printed

@@ -19,7 +19,6 @@ import sys
 from contextlib import ExitStack
 
 from . import registry as rg
-from . import render as rd
 from .errors import GeometryError, OutOfDomain, UnknownIdentity
 from .extscalar import segment_lengths, takes_d
 from .generate import SHAPES, gen_triangle
@@ -202,6 +201,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render as rd   # only this command draws
+
     t, _seed = _load_triangle(args.triangle)
     which = (_center_names(args.centers) if args.centers != "all" else
              ["M", "O", "I", "H", "M'", "L", "S", "Z", "F"])

@@ -30,7 +30,6 @@ The real-number channel is an ordinary ``float``; ``math.inf`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -170,8 +169,7 @@ INF = ExtLength(math.inf)
 NEG_INF = ExtLength(-math.inf)
 
 
-@dataclass(frozen=True, slots=True)
-class PureImaginary:
+class PureImaginary(NamedTuple):
     """Purely imaginary length ``magnitude * i`` with free magnitude.
 
     Only segments of the ideal line produce these; the magnitude is the angle

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import plane, trig
 from .errors import ExhaustedAttempts, GeometryError
@@ -30,8 +30,7 @@ SHAPES = ("any", "acute", "scalene", "isosceles", "equilateral", "right")
 MAX_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class Constraints:
+class Constraints(NamedTuple):
     max_klein_radius: float = 0.95
     min_angle: float = 0.05
     min_side: float = 0.05

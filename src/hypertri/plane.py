@@ -36,7 +36,6 @@ with the same coordinates, a point to a line included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -132,8 +131,7 @@ class HLine(NamedTuple):
 _new = tuple.__new__
 
 
-@dataclass(frozen=True, slots=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A circumscribing cycle: circle, paracycle or hypercycle by center kind."""
 
     center: HPoint
@@ -536,8 +534,7 @@ def _line_angle_at(u: HLine, v: HLine) -> float:
     return math.acos(min(1.0, max(-1.0, c)))
 
 
-@dataclass(frozen=True, slots=True)
-class ExtAngle:
+class ExtAngle(NamedTuple):
     """An extended angle: quantized real part plus a free ``/i`` part.
 
     Values are ``re + over_i / i`` (that is, ``re - over_i * i``).  Angles of

@@ -21,7 +21,6 @@ import json
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
@@ -125,6 +124,11 @@ class TrialContext(ct.Frame):
     @property
     def random_interior(self) -> HPoint:
         return self.get("random_interior", _random_interior, self.seed, self.t)
+
+    @property
+    def random_conjugate(self) -> HPoint:
+        """The isogonal conjugate of `random_interior`; a raise is not stored."""
+        return self.get("random_conjugate", ct.isogonal_conjugate, self.random_interior, self)
 
     def random_real_point(self, maxr=0.9) -> HPoint:
         return sample_disk_point(self.rng, maxr)
@@ -591,8 +595,7 @@ def _stewart_euclidean_order_gap() -> float:
 
 def _isogonal_inverse_ratio(c):
     t = c.t
-    x = c.random_interior
-    xp = ct.isogonal_conjugate(x, c)
+    x, xp = c.random_interior, c.random_conjugate
     worst = 0.0
     for i, (j, k) in enumerate(SIDE_ENDS):
         r1 = trig.cevian_ratio(x, t, i)
@@ -603,8 +606,7 @@ def _isogonal_inverse_ratio(c):
 
 def _isogonal_coords(c):
     t = c.t
-    x = c.random_interior
-    xp = ct.isogonal_conjugate(x, c)
+    x, xp = c.random_interior, c.random_conjugate
     target = [sinh(side) ** 2 / k for side, k in zip(t.sides, tri_coords(x, t))]
     return _prop(tri_coords(xp, t), target)
 
@@ -994,8 +996,7 @@ def _center_coords(*names):
 # --------------------------------------------------------------------------
 # the registry table
 
-@dataclass(frozen=True, slots=True)
-class IdentityDef:
+class IdentityDef(NamedTuple):
     id: str
     name: str
     evaluator: object
@@ -1125,26 +1126,31 @@ _LINE_PARTS = {d.id: (d.name, d.tolerance, *_line_parts(d.id, d.name, d.toleranc
                for d in _DEFS}
 
 
-@dataclass(frozen=True, slots=True)
-class TrialReport:
+class _TrialFields(NamedTuple):
     seed: int
     records: tuple
     centers: tuple
-    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+
+class TrialReport(_TrialFields):
+    """The records and center table of one trial.  The fields are an
+    immutable named tuple; the class has no ``__slots__``, so the summary
+    is kept in the instance dict once built."""
 
     def summary(self) -> dict:
         """Counts by status and the failed ids.  Built on the first call;
         later calls return the same dict."""
-        if self._summary is None:
-            count = {"pass": 0, "fail": 0, "skipped": 0}
-            failed = []
-            for r in self.records:
-                count[r.status] += 1
-                if r.status == "fail":
-                    failed.append(r.id)
-            object.__setattr__(self, "_summary",
-                               {"seed": self.seed, **count, "failed_ids": failed})
         return self._summary
+
+    @functools.cached_property
+    def _summary(self) -> dict:
+        count = {"pass": 0, "fail": 0, "skipped": 0}
+        failed = []
+        for r in self.records:
+            count[r.status] += 1
+            if r.status == "fail":
+                failed.append(r.id)
+        return {"seed": self.seed, **count, "failed_ids": failed}
 
     def to_jsonl(self) -> str:
         """One compact JSON line per record, then the summary line.  A record

@@ -13,7 +13,8 @@ on every formula here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 from . import plane
 from .errors import (
@@ -51,8 +52,21 @@ TriCoords = tuple[float, float, float]
 SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
-@dataclass(frozen=True, slots=True)
-class TriangleData:
+class _TriangleFields(NamedTuple):
+    a: float
+    b: float
+    c: float
+    alpha: float
+    beta: float
+    gamma: float
+    s: float
+    delta: float
+    n: float
+    bign: float
+    vertices: tuple[HPoint, HPoint, HPoint]
+
+
+class TriangleData(_TriangleFields):
     """A solved triangle.
 
     Sides ``a, b, c`` are opposite the vertices ``A, B, C``; angles
@@ -65,42 +79,23 @@ class TriangleData:
     vertices when first read; ``sides`` and ``angles`` are the triples
     (a, b, c) and (alpha, beta, gamma).  Per-vertex and per-side accessors
     take an index (see `SIDE_ENDS`).
+
+    The fields are an immutable named tuple; the class has no ``__slots__``,
+    so ``lines`` and ``coord_rows`` are kept in the instance dict once read.
     """
 
-    a: float
-    b: float
-    c: float
-    alpha: float
-    beta: float
-    gamma: float
-    s: float
-    delta: float
-    n: float
-    bign: float
-    vertices: tuple[HPoint, HPoint, HPoint]
-    _lines: tuple[HLine, HLine, HLine] | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _coord_rows: tuple | None = field(
-        default=None, init=False, repr=False, compare=False)
-
-    @property
+    @cached_property
     def lines(self) -> tuple[HLine, HLine, HLine]:
-        if self._lines is None:
-            vs = self.vertices
-            lines = tuple(_side_line(vs[i], vs[j], vs[k])
-                          for i, (j, k) in enumerate(SIDE_ENDS))
-            object.__setattr__(self, "_lines", lines)
-        return self._lines
+        vs = self.vertices
+        return tuple(_side_line(vs[i], vs[j], vs[k])
+                     for i, (j, k) in enumerate(SIDE_ENDS))
 
-    @property
+    @cached_property
     def coord_rows(self) -> tuple:
         """Per side ``i``: the coordinates of side line ``i`` and the factor
         ``0.5 * sinh(side i)`` of `tri_coords`, built when first read."""
-        if self._coord_rows is None:
-            rows = tuple((*l, 0.5 * math.sinh(length))
-                         for l, length in zip(self.lines, self.sides))
-            object.__setattr__(self, "_coord_rows", rows)
-        return self._coord_rows
+        return tuple((*l, 0.5 * math.sinh(length))
+                     for l, length in zip(self.lines, self.sides))
 
     @property
     def sides(self) -> tuple[float, float, float]:
@@ -422,8 +417,7 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
 # --------------------------------------------------------------------------
 # Lambert quadrangle
 
-@dataclass(frozen=True, slots=True)
-class LambertQuadrangle:
+class LambertQuadrangle(NamedTuple):
     """A quadrangle with right angles at A, B and D; phi is the angle at C.
 
     Side names: AB = a, BC = b, CD = c, DA = d.

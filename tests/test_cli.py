@@ -320,18 +320,21 @@ class TestVerify:
 
     def test_import_leaves_out_multiprocessing(self):
         # only `verify --jobs N` with N > 1 and more than one seed needs it;
-        # neither the import nor a `--jobs 1` run loads it
+        # neither the import nor a `--jobs 1` run loads it.  Nor do they load
+        # `render` (only `hypertri render` draws) or `dataclasses` and the
+        # `inspect` it imports (every record is a named tuple)
         src = os.path.dirname(os.path.dirname(hypertri.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import os, sys; from hypertri import cli; "
              "cli.main(['verify', '--seeds', '1..3', '--ids', 'LS', '--jobs', '1', "
-             "'-o', os.devnull]); print('multiprocessing' in sys.modules)"],
+             "'-o', os.devnull]); print(sorted({'multiprocessing', 'dataclasses', "
+             "'inspect', 'hypertri.render'} & set(sys.modules)))"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
             timeout=60)
         assert proc.returncode == 0, proc.stderr[-4000:]
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\n"
 
 
 class TestRender:

@@ -8,7 +8,6 @@ its triangular coordinates with `tri_coords` and measures distances with
 `distance`.  Both must give the same report.
 """
 
-import dataclasses
 import math
 
 import pytest
@@ -99,7 +98,7 @@ def reference_minimality(t, samples=24):
 
 
 def _assert_reports_match(got, want):
-    for name in (f.name for f in dataclasses.fields(ct.MinimalityReport)):
+    for name in ct.MinimalityReport._fields:
         g, w = getattr(got, name), getattr(want, name)
         if isinstance(w, bool):
             assert g is w, name

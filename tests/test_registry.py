@@ -13,7 +13,13 @@ import pytest
 from hypertri import centers as ct
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
-from hypertri.errors import DegenerateTriangle, GeometryError, OverflowRisk, UnknownIdentity
+from hypertri.errors import (
+    ConjugateAtInfinity,
+    DegenerateTriangle,
+    GeometryError,
+    OverflowRisk,
+    UnknownIdentity,
+)
 from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 
@@ -349,6 +355,37 @@ def test_summary_is_built_once():
     assert rep.summary() is rep.summary()
     assert rep.to_jsonl().endswith(json.dumps({"summary": rep.summary()},
                                               separators=(",", ":")))
+
+
+def _conjugate_calls(monkeypatch, conjugate):
+    """Route `centers.isogonal_conjugate` through ``conjugate`` and list the
+    point of each call."""
+    seen = []
+
+    def counting(x, tri):
+        seen.append(x)
+        return conjugate(x, tri)
+
+    monkeypatch.setattr(ct, "isogonal_conjugate", counting)
+    return seen
+
+
+def test_is1_and_is2_share_one_conjugate_of_the_random_interior(monkeypatch):
+    seen = _conjugate_calls(monkeypatch, ct.isogonal_conjugate)
+    ctx = rg.TrialContext(5, gen_triangle(5))
+    assert [rg.run_identity(i, ctx).status for i in ("IS1", "IS2")] == ["pass", "pass"]
+    assert seen == [ctx.random_interior]
+
+
+def test_a_failed_conjugate_is_built_again_for_each_id(monkeypatch):
+    def raises(x, tri):
+        raise ConjugateAtInfinity("stub")
+
+    seen = _conjugate_calls(monkeypatch, raises)
+    ctx = rg.TrialContext(5, gen_triangle(5))
+    recs = [rg.run_identity(i, ctx) for i in ("IS1", "IS2")]
+    assert [(r.status, r.reason) for r in recs] == [("fail", "ConjugateAtInfinity: stub")] * 2
+    assert len(seen) == 2
 
 
 def test_the_h_prime_row_is_the_orthocenter_conjugate_builder():

@@ -321,3 +321,26 @@ def test_registry_does_not_decode_radii():
     tree = ast.parse((SRC / "registry.py").read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree)
             if isinstance(n, ast.Constant) and n.value == "radius_quantum"] == []
+
+
+def _dataclass_uses(path: Path):
+    """Each import of `dataclasses` and each ``@dataclass`` class in ``path``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, "import dataclasses") for a in node.names
+                        if a.name == "dataclasses")
+        elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+            yield node.lineno, "from dataclasses import"
+        elif isinstance(node, ast.ClassDef):
+            yield from ((node.lineno, f"@dataclass {node.name}") for d in node.decorator_list
+                        if _name(d.func if isinstance(d, ast.Call) else d) == "dataclass")
+
+
+def test_no_dataclasses():
+    # every record is a named tuple, like the points, lines and lengths;
+    # importing `dataclasses` also loads `inspect`, `ast`, `dis` and
+    # `tokenize`, which every command would pay for at start-up
+    found = sorted(f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
+                   for line, what in _dataclass_uses(path))
+    assert found == []

@@ -4,7 +4,7 @@ Segments of the extended hyperbolic plane have lengths r + q*i with the
 imaginary part quantized to {0, pi/2, pi}: a pair of points cuts a line into
 two segments whose lengths always add up to pi*i.  Signed infinities appear
 for segments reaching the boundary.  This script walks through the segment
-table and the operational rules.
+table and the hyperbolic functions of extended lengths.
 """
 
 import math
@@ -13,9 +13,7 @@ from hypertri import (
     ExtLength,
     PointKind,
     Quantum,
-    ext_add,
     ext_cosh,
-    ext_sinh,
     ext_tanh,
     segment_lengths,
 )
@@ -33,8 +31,7 @@ for label, kinds, d in (
     ("two ideal points, polars 0.8 apart", (ID, ID), 0.8),
 ):
     ab, ba = segment_lengths(*kinds, d=d, line="real")
-    total = ext_add(ab, ba)
-    print(f"  {label:52s} AB = {str(ab):16s} BA = {str(ba):16s} AB+BA = {total}")
+    print(f"  {label:52s} AB = {str(ab):16s} BA = {ba}")
 
 print()
 print("Segments of the line at infinity (the tangent line)")
@@ -45,16 +42,8 @@ for label, kinds in (
     ("two ideal points of the tangent", (ID, ID)),
 ):
     ab, ba = segment_lengths(*kinds, line="infinity")
-    print(f"  {label:52s} AB = {str(ab):16s} BA = {str(ba):16s}")
+    print(f"  {label:52s} AB = {str(ab):16s} BA = {ba}")
 
-print()
-print("Operational rules for the infinities")
-print("------------------------------------")
-inf, ninf = ExtLength(math.inf), ExtLength(-math.inf)
-print(f"  inf + inf    = {ext_add(inf, inf)}")
-print(f"  inf + (-inf) = {ext_add(inf, ninf)}")
-print(f"  inf + 5      = {ext_add(inf, ExtLength(5.0))}")
-print(f"  tanh(+inf)   = {ext_tanh(inf).real:g},  tanh(-inf) = {ext_tanh(ninf).real:g}")
 
 print()
 print("Hyperbolic functions pick up the quantum")
@@ -63,8 +52,7 @@ d = 0.5
 for q, tag in ((Quantum.ZERO, "d"), (Quantum.HALF_PI, "d + (pi/2)i"),
                (Quantum.PI, "d + pi*i")):
     x = ExtLength(d, q)
-    print(f"  x = {tag:12s} cosh x = {ext_cosh(x):24} sinh x = {ext_sinh(x):24}"
-          f" tanh x = {ext_tanh(x)}")
+    print(f"  x = {tag:12s} cosh x = {ext_cosh(x):24} tanh x = {ext_tanh(x)}")
 
 print()
 print("A hypercycle radius is d + (pi/2)i, so tanh(R) = coth(d) > 1:")

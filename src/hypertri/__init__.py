@@ -16,12 +16,7 @@ from .extscalar import (
     PointKind,
     PureImaginary,
     Quantum,
-    ext_add,
     ext_cosh,
-    ext_coth,
-    ext_mul,
-    ext_sinh,
-    ext_sub_real,
     ext_tanh,
     segment_lengths,
 )

@@ -21,16 +21,8 @@ class CoincidentLines(CoincidentArguments):
     """Angle queried between two copies of the same projective line."""
 
 
-class ImaginaryOverflow(GeometryError):
-    """Sum of imaginary parts left the admissible set {0, pi/2, pi}."""
-
-
 class UndefinedComparison(GeometryError):
     """Order comparison between extended lengths of different imaginary parts."""
-
-
-class UndefinedProduct(GeometryError):
-    """Product not covered by the operational rules of the extended system."""
 
 
 class UnsupportedConfiguration(GeometryError):

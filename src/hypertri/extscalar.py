@@ -1,4 +1,4 @@
-"""Arithmetic over the extended length system of the hyperbolic plane.
+"""The extended length system of the hyperbolic plane.
 
 Segment lengths in the extended plane (real points plus boundary points and
 the poles beyond them) take values ``r + q*i`` where the real part ``r`` is a
@@ -10,13 +10,7 @@ channel is stored as an exact three-valued enum rather than a float.
 
 Signed infinities follow the operational rules
 
-    inf + inf = inf     -inf + (-inf) = -inf     inf + (-inf) = 0
-    inf + a = inf       cosh(+-inf) = inf        sinh(+-inf) = +-inf
-    tanh(+-inf) = +-1   inf + b*i = inf + 0*i
-
-Addition involving infinities is not associative in general; it is safe for
-expressions with at most two infinite operands, which is all the segment
-calculus needs.
+    cosh(+-inf) = inf     tanh(+-inf) = +-1     inf + b*i = inf + 0*i
 
 One value falls outside this system: a segment of the ideal line itself (both
 endpoints and the line beyond the boundary) has a purely imaginary length
@@ -33,12 +27,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import (
-    ImaginaryOverflow,
-    UndefinedComparison,
-    UndefinedProduct,
-    UnsupportedConfiguration,
-)
+from .errors import UndefinedComparison, UnsupportedConfiguration
 
 HALF_PI = math.pi / 2.0
 
@@ -54,14 +43,6 @@ class Quantum(Enum):
     def radians(self) -> float:
         return (0.0, HALF_PI, math.pi)[self.value]
 
-    def __add__(self, other: "Quantum") -> "Quantum":
-        total = self.value + other.value
-        if total > 2:
-            raise ImaginaryOverflow(
-                f"imaginary parts {self.name} + {other.name} exceed pi"
-            )
-        return Quantum(total)
-
 
 class PointKind(Enum):
     """Taxonomy of points of the extended plane."""
@@ -69,10 +50,6 @@ class PointKind(Enum):
     REAL = "real"
     INFINITE = "infinite"
     IDEAL = "ideal"
-
-
-_QUANTUM_JSON = {Quantum.ZERO: 0, Quantum.HALF_PI: "pi/2", Quantum.PI: "pi"}
-_QUANTUM_FROM_JSON = {0: Quantum.ZERO, "pi/2": Quantum.HALF_PI, "pi": Quantum.PI}
 
 
 class _ExtLengthFields(NamedTuple):
@@ -107,16 +84,6 @@ class ExtLength(_ExtLengthFields):
     def finite(self) -> bool:
         return math.isfinite(self.re)
 
-    def complement(self) -> "ExtLength":
-        """The other segment of the same point pair: ``pi*i - self``."""
-        if math.isinf(self.re):
-            return ExtLength(-self.re)
-        return ExtLength(-self.re, Quantum(2 - self.im.value))
-
-    def as_complex(self) -> complex:
-        """Numeric value; infinite lengths map to complex(+-inf, 0)."""
-        return complex(self.re, self.im.radians if self.finite else 0.0)
-
     def _check_comparable(self, other: "ExtLength"):
         if not isinstance(other, ExtLength):
             raise TypeError("can only compare ExtLength with ExtLength")
@@ -141,21 +108,6 @@ class ExtLength(_ExtLengthFields):
         self._check_comparable(other)
         return self.re >= other.re
 
-    def to_json(self):
-        re: float | str = self.re
-        if math.isinf(self.re):
-            re = "inf" if self.re > 0 else "-inf"
-        return {"re": re, "im": _QUANTUM_JSON[self.im]}
-
-    @classmethod
-    def from_json(cls, obj) -> "ExtLength":
-        re = obj["re"]
-        if re == "inf":
-            re = math.inf
-        elif re == "-inf":
-            re = -math.inf
-        return cls(float(re), _QUANTUM_FROM_JSON[obj["im"]])
-
     def __str__(self):
         if math.isinf(self.re):
             return "inf" if self.re > 0 else "-inf"
@@ -178,50 +130,8 @@ class PureImaginary(NamedTuple):
 
     magnitude: float
 
-    def complement(self) -> "PureImaginary":
-        return PureImaginary(math.pi - self.magnitude)
-
-    def as_complex(self) -> complex:
-        return complex(0.0, self.magnitude)
 
 
-def ext_add(x: ExtLength, y: ExtLength) -> ExtLength:
-    """Sum of two extended lengths under the operational rules above."""
-    xi, yi = math.isinf(x.re), math.isinf(y.re)
-    if xi and yi:
-        if (x.re > 0) != (y.re > 0):
-            return ExtLength(0.0)
-        return ExtLength(x.re)
-    if xi:
-        return ExtLength(x.re)
-    if yi:
-        return ExtLength(y.re)
-    return ExtLength(x.re + y.re, x.im + y.im)
-
-
-def ext_sub_real(x: ExtLength, t: float) -> ExtLength:
-    """Subtract a plain real number; the imaginary quantum is untouched."""
-    if math.isinf(t):
-        raise UndefinedProduct("subtracting an infinite real is not defined here")
-    if math.isinf(x.re):
-        return ExtLength(x.re)
-    return ExtLength(x.re - t, x.im)
-
-
-def ext_mul(k: float, x: ExtLength) -> ExtLength:
-    """Scalar multiple, restricted to the cases the operational rules define.
-
-    Allowed: nonzero real times an infinite length (sign rule), and any real
-    times a quantum-free finite length.  Everything else (``inf * 0``,
-    scaling a genuinely complex length) is rejected rather than guessed.
-    """
-    if math.isinf(x.re):
-        if k == 0.0:
-            raise UndefinedProduct("0 * infinity is not defined")
-        return ExtLength(math.copysign(math.inf, k * x.re))
-    if x.im is not Quantum.ZERO:
-        raise UndefinedProduct("scaling a length with nonzero imaginary part")
-    return ExtLength(k * x.re)
 
 
 def ext_cosh(x: ExtLength) -> complex:
@@ -234,16 +144,6 @@ def ext_cosh(x: ExtLength) -> complex:
         return complex(0.0, math.sinh(x.re))
     return complex(-math.cosh(x.re), 0.0)
 
-
-def ext_sinh(x: ExtLength) -> complex:
-    """sinh over the extended system; ``sinh(+-inf) = +-inf``."""
-    if math.isinf(x.re):
-        return complex(x.re, 0.0)
-    if x.im is Quantum.ZERO:
-        return complex(math.sinh(x.re), 0.0)
-    if x.im is Quantum.HALF_PI:
-        return complex(0.0, math.cosh(x.re))
-    return complex(-math.sinh(x.re), 0.0)
 
 
 def ext_tanh(x: ExtLength) -> complex:
@@ -259,17 +159,6 @@ def ext_tanh(x: ExtLength) -> complex:
     if x.re == 0.0:
         return complex(math.inf, 0.0)
     return complex(1.0 / math.tanh(x.re), 0.0)
-
-
-def ext_coth(x: ExtLength) -> complex:
-    """coth over the extended system; ``coth(+-inf) = +-1``."""
-    if math.isinf(x.re):
-        return complex(math.copysign(1.0, x.re), 0.0)
-    if x.im is Quantum.ZERO or x.im is Quantum.PI:
-        if x.re == 0.0:
-            return complex(math.inf, 0.0)
-        return complex(1.0 / math.tanh(x.re), 0.0)
-    return complex(math.tanh(x.re), 0.0)
 
 
 _R, _IN, _ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
@@ -307,7 +196,8 @@ def segment_lengths(
     kind_a: PointKind,
     kind_b: PointKind,
     d: float | None = None,
-    line: str | None = None,
+    *,
+    line: str,
 ) -> tuple[ExtLength, ExtLength]:
     """Tabulated lengths (AB, BA) of the two segments a point pair cuts from a line.
 
@@ -315,17 +205,10 @@ def segment_lengths(
     points when both are real, from the real point to the polar of the ideal
     one for a mixed pair, and between the two polars for an ideal pair.
 
-    ``line`` selects the carrier: "real" or "infinity".  When omitted it is
-    inferred: any real endpoint, or a supplied ``d``, implies a real line;
-    pairs of infinite/ideal points without ``d`` refer to the line at
-    infinity.  Segments of the ideal line are not tabulated here (they are
-    purely imaginary, see `PureImaginary` and the plane module).
+    ``line`` selects the carrier: "real" or "infinity".  Segments of the
+    ideal line are not tabulated here (they are purely imaginary, see
+    `PureImaginary` and the plane module).
     """
-    if line is None:
-        if kind_a is _R or kind_b is _R or d is not None:
-            line = "real"
-        else:
-            line = "infinity"
     if line == "real":
         builder = _REAL_LINE_TABLE.get((kind_a, kind_b))
         if builder is None:

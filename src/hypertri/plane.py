@@ -145,11 +145,6 @@ def mdot(u, v) -> float:
     return uw * vw - ux * vx - uy * vy
 
 
-def qform(u) -> float:
-    x, y, w = u
-    return w * w - x * x - y * y
-
-
 def _maxnorm(u) -> float:
     """max(|x|, |y|, |w|); for a `UnitPoint` that is its ``w`` exactly
     (Q > 0 forces |w| > |x|, |y|, rounding keeps the order and w > 0)."""
@@ -422,42 +417,16 @@ def complementary_bisector(p: HPoint, q: HPoint) -> HLine:
     return _new(HLine, (px + qx, py + qy, pw + qw))
 
 
-def angle_bisectors(vertex: HPoint, ray1: HLine, ray2: HLine) -> tuple[HLine, HLine]:
-    """The two bisector lines of the angles formed at ``vertex`` by two lines.
-
-    Returned as (difference, sum) of the unit line vectors; the pair is
-    Minkowski-orthogonal.  Which one bisects the angle a caller cares about
-    depends on the orientation of the input vectors, so callers with a
-    triangle at hand should orient the side lines first.
-    """
-    _mcross(ray1, ray2, CoincidentLines, "bisectors of one line")
-    ax, ay, aw = normalize_line(ray1)
-    bx, by, bw = normalize_line(ray2)
-    return (
-        _new(HLine, (ax - bx, ay - by, aw - bw)),
-        _new(HLine, (ax + bx, ay + by, aw + bw)),
-    )
-
-
-def _householder(v, l: HLine, kind):
-    """The Householder reflection of the triple ``v`` in ``l``, as a ``kind``."""
-    vx, vy, vw = v
+def reflect_line(m: HLine, l: HLine) -> HLine:
+    """Reflection of a line in a line: the Householder reflection of the
+    triple ``m`` in ``l``."""
+    mx, my, mw = m
     lx, ly, lw = l
     q = lw * lw - lx * lx - ly * ly
     if q == 0.0:
         raise ZeroVector("reflection in a degenerate (tangent) line")
-    k = 2.0 * (vw * lw - vx * lx - vy * ly) / q
-    return _new(kind, (vx - k * lx, vy - k * ly, vw - k * lw))
-
-
-def reflect(p: HPoint, l: HLine) -> HPoint:
-    """Reflection of a point in a line; a point on the line is returned as is."""
-    return _householder(p, l, HPoint)
-
-
-def reflect_line(m: HLine, l: HLine) -> HLine:
-    """Reflection of a line in a line."""
-    return _householder(m, l, HLine)
+    k = 2.0 * (mw * lw - mx * lx - my * ly) / q
+    return _new(HLine, (mx - k * lx, my - k * ly, mw - k * lw))
 
 
 # --------------------------------------------------------------------------
@@ -546,14 +515,6 @@ class ExtAngle(NamedTuple):
 
     re: float
     over_i: float = 0.0
-
-    def complement(self) -> "ExtAngle":
-        if math.isinf(self.re):
-            return ExtAngle(-self.re)
-        return ExtAngle(math.pi - self.re, -self.over_i)
-
-    def as_complex(self) -> complex:
-        return complex(self.re, -self.over_i)
 
 
 def _length_to_angle(x) -> ExtAngle:

@@ -1096,7 +1096,8 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
 
     A declared non-configuration (`_Skip`) is a ``skipped`` record; any
     other GeometryError the evaluator raises is a ``fail`` record with no
-    residual and the reason ``"<Class>: <message>"``."""
+    residual and the reason ``"<Class>: <message>"``, and so is a residual
+    that is not finite, with the reason ``"non-finite residual <value>"``."""
     d = REGISTRY.get(identity_id)
     if d is None:
         raise UnknownIdentity(identity_id)
@@ -1110,8 +1111,12 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     except GeometryError as e:
         return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
                               f"{type(e).__name__}: {e}")
+    residual = float(residual)
+    if not math.isfinite(residual):
+        return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
+                              f"non-finite residual {residual}")
     status = "pass" if residual < d.tolerance else "fail"
-    return IdentityRecord(d.id, d.name, float(residual), status, d.tolerance)
+    return IdentityRecord(d.id, d.name, residual, status, d.tolerance)
 
 
 def _line_parts(identity_id: str, name: str, tolerance: float) -> tuple[str, str]:

@@ -109,10 +109,6 @@ class TriangleData(_TriangleFields):
     def area(self) -> float:
         return 2.0 * self.delta
 
-    def height(self, i: int) -> float:
-        """Altitude length onto side ``i``."""
-        return math.asinh(2.0 * self.n / math.sinh(self.sides[i]))
-
     def side_line(self, i: int) -> HLine:
         """Line of side ``i``, unit-normalized, oriented so vertex ``i`` has
         positive signed distance."""
@@ -145,6 +141,12 @@ def _validate_sides(sides):
         raise DegenerateTriangle("triangle inequality violated")
 
 
+def _validate_angles(angles):
+    for x in angles:
+        if not (0.0 < x < math.pi):
+            raise DegenerateTriangle(f"angle {x} outside (0, pi)")
+
+
 def staudtian(a: float, b: float, c: float) -> float:
     s = 0.5 * (a + b + c)
     prod = (
@@ -165,6 +167,7 @@ def angular_staudtian(alpha: float, beta: float, gamma: float) -> float:
 
 
 def _assemble(sides, angles, vertices) -> TriangleData:
+    _validate_angles(angles)
     delta = 0.5 * (math.pi - angles[0] - angles[1] - angles[2])
     if delta <= 0.0:
         raise DegenerateTriangle("angle sum reaches pi (zero defect)")
@@ -210,9 +213,7 @@ def solve_from_sides(a: float, b: float, c: float) -> TriangleData:
 def solve_from_angles(alpha: float, beta: float, gamma: float) -> TriangleData:
     """Triangle from its three angles (law of cosines on the angles)."""
     angles = (alpha, beta, gamma)
-    for x in angles:
-        if not (0.0 < x < math.pi):
-            raise DegenerateTriangle(f"angle {x} outside (0, pi)")
+    _validate_angles(angles)
     if sum(angles) >= math.pi:
         raise DegenerateTriangle("angle sum must stay below pi")
 

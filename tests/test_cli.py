@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -58,6 +59,12 @@ def _first_vertex(point):
     return lambda obj: {**obj, "vertices": [point, *obj["vertices"][1:]]}
 
 
+# three vertices 10**-8.25 inside the unit circle: the sides (19.4) stay
+# under MAX_SIDE, but two of the measured angles are 0.0
+_ZERO_ANGLE_VERTICES = [{"model": "klein", "coords": [(1 - 10**-8.25) * math.cos(a),
+                                                      (1 - 10**-8.25) * math.sin(a)]}
+                        for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+
 # (edit of a generated triangle file, fragment of the error it must give)
 MALFORMED_FILES = {
     "empty-object": (lambda obj: {}, "'vertices'"),
@@ -78,6 +85,7 @@ MALFORMED_FILES = {
     "meta-list": (_replace("meta", []), "'meta'"),
     "seed-string": (_replace("meta", {"seed": "3"}), "'meta.seed'"),
     "seed-bool": (_replace("meta", {"seed": True}), "'meta.seed'"),
+    "zero-angles": (_replace("vertices", _ZERO_ANGLE_VERTICES), "outside (0, pi)"),
 }
 COMMAND_ARGS = {
     "centers": lambda out: [],

@@ -21,7 +21,6 @@ from hypertri.plane import (
     CycleKind,
     HLine,
     HPoint,
-    angle_bisectors,
     angle_ext,
     classify,
     classify_line,
@@ -41,7 +40,6 @@ from hypertri.plane import (
     perpendicular_bisector,
     polar,
     pole,
-    reflect,
     signed_line_distance,
     UnitPoint,
 )
@@ -74,8 +72,8 @@ TRIPLE_FUNCTIONS = (
     ("tangent_angle", (_T, _T)), ("normal_tangent", (_P, _T)), ("arc_coordinate", (_P, _T)),
     ("foot_of_perpendicular", (_P, _L)), ("perpendicular_line", (_P, _L)),
     ("midpoint", (_P, _P)), ("perpendicular_bisector", (_P, _P)),
-    ("complementary_bisector", (_P, _P)), ("angle_bisectors", (_P, _L, _L)),
-    ("reflect", (_P, _L)), ("reflect_line", (_L, _L)), ("distance_ext", (_P, _P)),
+    ("complementary_bisector", (_P, _P)), ("reflect_line", (_L, _L)),
+    ("distance_ext", (_P, _P)),
     *((f"radius_ext/{kind.value}", (_P, _P)) for kind in PointKind),
     ("angle_ext", (_L, _L)), ("cycle_through", (_P, _P, _P)),
 )
@@ -142,7 +140,7 @@ class TestUnitPoint:
         for p in (origin(), klein_point(0.3, -0.4), HPoint(-0.2, 0.1, -2.0)):
             u = normalize(p)
             assert u.__class__ is UnitPoint
-            assert plane.qform(u) == pytest.approx(1.0, rel=1e-15) and u.w > 0
+            assert mdot(u, u) == pytest.approx(1.0, rel=1e-15) and u.w > 0
 
     def test_unit_point_is_returned_unchanged(self):
         u = normalize(klein_point(0.3, -0.4))
@@ -244,13 +242,11 @@ class TestIncidence:
          CoincidentArguments, "meet of proportional lines"),
         (lambda: foot_of_perpendicular(HPoint(0.2, 0.1, 0.05), HLine(0.4, 0.2, 0.1)),
          CoincidentArguments, "point is the pole of the line"),
-        (lambda: angle_bisectors(origin(), HLine(0.0, 1.0, 0.0), HLine(0.0, 3.0, 0.0)),
-         CoincidentLines, "bisectors of one line"),
         (lambda: angle_ext(HLine(1.0, 0.5, 0.2), HLine(-1.0, -0.5, -0.2)),
          CoincidentLines, "angle of proportional lines"),
         (lambda: distance_ext(HPoint(0.1, 0.2, 1.0), HPoint(0.25, 0.5, 2.5)),
          IdenticalPoints, "distance between coincident projective points"),
-    ], ids=["join", "meet", "foot", "angle_bisectors", "angle_ext", "distance_ext"])
+    ], ids=["join", "meet", "foot", "angle_ext", "distance_ext"])
     def test_proportional_arguments_raise(self, call, error, message):
         with pytest.raises(CoincidentArguments) as info:
             call()
@@ -418,7 +414,9 @@ class TestAngles:
         l2 = HLine(math.sin(phi), -math.cos(phi), 0.0)
         a1, _ = angle_ext(l1, l2)
         seg, _ = distance_ext(pole(l1), pole(l2))
-        assert (a1.as_complex() * 1j).imag == pytest.approx(seg.as_complex().imag)
+        # a1 * i = over_i + re * i and the poles cut a purely imaginary
+        # segment of their (ideal) join, magnitude * i
+        assert (a1.over_i, a1.re) == pytest.approx((0.0, seg.magnitude))
 
 
 class TestConstructions:
@@ -432,13 +430,17 @@ class TestConstructions:
         assert abs(pb.y) < 1e-15 and abs(pb.w) < 1e-15 and abs(abs(pb.x) - 1) < 1e-15
 
     def test_reflection_in_a_diameter(self):
-        got = reflect(klein_point(0.2, 0.1), HLine(0, 1, 0))
-        assert normalize(got).klein() == pytest.approx((0.2, -0.1))
+        # the diameter through (0.6, 0.2) goes to the one through (0.6, -0.2)
+        got = plane.reflect_line(join(origin(), klein_point(0.6, 0.2)), HLine(0, 1, 0))
+        for p in (origin(), klein_point(0.6, -0.2)):
+            assert abs(mdot(normalize(p), normalize_line(got))) < 1e-15
 
-    def test_reflect_point_on_line(self):
-        p = klein_point(0.2, 0.0)
-        got = reflect(p, HLine(0, 1, 0))
-        assert normalize(got).klein() == pytest.approx((0.2, 0.0))
+    def test_reflect_perpendicular_line_is_the_line(self):
+        # the chord x = 0.3 is perpendicular to the x-axis
+        ends = (klein_point(0.3, 0.5), klein_point(0.3, -0.5))
+        got = plane.reflect_line(join(*ends), HLine(0, 1, 0))
+        for p in ends:
+            assert abs(mdot(normalize(p), normalize_line(got))) < 1e-15
 
     @given(klein_points(), klein_points())
     @settings(max_examples=40)
@@ -450,7 +452,7 @@ class TestConstructions:
         n = HPoint(*plane.normal_tangent(pn, t))
         assert abs(mdot(n, pn)) < 1e-12
         assert abs(mdot(n, t)) < 1e-12
-        assert plane.qform(n) == pytest.approx(-1.0, rel=1e-12)
+        assert mdot(n, n) == pytest.approx(-1.0, rel=1e-12)
 
     @given(klein_points(), klein_points())
     @settings(max_examples=40)
@@ -461,26 +463,6 @@ class TestConstructions:
         m = plane.midpoint(p, q)
         assert abs(mdot(m, normalize_line(l))) < 1e-12
         assert distance(m, p) == pytest.approx(distance(m, q), rel=1e-10)
-
-
-class TestBisectors:
-    def test_pair_is_minkowski_orthogonal_and_equidistant(self):
-        va = klein_point(0.1, 0.05)
-        l1 = join(va, klein_point(0.6, 0.1))
-        l2 = join(va, klein_point(0.2, 0.55))
-        b1, b2 = plane.angle_bisectors(va, l1, l2)
-        assert abs(mdot(b1, b2)) < 1e-12
-        # points of either bisector are equidistant from the two lines
-        for b in (b1, b2):
-            foot = normalize(plane.foot_of_perpendicular(klein_point(0.15, 0.12), b))
-            d1 = abs(signed_line_distance(foot, l1))
-            d2 = abs(signed_line_distance(foot, l2))
-            assert d1 == pytest.approx(d2, abs=1e-12)
-
-    def test_coincident_lines_rejected(self):
-        l = HLine(0.0, 1.0, 0.0)
-        with pytest.raises(CoincidentLines):
-            plane.angle_bisectors(origin(), l, HLine(0.0, 2.0, 0.0))
 
 
 class TestCycles:
@@ -591,10 +573,6 @@ class _Reference:
     @staticmethod
     def mdot(u, v):
         return u.w * v.w - u.x * v.x - u.y * v.y
-
-    @staticmethod
-    def qform(u):
-        return u.w * u.w - u.x * u.x - u.y * u.y
 
     @staticmethod
     def maxnorm(u):
@@ -747,26 +725,12 @@ class _Reference:
         return HLine(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w)
 
     @classmethod
-    def angle_bisectors(cls, vertex, ray1, ray2):
-        cls.mcross(ray1, ray2, CoincidentLines, "bisectors of one line")
-        a, b = cls.normalize_line(ray1), cls.normalize_line(ray2)
-        return (HLine(a.x - b.x, a.y - b.y, a.w - b.w), HLine(a.x + b.x, a.y + b.y, a.w + b.w))
-
-    @classmethod
-    def householder(cls, v, l, kind):
-        q = cls.qform(l)
+    def reflect_line(cls, m, l):
+        q = l.w * l.w - l.x * l.x - l.y * l.y
         if q == 0.0:
             raise ZeroVector("reflection in a degenerate (tangent) line")
-        k = 2.0 * cls.mdot(v, l) / q
-        return kind(v.x - k * l.x, v.y - k * l.y, v.w - k * l.w)
-
-    @classmethod
-    def reflect(cls, p, l):
-        return cls.householder(p, l, HPoint)
-
-    @classmethod
-    def reflect_line(cls, m, l):
-        return cls.householder(m, l, HLine)
+        k = 2.0 * cls.mdot(m, l) / q
+        return HLine(m.x - k * l.x, m.y - k * l.y, m.w - k * l.w)
 
 
 def _bits(v):
@@ -799,13 +763,13 @@ def _agree(got, want) -> bool:
 # (name, argument kinds): "p" a point (HPoint or UnitPoint), "l" a line,
 # "t" a unit tangent, "u" an arc length
 _KERNEL = [
-    ("mdot", "pl"), ("qform", "p"), ("classify", "p"), ("classify_line", "l"),
+    ("mdot", "pl"), ("classify", "p"), ("classify_line", "l"),
     ("join", "pp"), ("meet", "ll"), ("polar", "p"), ("pole", "l"),
     ("normalize", "p"), ("normalize_line", "l"), ("distance", "pp"),
     ("tangent_toward", "pp"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
     ("normal_tangent", "pt"), ("foot_of_perpendicular", "pl"), ("midpoint", "pp"),
     ("perpendicular_bisector", "pp"), ("complementary_bisector", "pp"),
-    ("angle_bisectors", "pll"), ("reflect", "pl"), ("reflect_line", "ll"),
+    ("reflect_line", "ll"),
 ]
 
 
@@ -872,7 +836,7 @@ class TestKernelAgainstReference:
             assert _agree(got, want), (name, args)
             raised += got[0] == "raise"
         if name in ("join", "meet", "polar", "pole", "normalize", "normalize_line",
-                    "foot_of_perpendicular", "angle_bisectors"):
+                    "foot_of_perpendicular"):
             assert raised > 0, name   # the error paths were reached
 
     @pytest.mark.parametrize("name, kinds", [(n, k) for n, k in _KERNEL if set(k) <= set("pl")],
@@ -903,16 +867,14 @@ class TestKernelAgainstReference:
     def test_degenerate_pairs_raise_alike(self, a, b):
         for name in ("mdot", "join", "meet", "distance", "tangent_toward", "midpoint",
                      "perpendicular_bisector", "complementary_bisector",
-                     "foot_of_perpendicular", "reflect", "reflect_line", "_mcross"):
+                     "foot_of_perpendicular", "reflect_line", "_mcross"):
             new, ref = _new_and_reference(name)
             extra = (CoincidentArguments, "m") if name == "_mcross" else ()
             assert _outcome(new, a, b, *extra) == _outcome(ref, a, b, *extra), name
         for name in ("polar", "pole", "normalize", "normalize_line", "classify",
-                     "classify_line", "qform"):
+                     "classify_line"):
             new, ref = _new_and_reference(name)
             assert _outcome(new, a) == _outcome(ref, a), name
-        assert (_outcome(angle_bisectors, origin(), a, b)
-                == _outcome(_Reference.angle_bisectors, origin(), a, b))
 
     def test_unit_point_max_norm_is_its_w(self):
         rng = random.Random(7)

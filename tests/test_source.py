@@ -344,3 +344,45 @@ def test_no_dataclasses():
     found = sorted(f"{path.name}:{line}: {what}" for path in sorted(SRC.glob("*.py"))
                    for line, what in _dataclass_uses(path))
     assert found == []
+
+
+# public functions that keep no reader under src/, and why each stays
+_NO_SRC_READER = {
+    # README documents it; demo 03 and the test fixtures solve from angles
+    "solve_from_angles",
+    # the cycle center that tests and demo 05 show to lie off the
+    # four-center line; they compare against it as a reference
+    "bisector_feet_center",
+}
+
+
+def _names_used(node) -> set[str]:
+    """Names that ``node`` reads, reads as an attribute or imports."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            used |= {a.name for a in n.names}
+    return used
+
+
+def test_every_public_function_has_a_src_reader():
+    # a public function that no other module reads, and its own module
+    # reads nowhere but in its own body, is unused code with a test of its
+    # own; the package `__init__` only re-exports, so it is no reader
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    used = {name: _names_used(tree) for name, tree in trees.items()}
+    found = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(u for m, u in used.items() if m != module))
+        for fn in tree.body:
+            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and fn.name not in _NO_SRC_READER and fn.name not in elsewhere
+                    and not any(fn.name in _names_used(stmt)
+                                for stmt in tree.body if stmt is not fn)):
+                found.append(f"{module}: {fn.name}")
+    assert found == []

@@ -155,12 +155,6 @@ class TestAreaForms:
             rhs = t.n ** 2 / (sinh(t.s) * sinh(t.a) * sinh(t.b) * sinh(t.c))
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_height_accessor_matches_the_construction(self):
-        t = solve_from_sides(1.0, 0.8, 0.7)
-        from hypertri.plane import foot_of_perpendicular, normalize
-        foot = normalize(foot_of_perpendicular(t.vertices[0], t.side_line(0)))
-        assert t.height(0) == pytest.approx(distance(t.vertices[0], foot), rel=1e-10)
-
     def test_staudtian_invariant_under_permutation(self):
         t = solve_from_sides(1.0, 0.8, 0.7)
         assert trig.staudtian(0.8, 0.7, 1.0) == pytest.approx(t.n, rel=1e-14)

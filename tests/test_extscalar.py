@@ -58,6 +58,23 @@ class TestComparisons:
             ExtLength(1.0) < ExtLength(2.0, Quantum.HALF_PI)
 
 
+class TestAddition:
+    def test_infinity_normalizes_quantum(self):
+        # inf + b*i = inf + 0*i
+        assert ExtLength(INF, Quantum.HALF_PI).im is Quantum.ZERO
+
+
+class TestComplement:
+    @given(st.floats(min_value=0, max_value=30), quanta)
+    def test_complement_sums_to_pi_i(self, d, q):
+        # the real-line cell whose AB carries quantum q: (R, R), (R, ID), (ID, ID)
+        kinds = {Quantum.ZERO: (R, R), Quantum.HALF_PI: (R, ID), Quantum.PI: (ID, ID)}[q]
+        ab, ba = segment_lengths(*kinds, d, line="real")
+        assert ab == ExtLength(d, q)
+        total = complex(ab.re + ba.re, ab.im.radians + ba.im.radians)
+        assert total == pytest.approx(complex(0.0, math.pi))
+
+
 class TestSegmentTables:
     def test_real_real(self):
         ab, ba = segment_lengths(R, R, 2.0, line="real")

@@ -49,7 +49,7 @@ from .plane import (
     tangent_toward,
     vertex_angle,
 )
-from .trig import SIDE_ENDS, TriangleData, relative_residual, tri_coords
+from .trig import SIDE_ENDS, TriangleData, relative_residual, tri_coords, worst_residual
 
 _R, _IN = PointKind.REAL, PointKind.INFINITE
 
@@ -556,7 +556,7 @@ class EulerLineReport(NamedTuple):
 
     @property
     def max_line_residual(self) -> float:
-        return max(self.residuals.values()) if self.residuals else math.nan
+        return worst_residual(*self.residuals.values())
 
 
 @_memo
@@ -631,8 +631,8 @@ def _grid_minimum(p: HPoint, w, scale: float, closed: float = 0.0):
     normal t2, taken at each radius r of `_GRID_RADII`.  A sample
     is X = cosh r p + sinh r d, so <X, w> and cosh XP = <X, p> are scalar
     sums of <p, .>, <t1, .> and <t2, .>.  Returns whether every sample
-    exceeds <p, w>, and the largest relative gap between <X, w> and
-    ``scale * cosh XP`` (starting from ``closed``).
+    exceeds <p, w>, and the worst of ``closed`` and the relative gaps
+    between <X, w> and ``scale * cosh XP``.
     """
     pn = normalize(p)
     k = pn.klein()
@@ -641,7 +641,7 @@ def _grid_minimum(p: HPoint, w, scale: float, closed: float = 0.0):
     t2 = HPoint(*plane.normal_tangent(pn, t1))
     w0, w1, w2 = mdot(pn, w), mdot(t1, w), mdot(t2, w)
     p0, p1, p2 = mdot(pn, pn), mdot(t1, pn), mdot(t2, pn)
-    ok = True
+    ok, gaps = True, []
     for c, s in _GRID_DIRECTIONS:
         dx, dy, dw = c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.w + s * t2.w
         nrm = math.sqrt(abs(dw * dw - dx * dx - dy * dy))
@@ -651,10 +651,8 @@ def _grid_minimum(p: HPoint, w, scale: float, closed: float = 0.0):
             if fx <= w0:
                 ok = False
             want = scale * (ch * p0 + sh * d_p)
-            gap = abs(fx - want) / max(abs(fx), abs(want))
-            if gap > closed:
-                closed = gap
-    return ok, closed
+            gaps.append(abs(fx - want) / max(abs(fx), abs(want)))
+    return ok, worst_residual(closed, *gaps)
 
 
 @_memo

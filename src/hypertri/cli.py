@@ -153,11 +153,15 @@ def _cmd_verify(args) -> int:
         print("error: verify takes a triangle file or --seeds, not both", file=sys.stderr)
         return 2
     ids = None
-    if args.ids:
+    if args.ids is not None:
         ids = [s.strip() for s in args.ids.split(",")]
+        if not all(ids):
+            print(f"error: malformed --ids {args.ids!r}; expected a comma list of "
+                  "identity codes", file=sys.stderr)
+            return 2
         for identity_id in ids:
             if identity_id not in rg.REGISTRY:
-                raise UnknownIdentity(identity_id)
+                raise UnknownIdentity(f"unknown identity {identity_id!r}")
     if args.seeds is not None:
         try:
             seeds = _parse_seed_range(args.seeds)
@@ -211,6 +215,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    if not math.isfinite(args.d):
+        print(f"error: --d must be a finite distance, got {args.d}", file=sys.stderr)
+        return 2
     cases = ([args.case] if args.case != "all"
              else list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
     for case in cases:

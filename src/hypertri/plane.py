@@ -267,7 +267,8 @@ def normalize(p: HPoint) -> HPoint:
 
 
 def normalize_line(l: HLine) -> HLine:
-    """Unit representative of a real line (Q = -1); others get max-norm 1."""
+    """Unit representative: Q = -1 for a real line, |Q| = 1 for an ideal
+    one, max-norm 1 for a tangent line."""
     x, y, w = l
     m = max(abs(x), abs(y), abs(w))
     mm = m * m

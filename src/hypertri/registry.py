@@ -1,14 +1,15 @@
 """Data-driven registry of the closed-form identities and their oracles.
 
 Each identity has a short code, a plain-language description, a tolerance and
-an evaluator that returns a residual (relative where both sides are larger
-than 1e-6 in magnitude, absolute otherwise).  Evaluators may also declare a
-skip with a reason for configurations where the identity's objects do not
-exist (ideal excenters, a non-real orthocenter, pseudoaltitude feet leaving
-the open side...).  One registry entry is expected to fail and is marked
-accordingly: the printed form of the coordinate-sum minimality statement
-names the wrong center (see MIN1 vs MIN1C), and the failure is kept visible
-rather than hidden.
+an evaluator that returns a residual (`trig.relative_residual`: relative
+once either side reaches 1e-6 in magnitude, absolute otherwise; a check of
+several parts reports their worst, `trig.worst_residual`, which keeps a NaN
+part).  Evaluators may also declare a skip with a reason for configurations
+where the identity's objects do not exist (ideal excenters, a non-real
+orthocenter, pseudoaltitude feet leaving the open side...).  One registry
+entry is expected to fail and is marked accordingly: the printed form of the
+coordinate-sum minimality statement names the wrong center (see MIN1 vs
+MIN1C), and the failure is kept visible rather than hidden.
 
 `run_suite` evaluates every identity on one seeded triangle and produces a
 deterministic `TrialReport`; reports serialize as JSON lines.
@@ -62,6 +63,7 @@ from .trig import (
     proportionality_residual as _prop,
     relative_residual as _rel,
     tri_coords,
+    worst_residual,
 )
 
 cosh, sinh, tanh = math.cosh, math.sinh, math.tanh
@@ -194,25 +196,21 @@ def _need_Z(c: TrialContext):
 def _law_of_sines(c):
     t = c.t
     r = [sinh(x) / sin(ang) for x, ang in zip(t.sides, t.angles)]
-    return max(_rel(r[0], r[1]), _rel(r[1], r[2]))
+    return worst_residual(_rel(r[0], r[1]), _rel(r[1], r[2]))
 
 
 def _law_of_cosines(c):
     x, ang = c.t.sides, c.t.angles
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        rhs = cosh(x[j]) * cosh(x[k]) - sinh(x[j]) * sinh(x[k]) * cos(ang[i])
-        worst = max(worst, _rel(cosh(x[i]), rhs))
-    return worst
+    return worst_residual(*[
+        _rel(cosh(x[i]), cosh(x[j]) * cosh(x[k]) - sinh(x[j]) * sinh(x[k]) * cos(ang[i]))
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _law_of_cosines_angles(c):
     x, ang = c.t.sides, c.t.angles
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        rhs = -cos(ang[j]) * cos(ang[k]) + sin(ang[j]) * sin(ang[k]) * cosh(x[i])
-        worst = max(worst, _rel(cos(ang[i]), rhs))
-    return worst
+    return worst_residual(*[
+        _rel(cos(ang[i]), -cos(ang[j]) * cos(ang[k]) + sin(ang[j]) * sin(ang[k]) * cosh(x[i]))
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _area_defect(c):
@@ -257,49 +255,43 @@ def _staudtian_product(c):
 def _staudtian_sines(c):
     t = c.t
     x = t.sides
-    return max(_rel(sin(t.angles[i]), 2 * t.n / (sinh(x[j]) * sinh(x[k])))
-               for i, (j, k) in enumerate(SIDE_ENDS))
+    return worst_residual(*[_rel(sin(t.angles[i]), 2 * t.n / (sinh(x[j]) * sinh(x[k])))
+                            for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _staudtian_height(c):
     t = c.t
     h_c = distance(c.C, c.altitude_foot(2))
-    return max(
+    return worst_residual(
         _rel(t.n, 0.5 * sin(t.alpha) * sinh(t.b) * sinh(t.c)),
-        _rel(t.n, 0.5 * sinh(h_c) * sinh(t.c)),
-    )
+        _rel(t.n, 0.5 * sinh(h_c) * sinh(t.c)))
 
 
 def _section_ratio(c):
     t = c.t
     x = c.random_interior
     k = tri_coords(x, t)
-    worst = 0.0
-    for i, (j, kk) in enumerate(SIDE_ENDS):
-        ratio = trig.cevian_ratio(x, t, i)
-        worst = max(worst, _rel(ratio, k[kk] / k[j]))
-    return worst
+    return worst_residual(*[_rel(trig.cevian_ratio(x, t, i), k[kk] / k[j])
+                            for i, (j, kk) in enumerate(SIDE_ENDS)])
 
 
 def _half_side_sinh(c):
     t = c.t
     ang = t.angles
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        rhs = math.sqrt(sin(t.delta) * sin(t.delta + ang[i]) / (sin(ang[j]) * sin(ang[k])))
-        worst = max(worst, _rel(sinh(t.sides[i] / 2), rhs))
-    return worst
+    return worst_residual(*[
+        _rel(sinh(t.sides[i] / 2),
+             math.sqrt(sin(t.delta) * sin(t.delta + ang[i]) / (sin(ang[j]) * sin(ang[k]))))
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _half_side_cosh(c):
     t = c.t
     ang = t.angles
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        rhs = math.sqrt(sin(t.delta + ang[j]) * sin(t.delta + ang[k])
-                        / (sin(ang[j]) * sin(ang[k])))
-        worst = max(worst, _rel(cosh(t.sides[i] / 2), rhs))
-    return worst
+    return worst_residual(*[
+        _rel(cosh(t.sides[i] / 2),
+             math.sqrt(sin(t.delta + ang[j]) * sin(t.delta + ang[k])
+                       / (sin(ang[j]) * sin(ang[k]))))
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _half_side_product(c):
@@ -312,17 +304,16 @@ def _half_side_product(c):
 def _angular_sinh(c):
     t = c.t
     ang = t.angles
-    return max(_rel(sinh(t.sides[i]), 2 * t.bign / (sin(ang[j]) * sin(ang[k])))
-               for i, (j, k) in enumerate(SIDE_ENDS))
+    return worst_residual(*[_rel(sinh(t.sides[i]), 2 * t.bign / (sin(ang[j]) * sin(ang[k])))
+                            for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _angular_height(c):
     t = c.t
     h_c = distance(c.C, c.altitude_foot(2))
-    return max(
+    return worst_residual(
         _rel(t.bign, 0.5 * sinh(t.a) * sin(t.beta) * sin(t.gamma)),
-        _rel(t.bign, 0.5 * sinh(h_c) * sin(t.gamma)),
-    )
+        _rel(t.bign, 0.5 * sinh(h_c) * sin(t.gamma)))
 
 
 def _staudtian_link(c):
@@ -340,23 +331,20 @@ def _staudtian_quotient(c):
 def _centroid_section(c):
     t = c.t
     m = ct.centroid(c).point
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        foot = midpoint(c.vertices[j], c.vertices[k])
-        ratio = sinh(distance(c.vertices[i], m)) / sinh(distance(m, foot))
-        worst = max(worst, _rel(ratio, 2 * cosh(t.sides[i] / 2)))
-    return worst
+    vs = c.vertices
+    return worst_residual(*[
+        _rel(sinh(distance(vs[i], m)) / sinh(distance(m, midpoint(vs[j], vs[k]))),
+             2 * cosh(t.sides[i] / 2))
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _centroid_common_ratio(c):
     t = c.t
     m = ct.centroid(c)
-    ratios = []
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        foot = midpoint(c.vertices[j], c.vertices[k])
-        ratios.append(sinh(distance(c.vertices[i], foot)) / sinh(distance(m.point, foot)))
-    worst = max(_rel(ratios[0], ratios[1]), _rel(ratios[1], ratios[2]))
-    return max(worst, _rel(ratios[0], t.n / m.coords[0]))
+    vs = c.vertices
+    feet = [midpoint(vs[j], vs[k]) for j, k in SIDE_ENDS]
+    r = [sinh(distance(v, foot)) / sinh(distance(m.point, foot)) for v, foot in zip(vs, feet)]
+    return worst_residual(_rel(r[0], r[1]), _rel(r[1], r[2]), _rel(r[0], t.n / m.coords[0]))
 
 
 def _centroid_gravity_line(c):
@@ -388,21 +376,18 @@ def _centroid_minimality_form(c):
 
 def _circumradius_oracle(c):
     t = c.t
-    worst = 0.0
     # O, then O_A, O_B, O_C
     closed = [sin(t.delta) / t.bign] + [sin(t.delta + ang) / t.bign for ang in t.angles]
-    for res, want in zip(ct.circumcenters(c), closed):
-        worst = max(worst, _rel(res.aux["tanh_R"], want))
-    return worst
+    return worst_residual(*[_rel(res.aux["tanh_R"], want)
+                            for res, want in zip(ct.circumcenters(c), closed)])
 
 
 def _circumradius_forms(c):
     t = c.t
-    worst = _rel(sin(t.delta) / t.bign,
-                 2 * sinh(t.a / 2) * sinh(t.b / 2) * sinh(t.c / 2) / t.n)
-    worst = max(worst, _rel(sin(t.delta + t.alpha) / t.bign,
-                            2 * sinh(t.a / 2) * cosh(t.b / 2) * cosh(t.c / 2) / t.n))
-    return worst
+    return worst_residual(
+        _rel(sin(t.delta) / t.bign, 2 * sinh(t.a / 2) * sinh(t.b / 2) * sinh(t.c / 2) / t.n),
+        _rel(sin(t.delta + t.alpha) / t.bign,
+             2 * sinh(t.a / 2) * cosh(t.b / 2) * cosh(t.c / 2) / t.n))
 
 
 # -- incenter / excenters ----------------------------------------------------
@@ -417,8 +402,8 @@ def _inradius_oracle(c):
     _skip_infinite_excenter(c)
     # I, then I_A, I_B, I_C
     closed = [t.n / sinh(t.s)] + [t.n / sinh(t.s - x) for x in t.sides]
-    return max(_rel(res.aux["tanh_r"], want)
-               for res, want in zip(ct.incenter_excenters(c), closed))
+    return worst_residual(*[_rel(res.aux["tanh_r"], want)
+                            for res, want in zip(ct.incenter_excenters(c), closed)])
 
 
 def _inradius_angular(c):
@@ -443,20 +428,20 @@ def _exradius_coth(c):
     # less sin(delta), over 2N
     targets = [(sum(-v if j == i else v for j, v in enumerate(terms)) - sin(t.delta))
                / (2 * t.bign) for i in range(3)]
-    return max(_rel(1.0 / res.aux["tanh_r"], want)
-               for res, want in zip(ct.incenter_excenters(c)[1:], targets))
+    return worst_residual(*[_rel(1.0 / res.aux["tanh_r"], want)
+                            for res, want in zip(ct.incenter_excenters(c)[1:], targets)])
 
 
 def _mixed_radius_relations(c):
     _skip_infinite_excenter(c)
     tr, tra, trb, trc = (res.aux["tanh_r"] for res in ct.incenter_excenters(c))
     tR, tRA, tRB, tRC = (res.aux["tanh_R"] for res in ct.circumcenters(c))
-    # corrected first line: tanh R_A - tanh R = coth r_B + coth r_C
-    worst = _rel(tRA - tR, 1 / trb + 1 / trc)
-    worst = max(worst, _rel(tRB + tRC, 1 / tr + 1 / tra))
-    # corrected third line: coth r = (sum of the four tanh R values) / 2
-    worst = max(worst, _rel(1 / tr, 0.5 * (tR + tRA + tRB + tRC)))
-    return worst
+    return worst_residual(
+        # corrected first line: tanh R_A - tanh R = coth r_B + coth r_C
+        _rel(tRA - tR, 1 / trb + 1 / trc),
+        _rel(tRB + tRC, 1 / tr + 1 / tra),
+        # corrected third line: coth r = (sum of the four tanh R values) / 2
+        _rel(1 / tr, 0.5 * (tR + tRA + tRB + tRC)))
 
 
 def _radius_identity(key):
@@ -486,10 +471,9 @@ def _oi_distance(c):
 
 def _orthocenter_products(c):
     h = _need_center(c, "H").point
-    vals = []
-    for i, vert in enumerate(c.vertices):
-        vals.append(tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(i))))
-    return max(_rel(vals[0], vals[1]), _rel(vals[1], vals[2]))
+    vals = [tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(i)))
+            for i, vert in enumerate(c.vertices)]
+    return worst_residual(_rel(vals[0], vals[1]), _rel(vals[1], vals[2]))
 
 
 def _orthocenter_sinh_products(c):
@@ -596,12 +580,10 @@ def _stewart_euclidean_order_gap() -> float:
 def _isogonal_inverse_ratio(c):
     t = c.t
     x, xp = c.random_interior, c.random_conjugate
-    worst = 0.0
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        r1 = trig.cevian_ratio(x, t, i)
-        r2 = trig.cevian_ratio(xp, t, i)
-        worst = max(worst, _rel(r1 * r2, sinh(t.sides[k]) ** 2 / sinh(t.sides[j]) ** 2))
-    return worst
+    return worst_residual(*[
+        _rel(trig.cevian_ratio(x, t, i) * trig.cevian_ratio(xp, t, i),
+             sinh(t.sides[k]) ** 2 / sinh(t.sides[j]) ** 2)
+        for i, (j, k) in enumerate(SIDE_ENDS)])
 
 
 def _isogonal_coords(c):
@@ -675,17 +657,15 @@ def _lemoine_vs_symmedian(c):
 def _pseudomedian_feet(c):
     t = c.t
     s_res, feet = ct.pseudo_centroid(c)
-    worst = s_res.aux["third_cevian_residual"]
     # defining property: each cevian halves the defect
-    for i, (_, k) in enumerate(SIDE_ENDS):
-        worst = max(worst, abs(trig.defect(c.vertices[i], feet[i], c.vertices[k]) - t.delta))
+    halving = [abs(trig.defect(c.vertices[i], feet[i], c.vertices[k]) - t.delta)
+               for i, (_, k) in enumerate(SIDE_ENDS)]
     # the stated half-angle ratios
     ch = [cosh(x / 2) for x in t.sides]
-    for i, (j, k) in enumerate(SIDE_ENDS):
-        u = plane.arc_coordinate(feet[i], c.side_tangent(i))
-        length = t.sides[i]
-        worst = max(worst, _rel(sinh(u / 2) / sinh((length - u) / 2), ch[k] / ch[j]))
-    return worst
+    arcs = [plane.arc_coordinate(foot, c.side_tangent(i)) for i, foot in enumerate(feet)]
+    return worst_residual(s_res.aux["third_cevian_residual"], *halving,
+                          *[_rel(sinh(u / 2) / sinh((x - u) / 2), ch[k] / ch[j])
+                            for u, x, (j, k) in zip(arcs, t.sides, SIDE_ENDS)])
 
 
 def _cagnoli_sin_delta(c):
@@ -697,12 +677,11 @@ def _cagnoli_sin_delta(c):
 def _cagnoli_sin_delta_alpha(c):
     t = c.t
     x = t.sides
-    worst = 0.0
     # the two other sides in index order
-    for i, (j, k) in enumerate(map(sorted, SIDE_ENDS)):
-        rhs = t.n / (2 * cosh(x[i] / 2) * sinh(x[j] / 2) * sinh(x[k] / 2))
-        worst = max(worst, _rel(sin(t.delta + t.angles[i]), rhs))
-    return worst
+    return worst_residual(*[
+        _rel(sin(t.delta + t.angles[i]),
+             t.n / (2 * cosh(x[i] / 2) * sinh(x[j] / 2) * sinh(x[k] / 2)))
+        for i, (j, k) in enumerate(map(sorted, SIDE_ENDS))])
 
 
 def _cagnoli_ratio(c):
@@ -710,7 +689,7 @@ def _cagnoli_ratio(c):
     lhs = sin(t.delta + t.alpha) / sin(t.delta)
     mid = cos(t.alpha) + sin(t.alpha) / math.tan(t.delta)
     rhs = 1.0 / (tanh(t.b / 2) * tanh(t.c / 2))
-    return max(_rel(lhs, mid), _rel(mid, rhs))
+    return worst_residual(_rel(lhs, mid), _rel(mid, rhs))
 
 
 def _pseudomedian_product(c):
@@ -729,7 +708,7 @@ def _pseudomedian_product(c):
 
 def _euler_line(c):
     _need_Z(c)
-    return max(ct.euler_line(c).residuals.values())
+    return ct.euler_line(c).max_line_residual
 
 
 def _classical_line_dichotomy(c):
@@ -819,19 +798,16 @@ def _table_check(cells, residual):
     """A TBL evaluator: for one drawn d, the worst ``residual(*args, d)``
     over the (fixed, args) ``cells``.  The fixed cells, whose entries are all
     `_Fixed`, are checked on the first call only (with d = None), and every
-    call's max starts from their worst."""
+    call's worst includes their worst."""
     varying = [args for fixed, args in cells if not fixed]
 
     @functools.cache
     def fixed_worst():
-        return max([0.0, *(residual(*args, None) for fixed, args in cells if fixed)])
+        return worst_residual(*[residual(*args, None) for fixed, args in cells if fixed])
 
     def evaluate(c):
         d = _table_d(c)
-        worst = fixed_worst()
-        for args in varying:
-            worst = max(worst, residual(*args, d))
-        return worst
+        return worst_residual(fixed_worst(), *[residual(*args, d) for args in varying])
     return evaluate
 
 
@@ -848,8 +824,8 @@ def _segment_table(line: str):
     construction against its `segment_lengths` value."""
     def residual(ka, kb, points, d):
         want = segment_lengths(ka, kb, d=d, line=line)
-        return max([0.0, *(_quantum_matches(got, w.re, w.im)
-                           for got, w in zip(distance_ext(*points(d)), want))])
+        return worst_residual(*[_quantum_matches(got, w.re, w.im)
+                                for got, w in zip(distance_ext(*points(d)), want)])
     return _table_check([(isinstance(points, _Fixed), (ka, kb, points))
                          for ka, kb, carrier, points in SEGMENT_CASES.values()
                          if carrier == line and points is not None], residual)
@@ -858,12 +834,12 @@ def _segment_table(line: str):
 def _angle_value_matches(a, re: float, over_i: float) -> float:
     if math.isinf(a.re):
         return 0.0 if a.re == re else 1.0
-    return max(abs(a.re - re), abs(a.over_i - over_i))
+    return worst_residual(abs(a.re - re), abs(a.over_i - over_i))
 
 
 def _angle_residual(lines, expected, d):
-    return max([0.0, *(_angle_value_matches(got, re, over_i)
-                       for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d)))])
+    return worst_residual(*[_angle_value_matches(got, re, over_i)
+                            for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d))])
 
 
 _table_angles = _table_check(
@@ -877,34 +853,23 @@ def _ideal_vertex_medians(c):
     # and the three medians are concurrent.  Two of the chords meet at Klein
     # radius 2 tanh(off) >= 1.27, outside the disk, for every draw
     off = 0.75 + 0.3 * c.rng.random()
-    chords = []
-    for k in range(3):
-        th = 2.0 * math.pi * (k / 3.0) + 0.2
-        nx, ny = math.cos(th), math.sin(th)
-        chords.append(plane.HLine(nx, ny, math.tanh(off)))
+    chords = [plane.HLine(math.cos(th), math.sin(th), math.tanh(off))
+              for th in (2.0 * math.pi * (k / 3.0) + 0.2 for k in range(3))]
     poles = [plane.pole(normalize_line(l)) for l in chords]
-    sides = {}
-    feet = {}
-    for (i, j) in ((0, 1), (1, 2), (0, 2)):
+    medians, parts = [], []
+    for i, j in ((0, 1), (1, 2), (0, 2)):
         line = join(poles[i], poles[j])
-        f1 = normalize(meet(line, chords[i]))
-        f2 = normalize(meet(line, chords[j]))
-        sides[(i, j)] = distance_ext(poles[i], poles[j])[0]
-        feet[(i, j)] = midpoint(f1, f2)
-    worst = 0.0
-    for (i, j), m in feet.items():
-        full = sides[(i, j)]
-        half1 = distance_ext(poles[i], m)[0]
-        half2 = distance_ext(m, poles[j])[0]
-        worst = max(worst, abs(half1.re - full.re / 2), abs(half2.re - full.re / 2))
+        foot = midpoint(normalize(meet(line, chords[i])), normalize(meet(line, chords[j])))
+        medians.append(join(poles[3 - i - j], foot))   # from the third pole
+        full = distance_ext(poles[i], poles[j])[0]
+        half1 = distance_ext(poles[i], foot)[0]
+        half2 = distance_ext(foot, poles[j])[0]
+        parts += [abs(half1.re - full.re / 2), abs(half2.re - full.re / 2)]
         if half1.im is not Quantum.HALF_PI or half2.im is not Quantum.HALF_PI:
-            worst = max(worst, 1.0)
-    medians = [join(poles[k], feet[pair])
-               for k, pair in ((2, (0, 1)), ((0), (1, 2)), (1, (0, 2)))]
+            parts.append(1.0)
     x = meet(medians[0], medians[1])
     m = max(abs(x.x), abs(x.y), abs(x.w))
-    worst = max(worst, abs(mdot(x, normalize_line(medians[2]))) / m)
-    return worst
+    return worst_residual(*parts, abs(mdot(x, normalize_line(medians[2]))) / m)
 
 
 # --------------------------------------------------------------------------
@@ -989,7 +954,8 @@ def _center_coords(*names):
 
     def ev(c):
         built = [_need_center(c, name) for name in names]
-        return max(_prop(res.coords, coords(c.t)) for res, coords in zip(built, closed))
+        return worst_residual(*[_prop(res.coords, coords(c.t))
+                                for res, coords in zip(built, closed)])
     return ev
 
 
@@ -1100,7 +1066,7 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     that is not finite, with the reason ``"non-finite residual <value>"``."""
     d = REGISTRY.get(identity_id)
     if d is None:
-        raise UnknownIdentity(identity_id)
+        raise UnknownIdentity(f"unknown identity {identity_id!r}")
     ctx = (ctx_or_triangle if isinstance(ctx_or_triangle, TrialContext)
            else TrialContext(seed=seed, t=ctx_or_triangle))
     ctx.use_stream(identity_id)

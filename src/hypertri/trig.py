@@ -373,6 +373,19 @@ def proportionality_residual(u, v) -> float:
     return cross / math.sqrt(uu * vv)
 
 
+def worst_residual(*parts) -> float:
+    """The worst of the non-negative residual ``parts``: the largest, 0.0
+    when there are none, and a NaN part as it is (`max` drops a NaN unless
+    it comes first).  Every check made of several parts reduces them here."""
+    largest = 0.0
+    for part in parts:
+        if not part <= largest:
+            if part != part:
+                return part
+            largest = part
+    return largest
+
+
 def cevian_ratio(x: HPoint, t: TriangleData, i: int) -> float:
     """Section ratio sinh(BF)/sinh(FC) of the cevian through ``x`` from
     vertex ``i`` to its foot F on side ``i``; B and C stand for the start
@@ -467,15 +480,15 @@ def lambert_relations(q: LambertQuadrangle) -> dict[str, float]:
         "tanh_c": abs(math.tanh(c) - math.tanh(a) * math.cosh(d)),
         "sinh_b": abs(math.sinh(b) - math.sinh(d) * math.cosh(c)),
         "sinh_c": abs(math.sinh(c) - math.sinh(a) * math.cosh(b)),
-        "cos_phi": max(
+        "cos_phi": worst_residual(
             abs(math.cos(phi) - math.tanh(b) * math.tanh(c)),
             abs(math.cos(phi) - math.sinh(a) * math.sinh(d)),
         ),
-        "sin_phi": max(
+        "sin_phi": worst_residual(
             abs(math.sin(phi) - math.cosh(d) / math.cosh(b)),
             abs(math.sin(phi) - math.cosh(a) / math.cosh(c)),
         ),
-        "tan_phi": max(
+        "tan_phi": worst_residual(
             abs(math.tan(phi) - 1.0 / (math.tanh(a) * math.sinh(b))),
             abs(math.tan(phi) - 1.0 / (math.tanh(d) * math.sinh(c))),
         ),

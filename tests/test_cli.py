@@ -175,8 +175,36 @@ class TestVerify:
         assert not path.exists()
 
     def test_unknown_identity_is_usage_error(self, tri_file, capsys):
-        code, _, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")
+        code, out, err = run_cli(capsys, "verify", tri_file, "--ids", "BOGUS")
         assert code == 2
+        assert err == "error: unknown identity 'BOGUS'\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("ids", ["", "LS,", ",LS", "LS,,HER"])
+    def test_malformed_ids_is_usage_error(self, ids, tmp_path, capsys):
+        path = tmp_path / "report.jsonl"
+        code, out, err = run_cli(capsys, "verify", "--seeds", "1..2", "--ids", ids,
+                                 "-o", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert f"--ids {ids!r}" in err   # named as given, not run as the full registry
+        assert out == ""
+        assert not path.exists()
+
+    def test_a_nan_part_fails_the_identity(self, tmp_path, capsys):
+        # three of IN1's four parts (the exradii) are NaN on this triangle;
+        # the worst part is NaN, so the record fails with no residual
+        path = tmp_path / "tri.json"
+        path.write_text(json.dumps({"vertices": [
+            {"model": "klein", "coords": xy} for xy in (
+                [0.6444681574458118, 0.7646311477035188],
+                [-0.6995672566720383, 0.7145667578276773],
+                [-0.9731091599910312, 0.23034443935452328])]}))
+        code, out, _ = run_cli(capsys, "verify", str(path), "--ids", "IN1")
+        assert code == 1
+        rec = json.loads(out.splitlines()[0])
+        assert (rec["id"], rec["status"], rec["residual"], rec["reason"]) == (
+            "IN1", "fail", None, "non-finite residual nan")
 
     @pytest.mark.parametrize("seeds", ["1..x", "1,,2", "a", "5..3", ""])
     def test_malformed_seeds_is_usage_error(self, seeds, tmp_path, capsys):
@@ -435,6 +463,14 @@ class TestTables:
         code, out, err = run_cli(capsys, "tables", "--case", "XX")
         assert code == 2
         assert err == "error: unknown case 'XX'\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("case", ["RR", "aRR-R", "all"])
+    @pytest.mark.parametrize("d", ["nan", "inf", "-inf"])
+    def test_non_finite_d_is_usage_error(self, d, case, capsys):
+        code, out, err = run_cli(capsys, "tables", "--case", case, f"--d={d}")
+        assert code == 2
+        assert err == f"error: --d must be a finite distance, got {float(d)}\n"
         assert out == ""
 
 

@@ -282,14 +282,15 @@ def test_side_solved_triangles_give_a_record_for_every_identity(ratios, x):
 
 
 def test_a_non_finite_residual_is_a_failed_record_and_the_report_is_strict_json():
-    # vertices 1e-8 inside the unit circle: RI3, RI5 and RI6 evaluate to NaN
+    # vertices 1e-8 inside the unit circle: RI3, RI5 and RI6 evaluate to NaN,
+    # and so do three of IN1's four parts (the exradii)
     r = 0.99999999
     t = trig.solve_from_vertices(*(plane.klein_point(r * math.cos(a), r * math.sin(a))
                                    for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)))
     rep = rg.run_suite(0, triangle=t, include_centers=False)
     assert [(rec.id, rec.status, rec.residual) for rec in rep.records
             if rec.reason == "non-finite residual nan"] == [
-        (i, "fail", None) for i in ("RI3", "RI5", "RI6")]
+        (i, "fail", None) for i in ("IN1", "RI3", "RI5", "RI6")]
 
     def reject(token):
         raise ValueError(f"{token} is not strict JSON")

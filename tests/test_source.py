@@ -386,3 +386,32 @@ def test_every_public_function_has_a_src_reader():
                                 for stmt in tree.body if stmt is not fn)):
                 found.append(f"{module}: {fn.name}")
     assert found == []
+
+
+# the residual functions whose results are reduced with trig.worst_residual
+_RESIDUAL_CALLS = {"_rel", "_prop", "relative_residual", "proportionality_residual",
+                   "collinearity_residual"}
+
+
+def _hand_reductions(path: Path):
+    """Names ``worst`` assigned inside a function, and ``max`` calls that
+    take a residual call, or a comprehension over one, as an argument."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for fn in ast.walk(tree):
+        if isinstance(fn, _SCOPES):
+            yield from ((n.lineno, "worst =") for n in ast.walk(fn)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                        and n.id == "worst")
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and _name(n.func) == "max" and any(
+                isinstance(m, ast.Call) and _name(m.func) in _RESIDUAL_CALLS
+                for arg in n.args for m in ast.walk(arg)):
+            yield n.lineno, "max(...)"
+
+
+def test_residual_parts_reduce_through_worst_residual():
+    # `max` drops a NaN part unless it comes first, so a check made of
+    # several parts reduces them with `trig.worst_residual`, which keeps it
+    found = sorted({f"{name}:{line}: {what}" for name in ("registry.py", "centers.py")
+                    for line, what in _hand_reductions(SRC / name)})
+    assert found == []

@@ -69,8 +69,9 @@ class CenterResult(NamedTuple):
     def to_json(self):
         name, point, coords, kind, aux = self
         if coords is not None:
-            m = max(map(abs, coords))
-            coords = [x / m for x in coords] if m > 0 else list(coords)
+            c0, c1, c2 = coords
+            m = max(abs(c0), abs(c1), abs(c2))
+            coords = [c0 / m, c1 / m, c2 / m] if m > 0 else [c0, c1, c2]
         return {
             "name": name,
             "point": {"model": "hyperboloid", "coords": list(point)},
@@ -173,8 +174,14 @@ def _memo(build):
     key = build.__name__
 
     def builder(tri: TriangleData | Frame):
-        f = Frame.of(tri)
-        return f.get(key, build, f)
+        # `Frame.of` and `Frame.get` written out, one call layer less each:
+        # every center check comes through here
+        f = tri if isinstance(tri, Frame) else Frame(tri)
+        cache = f._cache
+        value = cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = cache[key] = build(f)
+        return value
 
     builder.__name__ = builder.__qualname__ = key
     builder.__doc__ = build.__doc__
@@ -343,20 +350,27 @@ def side_tol(coords) -> float:
     """Where a triangular coordinate counts as zero, i.e. the point as on a
     side line: 1e-13 of the largest coordinate in absolute value.  The
     threshold is relative, so it does not depend on the triangle's size."""
-    return 1e-13 * max(map(abs, coords))
+    c0, c1, c2 = coords
+    return 1e-13 * max(abs(c0), abs(c1), abs(c2))
 
 
-def isogonal_conjugate(x: HPoint, tri: TriangleData | Frame) -> HPoint:
+def isogonal_conjugate(x: HPoint | CenterResult, tri: TriangleData | Frame) -> HPoint:
     """Reflect the cevians through ``x`` in the internal bisectors at two
-    vertices and intersect the reflected lines.
+    vertices and intersect the reflected lines.  ``x`` is a point, or a
+    center of the triangle whose stored coordinates are read instead of
+    computed again.
 
     Raises OnSideLine for points of a side line, a coordinate within
     `side_tol` of zero (their conjugate cevians degenerate), and
     ConjugateAtInfinity when the reflected cevians meet in a non-real point.
     """
     f = Frame.of(tri)
+    coords = None
+    if x.__class__ is CenterResult:
+        x, coords = x.point, x.coords
     xn = normalize(x)
-    coords = tri_coords(xn, f.t)
+    if coords is None:
+        coords = tri_coords(xn, f.t)
     if min(map(abs, coords)) <= side_tol(coords):
         raise OnSideLine("isogonal conjugate of a point on a side line")
     la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector(0)))
@@ -378,16 +392,14 @@ def _cevian_meet(f: Frame, targets, what: str) -> tuple[HPoint, float]:
 def symmedian_point(f: Frame) -> CenterResult:
     """Isogonal conjugate of the centroid; coordinates
     (sinh^2 a : sinh^2 b : sinh^2 c)."""
-    m = centroid(f)
-    mp = isogonal_conjugate(m.point, f)
-    return _result("M'", mp, f.t)
+    return _result("M'", isogonal_conjugate(centroid(f), f), f.t)
 
 
 @_memo
 def orthocenter_conjugate(f: Frame) -> CenterResult:
     """H', the isogonal conjugate of the orthocenter; coordinates
     (sin 2 alpha : sin 2 beta : sin 2 gamma)."""
-    return _result("H'", isogonal_conjugate(orthocenter(f).point, f), f.t)
+    return _result("H'", isogonal_conjugate(orthocenter(f), f), f.t)
 
 
 @_memo

@@ -220,6 +220,11 @@ def _cmd_tables(args) -> int:
         return 2
     cases = ([args.case] if args.case != "all"
              else list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
+    takes_d_angle = [c for c in cases if c in rg.ANGLE_CASES and rg.angle_case_takes_d(c)]
+    if takes_d_angle and not 0.0 < args.d < math.pi / 2:
+        print(f"error: --d must lie in (0, pi/2) for angle case {takes_d_angle[0]}, "
+              f"got {args.d}", file=sys.stderr)
+        return 2
     for case in cases:
         if case in rg.SEGMENT_CASES:
             ka, kb, line, _points = rg.SEGMENT_CASES[case]
@@ -299,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of " + "|".join(list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
                         + " or 'all'")
     p.add_argument("--d", type=float, default=0.5,
-                   help="auxiliary real distance for the cases that take one")
+                   help="auxiliary real distance for the cases that take one; "
+                        "the angle cases take 0 < d < pi/2")
     p.set_defaults(fn=_cmd_tables)
     return parser
 

@@ -81,7 +81,8 @@ class TriangleData(_TriangleFields):
     take an index (see `SIDE_ENDS`).
 
     The fields are an immutable named tuple; the class has no ``__slots__``,
-    so ``lines`` and ``coord_rows`` are kept in the instance dict once read.
+    so ``lines``, ``coord_rows``, ``sides`` and ``angles`` are kept in the
+    instance dict once read.
     """
 
     @cached_property
@@ -97,11 +98,11 @@ class TriangleData(_TriangleFields):
         return tuple((*l, 0.5 * math.sinh(length))
                      for l, length in zip(self.lines, self.sides))
 
-    @property
+    @cached_property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
-    @property
+    @cached_property
     def angles(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
 
@@ -321,7 +322,10 @@ def tri_coords(x: HPoint, t: TriangleData) -> TriCoords:
     triple stays a real projective triple.
     """
     xx, xy, xw = normalize(x)
-    return tuple([(xw * lw - xx * lx - xy * ly) * h for lx, ly, lw, h in t.coord_rows])
+    (x0, y0, w0, h0), (x1, y1, w1, h1), (x2, y2, w2, h2) = t.coord_rows
+    return ((xw * w0 - xx * x0 - xy * y0) * h0,
+            (xw * w1 - xx * x1 - xy * y1) * h1,
+            (xw * w2 - xx * x2 - xy * y2) * h2)
 
 
 def _solve_sinh_ratio(length: float, rho: float) -> float:
@@ -355,20 +359,23 @@ def point_from_coords(k: TriCoords, t: TriangleData) -> HPoint:
 def relative_residual(lhs, rhs) -> float:
     """Mismatch of two real or complex values: relative where either side
     reaches 1e-6 in magnitude, absolute otherwise."""
-    m = max(abs(lhs), abs(rhs))
+    a, b = abs(lhs), abs(rhs)
+    m = b if b > a else a   # max(a, b), which keeps a NaN only when it is a
     return abs(lhs - rhs) if m < 1e-6 else abs(lhs - rhs) / m
 
 
 def proportionality_residual(u, v) -> float:
     """Scale-free mismatch of two triples viewed projectively."""
-    uu = sum(x * x for x in u)
-    vv = sum(y * y for y in v)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    uu = u0 * u0 + u1 * u1 + u2 * u2
+    vv = v0 * v0 + v1 * v1 + v2 * v2
     if uu == 0.0 or vv == 0.0:
         return math.inf
     cross = max(
-        abs(u[0] * v[1] - u[1] * v[0]),
-        abs(u[0] * v[2] - u[2] * v[0]),
-        abs(u[1] * v[2] - u[2] * v[1]),
+        abs(u0 * v1 - u1 * v0),
+        abs(u0 * v2 - u2 * v0),
+        abs(u1 * v2 - u2 * v1),
     )
     return cross / math.sqrt(uu * vv)
 

@@ -473,6 +473,27 @@ class TestTables:
         assert err == f"error: --d must be a finite distance, got {float(d)}\n"
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [["--d", "0"], ["--d", "2", "--case", "aRR-R"],
+                                      ["--d", "1e308", "--case", "aRR-R"]])
+    def test_d_outside_the_angle_catalogue_is_usage_error(self, argv, capsys):
+        # the angle cells that take d hold for 0 < d < pi/2 only
+        code, out, err = run_cli(capsys, "tables", *argv)
+        assert code == 2
+        assert err == f"error: --d must lie in (0, pi/2) for angle case aRR-R, got {float(argv[1])}\n"
+        assert out == ""
+
+    def test_segment_and_fixed_angle_cases_take_any_d(self, capsys):
+        code, out, _ = run_cli(capsys, "tables", "--d", "2", "--case", "RR")
+        assert (code, out) == (0, "RR        d=2     AB = 2, BA = -2 + (pi)i\n")
+        code, out, _ = run_cli(capsys, "tables", "--d", "0", "--case", "aRR-In")
+        assert (code, out) == (0, "aRR-In    d=0      angles = (0, 3.14159)\n")
+
+    def test_default_d_prints_every_cell(self, capsys):
+        code, out, _ = run_cli(capsys, "tables")
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()] == [
+            *rg.SEGMENT_CASES, *rg.ANGLE_CASES]
+
 
 def _help(capsys, *argv):
     with pytest.raises(SystemExit) as exc:

@@ -415,3 +415,34 @@ def test_residual_parts_reduce_through_worst_residual():
     found = sorted({f"{name}:{line}: {what}" for name in ("registry.py", "centers.py")
                     for line, what in _hand_reductions(SRC / name)})
     assert found == []
+
+
+# the helpers every center-coordinate check calls many times per seed,
+# written as straight-line code: a generator expression, comprehension or
+# lambda in one of them builds a frame on every call
+_STRAIGHT_LINE = {
+    "trig.py": ("tri_coords", "proportionality_residual", "relative_residual",
+                "worst_residual"),
+    "centers.py": ("_memo.builder", "side_tol", "isogonal_conjugate"),
+    "registry.py": ("run_identity",),
+}
+_FRAME_BUILDERS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Lambda)
+
+
+def _function(tree, path: str):
+    """The function at the dotted ``path`` of nested definitions."""
+    scope = tree
+    for name in path.split("."):
+        scope = next(n for n in ast.iter_child_nodes(scope)
+                     if isinstance(n, ast.FunctionDef) and n.name == name)
+    return scope
+
+
+def test_hot_helpers_build_no_frames():
+    found = []
+    for module, paths in _STRAIGHT_LINE.items():
+        tree = ast.parse((SRC / module).read_text(encoding="utf-8"))
+        for path in paths:
+            found += [f"{module}:{n.lineno} in {path}: {type(n).__name__}"
+                      for n in ast.walk(_function(tree, path)) if isinstance(n, _FRAME_BUILDERS)]
+    assert found == []

@@ -732,6 +732,76 @@ class _Reference:
         k = 2.0 * cls.mdot(m, l) / q
         return HLine(m.x - k * l.x, m.y - k * l.y, m.w - k * l.w)
 
+    # the extended calculus, as it was written before `distance_ext`
+    # dispatched on the first point's kind and `angle_ext` shared its cross
+    # product with the poles' join
+
+    @classmethod
+    def radius_ext(cls, center, kind, p):
+        if kind is PointKind.REAL:
+            return ExtLength(cls.distance(center, p))
+        if kind is PointKind.IDEAL:
+            l = cls.polar(center)
+            d = math.asinh(cls.mdot(cls.normalize(p), cls.normalize_line(l)))
+            return ExtLength(abs(d), Quantum.HALF_PI)
+        return ExtLength(math.inf)
+
+    @classmethod
+    def line_angle_at(cls, u, v):
+        un, vn = cls.normalize_line(u), cls.normalize_line(v)
+        c = abs(cls.mdot(un, vn))
+        return math.acos(min(1.0, max(-1.0, c)))
+
+    @classmethod
+    def distance_ext(cls, a, b):
+        R, IN, ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
+        try:
+            l = cls.join(a, b)
+        except CoincidentArguments:
+            raise IdenticalPoints("distance between coincident projective points")
+        ka, kb = cls.classify(a), cls.classify(b)
+        if ka is R and kb is R:
+            first = cls.radius_ext(a, R, b)
+            return (first, ExtLength(-first.re, Quantum.PI))
+        if (ka is R and kb is ID) or (ka is ID and kb is R):
+            first = cls.radius_ext(a, ID, b) if ka is ID else cls.radius_ext(b, ID, a)
+            return (first, ExtLength(-first.re, Quantum.HALF_PI))
+        if R in (ka, kb):
+            return (ExtLength(math.inf), ExtLength(-math.inf))
+        lk = cls.classify_line(l)
+        if ka is IN and kb is IN:
+            return (ExtLength(math.inf), ExtLength(-math.inf))
+        if IN in (ka, kb):
+            if lk is LineKind.AT_INFINITY:
+                h = ExtLength(0.0, Quantum.HALF_PI)
+                return (h, h)
+            return (ExtLength(math.inf), ExtLength(-math.inf))
+        if lk is LineKind.REAL:
+            an, bn = cls.normalize(a), cls.normalize(b)
+            d = plane.acosh_clamped(abs(cls.mdot(an, bn)))
+            return (ExtLength(d, Quantum.PI), ExtLength(-d))
+        if lk is LineKind.AT_INFINITY:
+            return (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
+        phi = cls.line_angle_at(cls.polar(a), cls.polar(b))
+        return (PureImaginary(phi), PureImaginary(math.pi - phi))
+
+    @staticmethod
+    def length_to_angle(x):
+        if isinstance(x, PureImaginary):
+            return plane.ExtAngle(x.magnitude, 0.0)
+        if math.isinf(x.re):
+            return plane.ExtAngle(x.re)
+        return plane.ExtAngle(x.im.radians, x.re)
+
+    @classmethod
+    def angle_ext(cls, a, b):
+        cls.mcross(a, b, CoincidentLines, "angle of proportional lines")
+        first, second = cls.distance_ext(cls.pole(a), cls.pole(b))
+        if (isinstance(first, ExtLength) and first.finite
+                and first.im is Quantum.PI and second.im is Quantum.ZERO):
+            return (plane.ExtAngle(0.0, first.re), plane.ExtAngle(math.pi, -first.re))
+        return (cls.length_to_angle(first), cls.length_to_angle(second))
+
 
 def _bits(v):
     """A comparable image of a result: floats by their bit pattern (so -0.0
@@ -761,7 +831,7 @@ def _agree(got, want) -> bool:
 
 
 # (name, argument kinds): "p" a point (HPoint or UnitPoint), "l" a line,
-# "t" a unit tangent, "u" an arc length
+# "t" a unit tangent, "u" an arc length, "k" a point kind
 _KERNEL = [
     ("mdot", "pl"), ("classify", "p"), ("classify_line", "l"),
     ("join", "pp"), ("meet", "ll"), ("polar", "p"), ("pole", "l"),
@@ -769,7 +839,8 @@ _KERNEL = [
     ("tangent_toward", "pp"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
     ("normal_tangent", "pt"), ("foot_of_perpendicular", "pl"), ("midpoint", "pp"),
     ("perpendicular_bisector", "pp"), ("complementary_bisector", "pp"),
-    ("reflect_line", "ll"),
+    ("reflect_line", "ll"), ("distance_ext", "pp"), ("radius_ext", "pkp"),
+    ("angle_ext", "ll"),
 ]
 
 
@@ -783,6 +854,28 @@ def _new_and_reference(name):
 _SPECIAL = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, 0.0, 1.0), (0.6, -0.8, 1.0),
             (0.0, 0.0, 1.0), (-0.0, -0.0, -1.0), (0.3, 0.2, 0.05), (0.0, 1.0, 0.0),
             (2.0, 0.5, 1.0), (1e-300, 0.0, 1e-300), (0.25, -0.1, 0.5)]
+
+
+# more special triples for the extended calculus: ideal points whose joins
+# are ideal, tangent and real lines, a boundary point with ideal points on its
+# tangent, a negated real point and a tiny triple led by -0.0
+_EXT_SPECIAL = [(3.0, 0.0, 1.0), (1.0, 0.5, 1.0), (1.0, -0.5, 1.0), (2.0, -1.0, 1.0),
+                (0.0, 0.0, -1.0), (0.0, -2.0, 1.0), (-0.0, 0.0, 1e-300)]
+
+
+def _shape(outcome):
+    """The branch of the extended calculus an outcome shows: the error
+    class, or the class of the first member with its quantum (a length's)
+    and whether its real part is finite."""
+    if outcome[0] == "raise":
+        return ("raise", outcome[1])
+    first_cls, first = outcome[1][1][0]
+    if first_cls is PureImaginary:
+        return (first_cls,)
+    finite = math.isfinite(struct.unpack("<d", first[0][1])[0])
+    if first_cls is ExtLength:
+        return (first_cls, first[1], finite)
+    return (first_cls, finite)
 
 
 def _random_triple(rng):
@@ -799,6 +892,8 @@ def _random_triple(rng):
 def _argument(kind, rng, previous):
     if kind == "u":
         return rng.uniform(-4, 4)
+    if kind == "k":
+        return rng.choice(list(PointKind))
     if kind == "t":
         p = normalize(klein_point(0.3 * rng.uniform(-1, 1), 0.3 * rng.uniform(-1, 1)))
         q = klein_point(0.6 * rng.uniform(-1, 1), 0.6 * rng.uniform(-1, 1))
@@ -836,7 +931,7 @@ class TestKernelAgainstReference:
             assert _agree(got, want), (name, args)
             raised += got[0] == "raise"
         if name in ("join", "meet", "polar", "pole", "normalize", "normalize_line",
-                    "foot_of_perpendicular"):
+                    "foot_of_perpendicular", "distance_ext", "radius_ext", "angle_ext"):
             assert raised > 0, name   # the error paths were reached
 
     @pytest.mark.parametrize("name, kinds", [(n, k) for n, k in _KERNEL if set(k) <= set("pl")],
@@ -867,7 +962,8 @@ class TestKernelAgainstReference:
     def test_degenerate_pairs_raise_alike(self, a, b):
         for name in ("mdot", "join", "meet", "distance", "tangent_toward", "midpoint",
                      "perpendicular_bisector", "complementary_bisector",
-                     "foot_of_perpendicular", "reflect_line", "_mcross"):
+                     "foot_of_perpendicular", "reflect_line", "_mcross",
+                     "distance_ext", "angle_ext"):
             new, ref = _new_and_reference(name)
             extra = (CoincidentArguments, "m") if name == "_mcross" else ()
             assert _outcome(new, a, b, *extra) == _outcome(ref, a, b, *extra), name
@@ -875,6 +971,51 @@ class TestKernelAgainstReference:
                      "classify_line"):
             new, ref = _new_and_reference(name)
             assert _outcome(new, a) == _outcome(ref, a), name
+
+    def test_extended_calculus_on_special_pairs(self):
+        # every ordered pair of special triples, and each triple with a
+        # multiple of itself: as points for `distance_ext` and `radius_ext`
+        # (plain, and in unit form when real), as lines for `angle_ext`
+        triples = _SPECIAL + _EXT_SPECIAL
+        pairs = [(a, b) for a in triples for b in triples]
+        pairs += [(a, tuple(k * c for c in a)) for a in triples for k in (1.0, -2.5, 1e-3)]
+        shapes = set()
+        for a, b in pairs:
+            points = [(HPoint(*a), HPoint(*b))]
+            if a != (0.0, 0.0, 0.0) and classify(HPoint(*a)) is PointKind.REAL:
+                points.append((normalize(HPoint(*a)), HPoint(*b)))
+            for p, q in points:
+                want = _outcome(_Reference.distance_ext, p, q)
+                assert _agree(_outcome(distance_ext, p, q), want), (p, q)
+                shapes.add(("distance_ext", *_shape(want)))
+                for kind in PointKind:
+                    assert _agree(_outcome(plane.radius_ext, p, kind, q),
+                                  _outcome(_Reference.radius_ext, p, kind, q)), (p, kind, q)
+            want = _outcome(_Reference.angle_ext, HLine(*a), HLine(*b))
+            assert _agree(_outcome(angle_ext, HLine(*a), HLine(*b)), want), (a, b)
+            shapes.add(("angle_ext", *_shape(want)))
+        # every branch of the segment table was reached
+        assert {("distance_ext", "raise", IdenticalPoints),
+                ("distance_ext", ExtLength, Quantum.ZERO, True),
+                ("distance_ext", ExtLength, Quantum.HALF_PI, True),
+                ("distance_ext", ExtLength, Quantum.PI, True),
+                ("distance_ext", ExtLength, Quantum.ZERO, False),
+                ("distance_ext", PureImaginary),
+                ("angle_ext", "raise", CoincidentLines),
+                ("angle_ext", plane.ExtAngle, True),
+                ("angle_ext", plane.ExtAngle, False)} - shapes == set()
+
+    @pytest.mark.parametrize("nan_triple", [(0.0, math.nan, 0.0), (math.nan, 0.3, 1.0),
+                                            (0.2, 0.1, math.nan)])
+    def test_extended_calculus_with_a_nan_coordinate(self, nan_triple):
+        # a NaN coordinate defeats the proportionality test; (0, nan, 0) has
+        # max-norm 0, so `pole` and `classify` are what raise for it
+        for other in _SPECIAL + _EXT_SPECIAL:
+            for a, b in ((nan_triple, other), (other, nan_triple)):
+                for fn, ref, kind in ((distance_ext, _Reference.distance_ext, HPoint),
+                                      (angle_ext, _Reference.angle_ext, HLine)):
+                    assert _agree(_outcome(fn, kind(*a), kind(*b)),
+                                  _outcome(ref, kind(*a), kind(*b))), (fn.__name__, a, b)
 
     def test_unit_point_max_norm_is_its_w(self):
         rng = random.Random(7)

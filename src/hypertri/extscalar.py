@@ -131,9 +131,6 @@ class PureImaginary(NamedTuple):
     magnitude: float
 
 
-
-
-
 def ext_cosh(x: ExtLength) -> complex:
     """cosh over the extended system; ``cosh(+-inf) = inf``."""
     if math.isinf(x.re):
@@ -143,7 +140,6 @@ def ext_cosh(x: ExtLength) -> complex:
     if x.im is Quantum.HALF_PI:
         return complex(0.0, math.sinh(x.re))
     return complex(-math.cosh(x.re), 0.0)
-
 
 
 def ext_tanh(x: ExtLength) -> complex:

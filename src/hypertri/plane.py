@@ -48,7 +48,7 @@ from .errors import (
     OutOfDomain,
     ZeroVector,
 )
-from .extscalar import ExtLength, PointKind, PureImaginary, Quantum
+from .extscalar import INF, NEG_INF, ExtLength, PointKind, PureImaginary, Quantum
 
 EPS_CLS = 1e-9
 
@@ -59,6 +59,9 @@ class LineKind(Enum):
     REAL = "real"
     AT_INFINITY = "at_infinity"
     IDEAL = "ideal"
+
+
+_REAL_LINE, _AT_INFINITY = LineKind.REAL, LineKind.AT_INFINITY
 
 
 class CycleKind(Enum):
@@ -145,13 +148,25 @@ def mdot(u, v) -> float:
     return uw * vw - ux * vx - uy * vy
 
 
+# The max-norm max(|x|, |y|, |w|) is spelled out as compares in the
+# functions every construction calls: ``m = x if x >= 0.0 else -x``, then
+# ``if a > m: m = a`` for |y| and |w|.  That is what ``max`` does, so a NaN
+# lands where it did; a -0.0 norm comes only from a zero triple, which
+# raises either way.  The builtin calls cost about three times the compares.
 def _maxnorm(u) -> float:
     """max(|x|, |y|, |w|); for a `UnitPoint` that is its ``w`` exactly
     (Q > 0 forces |w| > |x|, |y|, rounding keeps the order and w > 0)."""
     if u.__class__ is UnitPoint:
         return u[2]
     x, y, w = u
-    return max(abs(x), abs(y), abs(w))
+    m = x if x >= 0.0 else -x
+    a = y if y >= 0.0 else -y
+    if a > m:
+        m = a
+    a = w if w >= 0.0 else -w
+    if a > m:
+        m = a
+    return m
 
 
 # A triple whose max-norm squared underflows to 0 or overflows to inf is
@@ -173,7 +188,13 @@ def _qform_maxnorm2(u, what: str) -> tuple[float, float]:
     once (of ``u`` rescaled to max-norm 1 when that square underflows or
     overflows, see `_rescaled`)."""
     x, y, w = u
-    m = max(abs(x), abs(y), abs(w))
+    m = x if x >= 0.0 else -x
+    a = y if y >= 0.0 else -y
+    if a > m:
+        m = a
+    a = w if w >= 0.0 else -w
+    if a > m:
+        m = a
     mm = m * m
     if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, what)
@@ -212,9 +233,34 @@ def _mcross(u, v, error, message) -> tuple[float, float, float]:
     cx = uy * vw - uw * vy
     cy = uw * vx - ux * vw
     cw = ux * vy - uy * vx
-    mu = uw if u.__class__ is UnitPoint else max(abs(ux), abs(uy), abs(uw))
-    mv = vw if v.__class__ is UnitPoint else max(abs(vx), abs(vy), abs(vw))
-    if max(abs(cx), abs(cy), abs(cw)) <= 1e-14 * (mu * mv):
+    if u.__class__ is UnitPoint:
+        mu = uw
+    else:
+        mu = ux if ux >= 0.0 else -ux
+        a = uy if uy >= 0.0 else -uy
+        if a > mu:
+            mu = a
+        a = uw if uw >= 0.0 else -uw
+        if a > mu:
+            mu = a
+    if v.__class__ is UnitPoint:
+        mv = vw
+    else:
+        mv = vx if vx >= 0.0 else -vx
+        a = vy if vy >= 0.0 else -vy
+        if a > mv:
+            mv = a
+        a = vw if vw >= 0.0 else -vw
+        if a > mv:
+            mv = a
+    m = cx if cx >= 0.0 else -cx
+    a = cy if cy >= 0.0 else -cy
+    if a > m:
+        m = a
+    a = cw if cw >= 0.0 else -cw
+    if a > m:
+        m = a
+    if m <= 1e-14 * (mu * mv):
         raise error(message)
     return (-cx, -cy, cw)
 
@@ -248,7 +294,13 @@ def normalize(p: HPoint) -> HPoint:
     if p.__class__ is UnitPoint:
         return p
     x, y, w = p
-    m = max(abs(x), abs(y), abs(w))
+    m = x if x >= 0.0 else -x
+    a = y if y >= 0.0 else -y
+    if a > m:
+        m = a
+    a = w if w >= 0.0 else -w
+    if a > m:
+        m = a
     mm = m * m
     if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, "normalize of")
@@ -270,7 +322,13 @@ def normalize_line(l: HLine) -> HLine:
     """Unit representative: Q = -1 for a real line, |Q| = 1 for an ideal
     one, max-norm 1 for a tangent line."""
     x, y, w = l
-    m = max(abs(x), abs(y), abs(w))
+    m = x if x >= 0.0 else -x
+    a = y if y >= 0.0 else -y
+    if a > m:
+        m = a
+    a = w if w >= 0.0 else -w
+    if a > m:
+        m = a
     mm = m * m
     if not 0.0 < mm < _INF:
         x, y, w = _rescaled(x, y, w, m, "normalize of")
@@ -406,7 +464,14 @@ def perpendicular_bisector(p: HPoint, q: HPoint) -> HLine:
     px, py, pw = normalize(p)
     qx, qy, qw = normalize(q)
     dx, dy, dw = px - qx, py - qy, pw - qw
-    if max(abs(dx), abs(dy), abs(dw)) <= 1e-15:
+    m = dx if dx >= 0.0 else -dx
+    a = dy if dy >= 0.0 else -dy
+    if a > m:
+        m = a
+    a = dw if dw >= 0.0 else -dw
+    if a > m:
+        m = a
+    if m <= 1e-15:
         raise IdenticalPoints("bisector of coincident points")
     return _new(HLine, (dx, dy, dw))
 
@@ -445,39 +510,52 @@ def distance_ext(a: HPoint, b: HPoint):
         l = join(a, b)
     except CoincidentArguments:
         raise IdenticalPoints("distance between coincident projective points")
-    ka, kb = classify(a), classify(b)
+    return _segment_pair(a, b, l)
 
-    if ka is _R and kb is _R:
-        first = radius_ext(a, _R, b)
-        return (first, ExtLength(-first.re, Quantum.PI))
 
-    if (ka is _R and kb is _ID) or (ka is _ID and kb is _R):
-        first = radius_ext(a, _ID, b) if ka is _ID else radius_ext(b, _ID, a)
-        return (first, ExtLength(-first.re, Quantum.HALF_PI))
+# the pair of a point at infinity with any point it does not share a
+# tangent line with
+_INF_PAIR = (INF, NEG_INF)
+_PI, _HALF_PI = Quantum.PI, Quantum.HALF_PI
 
-    if _R in (ka, kb):
-        # real with infinite
-        return (ExtLength(math.inf), ExtLength(-math.inf))
+
+def _segment_pair(a: HPoint, b: HPoint, l: HLine):
+    """`distance_ext` of ``a`` and ``b``, given their join ``l``."""
+    ka = classify(a)
+    kb = classify(b)
+    if ka is _R:
+        if kb is _R:
+            first = radius_ext(a, _R, b)
+            return (first, ExtLength(-first.re, _PI))
+        if kb is _ID:
+            first = radius_ext(b, _ID, a)
+            return (first, ExtLength(-first.re, _HALF_PI))
+        return _INF_PAIR
+    if kb is _R:
+        if ka is _ID:
+            first = radius_ext(a, _ID, b)
+            return (first, ExtLength(-first.re, _HALF_PI))
+        return _INF_PAIR
 
     lk = classify_line(l)
     if ka is _IN and kb is _IN:
-        return (ExtLength(math.inf), ExtLength(-math.inf))
+        return _INF_PAIR
 
-    if _IN in (ka, kb):
+    if ka is _IN or kb is _IN:
         # infinite with ideal: on a real line the pair is (inf, -inf); on the
         # tangent line at the infinite point both segments are (pi/2) i
-        if lk is LineKind.AT_INFINITY:
-            h = ExtLength(0.0, Quantum.HALF_PI)
+        if lk is _AT_INFINITY:
+            h = ExtLength(0.0, _HALF_PI)
             return (h, h)
-        return (ExtLength(math.inf), ExtLength(-math.inf))
+        return _INF_PAIR
 
     # ideal with ideal
-    if lk is LineKind.REAL:
+    if lk is _REAL_LINE:
         an, bn = normalize(a), normalize(b)
         d = acosh_clamped(abs(mdot(an, bn)))
-        return (ExtLength(d, Quantum.PI), ExtLength(-d))
-    if lk is LineKind.AT_INFINITY:
-        return (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
+        return (ExtLength(d, _PI), ExtLength(-d))
+    if lk is _AT_INFINITY:
+        return (ExtLength(0.0), ExtLength(0.0, _PI))
     # ideal line: length is the angle of the polars (at a real point) times i
     phi = _line_angle_at(polar(a), polar(b))
     return (PureImaginary(phi), PureImaginary(math.pi - phi))
@@ -535,8 +613,9 @@ def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
     first; ultraparallel real lines give (p/i, pi - p/i) with ``p`` the
     common perpendicular length, and so on through the table.
     """
-    _mcross(a, b, CoincidentLines, "angle of proportional lines")
-    first, second = distance_ext(pole(a), pole(b))
+    # the poles' join is the cross product of the lines themselves
+    l = _new(HLine, _mcross(a, b, CoincidentLines, "angle of proportional lines"))
+    first, second = _segment_pair(pole(a), pole(b), l)
     if (isinstance(first, ExtLength) and first.finite
             and first.im is Quantum.PI and second.im is Quantum.ZERO):
         # pole pair on a real line: the canonical angle pair puts the free

@@ -45,6 +45,7 @@ from .extscalar import (
 from .generate import gen_triangle, sample_disk_point
 from .plane import (
     HPoint,
+    _new,
     distance,
     distance_ext,
     geodesic_point,
@@ -1087,8 +1088,11 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     if not math.isfinite(residual):
         return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
                               f"non-finite residual {residual}")
-    status = "pass" if residual < d.tolerance else "fail"
-    return IdentityRecord(d.id, d.name, residual, status, d.tolerance)
+    # a pass or fail on a finite residual, built with tuple.__new__ (the
+    # named tuple's generated constructor is one more Python call)
+    return _new(IdentityRecord, (d.id, d.name, residual,
+                                 "pass" if residual < d.tolerance else "fail",
+                                 d.tolerance, None))
 
 
 def _line_parts(identity_id: str, name: str, tolerance: float) -> tuple[str, str]:
@@ -1173,14 +1177,17 @@ def center_table(ctx: ct.Frame, which: list[str] | None = None) -> list[dict]:
 
 
 def run_suite(seed: int, ids: list[str] | None = None, shape: str = "any",
-              include_centers: bool = True,
+              include_centers: bool = False,
               triangle: TriangleData | None = None) -> TrialReport:
     """Evaluate identities on the seeded triangle (or a supplied one);
-    deterministic per (seed, identity set)."""
+    deterministic per (seed, identity set).  The report's center table is
+    empty unless ``include_centers`` asks for it.  Each identity runs
+    through the module's ``run_identity``, so a wrapper bound to that name
+    sees every call."""
     t = triangle if triangle is not None else gen_triangle(seed, shape=shape)
     ctx = TrialContext(seed=seed, t=t)
-    records = tuple(run_identity(identity_id, ctx)
-                    for identity_id in (ALL_IDS if ids is None else ids))
+    records = tuple([run_identity(identity_id, ctx)
+                     for identity_id in (ALL_IDS if ids is None else ids)])
     table = tuple(center_table(ctx)) if include_centers else ()
     return TrialReport(seed=seed, records=records, centers=table)
 

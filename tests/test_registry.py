@@ -161,7 +161,7 @@ class TestSuite:
                 assert rec.residual < rec.tolerance
 
     def test_center_table_names(self):
-        rep = rg.run_suite(7)
+        rep = rg.run_suite(7, include_centers=True)
         names = [row["name"] for row in rep.centers]
         assert names == ["M", "O", "O_A", "O_B", "O_C", "I", "I_A", "I_B", "I_C",
                          "H", "H'", "M'", "L", "S", "Z", "F"]
@@ -193,6 +193,28 @@ class TestSuite:
             backward = rg.run_suite(seed, ids=ids[::-1], include_centers=False)
             assert forward.records == backward.records[::-1]
 
+    @pytest.mark.parametrize("ids", [None, list(C3_IDS)], ids=["all", "criterion-3"])
+    def test_suite_runs_each_identity_through_the_module_global(self, monkeypatch, ids):
+        # perfbench's tracer times each identity by binding a wrapper to
+        # `registry.run_identity`; the suite must call it once per id
+        calls = []
+        original = rg.run_identity
+
+        def counting(identity_id, *args, **kwargs):
+            calls.append(identity_id)
+            return original(identity_id, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_identity", counting)
+        seed = 6
+        rep = rg.run_suite(seed, ids=ids)
+        want = rg.ALL_IDS if ids is None else ids
+        assert calls == want
+        t = gen_triangle(seed)
+        assert rep.records == tuple(original(identity_id, t, seed) for identity_id in want)
+        assert all(r.__class__ is rg.IdentityRecord and len(r) == 6 for r in rep.records)
+        with pytest.raises(UnknownIdentity):
+            rg.run_suite(seed, ids=[*want[:2], "BOGUS"])
+
     def test_random_streams_are_built_only_when_drawn(self, monkeypatch):
         # the triangle stream plus those of the identities that draw (OR4,
         # IS4 and the shared interior point)
@@ -221,7 +243,7 @@ class TestSuite:
             return original(p, q)
 
         monkeypatch.setattr(plane, "complementary_bisector", counting)
-        rep = rg.run_suite(seed)
+        rep = rg.run_suite(seed, include_centers=True)
         assert len(calls) == 2
         # the cached objects give the same table as a fresh context
         fresh = rg.TrialContext(seed=seed, t=gen_triangle(seed))
@@ -428,7 +450,7 @@ def test_a_suite_runs_the_minimality_grid_and_builds_h_prime_once(monkeypatch):
     monkeypatch.setattr(ct, "_grid_minimum", counting_grid)
     monkeypatch.setattr(ct, "_result", counting_result)
     # acute seed 8: O is real, so the report runs all three grids
-    rep = rg.run_suite(8, shape="acute")
+    rep = rg.run_suite(8, shape="acute", include_centers=True)
     assert {r.id: r.status for r in rep.records}["MIN1C"] == "pass"
     assert "status" not in next(row for row in rep.centers if row["name"] == "H'")
     assert len(grids) == 3

@@ -446,3 +446,18 @@ def test_hot_helpers_build_no_frames():
             found += [f"{module}:{n.lineno} in {path}: {type(n).__name__}"
                       for n in ast.walk(_function(tree, path)) if isinstance(n, _FRAME_BUILDERS)]
     assert found == []
+
+
+# the kernel functions every construction calls take their max-norm by
+# compares (``m = x if x >= 0.0 else -x``, then ``if a > m: m = a``); the
+# builtin calls ``max(abs(x), abs(y), abs(w))`` cost about three times as much
+_COMPARE_NORMS = ("_maxnorm", "_qform_maxnorm2", "normalize", "normalize_line", "_mcross",
+                  "perpendicular_bisector")
+
+
+def test_kernel_max_norms_call_no_builtin():
+    tree = ast.parse((SRC / "plane.py").read_text(encoding="utf-8"))
+    found = [f"plane.py:{n.lineno} in {path}: {_name(n.func)}(...)"
+             for path in _COMPARE_NORMS for n in ast.walk(_function(tree, path))
+             if isinstance(n, ast.Call) and _name(n.func) in ("abs", "max", "min")]
+    assert found == []

@@ -151,8 +151,9 @@ def mdot(u, v) -> float:
 # The max-norm max(|x|, |y|, |w|) is spelled out as compares in the
 # functions every construction calls: ``m = x if x >= 0.0 else -x``, then
 # ``if a > m: m = a`` for |y| and |w|.  That is what ``max`` does, so a NaN
-# lands where it did; a -0.0 norm comes only from a zero triple, which
-# raises either way.  The builtin calls cost about three times the compares.
+# lands where it did (`_rescaled` clears its sign bit, as ``abs`` did); a
+# -0.0 norm comes only from a zero triple, which raises either way.  The
+# builtin calls cost about three times the compares.
 def _maxnorm(u) -> float:
     """max(|x|, |y|, |w|); for a `UnitPoint` that is its ``w`` exactly
     (Q > 0 forces |w| > |x|, |y|, rounding keeps the order and w > 0)."""
@@ -180,6 +181,9 @@ def _rescaled(x: float, y: float, w: float, m: float, what: str):
     raises ZeroVector(f"{what} the zero triple")."""
     if m == 0.0:
         raise ZeroVector(f"{what} the zero triple")
+    # a NaN norm (x is NaN) comes here too; ``abs`` gives it the sign bit
+    # the builtin max-norm gave, which the compares may not
+    m = abs(m)
     return x / m, y / m, w / m
 
 

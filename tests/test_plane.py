@@ -1005,17 +1005,24 @@ class TestKernelAgainstReference:
                 ("angle_ext", plane.ExtAngle, True),
                 ("angle_ext", plane.ExtAngle, False)} - shapes == set()
 
-    @pytest.mark.parametrize("nan_triple", [(0.0, math.nan, 0.0), (math.nan, 0.3, 1.0),
-                                            (0.2, 0.1, math.nan)])
-    def test_extended_calculus_with_a_nan_coordinate(self, nan_triple):
-        # a NaN coordinate defeats the proportionality test; (0, nan, 0) has
-        # max-norm 0, so `pole` and `classify` are what raise for it
-        for other in _SPECIAL + _EXT_SPECIAL:
-            for a, b in ((nan_triple, other), (other, nan_triple)):
-                for fn, ref, kind in ((distance_ext, _Reference.distance_ext, HPoint),
-                                      (angle_ext, _Reference.angle_ext, HLine)):
-                    assert _agree(_outcome(fn, kind(*a), kind(*b)),
-                                  _outcome(ref, kind(*a), kind(*b))), (fn.__name__, a, b)
+    @pytest.mark.parametrize("name, kinds", [(n, k) for n, k in _KERNEL if set(k) <= set("pl")],
+                             ids=[n for n, k in _KERNEL if set(k) <= set("pl")])
+    def test_nan_coordinates(self, name, kinds):
+        # a NaN of either sign in any coordinate: the max-norm keeps it
+        # where `max(abs(.), ...)` put it, with the same sign bit, and the
+        # NaN defeats the proportionality tests; (0, nan, 0) has max-norm 0,
+        # so `pole` and `classify` are what raise for it
+        new, ref = _new_and_reference(name)
+        nan_triples = [t[:i] + (nan,) + t[i + 1:] for nan in (math.nan, -math.nan)
+                       for t in ((0.0, 0.0, 0.0), (0.5, -0.3, 1.0), (2.0, 0.5, 1.0))
+                       for i in range(3)]
+        pairs = [(a, b) for a in nan_triples for b in _SPECIAL + _EXT_SPECIAL + nan_triples]
+        calls = [(t,) for t in nan_triples] if len(kinds) == 1 else pairs + [
+            (b, a) for a, b in pairs]
+        kind_of = {"p": HPoint, "l": HLine}
+        for triples in calls:
+            args = [kind_of[k](*t) for k, t in zip(kinds, triples)]
+            assert _agree(_outcome(new, *args), _outcome(ref, *args)), (name, args)
 
     def test_unit_point_max_norm_is_its_w(self):
         rng = random.Random(7)

@@ -84,103 +84,68 @@ class CenterResult(NamedTuple):
 _KIND_JSON = {kind: kind.value for kind in PointKind}
 
 
-def _line_sub(p: HLine, q: HLine) -> HLine:
-    return HLine(p.x - q.x, p.y - q.y, p.w - q.w)
-
-
-def _line_add(p: HLine, q: HLine) -> HLine:
-    return HLine(p.x + q.x, p.y + q.y, p.w + q.w)
-
-
 _MISSING = object()
 
 
 class Frame:
-    """The one per-triangle handle: shared constructive scaffolding, built
-    lazily.
+    """The one per-triangle handle: the triangle's vertices, side lines and
+    the per-index objects every construction shares.
 
     Vertices are unit-normalized, side lines unit and oriented toward the
-    opposite vertex.  Everything downstream (bisectors, feet, and every
-    center builder's result) is cached here, so a batch of identity checks
-    constructs each object once.  Every builder takes a triangle or its
-    frame (see `Frame.of`); only successful builds are cached.  Per-vertex
-    and per-side objects take an index, with the convention of
-    `trig.SIDE_ENDS`.
+    opposite vertex.  The bisector lines, side tangents and altitude feet
+    are built here, once, as triples indexed like `trig.SIDE_ENDS`: entry
+    ``i`` belongs to vertex ``i`` or to side ``i``, which runs from vertex
+    ``j`` to vertex ``k`` with (j, k) = SIDE_ENDS[i].  Every center builder
+    takes a triangle or its frame (see `Frame.of`) and stores its result in
+    the frame's instance dict under its own name, so a batch of identity
+    checks constructs each center once; only successful builds are stored.
     """
 
     def __init__(self, t: TriangleData):
         self.t = t
-        self.vertices, self.lines = t.vertices, t.lines
-        self.A, self.B, self.C = t.vertices
-        self._cache: dict = {}
+        self.vertices, self.lines = vs, ls = t.vertices, t.lines
+        self.A, self.B, self.C = vs
+        internal, external, tangents, feet = [], [], [], []
+        for i, (j, k) in enumerate(SIDE_ENDS):
+            # the sides at vertex i are lines[k] (toward vertex j) and
+            # lines[j]; the interior is where both signed distances are
+            # positive
+            (px, py, pw), (qx, qy, qw) = ls[k], ls[j]
+            internal.append(HLine(px - qx, py - qy, pw - qw))
+            external.append(HLine(px + qx, py + qy, pw + qw))
+            # unit tangent along side i at its start, toward its end
+            tangents.append(tangent_toward(vs[j], vs[k]))
+            feet.append(normalize(foot_of_perpendicular(vs[i], ls[i])))
+        self.internal_bisectors = tuple(internal)
+        self.external_bisectors = tuple(external)
+        self.side_tangents = tuple(tangents)
+        self.altitude_feet = tuple(feet)
 
     @staticmethod
     def of(tri: TriangleData | Frame) -> Frame:
         """``tri`` itself if it is a frame, else a new frame of the triangle."""
         return tri if isinstance(tri, Frame) else Frame(tri)
 
-    def get(self, key, build, *args):
-        """``build(*args)`` once per frame, then the stored value.  The key
-        is looked up first, so a stored value costs no call of ``build``.
-        Nothing is stored when ``build`` raises."""
-        value = self._cache.get(key, _MISSING)
-        if value is _MISSING:
-            value = self._cache[key] = build(*args)
-        return value
-
-    # -- bisector lines at vertex i: the adjacent side lines are lines[k]
-    # (toward vertex j) and lines[j], with (j, k) = SIDE_ENDS[i]; the
-    # interior is where both signed distances are positive.
-    def internal_bisector(self, i: int) -> HLine:
-        j, k = SIDE_ENDS[i]
-        return self.get(("bis_int", i), _line_sub, self.lines[k], self.lines[j])
-
-    def external_bisector(self, i: int) -> HLine:
-        j, k = SIDE_ENDS[i]
-        return self.get(("bis_ext", i), _line_add, self.lines[k], self.lines[j])
-
-    def side_tangent(self, i: int):
-        """Unit tangent along side ``i`` at its start, toward its end."""
-        j, k = SIDE_ENDS[i]
-        return self.get(("tangent", i), tangent_toward, self.vertices[j], self.vertices[k])
-
-    def side_start(self, i: int) -> HPoint:
-        return self.vertices[SIDE_ENDS[i][0]]
-
-    def altitude_foot(self, i: int) -> HPoint:
-        return self.get(("alt_foot", i), _altitude_foot, self, i)
-
-    def bisector_foot(self, i: int) -> HPoint:
-        return self.get(("bis_foot", i), _bisector_foot, self, i)
-
-
-def _altitude_foot(f: Frame, i: int) -> HPoint:
-    return normalize(foot_of_perpendicular(f.vertices[i], f.lines[i]))
-
-
-def _bisector_foot(f: Frame, i: int) -> HPoint:
-    return normalize(meet(f.internal_bisector(i), f.lines[i]))
-
 
 def _memo(build):
     """Turn ``build(frame)`` into the builder ``name(tri)``, which takes a
-    triangle or its frame and caches the result in the frame under the
-    builder's name.
+    triangle or its frame and stores the result in the frame's instance
+    dict under the builder's name.
 
-    A GeometryError raised by ``build`` is not cached: it propagates, and a
+    A GeometryError raised by ``build`` is not stored: it propagates, and a
     later request builds again.  Every caller receives the same object, so
     callers must not mutate it.
     """
     key = build.__name__
 
     def builder(tri: TriangleData | Frame):
-        # `Frame.of` and `Frame.get` written out, one call layer less each:
-        # every center check comes through here
+        # `Frame.of` written out, one call layer less: every center check
+        # comes through here
         f = tri if isinstance(tri, Frame) else Frame(tri)
-        cache = f._cache
-        value = cache.get(key, _MISSING)
+        stored = f.__dict__
+        value = stored.get(key, _MISSING)
         if value is _MISSING:
-            value = cache[key] = build(f)
+            value = stored[key] = build(f)
         return value
 
     builder.__name__ = builder.__qualname__ = key
@@ -259,10 +224,10 @@ def incenter_excenters(f: Frame):
     The incenter is always real; excenters may be real, at infinity or ideal
     (their classification is reported and the radius becomes extended; a
     center at infinity has none)."""
-    i_pt = meet(f.internal_bisector(0), f.internal_bisector(1))
-    ia = meet(f.internal_bisector(0), f.external_bisector(1))
-    ib = meet(f.internal_bisector(1), f.external_bisector(2))
-    ic = meet(f.internal_bisector(2), f.external_bisector(0))
+    i_pt = meet(f.internal_bisectors[0], f.internal_bisectors[1])
+    ia = meet(f.internal_bisectors[0], f.external_bisectors[1])
+    ib = meet(f.internal_bisectors[1], f.external_bisectors[2])
+    ic = meet(f.internal_bisectors[2], f.external_bisectors[0])
     out = []
     for name, center in (("I", i_pt), ("I_A", ia), ("I_B", ib), ("I_C", ic)):
         res = _result(name, center, f.t)
@@ -339,7 +304,7 @@ def orthocenter(f: Frame) -> CenterResult:
     res = _result("H", meet(alt_a, alt_b), f.t)
     if res.classification is _R:
         h = res.point
-        res.aux["h"] = math.tanh(distance(h, f.A)) * math.tanh(distance(h, f.altitude_foot(0)))
+        res.aux["h"] = math.tanh(distance(h, f.A)) * math.tanh(distance(h, f.altitude_feet[0]))
     return res
 
 
@@ -373,8 +338,8 @@ def isogonal_conjugate(x: HPoint | CenterResult, tri: TriangleData | Frame) -> H
         coords = tri_coords(xn, f.t)
     if min(map(abs, coords)) <= side_tol(coords):
         raise OnSideLine("isogonal conjugate of a point on a side line")
-    la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisector(0)))
-    lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisector(1)))
+    la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisectors[0]))
+    lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisectors[1]))
     return real_point(meet(la, lb), ConjugateAtInfinity,
                       "reflected cevians meet in a non-real point")
 
@@ -439,8 +404,8 @@ def pseudo_centroid(f: Frame):
     # a sinh ratio on the half side
     arcs = [2.0 * trig._solve_sinh_ratio(sides[i] / 2.0, ch[k] / ch[j])
             for i, (j, k) in enumerate(SIDE_ENDS)]
-    feet = tuple(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), arcs[i]))
-                 for i in range(3))
+    feet = tuple(normalize(geodesic_point(f.vertices[j], t0, u))
+                 for (j, _), t0, u in zip(SIDE_ENDS, f.side_tangents, arcs))
     sn, third = _cevian_meet(f, feet, "pseudomedians")
     res = _result("S", sn, td, aux={
         "third_cevian_residual": third,
@@ -464,7 +429,7 @@ def _pseudoaltitude_g(f: Frame, i: int, u: float) -> float:
     """
     j, k = SIDE_ENDS[i]
     apex, start = f.vertices[i], f.vertices[j]
-    t0 = f.side_tangent(i)
+    t0 = f.side_tangents[i]
     z = geodesic_point(start, t0, u)
     # tangent at z pointing back toward the side's start vertex, by parallel
     # transport (stable even when z sits next to the vertex)
@@ -504,11 +469,11 @@ def pseudo_orthocenter(f: Frame):
     raises, as do acute ones with a large defect.
     """
     feet = []
-    for i in range(3):
+    for i, (j, _) in enumerate(SIDE_ENDS):
         u = _pseudoaltitude_arc(f.t, i)
         if not 0.0 < u < f.t.sides[i]:
             raise NoRootFound(f"no sign change for the pseudoaltitude from {'ABC'[i]}")
-        feet.append(normalize(geodesic_point(f.side_start(i), f.side_tangent(i), u)))
+        feet.append(normalize(geodesic_point(f.vertices[j], f.side_tangents[i], u)))
     zn, third = _cevian_meet(f, feet, "pseudoaltitudes")
     res = _result("Z", zn, f.t, aux={"third_cevian_residual": third})
     return res, tuple(feet)
@@ -544,7 +509,8 @@ def bisector_feet_center(f: Frame) -> CenterResult:
 
     A natural cycle of the triangle, kept for comparison; it does not lie on
     the four-center line."""
-    return _cycle_center_result("F_bis", [f.bisector_foot(i) for i in range(3)], f.t)
+    feet = [normalize(meet(b, l)) for b, l in zip(f.internal_bisectors, f.lines)]
+    return _cycle_center_result("F_bis", feet, f.t)
 
 
 def collinearity_residual(p: HPoint, q: HPoint, r: HPoint) -> float:

@@ -81,16 +81,11 @@ class HPoint(NamedTuple):
         """Affine chart coordinates (x/w, y/w); meaningful inside the disk."""
         return (self.x / self.w, self.y / self.w)
 
-    def to_json(self, model: str = "hyperboloid"):
-        if model == "hyperboloid":
-            return {"model": "hyperboloid", "coords": list(normalize(self))}
-        if model == "klein":
-            kx, ky = self.klein()
-            return {"model": "klein", "coords": [kx, ky]}
-        if model == "poincare":
-            px, py = model_convert(self.klein(), "klein", "poincare")
-            return {"model": "poincare", "coords": [px, py]}
-        raise OutOfDomain(f"unknown model {model!r}")
+    def to_json(self):
+        """The point as a Klein-disk ``{"model": ..., "coords": [...]}``
+        object, the form `from_json` reads."""
+        kx, ky = self.klein()
+        return {"model": "klein", "coords": [kx, ky]}
 
     @classmethod
     def from_json(cls, obj) -> "HPoint":
@@ -663,46 +658,35 @@ def cycle_through(p: HPoint, q: HPoint, r: HPoint) -> Cycle:
 # --------------------------------------------------------------------------
 # model conversions
 
-_MODELS = ("klein", "poincare", "hyperboloid")
+_DISKS = ("klein", "poincare")
+_MODELS = (*_DISKS, "hyperboloid")
 
 
 def model_convert(coords, frm: str, to: str):
-    """Convert point coordinates between the Klein disk, Poincare disk and
-    hyperboloid models.
+    """Convert an ``(x, y)`` pair inside the open unit disk between the Klein
+    and Poincare disk models.
 
-    Disk models take and return ``(x, y)`` pairs inside the open unit disk; the
-    hyperboloid model uses normalized triples ``(x, y, w)`` with ``Q = 1``,
-    ``w > 0``.  A point at hyperbolic distance ``a`` from the origin sits at
-    Euclidean radius ``tanh a`` in the Klein disk and ``tanh(a/2)`` in the
-    Poincare disk.
+    A point at hyperbolic distance ``a`` from the origin sits at Euclidean
+    radius ``tanh a`` in the Klein disk and ``tanh(a/2)`` in the Poincare
+    disk.  Hyperboloid triples are the kernel's own points: `normalize` and
+    `HPoint.klein` convert them.
     """
-    if frm not in _MODELS or to not in _MODELS:
+    if frm not in _DISKS or to not in _DISKS:
         raise OutOfDomain(f"unknown model in conversion {frm!r} -> {to!r}")
-    # normalize input to klein
-    if frm == "hyperboloid":
-        x, y, w = coords
-        if w <= 0 or w * w - x * x - y * y <= 0:
-            raise OutOfDomain("not a real hyperboloid point")
-        kx, ky = x / w, y / w
-    else:
-        kx, ky = coords
-        r2 = kx * kx + ky * ky
-        if r2 >= 1.0:
-            raise OutOfDomain(f"{frm} coordinates outside the open unit disk")
-        if frm == "poincare":
-            s = 2.0 / (1.0 + r2)
-            kx, ky = s * kx, s * ky
+    kx, ky = coords
+    r2 = kx * kx + ky * ky
+    if r2 >= 1.0:
+        raise OutOfDomain(f"{frm} coordinates outside the open unit disk")
+    if frm == "poincare":
+        s = 2.0 / (1.0 + r2)
+        kx, ky = s * kx, s * ky
     if to == "klein":
         return (kx, ky)
     s2 = 1.0 - (kx * kx + ky * ky)
     if s2 <= 0.0:
         raise OutOfDomain("point is not inside the open unit disk")
-    root = math.sqrt(s2)
-    if to == "poincare":
-        s = 1.0 / (1.0 + root)
-        return (kx * s, ky * s)
-    inv = 1.0 / root
-    return (kx * inv, ky * inv, inv)
+    s = 1.0 / (1.0 + math.sqrt(s2))
+    return (kx * s, ky * s)
 
 
 def klein_point(x: float, y: float) -> HPoint:

@@ -100,9 +100,9 @@ class IdentityRecord(NamedTuple):
 class TrialContext(ct.Frame):
     """The frame of one triangle under test, with its seed and random streams.
 
-    Centers and other derived objects are cached in the context itself, so
-    each is built once per trial.  Each identity gets its own derived random
-    stream, seeded from the trial seed and the identity code (set by
+    Centers and the per-seed draws below are stored in the context itself,
+    so each is built once per trial.  Each identity gets its own derived
+    random stream, seeded from the trial seed and the identity code (set by
     `use_stream`), so results do not depend on which subset of identities
     runs or in which order.  The stream is built when `rng` is first read,
     so identities that draw nothing pay nothing for it.
@@ -124,23 +124,28 @@ class TrialContext(ct.Frame):
             self._rng = random.Random(f"aux:{self.seed}:{self._tag}")
         return self._rng
 
-    @property
+    @functools.cached_property
     def random_interior(self) -> HPoint:
-        return self.get("random_interior", _random_interior, self.seed, self.t)
+        """A point inside the triangle, drawn from the seed's own stream."""
+        rng = random.Random(f"aux:{self.seed}:interior")
+        w = tuple(rng.random() + 0.05 for _ in range(3))
+        return trig.point_from_coords(w, self.t)
 
-    @property
+    @functools.cached_property
     def random_conjugate(self) -> HPoint:
         """The isogonal conjugate of `random_interior`; a raise is not stored."""
-        return self.get("random_conjugate", ct.isogonal_conjugate, self.random_interior, self)
+        return ct.isogonal_conjugate(self.random_interior, self)
 
-    def random_real_point(self, maxr=0.9) -> HPoint:
-        return sample_disk_point(self.rng, maxr)
-
-
-def _random_interior(seed: int, t: TriangleData) -> HPoint:
-    rng = random.Random(f"aux:{seed}:interior")
-    w = tuple(rng.random() + 0.05 for _ in range(3))
-    return trig.point_from_coords(w, t)
+    @functools.cached_property
+    def lambert_relations(self) -> dict[str, float]:
+        """The residuals of `trig.lambert_relations` on a Lambert quadrangle
+        whose legs are drawn from the seed's own stream."""
+        rng = random.Random(f"aux:{self.seed}:lambert")
+        leg_a = 0.15 + 0.5 * rng.random()
+        leg_d = 0.15 + 0.5 * rng.random()
+        # both legs below 0.65: sinh(leg_a) sinh(leg_d) < 0.49 < 1, so the
+        # quadrilateral exists
+        return trig.lambert_relations(trig.lambert_from_legs(leg_a, leg_d))
 
 
 def _need_center(c: TrialContext, name: str) -> ct.CenterResult:
@@ -231,18 +236,9 @@ def _heron(c):
     return _rel(lhs, rhs)
 
 
-def _lambert_relations(seed: int) -> dict[str, float]:
-    rng = random.Random(f"aux:{seed}:lambert")
-    leg_a = 0.15 + 0.5 * rng.random()
-    leg_d = 0.15 + 0.5 * rng.random()
-    # both legs below 0.65: sinh(leg_a) sinh(leg_d) < 0.49 < 1, so the
-    # quadrilateral exists
-    return trig.lambert_relations(trig.lambert_from_legs(leg_a, leg_d))
-
-
 def _lambert(key):
     def ev(c):
-        return c.get("lambert", _lambert_relations, c.seed)[key]
+        return c.lambert_relations[key]
     return ev
 
 
@@ -262,7 +258,7 @@ def _staudtian_sines(c):
 
 def _staudtian_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_foot(2))
+    h_c = distance(c.C, c.altitude_feet[2])
     return worst_residual(
         _rel(t.n, 0.5 * sin(t.alpha) * sinh(t.b) * sinh(t.c)),
         _rel(t.n, 0.5 * sinh(h_c) * sinh(t.c)))
@@ -311,7 +307,7 @@ def _angular_sinh(c):
 
 def _angular_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_foot(2))
+    h_c = distance(c.C, c.altitude_feet[2])
     return worst_residual(
         _rel(t.bign, 0.5 * sinh(t.a) * sin(t.beta) * sin(t.gamma)),
         _rel(t.bign, 0.5 * sinh(h_c) * sin(t.gamma)))
@@ -350,8 +346,8 @@ def _centroid_common_ratio(c):
 
 def _centroid_gravity_line(c):
     t = c.t
-    p1 = c.random_real_point(0.6)
-    p2 = c.random_real_point(0.6)
+    p1 = sample_disk_point(c.rng, 0.6)
+    p2 = sample_disk_point(c.rng, 0.6)
     try:
         y = normalize_line(join(p1, p2))
     except GeometryError:
@@ -365,7 +361,7 @@ def _centroid_gravity_line(c):
 
 def _centroid_minimality_form(c):
     t = c.t
-    y = c.random_real_point()
+    y = sample_disk_point(c.rng, 0.9)
     m = ct.centroid(c)
     ratio = t.n / m.coords[0]
     lhs = cosh(distance(y, m.point))
@@ -472,7 +468,7 @@ def _oi_distance(c):
 
 def _orthocenter_products(c):
     h = _need_center(c, "H").point
-    vals = [tanh(distance(h, vert)) * tanh(distance(h, c.altitude_foot(i)))
+    vals = [tanh(distance(h, vert)) * tanh(distance(h, c.altitude_feet[i]))
             for i, vert in enumerate(c.vertices)]
     return worst_residual(_rel(vals[0], vals[1]), _rel(vals[1], vals[2]))
 
@@ -485,7 +481,7 @@ def _orthocenter_sinh_products(c):
     h = h_res.point
     prods, heights = [], []
     for i, vert in enumerate(c.vertices):
-        foot = c.altitude_foot(i)
+        foot = c.altitude_feet[i]
         prods.append(sinh(distance(h, vert)) * sinh(distance(h, foot)))
         heights.append(cosh(distance(vert, foot)))
     return _prop(prods, heights)
@@ -494,7 +490,7 @@ def _orthocenter_sinh_products(c):
 def _center_form(c, q: HPoint, n_q) -> float:
     """Residual of Sum n_X(Q) cosh(PX) = n cosh(PQ) at a random real point
     P, for the point ``q`` with triangular coordinates ``n_q``."""
-    p = c.random_real_point()
+    p = sample_disk_point(c.rng, 0.9)
     lhs = sum(n * cosh(distance(p, v)) for n, v in zip(n_q, c.vertices))
     return _rel(lhs, c.t.n * cosh(distance(p, q)))
 
@@ -506,8 +502,8 @@ def _orthocenter_random_point(c):
 
 def _altitude_stewart(c):
     t = c.t
-    foot = c.altitude_foot(0)
-    u = plane.arc_coordinate(foot, c.side_tangent(0))
+    foot = c.altitude_feet[0]
+    u = plane.arc_coordinate(foot, c.side_tangents[0])
     h_a = distance(c.A, foot)
     lhs = cosh(t.c) * sinh(t.a - u) + cosh(t.b) * sinh(u)
     return _rel(lhs, cosh(h_a) * sinh(t.a))
@@ -520,7 +516,7 @@ def _orthocenter_euler_distance(c):
     hval = h_res.aux["h"]
     acc = 0.0
     for i, vert in enumerate(c.vertices):
-        hx = distance(vert, c.altitude_foot(i))
+        hx = distance(vert, c.altitude_feet[i])
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
     radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
@@ -543,7 +539,7 @@ def _orthocenter_circumcenter_form(c):
 def _stewart(c):
     t = c.t
     u = (0.05 + 0.9 * c.rng.random()) * t.a
-    p = geodesic_point(c.B, c.side_tangent(0), u)
+    p = geodesic_point(c.B, c.side_tangents[0], u)
     return trig.stewart_residual(t, p)
 
 
@@ -663,7 +659,7 @@ def _pseudomedian_feet(c):
                for i, (_, k) in enumerate(SIDE_ENDS)]
     # the stated half-angle ratios
     ch = [cosh(x / 2) for x in t.sides]
-    arcs = [plane.arc_coordinate(foot, c.side_tangent(i)) for i, foot in enumerate(feet)]
+    arcs = [plane.arc_coordinate(foot, c.side_tangents[i]) for i, foot in enumerate(feet)]
     return worst_residual(s_res.aux["third_cevian_residual"], *halving,
                           *[_rel(sinh(u / 2) / sinh((x - u) / 2), ch[k] / ch[j])
                             for u, x, (j, k) in zip(arcs, t.sides, SIDE_ENDS)])
@@ -698,7 +694,7 @@ def _pseudomedian_product(c):
     _, feet = ct.pseudo_centroid(c)
     lhs = rhs = 1.0
     for i, foot in enumerate(feet):
-        u = plane.arc_coordinate(foot, c.side_tangent(i))
+        u = plane.arc_coordinate(foot, c.side_tangents[i])
         length = t.sides[i]
         lhs *= sinh(u / 2)
         rhs *= sinh((length - u) / 2)
@@ -1194,7 +1190,7 @@ def run_suite(seed: int, ids: list[str] | None = None, shape: str = "any",
 
 def triangle_json(t: TriangleData, seed: int | None = None) -> dict:
     out = {
-        "vertices": [v.to_json("klein") for v in t.vertices],
+        "vertices": [v.to_json() for v in t.vertices],
         "model": "klein",
         "meta": {},
         "data": t.to_json(),

@@ -120,7 +120,7 @@ class TriangleData(_TriangleFields):
             "a": self.a, "b": self.b, "c": self.c,
             "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
             "s": self.s, "delta": self.delta, "n": self.n, "N": self.bign,
-            "vertices": [v.to_json("klein") for v in self.vertices],
+            "vertices": [v.to_json() for v in self.vertices],
         }
 
 

@@ -62,20 +62,18 @@ class TestFrame:
         for t in [scalene] + [gen_triangle(seed) for seed in range(1, 21)]:
             f = ct.Frame(t)
             vertex, line = f.vertices[i], f.lines[i]
-            assert f.side_start(i) is f.vertices[j]
-            end = plane.geodesic_point(f.vertices[j], f.side_tangent(i), t.sides[i])
+            end = plane.geodesic_point(f.vertices[j], f.side_tangents[i], t.sides[i])
             assert distance(end, f.vertices[k]) < 1e-12
-            foot = f.altitude_foot(i)
+            foot = f.altitude_feet[i]
             perpendicular = plane.normalize_line(plane.perpendicular_line(vertex, line))
             assert abs(plane.mdot(foot, line)) < 1e-12
             assert abs(plane.mdot(foot, perpendicular)) < 1e-12
-            internal = plane.normalize_line(f.internal_bisector(i))
-            external = plane.normalize_line(f.external_bisector(i))
+            internal = plane.normalize_line(f.internal_bisectors[i])
+            external = plane.normalize_line(f.external_bisectors[i])
             incenter = ct.incenter_excenters(f)[0].point
             assert abs(plane.mdot(vertex, internal)) < 1e-12
             assert abs(plane.mdot(incenter, internal)) < 1e-12
             assert abs(plane.mdot(internal, external)) < 1e-12
-            assert abs(plane.mdot(f.bisector_foot(i), line)) < 1e-12
 
 
 class TestCentroid:
@@ -226,7 +224,7 @@ class TestOrthocenter:
         vals = []
         for i, vert in enumerate(f.vertices):
             vals.append(math.tanh(distance(h.point, vert))
-                        * math.tanh(distance(h.point, f.altitude_foot(i))))
+                        * math.tanh(distance(h.point, f.altitude_feet[i])))
         assert max(vals) - min(vals) < 1e-12
 
     def test_acute_coordinates(self):
@@ -469,7 +467,7 @@ class TestPseudoCenters:
                 continue
             solved += 1
             for i, foot in enumerate(feet):
-                u = distance(f.side_start(i), foot)
+                u = distance(f.vertices[trig.SIDE_ENDS[i][0]], foot)
                 assert abs(ct._pseudoaltitude_g(f, i, u)) < 1e-11
         assert solved >= 5
 

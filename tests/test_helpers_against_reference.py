@@ -6,7 +6,6 @@ value must match bit for bit, and every raise must be the same."""
 
 import math
 import random
-import struct
 from types import SimpleNamespace
 
 from hypertri import centers as ct
@@ -15,26 +14,9 @@ from hypertri.errors import NoRootFound
 from hypertri.generate import gen_triangle
 from hypertri.plane import klein_point
 
+from outcomes import image, outcome
+
 _SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e-310, -1e-310, 1e308, -1e308, 1.0)
-
-
-def _image(v):
-    """A float by its bit pattern (-0.0 and 0.0 differ; every NaN is one
-    value), a tuple or list by its class and elements, a dict by its items."""
-    if isinstance(v, float):
-        return "nan" if v != v else struct.pack("d", v)
-    if isinstance(v, (tuple, list)):
-        return v.__class__, tuple(_image(e) for e in v)
-    if isinstance(v, dict):
-        return tuple((k, _image(e)) for k, e in v.items())
-    return v
-
-
-def _outcome(fn, *args):
-    try:
-        return "value", _image(fn(*args))
-    except Exception as e:   # the exception class and message are compared
-        return "raise", type(e), str(e)
 
 
 def _scalar(rng):
@@ -94,10 +76,14 @@ def _reference_to_json(res):
 
 def _reference_memo(build):
     key = build.__name__
+    stored = {}   # frame -> the values built for it
 
     def builder(tri):
         f = ct.Frame.of(tri)
-        return f.get(key, build, f)
+        values = stored.setdefault(f, {})
+        if key not in values:
+            values[key] = build(f)
+        return values[key]
     return builder
 
 
@@ -110,7 +96,7 @@ def test_tri_coords_on_seeded_triangles():
         points = [*t.vertices, klein_point(rng.uniform(-2, 2), rng.uniform(-2, 2)),
                   plane.HPoint(*_triple(rng))]
         for x in points:
-            assert _outcome(trig.tri_coords, x, t) == _outcome(_reference_tri_coords, x, t)
+            assert outcome(trig.tri_coords, x, t) == outcome(_reference_tri_coords, x, t)
 
 
 def test_tri_coords_on_special_rows():
@@ -122,7 +108,7 @@ def test_tri_coords_on_special_rows():
                                         _triple(rng) + (_scalar(rng),),
                                         _triple(rng) + (_scalar(rng),)))
         x = klein_point(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-        assert _outcome(trig.tri_coords, x, t) == _outcome(_reference_tri_coords, x, t)
+        assert outcome(trig.tri_coords, x, t) == outcome(_reference_tri_coords, x, t)
 
 
 def test_proportionality_residual():
@@ -130,8 +116,8 @@ def test_proportionality_residual():
     pairs = [((1, 1, 1), (1, 1, 1)), ((1, 1, 1), (0.5, 2.0, 1.0)), ((0, 0, 0), (1, 2, 3))]
     pairs += [(_triple(rng), _triple(rng)) for _ in range(5000)]
     for u, v in pairs:
-        assert (_outcome(trig.proportionality_residual, u, v)
-                == _outcome(_reference_proportionality_residual, u, v)), (u, v)
+        assert (outcome(trig.proportionality_residual, u, v)
+                == outcome(_reference_proportionality_residual, u, v)), (u, v)
 
 
 def test_relative_residual():
@@ -145,15 +131,15 @@ def test_relative_residual():
             a, b = complex(a, _scalar(rng)), complex(b, _scalar(rng))
         pairs.append((a, b))
     for a, b in pairs:
-        assert (_outcome(trig.relative_residual, a, b)
-                == _outcome(_reference_relative_residual, a, b)), (a, b)
+        assert (outcome(trig.relative_residual, a, b)
+                == outcome(_reference_relative_residual, a, b)), (a, b)
 
 
 def test_sides_and_angles_are_the_field_triples():
     for seed in range(1, 21):
         t = gen_triangle(seed)
-        assert _image(t.sides) == _image((t.a, t.b, t.c))
-        assert _image(t.angles) == _image((t.alpha, t.beta, t.gamma))
+        assert image(t.sides) == image((t.a, t.b, t.c))
+        assert image(t.angles) == image((t.alpha, t.beta, t.gamma))
         assert t.sides is t.sides and t.angles is t.angles
 
 
@@ -163,7 +149,7 @@ def test_side_tol():
     rng = random.Random("side_tol")
     for _ in range(5000):
         coords = _triple(rng)
-        assert _outcome(ct.side_tol, coords) == _outcome(_reference_side_tol, coords), coords
+        assert outcome(ct.side_tol, coords) == outcome(_reference_side_tol, coords), coords
 
 
 def test_center_result_to_json():
@@ -174,7 +160,7 @@ def test_center_result_to_json():
     results += [results[0]._replace(coords=_triple(rng)) for _ in range(3000)]
     results.append(results[0]._replace(coords=None))
     for res in results:
-        assert _outcome(ct.CenterResult.to_json, res) == _outcome(_reference_to_json, res)
+        assert outcome(ct.CenterResult.to_json, res) == outcome(_reference_to_json, res)
 
 
 def test_memo_builder():
@@ -192,7 +178,7 @@ def test_memo_builder():
         builder = memo(build)
         t = gen_triangle(3)
         f = ct.Frame(t)
-        seen = [_outcome(builder, f)]
+        seen = [outcome(builder, f)]
         first = builder(f)
         seen += [builder(f) is first, builder(t) is first, builder(t) is builder(t)]
         return seen, len(calls), calls[1] is f
@@ -206,5 +192,5 @@ def test_a_center_conjugates_as_its_point():
         for seed in range(1, 61):
             f = ct.Frame(gen_triangle(seed, shape=shape))
             for res in (ct.centroid(f), ct.orthocenter(f), ct.incenter_excenters(f)[0]):
-                assert (_outcome(ct.isogonal_conjugate, res, f)
-                        == _outcome(ct.isogonal_conjugate, res.point, f)), (shape, seed, res.name)
+                assert (outcome(ct.isogonal_conjugate, res, f)
+                        == outcome(ct.isogonal_conjugate, res.point, f)), (shape, seed, res.name)

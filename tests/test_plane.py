@@ -44,6 +44,8 @@ from hypertri.plane import (
     UnitPoint,
 )
 
+from outcomes import outcome
+
 INF = math.inf
 
 disk_xy = st.floats(min_value=-0.85, max_value=0.85)
@@ -522,25 +524,24 @@ class TestModels:
 
     def test_origin_fixed(self):
         assert model_convert((0.0, 0.0), "klein", "poincare") == (0.0, 0.0)
-        assert model_convert((0.0, 0.0, 1.0), "hyperboloid", "klein") == (0.0, 0.0)
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
             model_convert((1.0, 0.2), "klein", "poincare")
         with pytest.raises(OutOfDomain):
             model_convert((0.5, 0.0), "klein", "halfplane")
+        with pytest.raises(OutOfDomain):   # a hyperboloid triple is an HPoint
+            model_convert((0.0, 0.0, 1.0), "hyperboloid", "klein")
 
     @given(disk_xy, disk_xy)
     @settings(max_examples=250)
     def test_round_trips(self, x, y):
         if x * x + y * y >= 0.95 ** 2:
             return
-        for a, b in (("klein", "poincare"), ("klein", "hyperboloid"),
-                     ("poincare", "hyperboloid")):
-            mid = model_convert((x, y), a, b)
-            back = model_convert(mid, b, a)
-            assert back[0] == pytest.approx(x, abs=1e-14)
-            assert back[1] == pytest.approx(y, abs=1e-14)
+        mid = model_convert((x, y), "klein", "poincare")
+        back = model_convert(mid, "poincare", "klein")
+        assert back[0] == pytest.approx(x, abs=1e-14)
+        assert back[1] == pytest.approx(y, abs=1e-14)
 
     def test_round_trips_seeded_batch(self):
         rng = random.Random(2)
@@ -803,23 +804,6 @@ class _Reference:
         return (cls.length_to_angle(first), cls.length_to_angle(second))
 
 
-def _bits(v):
-    """A comparable image of a result: floats by their bit pattern (so -0.0
-    and 0.0 differ), tuples with their class, anything else as itself."""
-    if isinstance(v, float):
-        return ("float", struct.pack("<d", v))
-    if isinstance(v, tuple):
-        return (v.__class__, tuple(_bits(e) for e in v))
-    return v
-
-
-def _outcome(fn, *args):
-    try:
-        return ("value", _bits(fn(*args)))
-    except Exception as e:   # the exception class and message are compared
-        return ("raise", type(e), str(e))
-
-
 def _agree(got, want) -> bool:
     """Whether the kernel's outcome is the reference's.  Where the reference
     divides by a max-norm squared that underflowed (ZeroDivisionError), the
@@ -863,13 +847,13 @@ _EXT_SPECIAL = [(3.0, 0.0, 1.0), (1.0, 0.5, 1.0), (1.0, -0.5, 1.0), (2.0, -1.0, 
                 (0.0, 0.0, -1.0), (0.0, -2.0, 1.0), (-0.0, 0.0, 1e-300)]
 
 
-def _shape(outcome):
+def _shape(result):
     """The branch of the extended calculus an outcome shows: the error
     class, or the class of the first member with its quantum (a length's)
     and whether its real part is finite."""
-    if outcome[0] == "raise":
-        return ("raise", outcome[1])
-    first_cls, first = outcome[1][1][0]
+    if result[0] == "raise":
+        return ("raise", result[1])
+    first_cls, first = result[1][1][0]
     if first_cls is PureImaginary:
         return (first_cls,)
     finite = math.isfinite(struct.unpack("<d", first[0][1])[0])
@@ -927,7 +911,7 @@ class TestKernelAgainstReference:
             args = []
             for kind in kinds:
                 args.append(_argument(kind, rng, [a for a in args if isinstance(a, tuple)]))
-            got, want = _outcome(new, *args), _outcome(ref, *args)
+            got, want = outcome(new, *args), outcome(ref, *args)
             assert _agree(got, want), (name, args)
             raised += got[0] == "raise"
         if name in ("join", "meet", "polar", "pole", "normalize", "normalize_line",
@@ -950,7 +934,7 @@ class TestKernelAgainstReference:
                 args.append(normalize(HPoint(x, y, w)))
             else:
                 args.append(HPoint(x, y, w))
-        assert _agree(_outcome(new, *args), _outcome(ref, *args))
+        assert _agree(outcome(new, *args), outcome(ref, *args))
 
     @pytest.mark.parametrize("a, b", [
         (HPoint(0.1, 0.2, 1.0), HPoint(0.2, 0.4, 2.0)),
@@ -966,11 +950,11 @@ class TestKernelAgainstReference:
                      "distance_ext", "angle_ext"):
             new, ref = _new_and_reference(name)
             extra = (CoincidentArguments, "m") if name == "_mcross" else ()
-            assert _outcome(new, a, b, *extra) == _outcome(ref, a, b, *extra), name
+            assert outcome(new, a, b, *extra) == outcome(ref, a, b, *extra), name
         for name in ("polar", "pole", "normalize", "normalize_line", "classify",
                      "classify_line"):
             new, ref = _new_and_reference(name)
-            assert _outcome(new, a) == _outcome(ref, a), name
+            assert outcome(new, a) == outcome(ref, a), name
 
     def test_extended_calculus_on_special_pairs(self):
         # every ordered pair of special triples, and each triple with a
@@ -985,14 +969,14 @@ class TestKernelAgainstReference:
             if a != (0.0, 0.0, 0.0) and classify(HPoint(*a)) is PointKind.REAL:
                 points.append((normalize(HPoint(*a)), HPoint(*b)))
             for p, q in points:
-                want = _outcome(_Reference.distance_ext, p, q)
-                assert _agree(_outcome(distance_ext, p, q), want), (p, q)
+                want = outcome(_Reference.distance_ext, p, q)
+                assert _agree(outcome(distance_ext, p, q), want), (p, q)
                 shapes.add(("distance_ext", *_shape(want)))
                 for kind in PointKind:
-                    assert _agree(_outcome(plane.radius_ext, p, kind, q),
-                                  _outcome(_Reference.radius_ext, p, kind, q)), (p, kind, q)
-            want = _outcome(_Reference.angle_ext, HLine(*a), HLine(*b))
-            assert _agree(_outcome(angle_ext, HLine(*a), HLine(*b)), want), (a, b)
+                    assert _agree(outcome(plane.radius_ext, p, kind, q),
+                                  outcome(_Reference.radius_ext, p, kind, q)), (p, kind, q)
+            want = outcome(_Reference.angle_ext, HLine(*a), HLine(*b))
+            assert _agree(outcome(angle_ext, HLine(*a), HLine(*b)), want), (a, b)
             shapes.add(("angle_ext", *_shape(want)))
         # every branch of the segment table was reached
         assert {("distance_ext", "raise", IdenticalPoints),
@@ -1022,7 +1006,7 @@ class TestKernelAgainstReference:
         kind_of = {"p": HPoint, "l": HLine}
         for triples in calls:
             args = [kind_of[k](*t) for k, t in zip(kinds, triples)]
-            assert _agree(_outcome(new, *args), _outcome(ref, *args)), (name, args)
+            assert _agree(outcome(new, *args), outcome(ref, *args)), (name, args)
 
     def test_unit_point_max_norm_is_its_w(self):
         rng = random.Random(7)

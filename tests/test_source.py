@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import hypertri
+from hypertri import centers, generate, registry
 
 SRC = Path(hypertri.__file__).parent
 
@@ -369,23 +370,60 @@ def _names_used(node) -> set[str]:
     return used
 
 
+def _public_functions(tree):
+    """(qualified name, definition, statements that are not its body) for
+    each public module-level function, and each public method or property
+    of a module-level class."""
+    for node in tree.body:
+        others = [stmt for stmt in tree.body if stmt is not node]
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node, others
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield (f"{node.name}.{fn.name}", fn,
+                           others + [stmt for stmt in node.body if stmt is not fn])
+
+
 def test_every_public_function_has_a_src_reader():
-    # a public function that no other module reads, and its own module
-    # reads nowhere but in its own body, is unused code with a test of its
-    # own; the package `__init__` only re-exports, so it is no reader
+    # a public function, method or property that no other module reads, and
+    # its own module reads nowhere but in its own body, is unused code with
+    # a test of its own; the package `__init__` only re-exports, so it is no
+    # reader.  A method counts as read wherever its name is read as an
+    # attribute, whatever the object.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     used = {name: _names_used(tree) for name, tree in trees.items()}
     found = []
     for module, tree in trees.items():
         elsewhere = set().union(*(u for m, u in used.items() if m != module))
-        for fn in tree.body:
-            if (isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
-                    and fn.name not in _NO_SRC_READER and fn.name not in elsewhere
-                    and not any(fn.name in _names_used(stmt)
-                                for stmt in tree.body if stmt is not fn)):
-                found.append(f"{module}: {fn.name}")
+        for qualname, fn, others in _public_functions(tree):
+            if (qualname not in _NO_SRC_READER and fn.name not in elsewhere
+                    and not any(fn.name in _names_used(stmt) for stmt in others)):
+                found.append(f"{module}: {qualname}")
     assert found == []
+
+
+def _memo_builders() -> list[str]:
+    """The names of the `centers` builders, the functions under ``@_memo``."""
+    tree = ast.parse((SRC / "centers.py").read_text(encoding="utf-8"))
+    return [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and any(_name(d) == "_memo" for d in fn.decorator_list)]
+
+
+def test_builders_store_results_in_the_frame_dict():
+    # a builder stores its result in the frame's instance dict under its own
+    # name; a frame or context attribute of that name would be shadowed by
+    # the result or shadow it, and a keyed `get` cache beside the instance
+    # dict is a second caching scheme for one triangle
+    builders = _memo_builders()
+    assert "centroid" in builders and "pseudo_orthocenter" in builders
+    ctx = registry.TrialContext(1, generate.gen_triangle(1))
+    for cls in (centers.Frame, registry.TrialContext):
+        assert not hasattr(cls, "get"), cls
+        assert sorted(b for b in builders if hasattr(cls, b) or b in vars(ctx)) == [], cls
+    centers.centroid(ctx)
+    assert vars(ctx)["centroid"] is centers.centroid(ctx)
 
 
 # the residual functions whose results are reduced with trig.worst_residual

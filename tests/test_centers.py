@@ -74,6 +74,18 @@ class TestFrame:
             assert abs(plane.mdot(vertex, internal)) < 1e-12
             assert abs(plane.mdot(incenter, internal)) < 1e-12
             assert abs(plane.mdot(internal, external)) < 1e-12
+            # the internal bisector from vertex i meets side i inside the
+            # segment, and the bisector-feet cycle passes through that foot
+            feet = [normalize(plane.meet(b, l))
+                    for b, l in zip(f.internal_bisectors, f.lines)]
+            foot = feet[i]
+            assert abs(plane.mdot(foot, line)) < 1e-12
+            along = distance(f.vertices[j], foot) + distance(foot, f.vertices[k])
+            assert along == pytest.approx(t.sides[i], rel=1e-12)
+            cycle = ct.bisector_feet_center(f)
+            if cycle.aux["cycle_kind"] != 1.0:  # a paracycle's center is on the boundary
+                radii = [plane.distance_ext(cycle.point, p)[0].re for p in feet]
+                assert max(radii) - min(radii) < 1e-10
 
 
 class TestCentroid:

@@ -57,4 +57,4 @@ for q, tag in ((Quantum.ZERO, "d"), (Quantum.HALF_PI, "d + (pi/2)i"),
 print()
 print("A hypercycle radius is d + (pi/2)i, so tanh(R) = coth(d) > 1:")
 x = ExtLength(0.7, Quantum.HALF_PI)
-print(f"  tanh({x}) = {ext_tanh(x).real:.6f}  (coth 0.7 = {1/math.tanh(0.7):.6f})")
+print(f"  tanh({x}) = {ext_tanh(x):.6f}  (coth 0.7 = {1/math.tanh(0.7):.6f})")

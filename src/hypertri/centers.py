@@ -208,7 +208,7 @@ def circumcenters(f: Frame):
     for name, center in (("O", o), ("O_A", oa), ("O_B", ob), ("O_C", oc)):
         res = _result(name, center, f.t)
         radius = plane.radius_ext(res.point, res.classification, f.A)
-        res.aux.update(tanh_R=ext_tanh(radius).real, radius_re=radius.re,
+        res.aux.update(tanh_R=ext_tanh(radius), radius_re=radius.re,
                        radius_quantum=radius.im.radians)
         out.append(res)
     return tuple(out)
@@ -240,7 +240,7 @@ def incenter_excenters(f: Frame):
         else:
             v = abs(mdot(normalize(center), f.lines[0]))
             radius = ExtLength(plane.acosh_clamped(max(v, 1.0)), Quantum.HALF_PI)
-        res.aux.update(tanh_r=ext_tanh(radius).real, radius_re=radius.re,
+        res.aux.update(tanh_r=ext_tanh(radius), radius_re=radius.re,
                        radius_quantum=radius.im.radians)
     return tuple(out)
 

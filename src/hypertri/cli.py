@@ -19,7 +19,7 @@ import sys
 from contextlib import ExitStack
 
 from . import registry as rg
-from .errors import GeometryError, OutOfDomain, UnknownIdentity
+from .errors import GeometryError, OutOfDomain, UnknownIdentity, UsageError
 from .extscalar import segment_lengths, takes_d
 from .generate import SHAPES, gen_triangle
 from .plane import HPoint, angle_ext
@@ -150,15 +150,13 @@ def _verify_results(seeds, rest, n, stack):
 
 def _cmd_verify(args) -> int:
     if args.triangle and args.seeds is not None:
-        print("error: verify takes a triangle file or --seeds, not both", file=sys.stderr)
-        return 2
+        raise UsageError("verify takes a triangle file or --seeds, not both")
     ids = None
     if args.ids is not None:
         ids = [s.strip() for s in args.ids.split(",")]
         if not all(ids):
-            print(f"error: malformed --ids {args.ids!r}; expected a comma list of "
-                  "identity codes", file=sys.stderr)
-            return 2
+            raise UsageError(f"malformed --ids {args.ids!r}; expected a comma list of "
+                             "identity codes")
         for identity_id in ids:
             if identity_id not in rg.REGISTRY:
                 raise UnknownIdentity(f"unknown identity {identity_id!r}")
@@ -166,23 +164,17 @@ def _cmd_verify(args) -> int:
         try:
             seeds = _parse_seed_range(args.seeds)
         except ValueError:
-            print(f"error: malformed --seeds {args.seeds!r}; expected A..B or a comma list",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"malformed --seeds {args.seeds!r}; expected A..B or a comma list")
         if not seeds:
-            print(f"error: --seeds {args.seeds!r} names no seed; expected A..B with A <= B",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"--seeds {args.seeds!r} names no seed; expected A..B with A <= B")
         triangle = None
     elif args.triangle:
         triangle, seed = _load_triangle(args.triangle)
         seeds = [seed]
     else:
-        print("error: verify needs a triangle file or --seeds", file=sys.stderr)
-        return 2
+        raise UsageError("verify needs a triangle file or --seeds")
     if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     failed_seeds = []
@@ -216,15 +208,13 @@ def _cmd_render(args) -> int:
 
 def _cmd_tables(args) -> int:
     if not math.isfinite(args.d):
-        print(f"error: --d must be a finite distance, got {args.d}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--d must be a finite distance, got {args.d}")
     cases = ([args.case] if args.case != "all"
              else list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
     takes_d_angle = [c for c in cases if c in rg.ANGLE_CASES and rg.angle_case_takes_d(c)]
     if takes_d_angle and not 0.0 < args.d < math.pi / 2:
-        print(f"error: --d must lie in (0, pi/2) for angle case {takes_d_angle[0]}, "
-              f"got {args.d}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--d must lie in (0, pi/2) for angle case {takes_d_angle[0]}, "
+                         f"got {args.d}")
     for case in cases:
         if case in rg.SEGMENT_CASES:
             ka, kb, line, _points = rg.SEGMENT_CASES[case]
@@ -243,8 +233,7 @@ def _cmd_tables(args) -> int:
                 return f"{v.re:g} {sign} {abs(v.over_i):g}/i"
             print(f"{case:9s} d={args.d:<6g} angles = ({show(p[0])}, {show(p[1])})")
         else:
-            print(f"error: unknown case {case!r}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown case {case!r}")
     return 0
 
 
@@ -311,6 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names.  Every usage error (`UsageError`),
+    every other GeometryError, an OSError and malformed JSON print one
+    ``error: `` line on stderr here and exit 2."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

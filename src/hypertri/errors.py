@@ -73,6 +73,10 @@ class ExhaustedAttempts(GeometryError):
     """Rejection sampling hit its attempt cap without satisfying the constraints."""
 
 
+class UsageError(GeometryError):
+    """A command was given arguments it cannot run with."""
+
+
 class UnknownIdentity(GeometryError):
     """Identity code not present in the registry."""
 

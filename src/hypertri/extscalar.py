@@ -142,19 +142,19 @@ def ext_cosh(x: ExtLength) -> complex:
     return complex(-math.cosh(x.re), 0.0)
 
 
-def ext_tanh(x: ExtLength) -> complex:
+def ext_tanh(x: ExtLength) -> float:
     """tanh over the extended system; ``tanh(+-inf) = +-1``.
 
-    For quantum pi/2 the value is real: tanh(a + i*pi/2) = coth(a), with a
-    pole at a = 0 reported as a signed infinity.
+    The value is real for every quantum: tanh(a + i*pi) = tanh(a), and
+    tanh(a + i*pi/2) = coth(a), with a pole at a = 0 reported as +inf.
     """
     if math.isinf(x.re):
-        return complex(math.copysign(1.0, x.re), 0.0)
+        return math.copysign(1.0, x.re)
     if x.im is Quantum.ZERO or x.im is Quantum.PI:
-        return complex(math.tanh(x.re), 0.0)
+        return math.tanh(x.re)
     if x.re == 0.0:
-        return complex(math.inf, 0.0)
-    return complex(1.0 / math.tanh(x.re), 0.0)
+        return math.inf
+    return 1.0 / math.tanh(x.re)
 
 
 _R, _IN, _ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL

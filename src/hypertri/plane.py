@@ -182,11 +182,12 @@ def _rescaled(x: float, y: float, w: float, m: float, what: str):
     return x / m, y / m, w / m
 
 
-def _qform_maxnorm2(u, what: str) -> tuple[float, float]:
-    """``Q(u)`` and the max-norm of ``u`` squared, reading each coordinate
-    once (of ``u`` rescaled to max-norm 1 when that square underflows or
-    overflows, see `_rescaled`)."""
-    x, y, w = u
+def classify(p: HPoint) -> PointKind:
+    """The kind of ``p`` by the sign of ``Q`` over its max-norm squared (see
+    `_rescaled`); a NaN triple is at infinity."""
+    if p.__class__ is UnitPoint:
+        return _R
+    x, y, w = p
     m = x if x >= 0.0 else -x
     a = y if y >= 0.0 else -y
     if a > m:
@@ -196,16 +197,9 @@ def _qform_maxnorm2(u, what: str) -> tuple[float, float]:
         m = a
     mm = m * m
     if not 0.0 < mm < _INF:
-        x, y, w = _rescaled(x, y, w, m, what)
+        x, y, w = _rescaled(x, y, w, m, "cannot classify")
         mm = 1.0
-    return w * w - x * x - y * y, mm
-
-
-def classify(p: HPoint) -> PointKind:
-    if p.__class__ is UnitPoint:
-        return _R
-    q, mm = _qform_maxnorm2(p, "cannot classify")
-    r = q / mm
+    r = (w * w - x * x - y * y) / mm
     if r > EPS_CLS:
         return _R
     if r < -EPS_CLS:
@@ -213,14 +207,13 @@ def classify(p: HPoint) -> PointKind:
     return _IN
 
 
+# a line's kind is its pole's: an ideal pole's polar is a real line, a
+# boundary pole's the tangent there, and a real pole's an ideal line
+_LINE_OF_POLE = {_ID: LineKind.REAL, _IN: LineKind.AT_INFINITY, _R: LineKind.IDEAL}
+
+
 def classify_line(l: HLine) -> LineKind:
-    q, mm = _qform_maxnorm2(l, "cannot classify")
-    r = q / mm
-    if r < -EPS_CLS:
-        return LineKind.REAL
-    if r > EPS_CLS:
-        return LineKind.IDEAL
-    return LineKind.AT_INFINITY
+    return _LINE_OF_POLE[classify(l)]
 
 
 def _mcross(u, v, error, message) -> tuple[float, float, float]:

@@ -29,7 +29,6 @@ from . import centers as ct
 from . import plane, trig
 from .errors import (
     GeometryError,
-    IdenticalPoints,
     NoRootFound,
     OutOfDomain,
     UnknownCenter,
@@ -78,14 +77,6 @@ class _Skip(GeometryError):
     """A declared non-configuration; the message is the skip reason.  A
     handler that tells skips from errors must catch it before
     GeometryError."""
-
-
-def _dist_ext_or_zero(p, q):
-    """Extended distance, with coincident projective points giving zero."""
-    try:
-        return distance_ext(p, q)[0]
-    except IdenticalPoints:
-        return ExtLength(0.0)
 
 
 class IdentityRecord(NamedTuple):
@@ -327,9 +318,11 @@ def _staudtian_quotient(c):
 
 def _centroid_section(c):
     t = c.t
-    m = ct.centroid(c).point
+    res = ct.centroid(c)
+    m = res.point
     vs = c.vertices
-    return worst_residual(*[
+    # the builder's own ratio at vertex A is checked with the three here
+    return worst_residual(_rel(res.aux["median_section_ratio"], 2 * cosh(t.a / 2)), *[
         _rel(sinh(distance(vs[i], m)) / sinh(distance(m, midpoint(vs[j], vs[k]))),
              2 * cosh(t.sides[i] / 2))
         for i, (j, k) in enumerate(SIDE_ENDS)])
@@ -455,7 +448,7 @@ def _oi_distance(c):
         raise _Skip("circumcenter at infinity (paracycle)")
     r_len = math.atanh(i_res.aux["tanh_r"])
     radius = plane.radius_ext(o.point, o.classification, c.A)
-    lhs = ext_cosh(_dist_ext_or_zero(o.point, i_res.point))
+    lhs = ext_cosh(plane.radius_ext(o.point, o.classification, i_res.point))
     cosh_R = ext_cosh(radius)
     cosh_R_minus_r = ext_cosh(ExtLength(radius.re - r_len, radius.im))
     # sign corrected: the second product is subtracted
@@ -519,7 +512,7 @@ def _orthocenter_euler_distance(c):
         hx = distance(vert, c.altitude_feet[i])
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
     radius = plane.radius_ext(o.point, o.classification, c.A)
-    lhs = (1.0 / hval + 1.0) * ext_cosh(_dist_ext_or_zero(o.point, h))
+    lhs = (1.0 / hval + 1.0) * ext_cosh(plane.radius_ext(o.point, o.classification, h))
     rhs = acc * ext_cosh(radius)
     return _rel(lhs, rhs)
 
@@ -530,7 +523,7 @@ def _orthocenter_circumcenter_form(c):
     o = ct.circumcenters(c)[0]
     radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = sum(h.coords) * ext_cosh(radius)
-    rhs = t.n * ext_cosh(_dist_ext_or_zero(o.point, h.point))
+    rhs = t.n * ext_cosh(plane.radius_ext(o.point, o.classification, h.point))
     return _rel(lhs, rhs)
 
 

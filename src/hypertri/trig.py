@@ -424,8 +424,7 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
     """
     va, vb, vc = t.vertices
     p = real_point(aprime, FootOutsideSegment, "the point must be a real point of side BC")
-    on_line = abs(mdot(p, normalize_line(join(vb, vc))))
-    if on_line > 1e-9:
+    if abs(mdot(p, t.lines[0])) > 1e-9:
         raise FootOutsideSegment("the point is not on line BC")
     u = plane.arc_coordinate(p, tangent_toward(vb, vc))
     if u < -1e-12 or u > t.a + 1e-12:

@@ -257,6 +257,42 @@ class TestSuite:
         assert back.alpha == pytest.approx(t.alpha, rel=1e-10)
 
 
+def _statuses(report: Path) -> list[tuple[str, str]]:
+    """(id, status) of each identity record of a verify report."""
+    return [(rec["id"], rec["status"]) for rec in map(json.loads, report.read_text().splitlines())
+            if "id" in rec]
+
+
+@pytest.mark.parametrize("shape, seed", [("any", 3), ("any", 13), ("acute", 5)])
+def test_a_file_with_hyperboloid_vertices_verifies_like_its_klein_file(shape, seed, tmp_path):
+    # a triangle file may give each vertex as its unit triple on the
+    # hyperboloid; the triangle it reads is the Klein file's to rounding
+    klein = rg.triangle_json(gen_triangle(seed, shape=shape), seed)
+    units = [plane.normalize(plane.HPoint.from_json(v)) for v in klein["vertices"]]
+    hyperboloid = {**klein, "vertices": [{"model": "hyperboloid", "coords": list(v)}
+                                         for v in units]}
+    read = rg.triangle_from_json(hyperboloid)
+    for got, want in zip(read.vertices, units):
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    statuses = []
+    for name, obj in (("klein", klein), ("hyperboloid", hyperboloid)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        cli.main(["verify", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / f"{name}.jsonl")])
+        statuses.append(_statuses(tmp_path / f"{name}.jsonl"))
+    assert len(statuses[0]) == len(rg.ALL_IDS)
+    assert statuses[0] == statuses[1]
+
+
+def test_a_hyperboloid_vertex_that_is_not_real_is_a_usage_error(tmp_path, capsys):
+    obj = rg.triangle_json(gen_triangle(3), 3)
+    obj["vertices"][0] = {"model": "hyperboloid", "coords": [1, 0, 0.5]}
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify", str(path), "-o", str(tmp_path / "out.jsonl")]) == 2
+    assert capsys.readouterr().err == "error: vertices must be real points\n"
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 def test_right_triangles_give_a_record_for_every_identity(tmp_path):
     # a right angle is stored a rounding error short of pi/2; on seeds 5, 6,
     # 9, 15 and 30 an angle test missed it, and with H on the right vertex

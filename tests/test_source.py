@@ -324,6 +324,18 @@ def test_registry_does_not_decode_radii():
             if isinstance(n, ast.Constant) and n.value == "radius_quantum"] == []
 
 
+def test_only_main_prints_an_error():
+    # a command raises `UsageError` and `main` writes the one ``error: ``
+    # line for it, as for every other error; a ``print(..., file=...)``
+    # elsewhere in the CLI writes that rule out again
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    found = [f"cli.py:{n.lineno}" for stmt in tree.body
+             if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "main")
+             for n in ast.walk(stmt) if isinstance(n, ast.Call) and _name(n.func) == "print"
+             and any(k.arg == "file" for k in n.keywords)]
+    assert found == []
+
+
 def _dataclass_uses(path: Path):
     """Each import of `dataclasses` and each ``@dataclass`` class in ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -357,13 +369,20 @@ _NO_SRC_READER = {
 }
 
 
+# the public attributes of the builtin types: ``x.get`` or ``x.real`` may
+# read the builtin's, so such a read does not count as a reader of ours
+_BUILTIN_ATTRS = {name for cls in (dict, list, tuple, str, set, float, complex)
+                  for name in dir(cls) if not name.startswith("_")}
+
+
 def _names_used(node) -> set[str]:
-    """Names that ``node`` reads, reads as an attribute or imports."""
+    """Names that ``node`` reads, reads as an attribute (other than an
+    attribute of a builtin type, see `_BUILTIN_ATTRS`) or imports."""
     used = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             used.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and n.attr not in _BUILTIN_ATTRS:
             used.add(n.attr)
         elif isinstance(n, ast.ImportFrom):
             used |= {a.name for a in n.names}
@@ -390,7 +409,8 @@ def test_every_public_function_has_a_src_reader():
     # its own module reads nowhere but in its own body, is unused code with
     # a test of its own; the package `__init__` only re-exports, so it is no
     # reader.  A method counts as read wherever its name is read as an
-    # attribute, whatever the object.
+    # attribute, whatever the object, unless a builtin type has an
+    # attribute of that name; such a method needs a `_NO_SRC_READER` entry.
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
     used = {name: _names_used(tree) for name, tree in trees.items()}
@@ -489,7 +509,7 @@ def test_hot_helpers_build_no_frames():
 # the kernel functions every construction calls take their max-norm by
 # compares (``m = x if x >= 0.0 else -x``, then ``if a > m: m = a``); the
 # builtin calls ``max(abs(x), abs(y), abs(w))`` cost about three times as much
-_COMPARE_NORMS = ("_maxnorm", "_qform_maxnorm2", "normalize", "normalize_line", "_mcross",
+_COMPARE_NORMS = ("_maxnorm", "classify", "normalize", "normalize_line", "_mcross",
                   "perpendicular_bisector")
 
 

@@ -4,46 +4,44 @@ Segments of the extended hyperbolic plane have lengths r + q*i with the
 imaginary part quantized to {0, pi/2, pi}: a pair of points cuts a line into
 two segments whose lengths always add up to pi*i.  Signed infinities appear
 for segments reaching the boundary.  This script walks through the segment
-table and the hyperbolic functions of extended lengths.
+catalogue and the hyperbolic functions of extended lengths.
 """
 
 import math
 
-from hypertri import (
-    ExtLength,
-    PointKind,
-    Quantum,
-    ext_cosh,
-    ext_tanh,
-    segment_lengths,
-)
+from hypertri import ExtLength, Quantum, ext_cosh, ext_tanh
+from hypertri.registry import SEGMENT_CASES
 
-R, IN, ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
+
+D = 0.8   # the distance the labels name; the cells that do not take d ignore it
+
+
+def show(cells):
+    """Each named catalogue cell's (AB, BA) lengths at distance D."""
+    for label, name in cells:
+        ab, ba = SEGMENT_CASES[name][-1](D)
+        print(f"  {label:52s} AB = {str(ab):16s} BA = {ba}")
+
 
 print("Segments of a real line")
 print("-----------------------")
-for label, kinds, d in (
-    ("two real points, distance 0.8", (R, R), 0.8),
-    ("real point and a boundary point", (R, IN), None),
-    ("real point and an ideal point (0.8 from its polar)", (R, ID), 0.8),
-    ("two boundary points", (IN, IN), None),
-    ("boundary point and ideal point", (IN, ID), None),
-    ("two ideal points, polars 0.8 apart", (ID, ID), 0.8),
-):
-    ab, ba = segment_lengths(*kinds, d=d, line="real")
-    print(f"  {label:52s} AB = {str(ab):16s} BA = {ba}")
+show((
+    ("two real points, distance 0.8", "RR"),
+    ("real point and a boundary point", "RIn"),
+    ("real point and an ideal point (0.8 from its polar)", "RId"),
+    ("two boundary points", "InIn"),
+    ("boundary point and ideal point", "InId"),
+    ("two ideal points, polars 0.8 apart", "IdId"),
+))
 
 print()
 print("Segments of the line at infinity (the tangent line)")
 print("----------------------------------------------------")
-for label, kinds in (
-    ("the boundary point against itself", (IN, IN)),
-    ("boundary point and an ideal point of the tangent", (IN, ID)),
-    ("two ideal points of the tangent", (ID, ID)),
-):
-    ab, ba = segment_lengths(*kinds, line="infinity")
-    print(f"  {label:52s} AB = {str(ab):16s} BA = {ba}")
-
+show((
+    ("the boundary point against itself", "InIn@inf"),
+    ("boundary point and an ideal point of the tangent", "InId@inf"),
+    ("two ideal points of the tangent", "IdId@inf"),
+))
 
 print()
 print("Hyperbolic functions pick up the quantum")

@@ -18,7 +18,6 @@ from .extscalar import (
     Quantum,
     ext_cosh,
     ext_tanh,
-    segment_lengths,
 )
 from .plane import (
     Cycle,

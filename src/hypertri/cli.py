@@ -20,7 +20,6 @@ from contextlib import ExitStack
 
 from . import registry as rg
 from .errors import GeometryError, OutOfDomain, UnknownIdentity, UsageError
-from .extscalar import segment_lengths, takes_d
 from .generate import SHAPES, gen_triangle
 from .plane import HPoint, angle_ext
 from .registry import triangle_from_json, triangle_json
@@ -209,31 +208,26 @@ def _cmd_render(args) -> int:
 def _cmd_tables(args) -> int:
     if not math.isfinite(args.d):
         raise UsageError(f"--d must be a finite distance, got {args.d}")
-    cases = ([args.case] if args.case != "all"
-             else list(rg.SEGMENT_CASES) + list(rg.ANGLE_CASES))
-    takes_d_angle = [c for c in cases if c in rg.ANGLE_CASES and rg.angle_case_takes_d(c)]
+    cells = [*rg.SEGMENT_CASES, *rg.ANGLE_CASES]
+    if args.case != "all" and args.case not in cells:
+        raise UsageError(f"unknown case {args.case!r}")
+    cases = cells if args.case == "all" else [args.case]
+    takes_d = [c for c in cases if rg.case_takes_d(c)]
+    takes_d_angle = [c for c in takes_d if c in rg.ANGLE_CASES]
     if takes_d_angle and not 0.0 < args.d < math.pi / 2:
         raise UsageError(f"--d must lie in (0, pi/2) for angle case {takes_d_angle[0]}, "
                          f"got {args.d}")
+    if takes_d and args.d < 0:
+        raise UsageError("auxiliary distance d must be >= 0")
     for case in cases:
         if case in rg.SEGMENT_CASES:
-            ka, kb, line, _points = rg.SEGMENT_CASES[case]
-            pair = segment_lengths(ka, kb, d=args.d, line=line)
-            suffix = f" d={args.d:g}" if takes_d(ka, kb, line) else ""
-            print(f"{case:9s}{suffix:8s} AB = {pair[0]}, BA = {pair[1]}")
-        elif case in rg.ANGLE_CASES:
-            lines, _expected = rg.ANGLE_CASES[case]
-            p = angle_ext(*lines(args.d))
-            def show(v):
-                if math.isinf(v.re):
-                    return "inf" if v.re > 0 else "-inf"
-                if v.over_i == 0.0:
-                    return f"{v.re:g}"
-                sign = "+" if v.over_i >= 0 else "-"
-                return f"{v.re:g} {sign} {abs(v.over_i):g}/i"
-            print(f"{case:9s} d={args.d:<6g} angles = ({show(p[0])}, {show(p[1])})")
+            ab, ba = rg.SEGMENT_CASES[case][-1](args.d)
+            suffix = f" d={args.d:g}" if case in takes_d else ""
+            print(f"{case:9s}{suffix:8s} AB = {ab}, BA = {ba}")
         else:
-            raise UsageError(f"unknown case {case!r}")
+            lines, _expected = rg.ANGLE_CASES[case]
+            a, b = angle_ext(*lines(args.d))
+            print(f"{case:9s} d={args.d:<6g} angles = ({a}, {b})")
     return 0
 
 

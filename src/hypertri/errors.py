@@ -25,10 +25,6 @@ class UndefinedComparison(GeometryError):
     """Order comparison between extended lengths of different imaginary parts."""
 
 
-class UnsupportedConfiguration(GeometryError):
-    """Point-kind pair not covered by the requested segment table."""
-
-
 class OutOfDomain(GeometryError):
     """Coordinates outside the model's domain (e.g. on or outside the unit disk)."""
 

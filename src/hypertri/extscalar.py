@@ -4,9 +4,10 @@ Segment lengths in the extended plane (real points plus boundary points and
 the poles beyond them) take values ``r + q*i`` where the real part ``r`` is a
 real number or a signed infinity and the imaginary part ``q`` is one of the
 three quanta ``0``, ``pi/2``, ``pi``.  The two complementary segments cut
-from a line by a point pair always have lengths summing to ``pi*i``, and the
-segment tables never produce any other imaginary part, so the imaginary
-channel is stored as an exact three-valued enum rather than a float.
+from a line by a point pair always have lengths summing to ``pi*i``, and no
+segment has any other imaginary part (the cells of `registry.SEGMENT_CASES`
+list every case), so the imaginary channel is stored as an exact three-valued
+enum rather than a float.
 
 Signed infinities follow the operational rules
 
@@ -27,7 +28,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import UndefinedComparison, UnsupportedConfiguration
+from .errors import UndefinedComparison
 
 HALF_PI = math.pi / 2.0
 
@@ -155,76 +156,3 @@ def ext_tanh(x: ExtLength) -> float:
     if x.re == 0.0:
         return math.inf
     return 1.0 / math.tanh(x.re)
-
-
-_R, _IN, _ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
-
-# (kind_a, kind_b) -> pair builder for segments of a real line
-_REAL_LINE_TABLE = {
-    (_R, _R): lambda d: (ExtLength(d), ExtLength(-d, Quantum.PI)),
-    (_R, _IN): lambda d: (INF, NEG_INF),
-    (_IN, _R): lambda d: (INF, NEG_INF),
-    (_R, _ID): lambda d: (ExtLength(d, Quantum.HALF_PI), ExtLength(-d, Quantum.HALF_PI)),
-    (_ID, _R): lambda d: (ExtLength(d, Quantum.HALF_PI), ExtLength(-d, Quantum.HALF_PI)),
-    (_IN, _IN): lambda d: (INF, NEG_INF),
-    (_IN, _ID): lambda d: (INF, NEG_INF),
-    (_ID, _IN): lambda d: (INF, NEG_INF),
-    (_ID, _ID): lambda d: (ExtLength(d, Quantum.PI), ExtLength(-d)),
-}
-
-# (kind_a, kind_b) -> pair for segments of the line at infinity (no real points)
-_INFINITY_LINE_TABLE = {
-    (_IN, _IN): (ExtLength(0.0), ExtLength(0.0, Quantum.PI)),
-    (_IN, _ID): (ExtLength(0.0, Quantum.HALF_PI), ExtLength(0.0, Quantum.HALF_PI)),
-    (_ID, _IN): (ExtLength(0.0, Quantum.HALF_PI), ExtLength(0.0, Quantum.HALF_PI)),
-    (_ID, _ID): (ExtLength(0.0), ExtLength(0.0, Quantum.PI)),
-}
-
-_REAL_LINE_NEEDS_D = {(_R, _R), (_R, _ID), (_ID, _R), (_ID, _ID)}
-
-
-def takes_d(kind_a: PointKind, kind_b: PointKind, line: str) -> bool:
-    """Whether the tabulated lengths of this cell depend on the distance d."""
-    return line == "real" and (kind_a, kind_b) in _REAL_LINE_NEEDS_D
-
-
-def segment_lengths(
-    kind_a: PointKind,
-    kind_b: PointKind,
-    d: float | None = None,
-    *,
-    line: str,
-) -> tuple[ExtLength, ExtLength]:
-    """Tabulated lengths (AB, BA) of the two segments a point pair cuts from a line.
-
-    ``d`` is the auxiliary real distance of the configuration: between the two
-    points when both are real, from the real point to the polar of the ideal
-    one for a mixed pair, and between the two polars for an ideal pair.
-
-    ``line`` selects the carrier: "real" or "infinity".  Segments of the
-    ideal line are not tabulated here (they are purely imaginary, see
-    `PureImaginary` and the plane module).
-    """
-    if line == "real":
-        builder = _REAL_LINE_TABLE.get((kind_a, kind_b))
-        if builder is None:
-            raise UnsupportedConfiguration(
-                f"no real-line entry for ({kind_a.name}, {kind_b.name})"
-            )
-        needs_d = takes_d(kind_a, kind_b, line)
-        if needs_d:
-            if d is None:
-                raise UnsupportedConfiguration(
-                    f"({kind_a.name}, {kind_b.name}) on a real line needs the distance d"
-                )
-            if d < 0:
-                raise UnsupportedConfiguration("auxiliary distance d must be >= 0")
-        return builder(d if needs_d else 0.0)
-    if line == "infinity":
-        pair = _INFINITY_LINE_TABLE.get((kind_a, kind_b))
-        if pair is None:
-            raise UnsupportedConfiguration(
-                f"no infinity-line entry for ({kind_a.name}, {kind_b.name})"
-            )
-        return pair
-    raise UnsupportedConfiguration(f"unknown line selector {line!r}")

@@ -587,6 +587,14 @@ class ExtAngle(NamedTuple):
     re: float
     over_i: float = 0.0
 
+    def __str__(self):
+        if math.isinf(self.re):
+            return "inf" if self.re > 0 else "-inf"
+        if self.over_i == 0.0:
+            return f"{self.re:g}"
+        sign = "+" if self.over_i >= 0 else "-"
+        return f"{self.re:g} {sign} {abs(self.over_i):g}/i"
+
 
 def _length_to_angle(x) -> ExtAngle:
     if isinstance(x, PureImaginary):

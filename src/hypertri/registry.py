@@ -35,11 +35,12 @@ from .errors import (
     UnknownIdentity,
 )
 from .extscalar import (
+    INF,
+    NEG_INF,
     ExtLength,
     PointKind,
     Quantum,
     ext_cosh,
-    segment_lengths,
 )
 from .generate import gen_triangle, sample_disk_point
 from .plane import (
@@ -711,14 +712,15 @@ def _classical_line_dichotomy(c):
 # -- segment and angle tables ----------------------------------------------
 #
 # One catalogue of the extended length calculus, read by TBL1-TBL3 and by
-# `hypertri tables`.  A segment cell is (kind_a, kind_b, carrier line,
-# points(d)): a point pair whose lengths `distance_ext` constructs, or None
-# when no pair realizes the cell.  Whether a cell takes the auxiliary
-# distance d is `segment_lengths`' business.  An angle cell is (lines(d),
-# expected(d)): a line pair and its `angle_ext` pair as (re, over_i) values,
-# for 0 < d < pi/2.  An entry that is the same for every d is a `_Fixed`.
+# `hypertri tables`.  Every cell ends in its expected entry.  A segment cell
+# is (carrier line, points(d), expected(d)): a point pair whose
+# `distance_ext` pair is the expected (AB, BA) lengths, or None when no pair
+# realizes the cell; the lengths hold for d >= 0, the pairs for d > 0.  An
+# angle cell is (lines(d), expected(d)): a line pair and its `angle_ext`
+# pair as (re, over_i) values, for 0 < d < pi/2.  An entry that is the same
+# for every d is a `_Fixed`, and a cell takes d exactly when its expected
+# entry is not (`case_takes_d`).
 
-_R, _IN, _ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
 _EAST = HPoint(1.0, 0.0, 1.0)           # boundary point (1, 0)
 _X_AXIS = plane.HLine(0.0, 1.0, 0.0)
 _EAST_TANGENT = plane.HLine(1.0, 0.0, 1.0)   # tangent line at _EAST
@@ -726,8 +728,8 @@ _EAST_TANGENT = plane.HLine(1.0, 0.0, 1.0)   # tangent line at _EAST
 
 class _Fixed:
     """A catalogue entry that does not depend on d: called with any d, it
-    returns ``value``.  TBL1 and TBL3 check a cell whose entries are all
-    fixed once per process."""
+    returns ``value``.  TBL1-TBL3 check a cell whose entries are all fixed
+    once per process."""
 
     __slots__ = ("value",)
 
@@ -744,18 +746,25 @@ def _chord_pole(d: float) -> HPoint:
     return HPoint(1.0, 0.0, math.tanh(d))
 
 
+_INF_LENGTHS = _Fixed((INF, NEG_INF))
+_ZERO_PI_LENGTHS = _Fixed((ExtLength(0.0), ExtLength(0.0, Quantum.PI)))
+
 SEGMENT_CASES = {
-    "RR": (_R, _R, "real", lambda d: (plane.origin(), klein_point(math.tanh(d), 0.0))),
-    "RIn": (_R, _IN, "real", _Fixed((plane.origin(), _EAST))),
-    "RId": (_R, _ID, "real", lambda d: (plane.origin(), _chord_pole(d))),
-    "InIn": (_IN, _IN, "real", _Fixed((_EAST, HPoint(-1.0, 0.0, 1.0)))),
-    "InId": (_IN, _ID, "real", lambda d: (_EAST, _chord_pole(d))),
-    "IdId": (_ID, _ID, "real", lambda d: (_chord_pole(0.0), _chord_pole(d))),
+    "RR": ("real", lambda d: (plane.origin(), klein_point(math.tanh(d), 0.0)),
+           lambda d: (ExtLength(d), ExtLength(-d, Quantum.PI))),
+    "RIn": ("real", _Fixed((plane.origin(), _EAST)), _INF_LENGTHS),
+    "RId": ("real", lambda d: (plane.origin(), _chord_pole(d)),
+            lambda d: (ExtLength(d, Quantum.HALF_PI), ExtLength(-d, Quantum.HALF_PI))),
+    "InIn": ("real", _Fixed((_EAST, HPoint(-1.0, 0.0, 1.0))), _INF_LENGTHS),
+    "InId": ("real", lambda d: (_EAST, _chord_pole(d)), _INF_LENGTHS),
+    "IdId": ("real", lambda d: (_chord_pole(0.0), _chord_pole(d)),
+             lambda d: (ExtLength(d, Quantum.PI), ExtLength(-d))),
     # a tangent line meets the boundary once, so no pair realizes InIn there
-    "InIn@inf": (_IN, _IN, "infinity", None),
-    "InId@inf": (_IN, _ID, "infinity", lambda d: (_EAST, HPoint(1.0, d, 1.0))),
-    "IdId@inf": (_ID, _ID, "infinity",
-                 lambda d: (HPoint(1.0, d, 1.0), HPoint(1.0, -d, 1.0))),
+    "InIn@inf": ("infinity", None, _ZERO_PI_LENGTHS),
+    "InId@inf": ("infinity", lambda d: (_EAST, HPoint(1.0, d, 1.0)),
+                 _Fixed((ExtLength(0.0, Quantum.HALF_PI), ExtLength(0.0, Quantum.HALF_PI)))),
+    "IdId@inf": ("infinity", lambda d: (HPoint(1.0, d, 1.0), HPoint(1.0, -d, 1.0)),
+                 _ZERO_PI_LENGTHS),
 }
 
 _INF_ANGLES = _Fixed(((math.inf, 0.0), (-math.inf, 0.0)))
@@ -780,10 +789,10 @@ ANGLE_CASES = {
 }
 
 
-def angle_case_takes_d(name: str) -> bool:
-    """Whether the `ANGLE_CASES` cell ``name`` depends on d, for which the
-    catalogue holds only when 0 < d < pi/2."""
-    return not all(isinstance(entry, _Fixed) for entry in ANGLE_CASES[name])
+def case_takes_d(name: str) -> bool:
+    """Whether the catalogue cell ``name`` depends on d: a segment cell then
+    holds for d >= 0, an angle cell for 0 < d < pi/2."""
+    return not isinstance((SEGMENT_CASES.get(name) or ANGLE_CASES[name])[-1], _Fixed)
 
 
 def _table_d(c) -> float:
@@ -791,19 +800,20 @@ def _table_d(c) -> float:
 
 
 def _table_check(cells, residual):
-    """A TBL evaluator: for one drawn d, the worst ``residual(*args, d)``
-    over the (fixed, args) ``cells``.  The fixed cells, whose entries are all
-    `_Fixed`, are checked on the first call only (with d = None), and every
-    call's worst includes their worst."""
-    varying = [args for fixed, args in cells if not fixed]
+    """A TBL evaluator: for one drawn d, the worst ``residual(*entries, d)``
+    over the ``cells``' entries.  A cell whose entries are all `_Fixed` is
+    checked on the first call only (with d = None), and every call's worst
+    includes the worst of those."""
+    fixed = [cell for cell in cells if all(isinstance(e, _Fixed) for e in cell)]
+    varying = [cell for cell in cells if cell not in fixed]
 
     @functools.cache
     def fixed_worst():
-        return worst_residual(*[residual(*args, None) for fixed, args in cells if fixed])
+        return worst_residual(*[residual(*cell, None) for cell in fixed])
 
     def evaluate(c):
         d = _table_d(c)
-        return worst_residual(fixed_worst(), *[residual(*args, d) for args in varying])
+        return worst_residual(fixed_worst(), *[residual(*cell, d) for cell in varying])
     return evaluate
 
 
@@ -815,16 +825,17 @@ def _quantum_matches(value: ExtLength, re: float, quantum: Quantum) -> float:
     return abs(value.re - re)
 
 
+def _segment_residual(points, expected, d):
+    return worst_residual(*[_quantum_matches(got, want.re, want.im)
+                            for got, want in zip(distance_ext(*points(d)), expected(d))])
+
+
 def _segment_table(line: str):
-    """Evaluator of the `SEGMENT_CASES` cells on ``line``: each cell's
-    construction against its `segment_lengths` value."""
-    def residual(ka, kb, points, d):
-        want = segment_lengths(ka, kb, d=d, line=line)
-        return worst_residual(*[_quantum_matches(got, w.re, w.im)
-                                for got, w in zip(distance_ext(*points(d)), want)])
-    return _table_check([(isinstance(points, _Fixed), (ka, kb, points))
-                         for ka, kb, carrier, points in SEGMENT_CASES.values()
-                         if carrier == line and points is not None], residual)
+    """Evaluator of the `SEGMENT_CASES` cells on ``line`` that a point pair
+    realizes: each pair's `distance_ext` against the cell's expected pair."""
+    cells = [(points, expected) for carrier, points, expected in SEGMENT_CASES.values()
+             if carrier == line and points is not None]
+    return _table_check(cells, _segment_residual)
 
 
 def _angle_value_matches(a, re: float, over_i: float) -> float:
@@ -838,9 +849,7 @@ def _angle_residual(lines, expected, d):
                             for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d))])
 
 
-_table_angles = _table_check(
-    [(not angle_case_takes_d(name), (lines, expected))
-     for name, (lines, expected) in ANGLE_CASES.items()], _angle_residual)
+_table_angles = _table_check(list(ANGLE_CASES.values()), _angle_residual)
 
 
 def _ideal_vertex_medians(c):

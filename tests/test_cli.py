@@ -488,6 +488,15 @@ class TestTables:
         code, out, _ = run_cli(capsys, "tables", "--d", "0", "--case", "aRR-In")
         assert (code, out) == (0, "aRR-In    d=0      angles = (0, 3.14159)\n")
 
+    def test_negative_d_is_usage_error_for_segment_cells_that_take_it(self, capsys):
+        for case in ("RR", "RId", "IdId"):
+            assert run_cli(capsys, "tables", "--case", case, "--d", "-1") == (
+                2, "", "error: auxiliary distance d must be >= 0\n")
+        # RIn and InId have the same lengths at every d, so any d prints them
+        for case in ("RIn", "InId"):
+            assert run_cli(capsys, "tables", "--case", case, "--d", "-1") == (
+                0, f"{case:17s} AB = inf, BA = -inf\n", "")
+
     def test_default_d_prints_every_cell(self, capsys):
         code, out, _ = run_cli(capsys, "tables")
         assert code == 0

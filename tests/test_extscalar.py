@@ -5,18 +5,11 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
-from hypertri.errors import UndefinedComparison, UnsupportedConfiguration
-from hypertri.extscalar import (
-    ExtLength,
-    PointKind,
-    Quantum,
-    ext_cosh,
-    ext_tanh,
-    segment_lengths,
-)
+from hypertri.errors import UndefinedComparison
+from hypertri.extscalar import ExtLength, Quantum, ext_cosh, ext_tanh
+from hypertri.registry import SEGMENT_CASES
 
 INF = math.inf
-R, IN, ID = PointKind.REAL, PointKind.INFINITE, PointKind.IDEAL
 
 finite_reals = st.floats(min_value=-30, max_value=30,
                          allow_nan=False, allow_infinity=False)
@@ -64,12 +57,19 @@ class TestAddition:
         assert ExtLength(INF, Quantum.HALF_PI).im is Quantum.ZERO
 
 
+# The segment tables are the cells of the catalogue `registry.SEGMENT_CASES`,
+# each ending in its expected (AB, BA) pair; these tests pin its values.
+
+def _lengths(name, d=None):
+    return SEGMENT_CASES[name][-1](d)
+
+
 class TestComplement:
     @given(st.floats(min_value=0, max_value=30), quanta)
     def test_complement_sums_to_pi_i(self, d, q):
-        # the real-line cell whose AB carries quantum q: (R, R), (R, ID), (ID, ID)
-        kinds = {Quantum.ZERO: (R, R), Quantum.HALF_PI: (R, ID), Quantum.PI: (ID, ID)}[q]
-        ab, ba = segment_lengths(*kinds, d, line="real")
+        # the real-line cell whose AB carries quantum q
+        name = {Quantum.ZERO: "RR", Quantum.HALF_PI: "RId", Quantum.PI: "IdId"}[q]
+        ab, ba = _lengths(name, d)
         assert ab == ExtLength(d, q)
         total = complex(ab.re + ba.re, ab.im.radians + ba.im.radians)
         assert total == pytest.approx(complex(0.0, math.pi))
@@ -77,53 +77,42 @@ class TestComplement:
 
 class TestSegmentTables:
     def test_real_real(self):
-        ab, ba = segment_lengths(R, R, 2.0, line="real")
+        ab, ba = _lengths("RR", 2.0)
         assert ab == ExtLength(2.0)
         assert ba == ExtLength(-2.0, Quantum.PI)
 
     def test_real_infinite(self):
-        assert segment_lengths(R, IN, line="real") == (ExtLength(INF), ExtLength(-INF))
+        assert _lengths("RIn") == (ExtLength(INF), ExtLength(-INF))
 
     def test_real_ideal(self):
-        ab, ba = segment_lengths(R, ID, 0.3, line="real")
+        ab, ba = _lengths("RId", 0.3)
         assert ab == ExtLength(0.3, Quantum.HALF_PI)
         assert ba == ExtLength(-0.3, Quantum.HALF_PI)
 
     def test_ideal_ideal_real_line(self):
-        ab, ba = segment_lengths(ID, ID, 1.1, line="real")
+        ab, ba = _lengths("IdId", 1.1)
         assert ab == ExtLength(1.1, Quantum.PI)
         assert ba == ExtLength(-1.1)
 
     def test_infinity_line_cells(self):
         h = ExtLength(0.0, Quantum.HALF_PI)
-        assert segment_lengths(IN, IN, line="infinity") == \
-            (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
-        assert segment_lengths(IN, ID, line="infinity") == (h, h)
-        assert segment_lengths(ID, ID, line="infinity") == \
-            (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
+        assert _lengths("InIn@inf") == (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
+        assert _lengths("InId@inf") == (h, h)
+        assert _lengths("IdId@inf") == (ExtLength(0.0), ExtLength(0.0, Quantum.PI))
 
     def test_real_line_infinite_pairs(self):
-        assert segment_lengths(IN, IN, line="real") == \
-            (ExtLength(INF), ExtLength(-INF))
-        assert segment_lengths(IN, ID, line="real") == \
-            (ExtLength(INF), ExtLength(-INF))
+        assert _lengths("InIn") == (ExtLength(INF), ExtLength(-INF))
+        assert _lengths("InId") == (ExtLength(INF), ExtLength(-INF))
 
     @given(st.floats(min_value=0, max_value=30))
     def test_complementarity_across_the_table(self, d):
-        # AB + BA = pi*i: opposite real parts, and quanta summing to PI
-        for kinds, line in (((R, R), "real"), ((R, ID), "real"), ((ID, ID), "real"),
-                            ((IN, IN), "infinity"), ((IN, ID), "infinity")):
-            ab, ba = segment_lengths(*kinds, d=d, line=line)
-            assert ab.re == -ba.re
-            assert ab.im.value + ba.im.value == Quantum.PI.value
-
-    def test_unsupported(self):
-        with pytest.raises(UnsupportedConfiguration):
-            segment_lengths(R, R, 1.0, line="infinity")
-        with pytest.raises(UnsupportedConfiguration):
-            segment_lengths(R, R, line="real")  # distance required
-        with pytest.raises(UnsupportedConfiguration):
-            segment_lengths(R, ID, d=-1.0, line="real")
+        # AB + BA = pi*i: opposite real parts, and quanta summing to PI for
+        # every finite pair (a pair reaching the boundary is inf and -inf)
+        for name in SEGMENT_CASES:
+            ab, ba = _lengths(name, d)
+            assert ab.re == -ba.re, name
+            if ab.finite:
+                assert ab.im.value + ba.im.value == Quantum.PI.value, name
 
 
 class TestValueType:

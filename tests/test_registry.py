@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -82,12 +83,16 @@ class TestCatalogue:
         assert rg.EXPECTED_FAILURES == ("MIN1",)
 
     def test_segment_pairs_realize_their_cells(self):
-        # InIn and InId tabulate the same lengths on a real line, so TBL1
-        # alone would not notice a pair of the wrong kinds
-        for name, (ka, kb, line, points) in rg.SEGMENT_CASES.items():
+        # a cell's name spells its point kinds and, with "@inf", the line at
+        # infinity as carrier.  InIn and InId tabulate the same lengths on a
+        # real line, so TBL1 alone would not notice a pair of the wrong kinds
+        kinds = {"R": PointKind.REAL, "In": PointKind.INFINITE, "Id": PointKind.IDEAL}
+        for name, (line, points, _expected) in rg.SEGMENT_CASES.items():
+            assert line == ("infinity" if name.endswith("@inf") else "real"), name
             if points is None:
                 assert name == "InIn@inf"
                 continue
+            ka, kb = (kinds[k] for k in re.findall("R|In|Id", name.removesuffix("@inf")))
             for d in (0.2, 0.9, 1.5):
                 p, q = points(d)
                 assert (plane.classify(p), plane.classify(q)) == (ka, kb), name
@@ -529,34 +534,28 @@ def test_point_from_coords_reproduces_every_center_with_coords(shape):
 FIXED_CELLS = {"RIn", "InIn", "aRR-In", "aRIn-In", "aRIn-Id", "aInIn", "aInId"}
 
 
-def _cell_entries(name, d):
-    """Everything a cell contributes at d: its construction input and its
-    expected value."""
-    from hypertri.extscalar import segment_lengths
-    if name in rg.SEGMENT_CASES:
-        ka, kb, line, points = rg.SEGMENT_CASES[name]
-        return (None if points is None else points(d),
-                segment_lengths(ka, kb, d=d, line=line))
-    lines, expected = rg.ANGLE_CASES[name]
-    return lines(d), expected(d)
+def _cell_entries(name):
+    """A cell's entries, its construction input and its expected value,
+    without the carrier of a segment cell."""
+    cell = rg.SEGMENT_CASES.get(name) or rg.ANGLE_CASES[name]
+    return cell[-2:]
 
 
 def test_fixed_marks_are_exactly_the_cells_that_ignore_d():
-    marked = {name for name, (*_, points) in rg.SEGMENT_CASES.items()
-              if isinstance(points, rg._Fixed)}
-    marked |= {name for name, (lines, expected) in rg.ANGLE_CASES.items()
-               if isinstance(lines, rg._Fixed) and isinstance(expected, rg._Fixed)}
+    marked = {name for name in [*rg.SEGMENT_CASES, *rg.ANGLE_CASES]
+              if all(isinstance(e, rg._Fixed) for e in _cell_entries(name))}
     assert marked == FIXED_CELLS
     for name in [*rg.SEGMENT_CASES, *rg.ANGLE_CASES]:
         if name == "InIn@inf":
             continue   # table-only, TBL2 has no construction for it
-        same = _cell_entries(name, 0.3) == _cell_entries(name, 1.1)
-        assert same is (name in FIXED_CELLS), name
+        at = [[entry(d) for entry in _cell_entries(name)] for d in (0.3, 1.1)]
+        assert (at[0] == at[1]) is (name in FIXED_CELLS), name
+        # a cell takes d exactly when its expected value changes with it
+        assert rg.case_takes_d(name) is (at[0][1] != at[1][1]), name
 
 
 def _reference_table(identity_id, seed):
     """TBL1 or TBL3 as a plain loop over every cell at the seed's d."""
-    from hypertri.extscalar import segment_lengths
     c = rg.TrialContext(seed=seed, t=trig.solve_from_sides(1.0, 1.1, 1.2))
     c.use_stream(identity_id)
     d = rg._table_d(c)
@@ -566,10 +565,9 @@ def _reference_table(identity_id, seed):
             for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d)):
                 worst = max(worst, rg._angle_value_matches(got, re, over_i))
         return worst
-    for ka, kb, line, points in rg.SEGMENT_CASES.values():
+    for line, points, expected in rg.SEGMENT_CASES.values():
         if line == "real" and points is not None:
-            want = segment_lengths(ka, kb, d=d, line=line)
-            for got, w in zip(plane.distance_ext(*points(d)), want):
+            for got, w in zip(plane.distance_ext(*points(d)), expected(d)):
                 worst = max(worst, rg._quantum_matches(got, w.re, w.im))
     return worst
 
@@ -606,11 +604,13 @@ def test_tables_agree_in_a_fresh_process_that_starts_elsewhere():
 def test_fixed_cells_are_checked_once_and_start_every_max():
     calls = []
 
-    def residual(value, d):
-        calls.append((value, d))
-        return value
+    def residual(entry, d):
+        calls.append((entry(d), d))
+        return entry(d)
 
-    evaluate = rg._table_check([(True, (0.5,)), (False, (0.25,)), (True, (0.125,))], residual)
+    # a cell is fixed when all its entries are
+    cells = [(rg._Fixed(0.5),), (lambda _d: 0.25,), (rg._Fixed(0.125),)]
+    evaluate = rg._table_check(cells, residual)
     t = trig.solve_from_sides(1.0, 1.1, 1.2)
     results = [evaluate(rg.TrialContext(seed=s, t=t)) for s in (3, 1, 2)]
     assert results == [0.5, 0.5, 0.5]

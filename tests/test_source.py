@@ -151,6 +151,29 @@ def test_no_letter_keyed_dicts():
     assert found == []
 
 
+_POINT_KIND_NAMES = {"REAL", "INFINITE", "IDEAL", "_R", "_IN", "_ID"}
+
+
+def _point_kind_pair_tables(path: Path):
+    """Dict and set displays with a key (or element) that is a tuple of
+    point-kind names, such as ``(_R, _ID)`` or ``(PointKind.REAL, ...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else node.elts if isinstance(node, ast.Set) else [])
+        if any(isinstance(k, ast.Tuple) and k.elts
+               and all(_name(e) in _POINT_KIND_NAMES for e in k.elts) for k in keys):
+            yield node.lineno
+
+
+def test_no_point_kind_pair_tables():
+    # a segment's lengths are the expected entry of its `registry.SEGMENT_CASES`
+    # cell; a table keyed by point-kind pairs writes the catalogue out again
+    found = sorted(f"{path.name}:{line}" for path in sorted(SRC.glob("*.py"))
+                   for line in _point_kind_pair_tables(path))
+    assert found == []
+
+
 def _unused_imports(path: Path):
     """Names bound by an import and never read in the module."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

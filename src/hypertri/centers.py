@@ -517,9 +517,18 @@ def collinearity_residual(p: HPoint, q: HPoint, r: HPoint) -> float:
     """Scale-free |det| of the three homogeneous triples (max-norm rows),
     as the triple product p . (q x r)."""
     rows = []
-    for v in (p, q, r):
-        m = max(abs(v.x), abs(v.y), abs(v.w))
-        rows.append((v.x / m, v.y / m, v.w / m))
+    for x, y, w in (p, q, r):
+        # max(|x|, |y|, |w|) as compares, as in `plane._maxnorm`: a NaN
+        # norm may differ from it in its sign bit only, which the closing
+        # abs clears, and a -0.0 norm needs a zero triple, which raises
+        m = x if x >= 0.0 else -x
+        a = y if y >= 0.0 else -y
+        if a > m:
+            m = a
+        a = w if w >= 0.0 else -w
+        if a > m:
+            m = a
+        rows.append((x / m, y / m, w / m))
     (a, b, c), (d, e, g), (h, i, k) = rows
     return abs(a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h))
 
@@ -619,17 +628,26 @@ def _grid_minimum(p: HPoint, w, scale: float, closed: float = 0.0):
     t2 = HPoint(*plane.normal_tangent(pn, t1))
     w0, w1, w2 = mdot(pn, w), mdot(t1, w), mdot(t2, w)
     p0, p1, p2 = mdot(pn, pn), mdot(t1, pn), mdot(t2, pn)
+    # |.| and max are spelled as compares, which give the builtins' values
+    # except that a NaN gap (from a NaN argument) may keep a sign bit that
+    # abs cleared
     ok, gaps = True, []
     for c, s in _GRID_DIRECTIONS:
         dx, dy, dw = c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.w + s * t2.w
-        nrm = math.sqrt(abs(dw * dw - dx * dx - dy * dy))
+        q = dw * dw - dx * dx - dy * dy
+        nrm = math.sqrt(-q if q < 0.0 else q)
         d_w, d_p = (c * w1 + s * w2) / nrm, (c * p1 + s * p2) / nrm
         for ch, sh in _GRID_HYP:
             fx = ch * w0 + sh * d_w
             if fx <= w0:
                 ok = False
             want = scale * (ch * p0 + sh * d_p)
-            gaps.append(abs(fx - want) / max(abs(fx), abs(want)))
+            gap = fx - want
+            m = fx if fx >= 0.0 else -fx
+            a = want if want >= 0.0 else -want
+            if a > m:
+                m = a
+            gaps.append((-gap if gap < 0.0 else gap) / m)
     return ok, worst_residual(closed, *gaps)
 
 

@@ -220,14 +220,13 @@ def _cmd_tables(args) -> int:
     if takes_d and args.d < 0:
         raise UsageError("auxiliary distance d must be >= 0")
     for case in cases:
+        suffix = f" d={args.d:g}" if case in takes_d else ""
         if case in rg.SEGMENT_CASES:
             ab, ba = rg.SEGMENT_CASES[case][-1](args.d)
-            suffix = f" d={args.d:g}" if case in takes_d else ""
             print(f"{case:9s}{suffix:8s} AB = {ab}, BA = {ba}")
         else:
-            lines, _expected = rg.ANGLE_CASES[case]
-            a, b = angle_ext(*lines(args.d))
-            print(f"{case:9s} d={args.d:<6g} angles = ({a}, {b})")
+            a, b = angle_ext(*rg.ANGLE_CASES[case][0](args.d))
+            print(f"{case:9s}{suffix:9s} angles = ({a}, {b})")
     return 0
 
 

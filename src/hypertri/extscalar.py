@@ -31,6 +31,8 @@ from typing import NamedTuple
 from .errors import UndefinedComparison
 
 HALF_PI = math.pi / 2.0
+_INF = math.inf
+_RADIANS = (0.0, HALF_PI, math.pi)
 
 
 class Quantum(Enum):
@@ -42,7 +44,9 @@ class Quantum(Enum):
 
     @property
     def radians(self) -> float:
-        return (0.0, HALF_PI, math.pi)[self.value]
+        # ``_value_`` is the member's own attribute; ``value`` is the enum's
+        # descriptor over it, one more Python call
+        return _RADIANS[self._value_]
 
 
 class PointKind(Enum):
@@ -69,9 +73,9 @@ class ExtLength(_ExtLengthFields):
     __slots__ = ()
 
     def __new__(cls, re: float, im: Quantum = Quantum.ZERO):
-        if math.isnan(re):
-            raise ValueError("extended length with NaN real part")
-        if math.isinf(re):
+        if not -_INF < re < _INF:   # one compare passes every finite value
+            if re != re:
+                raise ValueError("extended length with NaN real part")
             im = Quantum.ZERO
         return tuple.__new__(cls, (re, im))
 

@@ -110,7 +110,7 @@ def _sampled_triangle(rng, shape, c) -> TriangleData | None:
     return _accept([sample_disk_point(rng, c.max_klein_radius) for _ in range(3)], shape, c)
 
 
-def _right_triangle(rng, c) -> TriangleData | None:
+def _right_triangle(rng, shape, c) -> TriangleData | None:
     # exact right angle: two orthogonal tangent directions at a random vertex
     v = sample_disk_point(rng, 0.6 * c.max_klein_radius)
     vn = normalize(v)
@@ -133,7 +133,7 @@ def _direction(p: HPoint, theta: float):
     return tuple(math.cos(theta) * base[i] + math.sin(theta) * orth[i] for i in range(3))
 
 
-def _isosceles_triangle(rng, c) -> TriangleData | None:
+def _isosceles_triangle(rng, shape, c) -> TriangleData | None:
     apex = sample_disk_point(rng, 0.6 * c.max_klein_radius)
     an = normalize(apex)
     th = 2.0 * math.pi * rng.random()
@@ -148,7 +148,7 @@ def _isosceles_triangle(rng, c) -> TriangleData | None:
     return _accept((an, p, q), "any", c)
 
 
-def _equilateral_triangle(rng, c) -> TriangleData | None:
+def _equilateral_triangle(rng, shape, c) -> TriangleData | None:
     radius = 0.25 + (0.9 * c.max_klein_radius - 0.25) * rng.random()
     th0 = 2.0 * math.pi * rng.random()
     pts = [
@@ -157,6 +157,12 @@ def _equilateral_triangle(rng, c) -> TriangleData | None:
         for k in range(3)
     ]
     return _accept(pts, "any", c)
+
+
+# the candidate builder of each shape, called as ``build(rng, shape, c)``;
+# the constructed shapes are exact, so their candidates are checked as "any"
+_BUILDERS = {"right": _right_triangle, "isosceles": _isosceles_triangle,
+             "equilateral": _equilateral_triangle}
 
 
 def gen_triangle(seed: int, shape: str = "any",
@@ -170,13 +176,9 @@ def gen_triangle(seed: int, shape: str = "any",
         raise ValueError(f"unknown shape {shape!r}; choose from {SHAPES}")
     c = constraints or Constraints()
     rng = random.Random(seed)
-    builder = {
-        "right": lambda: _right_triangle(rng, c),
-        "isosceles": lambda: _isosceles_triangle(rng, c),
-        "equilateral": lambda: _equilateral_triangle(rng, c),
-    }.get(shape, lambda: _sampled_triangle(rng, shape, c))
+    build = _BUILDERS.get(shape, _sampled_triangle)
     for _ in range(MAX_ATTEMPTS):
-        t = builder()
+        t = build(rng, shape, c)
         if t is not None:
             return t
     raise ExhaustedAttempts(

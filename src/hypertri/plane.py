@@ -368,7 +368,8 @@ def distance(p: HPoint, q: HPoint) -> float:
     if c < 1.005:
         dx, dy, dw = px - qx, py - qy, pw - qw
         s2 = dx * dx + dy * dy - dw * dw
-        return 2.0 * math.asinh(0.5 * math.sqrt(max(s2, 0.0)))
+        # max(s2, 0.0) as a compare: a NaN or -0.0 s2 is kept, as max kept it
+        return 2.0 * math.asinh(0.5 * math.sqrt(0.0 if s2 < 0.0 else s2))
     return math.acosh(c)
 
 
@@ -388,7 +389,8 @@ def tangent_toward(p: HPoint, q: HPoint) -> tuple[float, float, float]:
     c = pw * qw - px * qx - py * qy
     dx, dy, dw = px - qx, py - qy, pw - qw
     half2 = dx * dx + dy * dy - dw * dw
-    s = math.sqrt(max(half2 * (1.0 + 0.25 * half2), 0.0))  # 2 sinh(d/2) cosh(d/2)
+    s = half2 * (1.0 + 0.25 * half2)
+    s = math.sqrt(0.0 if s < 0.0 else s)  # 2 sinh(d/2) cosh(d/2)
     if s == 0.0:
         raise IdenticalPoints("tangent direction between coincident points")
     return ((qx - c * px) / s, (qy - c * py) / s, (qw - c * pw) / s)
@@ -424,7 +426,12 @@ def tangent_angle(t1, t2) -> float:
     """Angle in [0, pi] between two unit tangents at one point, the ``acos``
     of ``-<t1, t2>`` clamped to its domain."""
     c = -(t1[2] * t2[2] - t1[0] * t2[0] - t1[1] * t2[1])
-    return math.acos(min(1.0, max(-1.0, c)))
+    # min(1.0, max(-1.0, c)) as compares: a NaN goes to -1, as there
+    if not c > -1.0:
+        c = -1.0
+    elif c > 1.0:
+        c = 1.0
+    return math.acos(c)
 
 
 def vertex_angle(p: HPoint, q: HPoint, r: HPoint) -> float:
@@ -508,7 +515,7 @@ def distance_ext(a: HPoint, b: HPoint):
 # the pair of a point at infinity with any point it does not share a
 # tangent line with
 _INF_PAIR = (INF, NEG_INF)
-_PI, _HALF_PI = Quantum.PI, Quantum.HALF_PI
+_ZERO, _PI, _HALF_PI = Quantum.ZERO, Quantum.PI, Quantum.HALF_PI
 
 
 def _segment_pair(a: HPoint, b: HPoint, l: HLine):
@@ -597,11 +604,12 @@ class ExtAngle(NamedTuple):
 
 
 def _length_to_angle(x) -> ExtAngle:
-    if isinstance(x, PureImaginary):
-        return ExtAngle(x.magnitude, 0.0)
-    if math.isinf(x.re):
-        return ExtAngle(x.re)
-    return ExtAngle(x.im.radians, x.re)
+    if x.__class__ is PureImaginary:
+        return _new(ExtAngle, (x[0], 0.0))
+    re, im = x
+    if -_INF < re < _INF:   # an ExtLength's re is never NaN
+        return _new(ExtAngle, (im.radians, re))
+    return _new(ExtAngle, (re, 0.0))
 
 
 def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
@@ -616,11 +624,13 @@ def angle_ext(a: HLine, b: HLine) -> tuple[ExtAngle, ExtAngle]:
     # the poles' join is the cross product of the lines themselves
     l = _new(HLine, _mcross(a, b, CoincidentLines, "angle of proportional lines"))
     first, second = _segment_pair(pole(a), pole(b), l)
-    if (isinstance(first, ExtLength) and first.finite
-            and first.im is Quantum.PI and second.im is Quantum.ZERO):
-        # pole pair on a real line: the canonical angle pair puts the free
-        # part first, (p/i, pi - p/i) with p >= 0
-        return (ExtAngle(0.0, first.re), ExtAngle(math.pi, -first.re))
+    if first.__class__ is ExtLength:
+        re, im = first
+        # quantum PI makes ``re`` finite: an infinite length has quantum ZERO
+        if im is _PI and second[1] is _ZERO:
+            # pole pair on a real line: the canonical angle pair puts the
+            # free part first, (p/i, pi - p/i) with p >= 0
+            return (_new(ExtAngle, (0.0, re)), _new(ExtAngle, (math.pi, -re)))
     return (_length_to_angle(first), _length_to_angle(second))
 
 

@@ -69,6 +69,7 @@ from .trig import (
 
 cosh, sinh, tanh = math.cosh, math.sinh, math.tanh
 sin, cos, tan = math.sin, math.cos, math.tan
+_INF = math.inf
 
 # one encoder for every report line; json.dumps would build one per call
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
@@ -1072,25 +1073,26 @@ def run_identity(identity_id: str, ctx_or_triangle, seed: int = 0) -> IdentityRe
     d = REGISTRY.get(identity_id)
     if d is None:
         raise UnknownIdentity(f"unknown identity {identity_id!r}")
+    did, name, evaluator, tolerance, _ = d
     ctx = (ctx_or_triangle if isinstance(ctx_or_triangle, TrialContext)
            else TrialContext(seed=seed, t=ctx_or_triangle))
     ctx.use_stream(identity_id)
+    # every record is built with tuple.__new__ (the named tuple's generated
+    # constructor is one more Python call)
     try:
-        residual = d.evaluator(ctx)
+        residual = evaluator(ctx)
     except _Skip as s:
-        return IdentityRecord(d.id, d.name, None, "skipped", d.tolerance, str(s))
+        return _new(IdentityRecord, (did, name, None, "skipped", tolerance, str(s)))
     except GeometryError as e:
-        return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
-                              f"{type(e).__name__}: {e}")
-    residual = float(residual)
-    if not math.isfinite(residual):
-        return IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
-                              f"non-finite residual {residual}")
-    # a pass or fail on a finite residual, built with tuple.__new__ (the
-    # named tuple's generated constructor is one more Python call)
-    return _new(IdentityRecord, (d.id, d.name, residual,
-                                 "pass" if residual < d.tolerance else "fail",
-                                 d.tolerance, None))
+        return _new(IdentityRecord, (did, name, None, "fail", tolerance,
+                                     f"{type(e).__name__}: {e}"))
+    if residual.__class__ is not float:
+        residual = float(residual)
+    if not -_INF < residual < _INF:
+        return _new(IdentityRecord, (did, name, None, "fail", tolerance,
+                                     f"non-finite residual {residual}"))
+    return _new(IdentityRecord, (did, name, residual,
+                                 "pass" if residual < tolerance else "fail", tolerance, None))
 
 
 def _line_parts(identity_id: str, name: str, tolerance: float) -> tuple[str, str]:
@@ -1103,6 +1105,10 @@ def _line_parts(identity_id: str, name: str, tolerance: float) -> tuple[str, str
 # (name, tolerance, *line parts) of each registered identity, built once
 _LINE_PARTS = {d.id: (d.name, d.tolerance, *_line_parts(d.id, d.name, d.tolerance))
                for d in _DEFS}
+# the status field of a report line; any other status is a KeyError, as
+# in the summary's count
+_STATUS_PARTS = {status: ',"status":' + _json_str(status)
+                 for status in ("pass", "fail", "skipped")}
 
 
 class _TrialFields(NamedTuple):
@@ -1139,19 +1145,18 @@ class TrialReport(_TrialFields):
         encode = _COMPACT_JSON.encode
         seed = '{"seed":' + encode(self.seed)
         lines = []
-        for r in self.records:
-            parts = _LINE_PARTS.get(r.id)
-            if parts is not None and parts[0] is r.name and parts[1] is r.tolerance:
+        for rid, name, res, status, tolerance, reason in self.records:
+            parts = _LINE_PARTS.get(rid)
+            if parts is not None and parts[0] is name and parts[1] is tolerance:
                 head, tail = parts[2], parts[3]
             else:
-                head, tail = _line_parts(r.id, r.name, r.tolerance)
-            res = r.residual
+                head, tail = _line_parts(rid, name, tolerance)
             # json writes a finite float as float.__repr__; None, inf and
             # nan take the encoder's spelling
-            res = (repr(res) if res.__class__ is float and math.isfinite(res)
+            res = (repr(res) if res.__class__ is float and -_INF < res < _INF
                    else encode(res))
-            reason = "" if r.reason is None else ',"reason":' + _json_str(r.reason)
-            lines.append(f'{seed}{head}{res},"status":{_json_str(r.status)}{tail}{reason}}}')
+            reason = "" if reason is None else ',"reason":' + _json_str(reason)
+            lines.append(f'{seed}{head}{res}{_STATUS_PARTS[status]}{tail}{reason}}}')
         lines.append(encode({"summary": self.summary()}))
         return "\n".join(lines)
 

@@ -437,13 +437,13 @@ InIn@inf          AB = 0, BA = 0 + (pi)i
 InId@inf          AB = 0 + (pi/2)i, BA = 0 + (pi/2)i
 IdId@inf          AB = 0, BA = 0 + (pi)i
 aRR-R     d=0.4    angles = (0.4, 2.74159)
-aRR-In    d=0.4    angles = (0, 3.14159)
+aRR-In             angles = (0, 3.14159)
 aRR-Id    d=0.4    angles = (0 + 0.4/i, 3.14159 - 0.4/i)
-aRIn-In   d=0.4    angles = (1.5708, 1.5708)
-aRIn-Id   d=0.4    angles = (inf, -inf)
+aRIn-In            angles = (1.5708, 1.5708)
+aRIn-Id            angles = (inf, -inf)
 aRId      d=0.4    angles = (1.5708 + 0.4/i, 1.5708 - 0.4/i)
-aInIn     d=0.4    angles = (inf, -inf)
-aInId     d=0.4    angles = (inf, -inf)
+aInIn              angles = (inf, -inf)
+aInId              angles = (inf, -inf)
 aIdId     d=0.4    angles = (0 + 0.4/i, 3.14159 - 0.4/i)
 """
 
@@ -486,7 +486,7 @@ class TestTables:
         code, out, _ = run_cli(capsys, "tables", "--d", "2", "--case", "RR")
         assert (code, out) == (0, "RR        d=2     AB = 2, BA = -2 + (pi)i\n")
         code, out, _ = run_cli(capsys, "tables", "--d", "0", "--case", "aRR-In")
-        assert (code, out) == (0, "aRR-In    d=0      angles = (0, 3.14159)\n")
+        assert (code, out) == (0, "aRR-In             angles = (0, 3.14159)\n")
 
     def test_negative_d_is_usage_error_for_segment_cells_that_take_it(self, capsys):
         for case in ("RR", "RId", "IdId"):

@@ -6,13 +6,18 @@ value must match bit for bit, and every raise must be the same."""
 
 import math
 import random
+from json.encoder import encode_basestring_ascii as _json_str
 from types import SimpleNamespace
+
+import pytest
 
 from hypertri import centers as ct
 from hypertri import plane, trig
-from hypertri.errors import NoRootFound
+from hypertri import registry as rg
+from hypertri.errors import DegenerateTriangle, GeometryError, NoRootFound, UnknownIdentity
+from hypertri.extscalar import ExtLength, Quantum
 from hypertri.generate import gen_triangle
-from hypertri.plane import klein_point
+from hypertri.plane import HPoint, klein_point
 
 from outcomes import image, outcome
 
@@ -85,6 +90,106 @@ def _reference_memo(build):
             values[key] = build(f)
         return values[key]
     return builder
+
+
+def _reference_ext_length(re, im=Quantum.ZERO):
+    if math.isnan(re):
+        raise ValueError("extended length with NaN real part")
+    if math.isinf(re):
+        im = Quantum.ZERO
+    return tuple.__new__(ExtLength, (re, im))
+
+
+def _reference_radians(q):
+    return (0.0, math.pi / 2.0, math.pi)[q.value]
+
+
+def _reference_collinearity_residual(p, q, r):
+    rows = []
+    for v in (p, q, r):
+        m = max(abs(v.x), abs(v.y), abs(v.w))
+        rows.append((v.x / m, v.y / m, v.w / m))
+    (a, b, c), (d, e, g), (h, i, k) = rows
+    return abs(a * (e * k - g * i) - b * (d * k - g * h) + c * (d * i - e * h))
+
+
+def _reference_grid_minimum(p, w, scale, closed=0.0):
+    pn = plane.normalize(p)
+    k = pn.klein()
+    ref = plane.origin() if (k[0] ** 2 + k[1] ** 2) > 1e-4 else plane.klein_point(0.3, 0.0)
+    t1 = HPoint(*plane.tangent_toward(pn, ref))
+    t2 = HPoint(*plane.normal_tangent(pn, t1))
+    w0, w1, w2 = plane.mdot(pn, w), plane.mdot(t1, w), plane.mdot(t2, w)
+    p0, p1, p2 = plane.mdot(pn, pn), plane.mdot(t1, pn), plane.mdot(t2, pn)
+    ok, gaps = True, []
+    for c, s in ct._GRID_DIRECTIONS:
+        dx, dy, dw = c * t1.x + s * t2.x, c * t1.y + s * t2.y, c * t1.w + s * t2.w
+        nrm = math.sqrt(abs(dw * dw - dx * dx - dy * dy))
+        d_w, d_p = (c * w1 + s * w2) / nrm, (c * p1 + s * p2) / nrm
+        for ch, sh in ct._GRID_HYP:
+            fx = ch * w0 + sh * d_w
+            if fx <= w0:
+                ok = False
+            want = scale * (ch * p0 + sh * d_p)
+            gaps.append(abs(fx - want) / max(abs(fx), abs(want)))
+    return ok, trig.worst_residual(closed, *gaps)
+
+
+def _reference_run_identity(identity_id, ctx_or_triangle, seed=0):
+    d = rg.REGISTRY.get(identity_id)
+    if d is None:
+        raise UnknownIdentity(f"unknown identity {identity_id!r}")
+    ctx = (ctx_or_triangle if isinstance(ctx_or_triangle, rg.TrialContext)
+           else rg.TrialContext(seed=seed, t=ctx_or_triangle))
+    ctx.use_stream(identity_id)
+    try:
+        residual = d.evaluator(ctx)
+    except rg._Skip as s:
+        return rg.IdentityRecord(d.id, d.name, None, "skipped", d.tolerance, str(s))
+    except GeometryError as e:
+        return rg.IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
+                                 f"{type(e).__name__}: {e}")
+    residual = float(residual)
+    if not math.isfinite(residual):
+        return rg.IdentityRecord(d.id, d.name, None, "fail", d.tolerance,
+                                 f"non-finite residual {residual}")
+    return rg.IdentityRecord(d.id, d.name, residual,
+                             "pass" if residual < d.tolerance else "fail", d.tolerance, None)
+
+
+def _reference_to_jsonl(report):
+    encode = rg._COMPACT_JSON.encode
+    seed = '{"seed":' + encode(report.seed)
+    lines = []
+    for r in report.records:
+        parts = rg._LINE_PARTS.get(r.id)
+        if parts is not None and parts[0] is r.name and parts[1] is r.tolerance:
+            head, tail = parts[2], parts[3]
+        else:
+            head, tail = rg._line_parts(r.id, r.name, r.tolerance)
+        res = r.residual
+        res = (repr(res) if res.__class__ is float and math.isfinite(res)
+               else encode(res))
+        reason = "" if r.reason is None else ',"reason":' + _json_str(r.reason)
+        lines.append(f'{seed}{head}{res},"status":{_json_str(r.status)}{tail}{reason}}}')
+    lines.append(encode({"summary": report.summary()}))
+    return "\n".join(lines)
+
+
+# -- extscalar --------------------------------------------------------------------
+
+def test_ext_length():
+    rng = random.Random("ExtLength")
+    values = [*_SPECIALS, -math.nan, 0.5, -3.25, 7] + [_scalar(rng) for _ in range(3000)]
+    for re in values:
+        assert outcome(ExtLength, re) == outcome(_reference_ext_length, re), re
+        for q in Quantum:
+            assert outcome(ExtLength, re, q) == outcome(_reference_ext_length, re, q), (re, q)
+
+
+def test_quantum_radians():
+    for q in Quantum:
+        assert image(q.radians) == image(_reference_radians(q)), q
 
 
 # -- trig -------------------------------------------------------------------------
@@ -194,3 +299,117 @@ def test_a_center_conjugates_as_its_point():
             for res in (ct.centroid(f), ct.orthocenter(f), ct.incenter_excenters(f)[0]):
                 assert (outcome(ct.isogonal_conjugate, res, f)
                         == outcome(ct.isogonal_conjugate, res.point, f)), (shape, seed, res.name)
+
+
+def _center_points(f):
+    """The real centers of a frame that the minimality grid and the
+    collinearity tests take, by name."""
+    points = {"M": ct.centroid(f).point, "H": ct.orthocenter(f).point,
+              "I": ct.incenter_excenters(f)[0].point, "O": ct.circumcenters(f)[0].point,
+              "S": ct.pseudo_centroid(f)[0].point, "F": ct.pseudomedian_feet_center(f).point}
+    try:
+        points["Z"] = ct.pseudo_orthocenter(f)[0].point
+    except NoRootFound:
+        pass
+    return points
+
+
+def test_collinearity_residual():
+    rng = random.Random("collinearity")
+    triples = []
+    for shape in ("any", "acute"):
+        for seed in range(1, 61):
+            points = list(_center_points(ct.Frame(gen_triangle(seed, shape=shape))).values())
+            triples += [tuple(rng.sample(points, 3)) for _ in range(4)]
+            # special triples: zeros of both signs, NaN, infinities, huge and tiny
+            triples.append((points[0], points[1], HPoint(*_triple(rng))))
+            triples.append((HPoint(*_triple(rng)), HPoint(*_triple(rng)), points[2]))
+    for p, q, r in triples:
+        assert (outcome(ct.collinearity_residual, p, q, r)
+                == outcome(_reference_collinearity_residual, p, q, r)), (p, q, r)
+
+
+def test_grid_minimum():
+    # the calls `incenter_minimality` makes, on seeded triangles
+    for shape in ("any", "acute"):
+        for seed in range(1, 61):
+            f = ct.Frame(gen_triangle(seed, shape=shape))
+            t = f.t
+            v = ct.coordinate_sum_functional(t)
+            vertex_sum = HPoint(*map(sum, zip(*f.vertices)))
+            points = _center_points(f)
+            calls = [(points["I"], v, t.bign / 2.0), (points["O"], v, t.n / 1.25, 0.01),
+                     (points["M"], vertex_sum, t.n / ct.centroid(f).coords[0]),
+                     (points["H"], v, 1.0, math.nan)]
+            for args in calls:
+                assert (outcome(ct._grid_minimum, *args)
+                        == outcome(_reference_grid_minimum, *args)), (shape, seed, args)
+
+
+# -- registry ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", ["any", "acute"])
+def test_run_identity_and_to_jsonl_on_seeded_triangles(shape):
+    for seed in range(1, 301):
+        t = gen_triangle(seed, shape=shape)
+        new_ctx, ref_ctx = rg.TrialContext(seed, t), rg.TrialContext(seed, t)
+        records = []
+        for identity_id in rg.ALL_IDS:
+            records.append(rg.run_identity(identity_id, new_ctx))
+            assert ("value", image(records[-1])) == outcome(
+                _reference_run_identity, identity_id, ref_ctx), (shape, seed, identity_id)
+        # two reports, as each keeps its summary once built
+        assert (outcome(rg.TrialReport.to_jsonl, rg.TrialReport(seed, tuple(records), ()))
+                == outcome(_reference_to_jsonl, rg.TrialReport(seed, tuple(records), ())))
+
+
+def test_run_identity_on_every_kind_of_evaluator_outcome(monkeypatch):
+    def returns(value):
+        return lambda c: value
+
+    def raises(c):
+        raise DegenerateTriangle("the probe cannot be built")
+
+    def skips(c):
+        raise rg._Skip("declared non-configuration")
+
+    evaluators = {"XINF": returns(math.inf), "XNAN": returns(math.nan),
+                  "XNEG": returns(-math.inf), "XINT": returns(0), "XBIG": returns(3),
+                  "XBOOL": returns(True), "XZERO": returns(-0.0), "XTOL": returns(1e-9),
+                  "XSTR": returns("1e-12"), "XBAD": returns("residual"),
+                  "XERR": raises, "XSKIP": skips}
+    for identity_id, evaluator in evaluators.items():
+        monkeypatch.setitem(rg.REGISTRY, identity_id,
+                            rg.IdentityDef(identity_id, "probe", evaluator))
+    t = gen_triangle(4)
+    for identity_id in [*evaluators, "LS", "NOPE"]:
+        assert (outcome(rg.run_identity, identity_id, t, 4)
+                == outcome(_reference_run_identity, identity_id, t, 4)), identity_id
+
+
+def test_to_jsonl_on_hand_built_records():
+    ls, tbl = rg.REGISTRY["LS"], rg.REGISTRY["TBL1"]
+    records = [
+        rg.IdentityRecord(ls.id, ls.name, None, "fail", ls.tolerance, "non-finite residual nan"),
+        rg.IdentityRecord(ls.id, ls.name, math.inf, "fail", ls.tolerance, None),
+        rg.IdentityRecord(ls.id, ls.name, -math.inf, "fail", ls.tolerance, "a \"quoted\" reason"),
+        rg.IdentityRecord(ls.id, ls.name, math.nan, "fail", ls.tolerance, "r\u00e9sum\u00e9"),
+        rg.IdentityRecord(ls.id, ls.name, -0.0, "pass", ls.tolerance, None),
+        rg.IdentityRecord(tbl.id, tbl.name, 5e-324, "pass", tbl.tolerance, None),
+        rg.IdentityRecord(tbl.id, tbl.name, None, "skipped", tbl.tolerance, "no such cell"),
+        # a name or tolerance that is not the registered object, and an
+        # unregistered id: the line parts are built for the record
+        rg.IdentityRecord("LS", "".join(["law of ", "sines"]), 0.5, "fail", 1e-9, None),
+        rg.IdentityRecord("LS", ls.name, 0.5, "fail", float("1e-9"), None),
+        rg.IdentityRecord("X\u00e9", "probe \\ name", 2, "fail", 1e-3, "int residual"),
+        rg.IdentityRecord("XY", "probe", 0.25, "fail", 1e-3, None),
+    ]
+    for n in range(len(records) + 1):
+        for seed in (0, 7, -3):
+            new = rg.TrialReport(seed, tuple(records[:n]), ())
+            ref = rg.TrialReport(seed, tuple(records[:n]), ())
+            assert outcome(rg.TrialReport.to_jsonl, new) == outcome(_reference_to_jsonl, ref)
+    # a status outside the three raises as the summary did
+    odd = (rg.IdentityRecord("LS", ls.name, 0.5, "odd", ls.tolerance, None),)
+    assert (outcome(rg.TrialReport.to_jsonl, rg.TrialReport(1, odd, ()))
+            == outcome(_reference_to_jsonl, rg.TrialReport(1, odd, ())))

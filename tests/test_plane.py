@@ -687,6 +687,11 @@ class _Reference:
         return ((qn.x - c * pn.x) / s, (qn.y - c * pn.y) / s, (qn.w - c * pn.w) / s)
 
     @staticmethod
+    def tangent_angle(t1, t2):
+        c = -(t1[2] * t2[2] - t1[0] * t2[0] - t1[1] * t2[1])
+        return math.acos(min(1.0, max(-1.0, c)))
+
+    @staticmethod
     def geodesic_point(p, t, u):
         cu, su = math.cosh(u), math.sinh(u)
         return HPoint(cu * p.x + su * t[0], cu * p.y + su * t[1], cu * p.w + su * t[2])
@@ -820,7 +825,7 @@ _KERNEL = [
     ("mdot", "pl"), ("classify", "p"), ("classify_line", "l"),
     ("join", "pp"), ("meet", "ll"), ("polar", "p"), ("pole", "l"),
     ("normalize", "p"), ("normalize_line", "l"), ("distance", "pp"),
-    ("tangent_toward", "pp"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
+    ("tangent_toward", "pp"), ("tangent_angle", "tt"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
     ("normal_tangent", "pt"), ("foot_of_perpendicular", "pl"), ("midpoint", "pp"),
     ("perpendicular_bisector", "pp"), ("complementary_bisector", "pp"),
     ("reflect_line", "ll"), ("distance_ext", "pp"), ("radius_ext", "pkp"),
@@ -1007,6 +1012,44 @@ class TestKernelAgainstReference:
         for triples in calls:
             args = [kind_of[k](*t) for k, t in zip(kinds, triples)]
             assert _agree(outcome(new, *args), outcome(ref, *args)), (name, args)
+
+    def test_clamps_at_their_edges(self):
+        # `distance` and `tangent_toward` clamp a difference-vector square
+        # that rounds below 0 for nearby points; `tangent_angle` clamps its
+        # cosine to [-1, 1] and sends a NaN to -1
+        rng = random.Random("clamps")
+        clamped = 0
+        for _ in range(3000):
+            p = normalize(klein_point(rng.uniform(-0.9, 0.9) * 0.7, rng.uniform(-0.9, 0.9) * 0.7))
+            t = plane.tangent_toward(p, klein_point(0.05, -0.02))
+            q = plane.geodesic_point(p, t, rng.choice((0.0, 1e-17, 1e-12, 1e-9, 1e-3)))
+            for args in ((p, q), (q, p), (p, p), (p, normalize(q))):
+                for name in ("distance", "tangent_toward"):
+                    new, ref = _new_and_reference(name)
+                    assert _agree(outcome(new, *args), outcome(ref, *args)), (name, args)
+            px, py, pw = p
+            qx, qy, qw = normalize(q)
+            dx, dy, dw = px - qx, py - qy, pw - qw
+            clamped += dx * dx + dy * dy - dw * dw < 0.0
+        assert clamped > 0   # the clamp was reached
+        edges = [0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+                 1.0 + 1e-12, -1.0 - 1e-12, 0.5, -0.5, INF, -INF, math.nan, -math.nan]
+        for c in edges:
+            # three tangent pairs whose -<t1, t2> is c, with signed zeros in
+            # the other products
+            for t1, t2 in (((0.0, 0.0, 1.0), (0.0, 0.0, -c)), ((1.0, 0.0, 0.0), (c, 0.0, 0.0)),
+                           ((-0.0, 1.0, -0.0), (0.0, c, 0.0))):
+                assert (outcome(plane.tangent_angle, t1, t2)
+                        == outcome(_Reference.tangent_angle, t1, t2)), (t1, t2)
+
+    def test_angle_ext_on_every_angle_cell(self):
+        from hypertri.registry import ANGLE_CASES
+        for name, (lines, _expected) in ANGLE_CASES.items():
+            for d in (0.05, 0.4, 0.9, 1.5):
+                a, b = lines(d)
+                for pair in ((a, b), (b, a)):
+                    assert (outcome(angle_ext, *pair)
+                            == outcome(_Reference.angle_ext, *pair)), (name, d, pair)
 
     def test_unit_point_max_norm_is_its_w(self):
         rng = random.Random(7)

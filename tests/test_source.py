@@ -530,10 +530,11 @@ def test_hot_helpers_build_no_frames():
 
 
 # the kernel functions every construction calls take their max-norm by
-# compares (``m = x if x >= 0.0 else -x``, then ``if a > m: m = a``); the
-# builtin calls ``max(abs(x), abs(y), abs(w))`` cost about three times as much
+# compares (``m = x if x >= 0.0 else -x``, then ``if a > m: m = a``), and the
+# metric ones clamp by compares (``0.0 if s < 0.0 else s``); the builtin
+# calls ``max(abs(x), abs(y), abs(w))`` cost about three times as much
 _COMPARE_NORMS = ("_maxnorm", "classify", "normalize", "normalize_line", "_mcross",
-                  "perpendicular_bisector")
+                  "perpendicular_bisector", "distance", "tangent_toward", "tangent_angle")
 
 
 def test_kernel_max_norms_call_no_builtin():
@@ -541,4 +542,23 @@ def test_kernel_max_norms_call_no_builtin():
     found = [f"plane.py:{n.lineno} in {path}: {_name(n.func)}(...)"
              for path in _COMPARE_NORMS for n in ast.walk(_function(tree, path))
              if isinstance(n, ast.Call) and _name(n.func) in ("abs", "max", "min")]
+    assert found == []
+
+
+# the same for the `centers` helpers of EU0/EU1 and MIN1/MIN1C; an ``abs``
+# that is the returned value stays (`collinearity_residual`'s clears the
+# sign bit of a NaN determinant, which a compare would not)
+_CENTERS_COMPARE_NORMS = ("_grid_minimum", "collinearity_residual")
+
+
+def test_center_helpers_call_no_builtin_norm():
+    tree = ast.parse((SRC / "centers.py").read_text(encoding="utf-8"))
+    found = []
+    for path in _CENTERS_COMPARE_NORMS:
+        fn = _function(tree, path)
+        returned = {id(n.value) for n in ast.walk(fn) if isinstance(n, ast.Return)}
+        found += [f"centers.py:{n.lineno} in {path}: {_name(n.func)}(...)"
+                  for n in ast.walk(fn)
+                  if isinstance(n, ast.Call) and _name(n.func) in ("abs", "max", "min")
+                  and not (_name(n.func) == "abs" and id(n) in returned)]
     assert found == []

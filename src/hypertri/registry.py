@@ -959,9 +959,14 @@ def _center_coords(*names):
     closed = [CENTER_BY_NAME[name].coords for name in names]
 
     def ev(c):
-        built = [_need_center(c, name) for name in names]
-        return worst_residual(*[_prop(res.coords, coords(c.t))
-                                for res, coords in zip(built, closed)])
+        # loops, not comprehensions, which would build a frame on each call
+        built = []
+        for name in names:
+            built.append(_need_center(c, name))
+        parts = []
+        for res, coords in zip(built, closed):
+            parts.append(_prop(res.coords, coords(c.t)))
+        return worst_residual(*parts)
     return ev
 
 

@@ -157,6 +157,16 @@ def _reference_run_identity(identity_id, ctx_or_triangle, seed=0):
                              "pass" if residual < d.tolerance else "fail", d.tolerance, None)
 
 
+def _reference_center_coords(*names):
+    closed = [rg.CENTER_BY_NAME[name].coords for name in names]
+
+    def ev(c):
+        built = [rg._need_center(c, name) for name in names]
+        return trig.worst_residual(*[trig.proportionality_residual(res.coords, coords(c.t))
+                                     for res, coords in zip(built, closed)])
+    return ev
+
+
 def _reference_to_jsonl(report):
     encode = rg._COMPACT_JSON.encode
     seed = '{"seed":' + encode(report.seed)
@@ -361,6 +371,20 @@ def test_run_identity_and_to_jsonl_on_seeded_triangles(shape):
         # two reports, as each keeps its summary once built
         assert (outcome(rg.TrialReport.to_jsonl, rg.TrialReport(seed, tuple(records), ()))
                 == outcome(_reference_to_jsonl, rg.TrialReport(seed, tuple(records), ())))
+
+
+def test_center_coords():
+    # every center-coordinate check, and one mixing a center with a skip
+    # rule into a pair; each side builds its centers on its own context
+    checks = [("M",), ("O",), ("I",), ("I_A", "I_B", "I_C"), ("H",), ("H'",), ("M'",),
+              ("L",), ("S",), ("M", "H")]
+    for shape in ("any", "acute", "right"):
+        for seed in range(1, 61):
+            t = gen_triangle(seed, shape=shape)
+            for names in checks:
+                assert (outcome(rg._center_coords(*names), rg.TrialContext(seed, t))
+                        == outcome(_reference_center_coords(*names), rg.TrialContext(seed, t))), (
+                    shape, seed, names)
 
 
 def test_run_identity_on_every_kind_of_evaluator_outcome(monkeypatch):

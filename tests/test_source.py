@@ -505,7 +505,7 @@ _STRAIGHT_LINE = {
     "trig.py": ("tri_coords", "proportionality_residual", "relative_residual",
                 "worst_residual"),
     "centers.py": ("_memo.builder", "side_tol", "isogonal_conjugate"),
-    "registry.py": ("run_identity",),
+    "registry.py": ("run_identity", "_center_coords.ev"),
 }
 _FRAME_BUILDERS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Lambda)
 

@@ -33,7 +33,6 @@ from .plane import (
     _new,
     classify,
     distance,
-    foot_of_perpendicular,
     geodesic_point,
     join,
     mdot,
@@ -92,10 +91,11 @@ class Frame:
     the per-index objects every construction shares.
 
     Vertices are unit-normalized, side lines unit and oriented toward the
-    opposite vertex.  The bisector lines, side tangents and altitude feet
-    are built here, once, as triples indexed like `trig.SIDE_ENDS`: entry
-    ``i`` belongs to vertex ``i`` or to side ``i``, which runs from vertex
-    ``j`` to vertex ``k`` with (j, k) = SIDE_ENDS[i].  Every center builder
+    opposite vertex.  The bisector lines, side tangents, altitudes, their
+    feet and lengths (``heights``) and the side midpoints are built here,
+    once, as triples indexed like `trig.SIDE_ENDS`: entry ``i`` belongs to
+    vertex ``i`` or to side ``i``, which runs from vertex ``j`` to vertex
+    ``k`` with (j, k) = SIDE_ENDS[i].  Every center builder
     takes a triangle or its frame (see `Frame.of`) and stores its result in
     the frame's instance dict under its own name, so a batch of identity
     checks constructs each center once; only successful builds are stored.
@@ -105,7 +105,8 @@ class Frame:
         self.t = t
         self.vertices, self.lines = vs, ls = t.vertices, t.lines
         self.A, self.B, self.C = vs
-        internal, external, tangents, feet = [], [], [], []
+        internal, external, tangents = [], [], []
+        altitudes, feet, heights, mids = [], [], [], []
         for i, (j, k) in enumerate(SIDE_ENDS):
             # the sides at vertex i are lines[k] (toward vertex j) and
             # lines[j]; the interior is where both signed distances are
@@ -115,11 +116,17 @@ class Frame:
             external.append(HLine(px + qx, py + qy, pw + qw))
             # unit tangent along side i at its start, toward its end
             tangents.append(tangent_toward(vs[j], vs[k]))
-            feet.append(normalize(foot_of_perpendicular(vs[i], ls[i])))
+            altitudes.append(perpendicular_line(vs[i], ls[i]))
+            feet.append(normalize(meet(altitudes[i], ls[i])))
+            heights.append(distance(vs[i], feet[i]))
+            mids.append(midpoint(vs[j], vs[k]))
         self.internal_bisectors = tuple(internal)
         self.external_bisectors = tuple(external)
         self.side_tangents = tuple(tangents)
+        self.altitudes = tuple(altitudes)
         self.altitude_feet = tuple(feet)
+        self.heights = tuple(heights)
+        self.midpoints = tuple(mids)
 
     @staticmethod
     def of(tri: TriangleData | Frame) -> Frame:
@@ -175,8 +182,7 @@ def _result(name: str, point: HPoint, t: TriangleData, aux=None) -> CenterResult
 @_memo
 def centroid(f: Frame) -> CenterResult:
     """Meet of the medians; coordinates (1 : 1 : 1)."""
-    ma = midpoint(f.B, f.C)
-    mb = midpoint(f.C, f.A)
+    ma, mb, _ = f.midpoints
     mn = real_point(meet(join(f.A, ma), join(f.B, mb)), DegenerateTriangle,
                     "median meet is not a real point")
     ratio = math.sinh(distance(f.A, mn)) / math.sinh(distance(mn, ma))
@@ -299,9 +305,7 @@ def radius_identities(f: Frame) -> dict[str, float]:
 def orthocenter(f: Frame) -> CenterResult:
     """Meet of the altitudes.  May be real, at infinity or ideal; the common
     value h = tanh(HX) tanh(HH_X) is attached when the meet is real."""
-    alt_a = perpendicular_line(f.A, f.lines[0])
-    alt_b = perpendicular_line(f.B, f.lines[1])
-    res = _result("H", meet(alt_a, alt_b), f.t)
+    res = _result("H", meet(f.altitudes[0], f.altitudes[1]), f.t)
     if res.classification is _R:
         h = res.point
         res.aux["h"] = math.tanh(distance(h, f.A)) * math.tanh(distance(h, f.altitude_feet[0]))

@@ -439,13 +439,6 @@ def vertex_angle(p: HPoint, q: HPoint, r: HPoint) -> float:
     return tangent_angle(tangent_toward(p, q), tangent_toward(p, r))
 
 
-def foot_of_perpendicular(p: HPoint, l: HLine) -> HPoint:
-    """Foot of the perpendicular from ``p`` to ``l`` (the meet of ``l`` with the
-    perpendicular through ``p``, which passes through the pole of ``l``)."""
-    perp = _mcross(p, pole(l), CoincidentArguments, "point is the pole of the line")
-    return meet(perp, l)
-
-
 def perpendicular_line(p: HPoint, l: HLine) -> HLine:
     """The perpendicular to ``l`` through ``p``."""
     return join(p, pole(l))

@@ -220,8 +220,16 @@ def _area_defect(c):
 
 
 def _area_height_form(c):
-    lhs, rhs = trig.tan_half_area_from_height(c.t)
-    return _rel(lhs, rhs)
+    # the altitude from A splits the triangle into two right triangles whose
+    # half-areas T_i satisfy tan(T_i/2) = tanh(a_i/2) tanh(h_a/2), with a1, a2
+    # the signed pieces into which its foot splits side a; composed by the
+    # tangent addition rule, tan(T/2) = (x1 + x2) / (1 - x1 x2)
+    t = c.t
+    a1 = plane.arc_coordinate(c.altitude_feet[0], c.side_tangents[0])
+    half = tanh(c.heights[0] / 2.0)
+    x1 = tanh(a1 / 2.0) * half
+    x2 = tanh((t.a - a1) / 2.0) * half
+    return _rel(tan(t.area / 2.0), (x1 + x2) / (1.0 - x1 * x2))
 
 
 def _heron(c):
@@ -251,10 +259,9 @@ def _staudtian_sines(c):
 
 def _staudtian_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_feet[2])
     return worst_residual(
         _rel(t.n, 0.5 * sin(t.alpha) * sinh(t.b) * sinh(t.c)),
-        _rel(t.n, 0.5 * sinh(h_c) * sinh(t.c)))
+        _rel(t.n, 0.5 * sinh(c.heights[2]) * sinh(t.c)))
 
 
 def _section_ratio(c):
@@ -300,10 +307,9 @@ def _angular_sinh(c):
 
 def _angular_height(c):
     t = c.t
-    h_c = distance(c.C, c.altitude_feet[2])
     return worst_residual(
         _rel(t.bign, 0.5 * sinh(t.a) * sin(t.beta) * sin(t.gamma)),
-        _rel(t.bign, 0.5 * sinh(h_c) * sin(t.gamma)))
+        _rel(t.bign, 0.5 * sinh(c.heights[2]) * sin(t.gamma)))
 
 
 def _staudtian_link(c):
@@ -322,20 +328,17 @@ def _centroid_section(c):
     t = c.t
     res = ct.centroid(c)
     m = res.point
-    vs = c.vertices
     # the builder's own ratio at vertex A is checked with the three here
     return worst_residual(_rel(res.aux["median_section_ratio"], 2 * cosh(t.a / 2)), *[
-        _rel(sinh(distance(vs[i], m)) / sinh(distance(m, midpoint(vs[j], vs[k]))),
-             2 * cosh(t.sides[i] / 2))
-        for i, (j, k) in enumerate(SIDE_ENDS)])
+        _rel(sinh(distance(v, m)) / sinh(distance(m, foot)), 2 * cosh(x / 2))
+        for v, foot, x in zip(c.vertices, c.midpoints, t.sides)])
 
 
 def _centroid_common_ratio(c):
     t = c.t
     m = ct.centroid(c)
-    vs = c.vertices
-    feet = [midpoint(vs[j], vs[k]) for j, k in SIDE_ENDS]
-    r = [sinh(distance(v, foot)) / sinh(distance(m.point, foot)) for v, foot in zip(vs, feet)]
+    r = [sinh(distance(v, foot)) / sinh(distance(m.point, foot))
+         for v, foot in zip(c.vertices, c.midpoints)]
     return worst_residual(_rel(r[0], r[1]), _rel(r[1], r[2]), _rel(r[0], t.n / m.coords[0]))
 
 
@@ -474,12 +477,9 @@ def _orthocenter_sinh_products(c):
     if _on_vertex(h_res):
         raise _Skip("orthocenter on a vertex (right angle): the sinh products vanish")
     h = h_res.point
-    prods, heights = [], []
-    for i, vert in enumerate(c.vertices):
-        foot = c.altitude_feet[i]
-        prods.append(sinh(distance(h, vert)) * sinh(distance(h, foot)))
-        heights.append(cosh(distance(vert, foot)))
-    return _prop(prods, heights)
+    prods = [sinh(distance(h, vert)) * sinh(distance(h, foot))
+             for vert, foot in zip(c.vertices, c.altitude_feet)]
+    return _prop(prods, [cosh(x) for x in c.heights])
 
 
 def _center_form(c, q: HPoint, n_q) -> float:
@@ -497,11 +497,9 @@ def _orthocenter_random_point(c):
 
 def _altitude_stewart(c):
     t = c.t
-    foot = c.altitude_feet[0]
-    u = plane.arc_coordinate(foot, c.side_tangents[0])
-    h_a = distance(c.A, foot)
+    u = plane.arc_coordinate(c.altitude_feet[0], c.side_tangents[0])
     lhs = cosh(t.c) * sinh(t.a - u) + cosh(t.b) * sinh(u)
-    return _rel(lhs, cosh(h_a) * sinh(t.a))
+    return _rel(lhs, cosh(c.heights[0]) * sinh(t.a))
 
 
 def _orthocenter_euler_distance(c):
@@ -510,8 +508,7 @@ def _orthocenter_euler_distance(c):
     h = h_res.point
     hval = h_res.aux["h"]
     acc = 0.0
-    for i, vert in enumerate(c.vertices):
-        hx = distance(vert, c.altitude_feet[i])
+    for vert, hx in zip(c.vertices, c.heights):
         acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
     radius = plane.radius_ext(o.point, o.classification, c.A)
     lhs = (1.0 / hval + 1.0) * ext_cosh(plane.radius_ext(o.point, o.classification, h))

@@ -12,7 +12,7 @@ import math
 
 from . import centers as ct
 from . import registry as rg
-from .errors import NoRootFound, OutOfDomain
+from .errors import CoincidentArguments, NoRootFound, OutOfDomain
 from .plane import HPoint, join, model_convert, normalize, normalize_line
 from .trig import TriangleData
 
@@ -149,7 +149,9 @@ def render_svg(t: TriangleData, which: list[str], model: str, out_path: str,
                 f'<path d="{_geodesic_path(p1, p2, model)}" fill="none" '
                 'stroke="#d62728" stroke-width="0.8" stroke-dasharray="4 3"/>'
             )
-        except (NoRootFound, OutOfDomain):
+        except (NoRootFound, OutOfDomain, CoincidentArguments):
+            # no line to draw: Z is not built, or it coincides with O (as in
+            # an equilateral triangle) and the two points span no line
             pass
 
     parts.append("</svg>")

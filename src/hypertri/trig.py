@@ -272,29 +272,6 @@ def defect(va: HPoint, vb: HPoint, vc: HPoint) -> float:
 # --------------------------------------------------------------------------
 # area forms
 
-def tan_half_area_from_height(t: TriangleData) -> tuple[float, float]:
-    """Both sides of the height form of the area.
-
-    The altitude from A splits the triangle into two right triangles whose
-    half-areas T_i satisfy tan(T_i/2) = tanh(a_i/2) tanh(m_a/2), with ``m_a``
-    the altitude and ``a1, a2`` the signed pieces into which its foot splits
-    side a.  Composing by the tangent addition rule:
-
-        tan(T/2) = (x1 + x2) / (1 - x1 x2),   x_i = tanh(a_i/2) tanh(m_a/2)
-    """
-    va, vb, vc = t.vertices
-    la = t.side_line(0)
-    foot = normalize(plane.foot_of_perpendicular(va, la))
-    u = plane.arc_coordinate(foot, tangent_toward(vb, vc))
-    a1, a2 = u, t.a - u
-    m_a = distance(va, foot)
-    x1 = math.tanh(a1 / 2.0) * math.tanh(m_a / 2.0)
-    x2 = math.tanh(a2 / 2.0) * math.tanh(m_a / 2.0)
-    lhs = math.tan(t.area / 2.0)
-    rhs = (x1 + x2) / (1.0 - x1 * x2)
-    return lhs, rhs
-
-
 def heron_parts(t: TriangleData) -> tuple[float, float]:
     """Both sides of the defect Heron form:
     tan(T/4) = sqrt(prod tanh(s/2) tanh((s-x)/2))."""

@@ -65,9 +65,17 @@ class TestFrame:
             end = plane.geodesic_point(f.vertices[j], f.side_tangents[i], t.sides[i])
             assert distance(end, f.vertices[k]) < 1e-12
             foot = f.altitude_feet[i]
-            perpendicular = plane.normalize_line(plane.perpendicular_line(vertex, line))
+            perpendicular = plane.normalize_line(f.altitudes[i])
+            assert abs(plane.mdot(vertex, perpendicular)) < 1e-12
+            assert abs(plane.mdot(plane.pole(line), perpendicular)) < 1e-12
             assert abs(plane.mdot(foot, line)) < 1e-12
             assert abs(plane.mdot(foot, perpendicular)) < 1e-12
+            assert f.heights[i] == pytest.approx(
+                abs(plane.signed_line_distance(vertex, line)), rel=0, abs=1e-12)
+            mid = f.midpoints[i]
+            assert abs(plane.mdot(mid, line)) < 1e-12
+            assert distance(f.vertices[j], mid) == pytest.approx(t.sides[i] / 2, abs=1e-12)
+            assert distance(mid, f.vertices[k]) == pytest.approx(t.sides[i] / 2, abs=1e-12)
             internal = plane.normalize_line(f.internal_bisectors[i])
             external = plane.normalize_line(f.external_bisectors[i])
             incenter = ct.incenter_excenters(f)[0].point

@@ -406,6 +406,15 @@ class TestRender:
                     "--centers", "M,O,I,H", "--euler-line", "-o", str(path))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_euler_line_on_an_equilateral_triangle(self, tmp_path, capsys):
+        # O and Z coincide, so no Euler line is drawn and the command succeeds
+        tri, out = tmp_path / "eq.json", tmp_path / "fig.svg"
+        assert main(["gen", "--seed", "1", "--shape", "equilateral", "-o", str(tri)]) == 0
+        code, _, err = run_cli(capsys, "render", str(tri), "--model", "klein",
+                               "--euler-line", "-o", str(out))
+        assert (code, err) == (0, "")
+        assert "stroke-dasharray" not in out.read_text()
+
     def test_right_triangle_orthocenter_marker_at_the_vertex(self, tmp_path, capsys):
         # construct the right isosceles triangle directly
         tri = tmp_path / "t0.json"

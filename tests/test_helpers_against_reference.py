@@ -1,6 +1,8 @@
 """The helpers every center-coordinate check calls, written as straight-line
-code, against the comprehension and call-layer forms they replaced.  The
-replaced forms are kept here as the reference, as
+code, against the comprehension and call-layer forms they replaced, and the
+builders and checks that read the frame's altitudes and side midpoints
+against the forms that built those objects again.  The replaced forms are
+kept here as the reference, as
 `tests/test_plane.py::TestKernelAgainstReference` keeps the kernel's: every
 value must match bit for bit, and every raise must be the same."""
 
@@ -14,8 +16,15 @@ import pytest
 from hypertri import centers as ct
 from hypertri import plane, trig
 from hypertri import registry as rg
-from hypertri.errors import DegenerateTriangle, GeometryError, NoRootFound, UnknownIdentity
-from hypertri.extscalar import ExtLength, Quantum
+from hypertri.errors import (
+    CoincidentArguments,
+    DegenerateTriangle,
+    GeometryError,
+    NoRootFound,
+    UnknownIdentity,
+)
+from hypertri.generate import SHAPES
+from hypertri.extscalar import ExtLength, Quantum, ext_cosh
 from hypertri.generate import gen_triangle
 from hypertri.plane import HPoint, klein_point
 
@@ -437,3 +446,169 @@ def test_to_jsonl_on_hand_built_records():
     odd = (rg.IdentityRecord("LS", ls.name, 0.5, "odd", ls.tolerance, None),)
     assert (outcome(rg.TrialReport.to_jsonl, rg.TrialReport(1, odd, ()))
             == outcome(_reference_to_jsonl, rg.TrialReport(1, odd, ())))
+
+
+# -- the frame's altitudes and side midpoints --------------------------------------
+
+def _reference_foot_of_perpendicular(p, l):
+    perp = plane._mcross(p, plane.pole(l), CoincidentArguments, "point is the pole of the line")
+    return plane.meet(perp, l)
+
+
+def _reference_altitude_feet(t):
+    vs, ls = t.vertices, t.lines
+    return tuple(plane.normalize(_reference_foot_of_perpendicular(vs[i], ls[i]))
+                 for i in range(3))
+
+
+def _reference_centroid(f):
+    ma = plane.midpoint(f.B, f.C)
+    mb = plane.midpoint(f.C, f.A)
+    mn = plane.real_point(plane.meet(plane.join(f.A, ma), plane.join(f.B, mb)),
+                          DegenerateTriangle, "median meet is not a real point")
+    ratio = math.sinh(plane.distance(f.A, mn)) / math.sinh(plane.distance(mn, ma))
+    return ct._result("M", mn, f.t, aux={"median_section_ratio": ratio})
+
+
+def _reference_orthocenter(f):
+    alt_a = plane.perpendicular_line(f.A, f.lines[0])
+    alt_b = plane.perpendicular_line(f.B, f.lines[1])
+    res = ct._result("H", plane.meet(alt_a, alt_b), f.t)
+    if res.classification is ct._R:
+        h = res.point
+        res.aux["h"] = (math.tanh(plane.distance(h, f.A))
+                        * math.tanh(plane.distance(h, f.altitude_feet[0])))
+    return res
+
+
+def _reference_tan_half_area_from_height(t):
+    va, vb, vc = t.vertices
+    la = t.side_line(0)
+    foot = plane.normalize(_reference_foot_of_perpendicular(va, la))
+    u = plane.arc_coordinate(foot, plane.tangent_toward(vb, vc))
+    a1, a2 = u, t.a - u
+    m_a = plane.distance(va, foot)
+    x1 = math.tanh(a1 / 2.0) * math.tanh(m_a / 2.0)
+    x2 = math.tanh(a2 / 2.0) * math.tanh(m_a / 2.0)
+    lhs = math.tan(t.area / 2.0)
+    rhs = (x1 + x2) / (1.0 - x1 * x2)
+    return lhs, rhs
+
+
+def _reference_area_height_form(c):
+    lhs, rhs = _reference_tan_half_area_from_height(c.t)
+    return trig.relative_residual(lhs, rhs)
+
+
+def _reference_staudtian_height(c):
+    t = c.t
+    h_c = plane.distance(c.C, c.altitude_feet[2])
+    return trig.worst_residual(
+        trig.relative_residual(t.n, 0.5 * math.sin(t.alpha) * math.sinh(t.b) * math.sinh(t.c)),
+        trig.relative_residual(t.n, 0.5 * math.sinh(h_c) * math.sinh(t.c)))
+
+
+def _reference_angular_height(c):
+    t = c.t
+    h_c = plane.distance(c.C, c.altitude_feet[2])
+    return trig.worst_residual(
+        trig.relative_residual(t.bign, 0.5 * math.sinh(t.a) * math.sin(t.beta) * math.sin(t.gamma)),
+        trig.relative_residual(t.bign, 0.5 * math.sinh(h_c) * math.sin(t.gamma)))
+
+
+def _reference_centroid_section(c):
+    t = c.t
+    res = ct.centroid(c)
+    m = res.point
+    vs = c.vertices
+    return trig.worst_residual(
+        trig.relative_residual(res.aux["median_section_ratio"], 2 * math.cosh(t.a / 2)), *[
+            trig.relative_residual(
+                math.sinh(plane.distance(vs[i], m))
+                / math.sinh(plane.distance(m, plane.midpoint(vs[j], vs[k]))),
+                2 * math.cosh(t.sides[i] / 2))
+            for i, (j, k) in enumerate(trig.SIDE_ENDS)])
+
+
+def _reference_centroid_common_ratio(c):
+    t = c.t
+    m = ct.centroid(c)
+    vs = c.vertices
+    feet = [plane.midpoint(vs[j], vs[k]) for j, k in trig.SIDE_ENDS]
+    r = [math.sinh(plane.distance(v, foot)) / math.sinh(plane.distance(m.point, foot))
+         for v, foot in zip(vs, feet)]
+    rel = trig.relative_residual
+    return trig.worst_residual(rel(r[0], r[1]), rel(r[1], r[2]), rel(r[0], t.n / m.coords[0]))
+
+
+def _reference_orthocenter_sinh_products(c):
+    h_res = rg._need_center(c, "H")
+    if rg._on_vertex(h_res):
+        raise rg._Skip("orthocenter on a vertex (right angle): the sinh products vanish")
+    h = h_res.point
+    prods, heights = [], []
+    for i, vert in enumerate(c.vertices):
+        foot = c.altitude_feet[i]
+        prods.append(math.sinh(plane.distance(h, vert)) * math.sinh(plane.distance(h, foot)))
+        heights.append(math.cosh(plane.distance(vert, foot)))
+    return trig.proportionality_residual(prods, heights)
+
+
+def _reference_altitude_stewart(c):
+    t = c.t
+    foot = c.altitude_feet[0]
+    u = plane.arc_coordinate(foot, c.side_tangents[0])
+    h_a = plane.distance(c.A, foot)
+    lhs = math.cosh(t.c) * math.sinh(t.a - u) + math.cosh(t.b) * math.sinh(u)
+    return trig.relative_residual(lhs, math.cosh(h_a) * math.sinh(t.a))
+
+
+def _reference_orthocenter_euler_distance(c):
+    h_res = rg._need_inner_orthocenter(
+        c, "altitude chain h_x = HX + HF_x needs an acute triangle")
+    o = ct.circumcenters(c)[0]
+    h = h_res.point
+    hval = h_res.aux["h"]
+    acc = 0.0
+    for i, vert in enumerate(c.vertices):
+        hx = plane.distance(vert, c.altitude_feet[i])
+        acc += (1.0 / math.tanh(hx)) / math.sinh(plane.distance(h, vert))
+    radius = plane.radius_ext(o.point, o.classification, c.A)
+    lhs = (1.0 / hval + 1.0) * ext_cosh(plane.radius_ext(o.point, o.classification, h))
+    rhs = acc * ext_cosh(radius)
+    return trig.relative_residual(lhs, rhs)
+
+
+_REFERENCE_CHECKS = {
+    "AR2": _reference_area_height_form, "ST3": _reference_staudtian_height,
+    "AS5": _reference_angular_height, "CE2": _reference_centroid_section,
+    "CE3": _reference_centroid_common_ratio, "OR2": _reference_orthocenter_sinh_products,
+    "OR5": _reference_altitude_stewart, "OR6": _reference_orthocenter_euler_distance,
+}
+
+
+def _frame_readers_agree(seed, t):
+    """The frame's feet, `centroid`, `orthocenter` and the checks that read
+    the frame's altitudes and midpoints, each against its reference, on a
+    context of its own per side."""
+    assert image(ct.Frame(t).altitude_feet) == image(_reference_altitude_feet(t)), seed
+    for new, ref in ((ct.centroid, _reference_centroid),
+                     (ct.orthocenter, _reference_orthocenter)):
+        assert (outcome(new, rg.TrialContext(seed, t))
+                == outcome(ref, rg.TrialContext(seed, t))), (seed, new.__name__)
+    for identity_id, ref in _REFERENCE_CHECKS.items():
+        new_ctx, ref_ctx = rg.TrialContext(seed, t), rg.TrialContext(seed, t)
+        new_ctx.use_stream(identity_id)
+        ref_ctx.use_stream(identity_id)
+        assert (outcome(rg.REGISTRY[identity_id].evaluator, new_ctx)
+                == outcome(ref, ref_ctx)), (seed, identity_id)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_frame_readers_on_seeded_triangles(shape):
+    for seed in range(1, 101):
+        _frame_readers_agree(seed, gen_triangle(seed, shape=shape))
+
+
+def test_frame_readers_on_the_horocycle_triangle(horocycle):
+    _frame_readers_agree(0, horocycle)

@@ -27,7 +27,6 @@ from hypertri.plane import (
     cycle_through,
     distance,
     distance_ext,
-    foot_of_perpendicular,
     join,
     klein_point,
     LineKind,
@@ -72,7 +71,7 @@ TRIPLE_FUNCTIONS = (
     ("real_point", (_P,)), ("distance", (_P, _P)), ("signed_line_distance", (_P, _L)),
     ("tangent_toward", (_P, _P)), ("vertex_angle", (_P, _P, _P)),
     ("tangent_angle", (_T, _T)), ("normal_tangent", (_P, _T)), ("arc_coordinate", (_P, _T)),
-    ("foot_of_perpendicular", (_P, _L)), ("perpendicular_line", (_P, _L)),
+    ("perpendicular_line", (_P, _L)),
     ("midpoint", (_P, _P)), ("perpendicular_bisector", (_P, _P)),
     ("complementary_bisector", (_P, _P)), ("reflect_line", (_L, _L)),
     ("distance_ext", (_P, _P)),
@@ -242,13 +241,11 @@ class TestIncidence:
          CoincidentArguments, "join of proportional points"),
         (lambda: meet(HLine(0.3, -0.1, 0.2), HLine(-0.6, 0.2, -0.4)),
          CoincidentArguments, "meet of proportional lines"),
-        (lambda: foot_of_perpendicular(HPoint(0.2, 0.1, 0.05), HLine(0.4, 0.2, 0.1)),
-         CoincidentArguments, "point is the pole of the line"),
         (lambda: angle_ext(HLine(1.0, 0.5, 0.2), HLine(-1.0, -0.5, -0.2)),
          CoincidentLines, "angle of proportional lines"),
         (lambda: distance_ext(HPoint(0.1, 0.2, 1.0), HPoint(0.25, 0.5, 2.5)),
          IdenticalPoints, "distance between coincident projective points"),
-    ], ids=["join", "meet", "foot", "angle_ext", "distance_ext"])
+    ], ids=["join", "meet", "angle_ext", "distance_ext"])
     def test_proportional_arguments_raise(self, call, error, message):
         with pytest.raises(CoincidentArguments) as info:
             call()
@@ -423,7 +420,8 @@ class TestAngles:
 
 class TestConstructions:
     def test_foot_on_axis(self):
-        foot = foot_of_perpendicular(klein_point(0, 0.4), HLine(0, 1, 0))
+        p, l = klein_point(0, 0.4), HLine(0, 1, 0)
+        foot = meet(plane.perpendicular_line(p, l), l)
         assert normalize(foot).klein() == pytest.approx((0.0, 0.0), abs=1e-15)
 
     def test_perpendicular_bisector_is_the_axis(self):
@@ -708,11 +706,6 @@ class _Reference:
         return (-cx, -cy, cw)
 
     @classmethod
-    def foot_of_perpendicular(cls, p, l):
-        perp = cls.mcross(p, cls.pole(l), CoincidentArguments, "point is the pole of the line")
-        return cls.meet(HLine(*perp), l)
-
-    @classmethod
     def midpoint(cls, p, q):
         pn, qn = cls.normalize(p), cls.normalize(q)
         return cls.normalize(HPoint(pn.x + qn.x, pn.y + qn.y, pn.w + qn.w))
@@ -826,7 +819,7 @@ _KERNEL = [
     ("join", "pp"), ("meet", "ll"), ("polar", "p"), ("pole", "l"),
     ("normalize", "p"), ("normalize_line", "l"), ("distance", "pp"),
     ("tangent_toward", "pp"), ("tangent_angle", "tt"), ("geodesic_point", "ptu"), ("arc_coordinate", "pt"),
-    ("normal_tangent", "pt"), ("foot_of_perpendicular", "pl"), ("midpoint", "pp"),
+    ("normal_tangent", "pt"), ("midpoint", "pp"),
     ("perpendicular_bisector", "pp"), ("complementary_bisector", "pp"),
     ("reflect_line", "ll"), ("distance_ext", "pp"), ("radius_ext", "pkp"),
     ("angle_ext", "ll"),
@@ -920,7 +913,7 @@ class TestKernelAgainstReference:
             assert _agree(got, want), (name, args)
             raised += got[0] == "raise"
         if name in ("join", "meet", "polar", "pole", "normalize", "normalize_line",
-                    "foot_of_perpendicular", "distance_ext", "radius_ext", "angle_ext"):
+                    "distance_ext", "radius_ext", "angle_ext"):
             assert raised > 0, name   # the error paths were reached
 
     @pytest.mark.parametrize("name, kinds", [(n, k) for n, k in _KERNEL if set(k) <= set("pl")],
@@ -951,7 +944,7 @@ class TestKernelAgainstReference:
     def test_degenerate_pairs_raise_alike(self, a, b):
         for name in ("mdot", "join", "meet", "distance", "tangent_toward", "midpoint",
                      "perpendicular_bisector", "complementary_bisector",
-                     "foot_of_perpendicular", "reflect_line", "_mcross",
+                     "reflect_line", "_mcross",
                      "distance_ext", "angle_ext"):
             new, ref = _new_and_reference(name)
             extra = (CoincidentArguments, "m") if name == "_mcross" else ()

@@ -31,3 +31,19 @@ def test_legend_colours_and_labels(tmp_path):
         ("#17becf", "#17becf", "Z"),
         ("#bcbd22", "#bcbd22", "F"),
     ]
+
+
+def _euler_paths(t, tmp_path):
+    out = tmp_path / "fig.svg"
+    render.render_svg(t, ["M", "O", "Z"], "klein", str(out), euler_line=True)
+    return out.read_text().count("stroke-dasharray")
+
+
+def test_euler_line_is_drawn_when_o_and_z_differ(tmp_path):
+    assert _euler_paths(gen_triangle(8, shape="acute"), tmp_path) == 1
+
+
+def test_no_euler_line_when_o_and_z_coincide(tmp_path):
+    # in an equilateral triangle O and Z are one point, which spans no line
+    for seed in range(1, 6):
+        assert _euler_paths(gen_triangle(seed, shape="equilateral"), tmp_path) == 0, seed

@@ -389,6 +389,9 @@ _NO_SRC_READER = {
     # the cycle center that tests and demo 05 show to lie off the
     # four-center line; they compare against it as a reference
     "bisector_feet_center",
+    # perfbench's tracer wraps it by name (`tracer.METHODS`) to count
+    # side-line reads; `Frame` reads the `lines` triple directly
+    "TriangleData.side_line",
 }
 
 
@@ -562,3 +565,119 @@ def test_center_helpers_call_no_builtin_norm():
                   if isinstance(n, ast.Call) and _name(n.func) in ("abs", "max", "min")
                   and not (_name(n.func) == "abs" and id(n) in returned)]
     assert found == []
+
+
+# what each sequence of a triangle's objects holds
+_ELEMENT = {"vertices": "vertex", "lines": "line", "altitude_feet": "foot"}
+
+
+def _role(node, roles) -> str | None:
+    """What ``node`` is: a "vertex", a side "line", an altitude "foot", one
+    of the sequences of `_ELEMENT`, or None.  A local name has the role that
+    ``roles`` gives it."""
+    if isinstance(node, ast.Name):
+        return roles.get(node.id)
+    if isinstance(node, ast.Attribute):
+        return "vertex" if node.attr in ("A", "B", "C") else (
+            node.attr if node.attr in _ELEMENT else None)
+    if isinstance(node, ast.Subscript):
+        return _ELEMENT.get(_role(node.value, roles))
+    if isinstance(node, ast.Call):
+        name = _name(node.func)
+        if name == "side_line":
+            return "line"
+        if name == "foot_of_perpendicular":
+            return "foot"
+        if name == "normalize" and node.args:
+            return _role(node.args[0], roles)
+    return None
+
+
+def _bind(target, role, roles):
+    """Give ``target`` the role ``role``; a tuple target unpacks a sequence."""
+    if isinstance(target, ast.Name) and role is not None:
+        roles[target.id] = role
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            _bind(elt, _ELEMENT.get(role), roles)
+
+
+def _bind_loop(target, it, roles):
+    """Give the target of ``for target in it`` its role, through
+    ``enumerate`` and ``zip``."""
+    func = _name(it.func) if isinstance(it, ast.Call) else None
+    if func in ("enumerate", "zip") and isinstance(target, ast.Tuple):
+        seqs = [None, *it.args[:1]] if func == "enumerate" else it.args
+        for elt, seq in zip(target.elts, seqs):
+            _bind(elt, _ELEMENT.get(_role(seq, roles)), roles)
+    else:
+        _bind(target, _ELEMENT.get(_role(it, roles)), roles)
+
+
+def _scopes(node, prefix=""):
+    """(qualified name, definition) of every function in ``node``, nested
+    ones and methods included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _scopes(child, f"{prefix}{child.name}.")
+        else:
+            yield from _scopes(child, prefix)
+
+
+def _scope_nodes(scope):
+    """The nodes of ``scope``'s own body: nested functions and classes are
+    left out, lambdas and comprehensions are not."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _rebuilt_frame_objects(path: Path):
+    """(function, line, callee) of each call in ``path`` that builds an
+    altitude, its foot or its length, or a side midpoint: `perpendicular_line`
+    or `foot_of_perpendicular` of a vertex and a side line, `midpoint` of two
+    vertices, `distance` between a vertex and an altitude foot."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for qualname, fn in _scopes(tree):
+        nodes = list(_scope_nodes(fn))
+        roles = {}
+        for _ in range(3):   # a name may be bound from one bound later in the walk
+            for n in nodes:
+                if isinstance(n, ast.Assign):
+                    for target in n.targets:
+                        if isinstance(target, ast.Tuple) and isinstance(n.value, ast.Tuple):
+                            for elt, value in zip(target.elts, n.value.elts):
+                                _bind(elt, _role(value, roles), roles)
+                        else:
+                            _bind(target, _role(n.value, roles), roles)
+                elif isinstance(n, (ast.For, ast.comprehension)):
+                    _bind_loop(n.target, n.iter, roles)
+        for n in nodes:
+            if not (isinstance(n, ast.Call) and len(n.args) >= 2):
+                continue
+            name = _name(n.func)
+            pair = (_role(n.args[0], roles), _role(n.args[1], roles))
+            if (name in ("perpendicular_line", "foot_of_perpendicular")
+                    and pair == ("vertex", "line")
+                    or name == "midpoint" and pair == ("vertex", "vertex")
+                    or name == "distance" and set(pair) == {"vertex", "foot"}):
+                yield qualname, n.lineno, name
+
+
+def test_frame_builds_altitudes_and_midpoints():
+    # `centers.Frame.__init__` builds each altitude, its foot and length, and
+    # each side midpoint once per triangle; the same call anywhere else
+    # builds one of them again.  The frame's own altitude and midpoint calls
+    # are seen (its foot is a meet, which the rule does not follow)
+    found = sorted(f"{path.name}:{line} in {qualname}: {name}(...)"
+                   for path in sorted(SRC.glob("*.py"))
+                   for qualname, line, name in _rebuilt_frame_objects(path)
+                   if (path.name, qualname) != ("centers.py", "Frame.__init__"))
+    assert found == []
+    assert sorted(name for qualname, _, name in _rebuilt_frame_objects(SRC / "centers.py")
+                  if qualname == "Frame.__init__") == ["midpoint", "perpendicular_line"]

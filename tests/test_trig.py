@@ -140,10 +140,6 @@ class TestAreaForms:
         lhs, rhs = trig.heron_parts(t0)
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
-    def test_height_form(self, t0):
-        lhs, rhs = trig.tan_half_area_from_height(t0)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
-
     def test_staudtian_identities(self):
         rng = random.Random(4)
         for _ in range(40):

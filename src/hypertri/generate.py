@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 from . import plane, trig
 from .errors import ExhaustedAttempts, GeometryError
@@ -37,7 +37,14 @@ class Constraints(NamedTuple):
     min_side_diff: float = 0.1  # applies to shape="scalene" only
 
 
-def sample_disk_point(rng: random.Random, max_radius: float) -> HPoint:
+class RandomSource(Protocol):
+    """Anything that draws floats in [0, 1) from ``random()``: the
+    `random.Random` of `gen_triangle`, or a registry identity's stream."""
+
+    def random(self) -> float: ...
+
+
+def sample_disk_point(rng: RandomSource, max_radius: float) -> HPoint:
     """A point uniform in the Klein disk of radius ``max_radius``; draws two
     numbers from ``rng``, the radius first."""
     r = max_radius * math.sqrt(rng.random())

@@ -13,7 +13,6 @@ on every formula here.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import NamedTuple
 
 from . import plane
@@ -52,6 +51,25 @@ TriCoords = tuple[float, float, float]
 SIDE_ENDS = ((1, 2), (2, 0), (0, 1))
 
 
+class stored_property:
+    """A property built on its first read and kept in the instance dict
+    under its own name.  It is a non-data descriptor, so every later read
+    finds the dict entry and never calls it; a raise stores nothing, and the
+    next read builds again.  Unlike `functools.cached_property` on Python
+    3.11, the first read takes no lock."""
+
+    def __init__(self, build):
+        self.build = build
+        self.name = build.__name__
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class _TriangleFields(NamedTuple):
     a: float
     b: float
@@ -85,24 +103,24 @@ class TriangleData(_TriangleFields):
     instance dict once read.
     """
 
-    @cached_property
+    @stored_property
     def lines(self) -> tuple[HLine, HLine, HLine]:
         vs = self.vertices
         return tuple(_side_line(vs[i], vs[j], vs[k])
                      for i, (j, k) in enumerate(SIDE_ENDS))
 
-    @cached_property
+    @stored_property
     def coord_rows(self) -> tuple:
         """Per side ``i``: the coordinates of side line ``i`` and the factor
         ``0.5 * sinh(side i)`` of `tri_coords`, built when first read."""
         return tuple((*l, 0.5 * math.sinh(length))
                      for l, length in zip(self.lines, self.sides))
 
-    @cached_property
+    @stored_property
     def sides(self) -> tuple[float, float, float]:
         return (self.a, self.b, self.c)
 
-    @cached_property
+    @stored_property
     def angles(self) -> tuple[float, float, float]:
         return (self.alpha, self.beta, self.gamma)
 

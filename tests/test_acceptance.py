@@ -25,6 +25,8 @@ from hypertri.generate import gen_triangle
 from hypertri.plane import normalize
 from hypertri.trig import proportionality_residual
 
+from criterion3 import C3_IDS
+
 SUITE_SEEDS = range(1, 1001)
 
 
@@ -94,10 +96,6 @@ def test_criterion_2_segment_and_angle_tables():
 
 
 # -------------------------------------------------------------------- 3 ----
-
-C3_IDS = ("CE1", "CR1", "CR2", "CR3", "IN1", "IN2", "IN3", "IN4", "IN5", "IN6",
-          "IN7", "OR1", "OR2", "OR3", "OR4", "OR5", "OR6", "IS2", "IS3", "IS4",
-          "SY1", "SY2", "LE1", "LE2", "PM1", "PM2")
 
 
 def test_criterion_3_oracle_equivalence_10000_seeds():

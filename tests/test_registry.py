@@ -24,6 +24,8 @@ from hypertri.errors import (
 from hypertri.extscalar import PointKind
 from hypertri.generate import gen_triangle
 
+from criterion3 import C3_IDS
+
 # the registry must cover exactly this catalogue (one code per closed-form
 # statement in scope, plus the corrected companion of the known-bad one)
 EXPECTED_IDS = [
@@ -45,11 +47,6 @@ EXPECTED_IDS = [
     "EU1", "EU0",
     "TBL1", "TBL2", "TBL3", "FIG2",
 ]
-
-# the criterion-3 center identities (see tests/test_acceptance.py)
-C3_IDS = ("CE1", "CR1", "CR2", "CR3", "IN1", "IN2", "IN3", "IN4", "IN5", "IN6",
-          "IN7", "OR1", "OR2", "OR3", "OR4", "OR5", "OR6", "IS2", "IS3", "IS4",
-          "SY1", "SY2", "LE1", "LE2", "PM1", "PM2")
 
 DECLARED_SKIP_FRAGMENTS = (
     "orthocenter is not a real point",
@@ -221,20 +218,36 @@ class TestSuite:
             rg.run_suite(seed, ids=[*want[:2], "BOGUS"])
 
     def test_random_streams_are_built_only_when_drawn(self, monkeypatch):
-        # the triangle stream plus those of the identities that draw (OR4,
-        # IS4 and the shared interior point)
-        built = []
+        # criterion 3 draws from the streams of OR4 and IS4 and from the
+        # shared interior point; an id that draws nothing builds none, and
+        # the triangle's Mersenne Twister is the one `random.Random`
+        built, twisters = [], []
+
+        class CountingStream(rg._Stream):
+            __slots__ = ()
+
+            def __init__(self, seed, tag):
+                built.append((seed, tag))
+                super().__init__(seed, tag)
 
         class CountingRandom(random.Random):
             def __init__(self, *args):
-                built.append(args)
+                twisters.append(args)
                 super().__init__(*args)
 
+        monkeypatch.setattr(rg, "_Stream", CountingStream)
         monkeypatch.setattr(random, "Random", CountingRandom)
         for seed in range(1, 41):
             built.clear()
             rg.run_suite(seed, ids=list(C3_IDS), include_centers=False)
-            assert (seed,) in built and len(built) <= 4
+            assert 1 <= len(built) <= 3 and {s for s, _ in built} == {seed}
+            built.clear()
+            rg.run_suite(seed, ids=["CE1", "LS", "IN1"], include_centers=False)
+            assert built == []
+        for seed in (1, 2):
+            twisters.clear()
+            rg.run_suite(seed)
+            assert twisters == [(seed,)]
 
     @pytest.mark.parametrize("seed", [3, 7])
     def test_each_center_is_built_once_per_trial(self, seed, monkeypatch):
@@ -260,6 +273,77 @@ class TestSuite:
         back = rg.triangle_from_json(json.loads(json.dumps(obj)))
         assert back.a == pytest.approx(t.a, rel=1e-12)
         assert back.alpha == pytest.approx(t.alpha, rel=1e-10)
+
+
+# -- the per-identity random streams --------------------------------------------
+#
+# An identity that draws reads a SplitMix64 `_Stream` keyed by the trial seed
+# and its tag; the tag's key is a CRC-32, so the draws cannot depend on the
+# process's string-hash salt.
+
+def _drawing_tags(monkeypatch) -> list[str]:
+    """The tags of every stream that a full suite reads, over a few seeds:
+    the ids that draw, plus the shared interior point and Lambert legs."""
+    tags = set()
+
+    class CountingStream(rg._Stream):
+        __slots__ = ()
+
+        def __init__(self, seed, tag):
+            tags.add(tag)
+            super().__init__(seed, tag)
+
+    with monkeypatch.context() as m:
+        m.setattr(rg, "_Stream", CountingStream)
+        for seed in range(1, 11):
+            rg.run_suite(seed, include_centers=False)
+    assert {"interior", "lambert", "OR4", "STW", "TBL1"} <= tags
+    return sorted(tags)
+
+
+def _draws(seed, tag, n=64) -> list[float]:
+    stream = rg._Stream(seed, tag)
+    return [stream.random() for _ in range(n)]
+
+
+def test_stream_draws_are_the_same_under_any_string_hash_salt():
+    keys = [(1, "OR4"), (2, "interior"), (1000001, "TBL3"), (0, ""), (-7, "lambert")]
+    code = ("from hypertri import registry as rg; "
+            f"print([[s.random() for s in [rg._Stream(*k)] for _ in range(8)] for k in {keys!r}])")
+    path = os.pathsep.join(filter(None, (str(Path(rg.__file__).parent.parent),
+                                         os.environ.get("PYTHONPATH"))))
+    want = repr([_draws(*key, n=8) for key in keys])
+    for salt in ("0", "1", "4242"):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": salt},
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want, salt
+
+
+def test_stream_draws_lie_in_the_unit_interval_on_the_53_bit_grid(monkeypatch):
+    for tag in _drawing_tags(monkeypatch):
+        for seed in range(1, 201):
+            for v in _draws(seed, tag):
+                assert 0.0 <= v < 1.0 and (v * 2.0 ** 53).is_integer(), (seed, tag, v)
+
+
+def test_neighbouring_streams_share_no_draw(monkeypatch):
+    # the start state is the finalizer of seed and tag key, so the stream of
+    # seed s + 1 is not the stream of seed s shifted by one step
+    tags = _drawing_tags(monkeypatch)
+    previous = {tag: set(_draws(1, tag)) for tag in tags}
+    for seed in range(1, 1001):
+        current = {tag: set(_draws(seed + 1, tag)) for tag in tags}
+        for tag in tags:
+            assert not previous[tag] & current[tag], (seed, tag)
+        assert len(set().union(*previous.values())) == 64 * len(tags), seed
+        previous = current
+
+
+def test_a_context_without_a_stream_tag_draws_the_empty_tag():
+    ctx = rg.TrialContext(seed=3, t=trig.solve_from_sides(1.0, 1.1, 1.2))
+    assert [ctx.rng.random() for _ in range(4)] == _draws(3, "", 4)
 
 
 def _statuses(report: Path) -> list[tuple[str, str]]:

@@ -681,3 +681,22 @@ def test_frame_builds_altitudes_and_midpoints():
     assert found == []
     assert sorted(name for qualname, _, name in _rebuilt_frame_objects(SRC / "centers.py")
                   if qualname == "Frame.__init__") == ["midpoint", "perpendicular_line"]
+
+
+def test_only_gen_triangle_builds_a_mersenne_twister():
+    # every triangle, center table and drawing comes from the Mersenne
+    # Twister `gen_triangle` seeds; an identity's auxiliary draws come from
+    # a keyed `registry._Stream`, which costs about 0.7 µs to key where
+    # seeding a `random.Random` from a string costs about 5 µs
+    found = sorted((path.name, scope) for path in sorted(SRC.glob("*.py"))
+                   for scope in _callers(path, "Random"))
+    assert found == [("generate.py", "gen_triangle")]
+
+
+def test_stored_attributes_take_no_lock():
+    # a value built on first read is a `trig.stored_property`: on Python 3.11
+    # `functools.cached_property` takes a lock on every first read, about
+    # 470 ns against 190 ns
+    found = [path.name for path in sorted(SRC.glob("*.py"))
+             if "cached_property" in _names_used(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

@@ -22,6 +22,8 @@ from hypertri import centers as ct
 from hypertri import registry as rg
 from hypertri.generate import gen_triangle
 
+from criterion3 import C3_IDS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -33,13 +35,26 @@ def test_perfbench_unit_tests_pass():
     assert proc.returncode == 0, proc.stderr[-4000:]
 
 
+def _literal(path: str, name: str):
+    """The value of the module-level literal ``name`` in the file at
+    ``path`` (relative to the checkout), read without importing the file."""
+    tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == name for t in node.targets))
+
+
 def _perfbench_center_builders() -> tuple:
     """The center builders whose calls perfbench's per-builder metrics
     count (the `CENTER_BUILDERS` literal of perfbench/run.py)."""
-    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
-    return next(ast.literal_eval(node.value) for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(getattr(t, "id", None) == "CENTER_BUILDERS" for t in node.targets))
+    return _literal("perfbench/run.py", "CENTER_BUILDERS")
+
+
+def test_benchmark_and_pinned_outputs_run_the_criterion_3_ids():
+    # the oracle-c3 workload and the pinned criterion-3 report keep their
+    # own copies of the list the tests run
+    assert _literal("perfbench/workloads.py", "C3_IDS") == C3_IDS
+    assert _literal("tools/pinned_outputs.py", "C3_IDS") == C3_IDS
 
 
 # the builder each center row and each check must reach through the

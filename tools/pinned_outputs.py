@@ -32,7 +32,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from hypertri import cli  # noqa: E402  (after the path is set)
 
-# the 26 criterion-3 center identities (`tests/test_acceptance.py`)
+# the 26 criterion-3 center identities (`tests/criterion3.py`)
 C3_IDS = ("CE1", "CR1", "CR2", "CR3", "IN1", "IN2", "IN3", "IN4", "IN5", "IN6",
           "IN7", "OR1", "OR2", "OR3", "OR4", "OR5", "OR6", "IS2", "IS3", "IS4",
           "SY1", "SY2", "LE1", "LE2", "PM1", "PM2")

@@ -91,11 +91,12 @@ class Frame:
     the per-index objects every construction shares.
 
     Vertices are unit-normalized, side lines unit and oriented toward the
-    opposite vertex.  The bisector lines, side tangents, altitudes, their
-    feet and lengths (``heights``) and the side midpoints are built here,
-    once, as triples indexed like `trig.SIDE_ENDS`: entry ``i`` belongs to
-    vertex ``i`` or to side ``i``, which runs from vertex ``j`` to vertex
-    ``k`` with (j, k) = SIDE_ENDS[i].  Every center builder
+    opposite vertex.  The bisector lines, altitudes, their feet and lengths
+    (``heights``) and the side midpoints are built here, once, as triples
+    indexed like `trig.SIDE_ENDS`: entry ``i`` belongs to vertex ``i`` or
+    to side ``i``, which runs from vertex ``j`` to vertex ``k`` with
+    (j, k) = SIDE_ENDS[i]; the side tangents are the triangle's own
+    (`TriangleData.side_tangents`).  Every center builder
     takes a triangle or its frame (see `Frame.of`) and stores its result in
     the frame's instance dict under its own name, so a batch of identity
     checks constructs each center once; only successful builds are stored.
@@ -105,7 +106,7 @@ class Frame:
         self.t = t
         self.vertices, self.lines = vs, ls = t.vertices, t.lines
         self.A, self.B, self.C = vs
-        internal, external, tangents = [], [], []
+        internal, external = [], []
         altitudes, feet, heights, mids = [], [], [], []
         for i, (j, k) in enumerate(SIDE_ENDS):
             # the sides at vertex i are lines[k] (toward vertex j) and
@@ -114,15 +115,13 @@ class Frame:
             (px, py, pw), (qx, qy, qw) = ls[k], ls[j]
             internal.append(HLine(px - qx, py - qy, pw - qw))
             external.append(HLine(px + qx, py + qy, pw + qw))
-            # unit tangent along side i at its start, toward its end
-            tangents.append(tangent_toward(vs[j], vs[k]))
             altitudes.append(perpendicular_line(vs[i], ls[i]))
             feet.append(normalize(meet(altitudes[i], ls[i])))
             heights.append(distance(vs[i], feet[i]))
             mids.append(midpoint(vs[j], vs[k]))
         self.internal_bisectors = tuple(internal)
         self.external_bisectors = tuple(external)
-        self.side_tangents = tuple(tangents)
+        self.side_tangents = t.side_tangents
         self.altitudes = tuple(altitudes)
         self.altitude_feet = tuple(feet)
         self.heights = tuple(heights)

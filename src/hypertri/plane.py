@@ -512,22 +512,20 @@ _ZERO, _PI, _HALF_PI = Quantum.ZERO, Quantum.PI, Quantum.HALF_PI
 
 
 def _segment_pair(a: HPoint, b: HPoint, l: HLine):
-    """`distance_ext` of ``a`` and ``b``, given their join ``l``."""
+    """`distance_ext` of ``a`` and ``b``, given their join ``l``.  A finite
+    length is built with ``tuple.__new__``: `ExtLength`'s rules act only on
+    a NaN or infinite real part."""
     ka = classify(a)
     kb = classify(b)
-    if ka is _R:
-        if kb is _R:
-            first = radius_ext(a, _R, b)
-            return (first, ExtLength(-first.re, _PI))
-        if kb is _ID:
-            first = radius_ext(b, _ID, a)
-            return (first, ExtLength(-first.re, _HALF_PI))
-        return _INF_PAIR
-    if kb is _R:
-        if ka is _ID:
-            first = radius_ext(a, _ID, b)
-            return (first, ExtLength(-first.re, _HALF_PI))
-        return _INF_PAIR
+    if ka is _R or kb is _R:
+        if ka is _IN or kb is _IN:
+            return _INF_PAIR
+        if ka is kb:
+            first, im = radius_ext(a, _R, b), _PI
+        else:   # a real and an ideal point
+            first, im = radius_ext(b, _ID, a) if ka is _R else radius_ext(a, _ID, b), _HALF_PI
+        re = -first[0]
+        return (first, _new(ExtLength, (re, im)) if -_INF < re < _INF else ExtLength(re, im))
 
     lk = classify_line(l)
     if ka is _IN and kb is _IN:
@@ -545,12 +543,14 @@ def _segment_pair(a: HPoint, b: HPoint, l: HLine):
     if lk is _REAL_LINE:
         an, bn = normalize(a), normalize(b)
         d = acosh_clamped(abs(mdot(an, bn)))
+        if d < _INF:
+            return (_new(ExtLength, (d, _PI)), _new(ExtLength, (-d, _ZERO)))
         return (ExtLength(d, _PI), ExtLength(-d))
     if lk is _AT_INFINITY:
         return (ExtLength(0.0), ExtLength(0.0, _PI))
     # ideal line: length is the angle of the polars (at a real point) times i
     phi = _line_angle_at(polar(a), polar(b))
-    return (PureImaginary(phi), PureImaginary(math.pi - phi))
+    return (_new(PureImaginary, (phi,)), _new(PureImaginary, (math.pi - phi,)))
 
 
 def radius_ext(center: HPoint, kind: PointKind, p: HPoint) -> ExtLength:
@@ -560,10 +560,12 @@ def radius_ext(center: HPoint, kind: PointKind, p: HPoint) -> ExtLength:
     ``d + (pi/2) i`` for an ideal one (``d`` the distance from ``p`` to its
     polar) and ``inf`` for a center at infinity."""
     if kind is _R:
-        return ExtLength(distance(center, p))
-    if kind is _ID:
-        return ExtLength(abs(signed_line_distance(p, polar(center))), Quantum.HALF_PI)
-    return ExtLength(math.inf)
+        re, im = distance(center, p), _ZERO
+    elif kind is _ID:
+        re, im = abs(signed_line_distance(p, polar(center))), _HALF_PI
+    else:
+        return ExtLength(math.inf)
+    return _new(ExtLength, (re, im)) if -_INF < re < _INF else ExtLength(re, im)
 
 
 def _line_angle_at(u: HLine, v: HLine) -> float:

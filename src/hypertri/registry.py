@@ -103,6 +103,10 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _tag_key(tag: str) -> int:
+    return _mix64(zlib.crc32(tag.encode()))
+
+
 class _Stream:
     """The SplitMix64 generator (Steele, Lea and Flood, "Fast Splittable
     Pseudorandom Number Generators", OOPSLA 2014) of one trial seed and tag.
@@ -111,7 +115,8 @@ class _Stream:
     stable key of the tag, itself the finalizer of the tag's CRC-32 (`hash`
     of a string changes from one process to the next), so the streams of
     neighbouring seeds or tags are not shifted copies of one Weyl
-    sequence.  Keying one costs about 0.7 µs, where seeding a
+    sequence; the registry's own tags are keyed once (`_TAG_KEYS`), any
+    other on each use.  Keying one costs about 0.7 µs, where seeding a
     `random.Random` from a string costs about 5 µs.  `random` draws the top
     53 bits of the next output over 2**53.
     """
@@ -119,7 +124,8 @@ class _Stream:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int, tag: str):
-        self._state = _mix64((seed ^ _mix64(zlib.crc32(tag.encode()))) & _MASK64)
+        key = _TAG_KEYS.get(tag)
+        self._state = _mix64((seed ^ (_tag_key(tag) if key is None else key)) & _MASK64)
 
     def random(self) -> float:
         self._state = state = (self._state + _GOLDEN_GAMMA) & _MASK64
@@ -160,6 +166,12 @@ class TrialContext(ct.Frame):
         rng = _Stream(self.seed, "interior")
         w = (rng.random() + 0.05, rng.random() + 0.05, rng.random() + 0.05)
         return trig.point_from_coords(w, self.t)
+
+    @stored_property
+    def interior_ratios(self) -> tuple[float, float, float]:
+        """`trig.cevian_ratio` of `random_interior` on each side; a raise is not stored."""
+        x, t = self.random_interior, self.t
+        return (trig.cevian_ratio(x, t, 0), trig.cevian_ratio(x, t, 1), trig.cevian_ratio(x, t, 2))
 
     @stored_property
     def random_conjugate(self) -> HPoint:
@@ -302,11 +314,9 @@ def _staudtian_height(c):
 
 
 def _section_ratio(c):
-    t = c.t
-    x = c.random_interior
-    k = tri_coords(x, t)
-    return worst_residual(*[_rel(trig.cevian_ratio(x, t, i), k[kk] / k[j])
-                            for i, (j, kk) in enumerate(SIDE_ENDS)])
+    ratios = c.interior_ratios
+    k = tri_coords(c.random_interior, c.t)
+    return worst_residual(*[_rel(ratios[i], k[kk] / k[j]) for i, (j, kk) in enumerate(SIDE_ENDS)])
 
 
 def _half_side_sinh(c):
@@ -605,9 +615,9 @@ def _stewart_euclidean_order_gap() -> float:
 
 def _isogonal_inverse_ratio(c):
     t = c.t
-    x, xp = c.random_interior, c.random_conjugate
+    ratios, xp = c.interior_ratios, c.random_conjugate
     return worst_residual(*[
-        _rel(trig.cevian_ratio(x, t, i) * trig.cevian_ratio(xp, t, i),
+        _rel(ratios[i] * trig.cevian_ratio(xp, t, i),
              sinh(t.sides[k]) ** 2 / sinh(t.sides[j]) ** 2)
         for i, (j, k) in enumerate(SIDE_ENDS)])
 
@@ -750,7 +760,11 @@ def _classical_line_dichotomy(c):
 # `hypertri tables`.  Every cell ends in its expected entry.  A segment cell
 # is (carrier line, points(d), expected(d)): a point pair whose
 # `distance_ext` pair is the expected (AB, BA) lengths, or None when no pair
-# realizes the cell; the lengths hold for d >= 0, the pairs for d > 0.  An
+# realizes the cell.  The lengths hold for d >= 0; the pairs meet TBL1's
+# 1e-12 on about 2e-4 <= d <= 5.  At d = 0 the pairs of RR, IdId, InId@inf
+# and IdId@inf coincide (IdenticalPoints); below sqrt(plane.EPS_CLS) the @inf
+# pairs read as points at infinity; IdId's acosh loses digits at small d,
+# and RR and IdId at large d (5.5e-9 at d = 10).  An
 # angle cell is (lines(d), expected(d)): a line pair and its `angle_ext`
 # pair as (re, over_i) values, for 0 < d < pi/2.  An entry that is the same
 # for every d is a `_Fixed`, and a cell takes d exactly when its expected
@@ -841,14 +855,15 @@ def _table_check(cells, residual):
     includes the worst of those."""
     fixed = [cell for cell in cells if all(isinstance(e, _Fixed) for e in cell)]
     varying = [cell for cell in cells if cell not in fixed]
+    # the varying cells' entries as columns: `map` builds no frame per call
+    columns, count = tuple(zip(*varying)), len(varying)
 
     @functools.cache
     def fixed_worst():
         return worst_residual(*[residual(*cell, None) for cell in fixed])
 
     def evaluate(c):
-        d = _table_d(c)
-        return worst_residual(fixed_worst(), *[residual(*cell, d) for cell in varying])
+        return worst_residual(fixed_worst(), *map(residual, *columns, [_table_d(c)] * count))
     return evaluate
 
 
@@ -861,8 +876,8 @@ def _quantum_matches(value: ExtLength, re: float, quantum: Quantum) -> float:
 
 
 def _segment_residual(points, expected, d):
-    return worst_residual(*[_quantum_matches(got, want.re, want.im)
-                            for got, want in zip(distance_ext(*points(d)), expected(d))])
+    (got_ab, got_ba), (want_ab, want_ba) = distance_ext(*points(d)), expected(d)
+    return worst_residual(_quantum_matches(got_ab, *want_ab), _quantum_matches(got_ba, *want_ba))
 
 
 def _segment_table(line: str):
@@ -880,8 +895,9 @@ def _angle_value_matches(a, re: float, over_i: float) -> float:
 
 
 def _angle_residual(lines, expected, d):
-    return worst_residual(*[_angle_value_matches(got, re, over_i)
-                            for got, (re, over_i) in zip(plane.angle_ext(*lines(d)), expected(d))])
+    (got_ab, got_ba), (want_ab, want_ba) = plane.angle_ext(*lines(d)), expected(d)
+    return worst_residual(_angle_value_matches(got_ab, *want_ab),
+                          _angle_value_matches(got_ba, *want_ba))
 
 
 _table_angles = _table_check(list(ANGLE_CASES.values()), _angle_residual)
@@ -1099,6 +1115,8 @@ _DEFS = [
 
 REGISTRY = {d.id: d for d in _DEFS}
 ALL_IDS = [d.id for d in _DEFS]
+# the `_Stream` key of each tag the registry draws under (the empty one before `use_stream`)
+_TAG_KEYS = {tag: _tag_key(tag) for tag in ("", "interior", "lambert", *ALL_IDS)}
 EXPECTED_FAILURES = tuple(d.id for d in _DEFS if d.expected_to_fail)
 
 

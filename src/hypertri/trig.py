@@ -94,20 +94,28 @@ class TriangleData(_TriangleFields):
     `solve_from_vertices`, or, for a triangle solved from its sides or
     angles, A at the origin, B on the positive x-axis and C in the upper
     half plane.  ``lines`` holds the side lines (a, b, c), derived from the
-    vertices when first read; ``sides`` and ``angles`` are the triples
+    vertices when first read, from ``side_joins``, the raw ``join`` of each
+    side's ends; ``side_tangents`` holds each side's unit tangent at its
+    start toward its end; ``sides`` and ``angles`` are the triples
     (a, b, c) and (alpha, beta, gamma).  Per-vertex and per-side accessors
     take an index (see `SIDE_ENDS`).
 
     The fields are an immutable named tuple; the class has no ``__slots__``,
-    so ``lines``, ``coord_rows``, ``sides`` and ``angles`` are kept in the
-    instance dict once read.
+    so ``lines``, ``side_joins``, ``side_tangents``, ``coord_rows``,
+    ``sides`` and ``angles`` are kept in the instance dict once read.
     """
 
     @stored_property
     def lines(self) -> tuple[HLine, HLine, HLine]:
-        vs = self.vertices
-        return tuple(_side_line(vs[i], vs[j], vs[k])
-                     for i, (j, k) in enumerate(SIDE_ENDS))
+        return tuple(map(_side_line, self.vertices, self.side_joins))
+
+    @stored_property
+    def side_joins(self) -> tuple[HLine, HLine, HLine]:
+        return tuple(join(self.vertices[j], self.vertices[k]) for j, k in SIDE_ENDS)
+
+    @stored_property
+    def side_tangents(self) -> tuple:
+        return tuple(tangent_toward(self.vertices[j], self.vertices[k]) for j, k in SIDE_ENDS)
 
     @stored_property
     def coord_rows(self) -> tuple:
@@ -142,9 +150,9 @@ class TriangleData(_TriangleFields):
         }
 
 
-def _side_line(opposite: HPoint, p: HPoint, q: HPoint) -> HLine:
-    """Unit line through p and q, oriented toward ``opposite``."""
-    l = normalize_line(join(p, q))
+def _side_line(opposite: HPoint, joined: HLine) -> HLine:
+    """The unit form of the line ``joined``, oriented toward ``opposite``."""
+    l = normalize_line(joined)
     if mdot(normalize(opposite), l) < 0:
         l = HLine(-l.x, -l.y, -l.w)
     return l
@@ -396,17 +404,11 @@ def cevian_ratio(x: HPoint, t: TriangleData, i: int) -> float:
     The ratio is signed: a foot outside the closed segment makes one factor
     negative.
     """
-    vs = t.vertices
-    j, k = SIDE_ENDS[i]
-    vertex, start, end = vs[i], vs[j], vs[k]
-    length = t.sides[i]
-    xn = normalize(x)
-    line_side = join(start, end)
-    cev = join(vertex, xn)
-    foot = real_point(meet(cev, line_side), CevianParallel,
+    cev = join(t.vertices[i], normalize(x))
+    foot = real_point(meet(cev, t.side_joins[i]), CevianParallel,
                       "cevian meets the side line in a non-real point")
-    u = plane.arc_coordinate(foot, tangent_toward(start, end))
-    denom = math.sinh(length - u)
+    u = plane.arc_coordinate(foot, t.side_tangents[i])
+    denom = math.sinh(t.sides[i] - u)
     if denom == 0.0:
         raise CevianParallel("cevian foot coincides with the far endpoint")
     return math.sinh(u) / denom
@@ -417,15 +419,14 @@ def stewart_residual(t: TriangleData, aprime: HPoint) -> float:
 
         cosh(AB) sinh(A'C) + cosh(AC) sinh(BA') - cosh(AA') sinh(BC)
     """
-    va, vb, vc = t.vertices
     p = real_point(aprime, FootOutsideSegment, "the point must be a real point of side BC")
     if abs(mdot(p, t.lines[0])) > 1e-9:
         raise FootOutsideSegment("the point is not on line BC")
-    u = plane.arc_coordinate(p, tangent_toward(vb, vc))
+    u = plane.arc_coordinate(p, t.side_tangents[0])
     if u < -1e-12 or u > t.a + 1e-12:
         raise FootOutsideSegment("the point lies outside segment BC")
     lhs = math.cosh(t.c) * math.sinh(t.a - u) + math.cosh(t.b) * math.sinh(u)
-    rhs = math.cosh(distance(va, p)) * math.sinh(t.a)
+    rhs = math.cosh(distance(t.vertices[0], p)) * math.sinh(t.a)
     return abs(lhs - rhs)
 
 

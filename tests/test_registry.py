@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import weakref
+import zlib
 from pathlib import Path
 
 import pytest
@@ -15,9 +16,11 @@ from hypertri import centers as ct
 from hypertri import cli, plane, trig
 from hypertri import registry as rg
 from hypertri.errors import (
+    CevianParallel,
     ConjugateAtInfinity,
     DegenerateTriangle,
     GeometryError,
+    IdenticalPoints,
     OverflowRisk,
     UnknownIdentity,
 )
@@ -267,6 +270,46 @@ class TestSuite:
         fresh = rg.TrialContext(seed=seed, t=gen_triangle(seed))
         assert list(rep.centers) == rg.center_table(fresh)
 
+    @pytest.mark.parametrize("seed", [3, 7, 11])
+    def test_cevian_checks_share_the_side_objects_and_the_interior_ratios(self, seed,
+                                                                          monkeypatch):
+        # ST4 and IS1 read the random interior's three section ratios from
+        # the context, so `cevian_ratio` runs three times for it and three
+        # for its conjugate; every side's join and start tangent is built
+        # once, by the triangle, and `lines`, the frame and every
+        # `cevian_ratio` call read it
+        calls = {"cevian_ratio": 0, "join": [], "tangent_toward": []}
+        originals = {name: getattr(trig, name) for name in calls}
+
+        def ratio(x, t, i):
+            calls["cevian_ratio"] += 1
+            return originals["cevian_ratio"](x, t, i)
+
+        def counting(name):
+            def call(p, q):
+                calls[name].append((p, q))
+                return originals[name](p, q)
+            return call
+
+        monkeypatch.setattr(trig, "cevian_ratio", ratio)
+        for name in ("join", "tangent_toward"):
+            monkeypatch.setattr(trig, name, counting(name))
+        t = gen_triangle(seed)
+        ctx = rg.TrialContext(seed=seed, t=t)
+        records = [rg.run_identity(identity_id, ctx) for identity_id in rg.ALL_IDS]
+        checked = [r for r in records if r.id in ("ST4", "IS1")]
+        assert [r.status for r in checked] == ["pass", "pass"]
+        assert calls["cevian_ratio"] == 6
+        vs = t.vertices
+        for name in ("join", "tangent_toward"):
+            sides = [(p, q) for p, q in calls[name] if p in vs and q in vs]
+            assert sides == [(vs[j], vs[k]) for j, k in trig.SIDE_ENDS], name
+        assert ctx.side_tangents is t.side_tangents
+        # a second run reads the stored interior ratios; IS1 builds its
+        # conjugate's again
+        assert [rg.run_identity(r.id, ctx) for r in checked] == checked
+        assert calls["cevian_ratio"] == 9
+
     def test_triangle_json_round_trip(self):
         t = gen_triangle(13)
         obj = rg.triangle_json(t, 13)
@@ -339,6 +382,25 @@ def test_neighbouring_streams_share_no_draw(monkeypatch):
             assert not previous[tag] & current[tag], (seed, tag)
         assert len(set().union(*previous.values())) == 64 * len(tags), seed
         previous = current
+
+
+def test_the_registry_tags_are_keyed_once_at_import(monkeypatch):
+    # a stream for any tag the registry draws under takes its key from the
+    # table made at import; any other tag is keyed on the spot, and the
+    # table does not grow
+    calls = []
+    crc32 = zlib.crc32
+    monkeypatch.setattr(zlib, "crc32", lambda data: calls.append(data) or crc32(data))
+    tags = ["", "interior", "lambert", *rg.ALL_IDS]
+    streams = [rg._Stream(seed, tag) for seed in (1, 2, 1000001) for tag in tags]
+    assert calls == []
+    for seed in range(1, 4):
+        rg.run_suite(seed)
+    assert calls == []
+    size = len(rg._TAG_KEYS)
+    other = rg._Stream(1, "not-an-id")
+    assert calls == [b"not-an-id"] and len(rg._TAG_KEYS) == size
+    assert other.random() not in {s.random() for s in streams}
 
 
 def test_a_context_without_a_stream_tag_draws_the_empty_tag():
@@ -553,6 +615,20 @@ def test_a_failed_conjugate_is_built_again_for_each_id(monkeypatch):
     assert len(seen) == 2
 
 
+def test_failed_interior_ratios_are_built_again_for_each_id(monkeypatch):
+    calls = []
+
+    def raises(x, t, i):
+        calls.append(i)
+        raise CevianParallel("stub")
+
+    monkeypatch.setattr(trig, "cevian_ratio", raises)
+    ctx = rg.TrialContext(5, gen_triangle(5))
+    recs = [rg.run_identity(i, ctx) for i in ("ST4", "IS1")]
+    assert [(r.status, r.reason) for r in recs] == [("fail", "CevianParallel: stub")] * 2
+    assert calls == [0, 0] and "interior_ratios" not in vars(ctx)
+
+
 def test_the_h_prime_row_is_the_orthocenter_conjugate_builder():
     for seed in range(1, 21):
         ctx = rg.TrialContext(seed, gen_triangle(seed, shape="acute"))
@@ -623,6 +699,33 @@ def _cell_entries(name):
     without the carrier of a segment cell."""
     cell = rg.SEGMENT_CASES.get(name) or rg.ANGLE_CASES[name]
     return cell[-2:]
+
+
+def _d_taking_pairs() -> dict:
+    """The segment cells whose point pair changes with d."""
+    return {name: cell for name, cell in rg.SEGMENT_CASES.items()
+            if cell[1] is not None and not isinstance(cell[1], rg._Fixed)}
+
+
+def test_segment_pairs_meet_the_table_tolerance_across_their_window():
+    # the window stated above `registry.SEGMENT_CASES`, on a fixed log grid:
+    # 61 values of d from 2e-4 to 5
+    pairs = _d_taking_pairs()
+    assert sorted(pairs) == ["IdId", "IdId@inf", "InId", "InId@inf", "RId", "RR"]
+    for step in range(61):
+        d = 2e-4 * 25000.0 ** (step / 60)
+        for name, (_, points, expected) in pairs.items():
+            assert rg._segment_residual(points, expected, d) < 1e-12, (name, d)
+
+
+def test_exactly_four_segment_pairs_coincide_at_d_zero():
+    coincide = set()
+    for name, (_, points, _expected) in _d_taking_pairs().items():
+        try:
+            plane.distance_ext(*points(0.0))
+        except IdenticalPoints:
+            coincide.add(name)
+    assert coincide == {"RR", "IdId", "InId@inf", "IdId@inf"}
 
 
 def test_fixed_marks_are_exactly_the_cells_that_ignore_d():

@@ -501,14 +501,16 @@ def test_residual_parts_reduce_through_worst_residual():
     assert found == []
 
 
-# the helpers every center-coordinate check calls many times per seed,
+# the helpers every center-coordinate check calls many times per seed, and
+# those of the segment and angle tables and the cevian section ratios,
 # written as straight-line code: a generator expression, comprehension or
 # lambda in one of them builds a frame on every call
 _STRAIGHT_LINE = {
     "trig.py": ("tri_coords", "proportionality_residual", "relative_residual",
-                "worst_residual"),
+                "worst_residual", "cevian_ratio"),
     "centers.py": ("_memo.builder", "side_tol", "isogonal_conjugate"),
-    "registry.py": ("run_identity", "_center_coords.ev"),
+    "registry.py": ("run_identity", "_center_coords.ev", "_table_check.evaluate",
+                    "_segment_residual", "_angle_residual"),
 }
 _FRAME_BUILDERS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Lambda)
 

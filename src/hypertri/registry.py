@@ -764,7 +764,7 @@ def _classical_line_dichotomy(c):
 # 1e-12 on about 2e-4 <= d <= 5.  At d = 0 the pairs of RR, IdId, InId@inf
 # and IdId@inf coincide (IdenticalPoints); below sqrt(plane.EPS_CLS) the @inf
 # pairs read as points at infinity; IdId's acosh loses digits at small d,
-# and RR and IdId at large d (5.5e-9 at d = 10).  An
+# and RR, RId and IdId lose them at large d (5.5e-9 at d = 10).  An
 # angle cell is (lines(d), expected(d)): a line pair and its `angle_ext`
 # pair as (re, over_i) values, for 0 < d < pi/2.  An entry that is the same
 # for every d is a `_Fixed`, and a cell takes d exactly when its expected

@@ -95,11 +95,11 @@ class Frame:
     (``heights``) and the side midpoints are built here, once, as triples
     indexed like `trig.SIDE_ENDS`: entry ``i`` belongs to vertex ``i`` or
     to side ``i``, which runs from vertex ``j`` to vertex ``k`` with
-    (j, k) = SIDE_ENDS[i]; the side tangents are the triangle's own
-    (`TriangleData.side_tangents`).  Every center builder
-    takes a triangle or its frame (see `Frame.of`) and stores its result in
-    the frame's instance dict under its own name, so a batch of identity
-    checks constructs each center once; only successful builds are stored.
+    (j, k) = SIDE_ENDS[i]; the side tangents are the triangle's own, and
+    ``unit_bisectors`` the unit forms of internal bisectors 0 and 1.  Every
+    center builder takes a triangle or its frame (see `Frame.of`) and stores
+    its result in the frame's instance dict under its own name, so a batch of
+    identity checks builds each center once; only successful builds are stored.
     """
 
     def __init__(self, t: TriangleData):
@@ -113,13 +113,14 @@ class Frame:
             # lines[j]; the interior is where both signed distances are
             # positive
             (px, py, pw), (qx, qy, qw) = ls[k], ls[j]
-            internal.append(HLine(px - qx, py - qy, pw - qw))
-            external.append(HLine(px + qx, py + qy, pw + qw))
+            internal.append(_new(HLine, (px - qx, py - qy, pw - qw)))
+            external.append(_new(HLine, (px + qx, py + qy, pw + qw)))
             altitudes.append(perpendicular_line(vs[i], ls[i]))
             feet.append(normalize(meet(altitudes[i], ls[i])))
             heights.append(distance(vs[i], feet[i]))
             mids.append(midpoint(vs[j], vs[k]))
         self.internal_bisectors = tuple(internal)
+        self.unit_bisectors = (normalize_line(internal[0]), normalize_line(internal[1]))
         self.external_bisectors = tuple(external)
         self.side_tangents = t.side_tangents
         self.altitudes = tuple(altitudes)
@@ -311,6 +312,13 @@ def orthocenter(f: Frame) -> CenterResult:
     return res
 
 
+@_memo
+def orthocenter_distances(f: Frame):
+    """A real H's distances ((HA, HB, HC), (HF_0, HF_1, HF_2)) to the vertices and feet."""
+    h = orthocenter(f).point
+    return tuple(distance(h, v) for v in f.vertices), tuple(distance(h, x) for x in f.altitude_feet)
+
+
 # --------------------------------------------------------------------------
 # isogonal conjugation
 
@@ -341,8 +349,8 @@ def isogonal_conjugate(x: HPoint | CenterResult, tri: TriangleData | Frame) -> H
         coords = tri_coords(xn, f.t)
     if min(map(abs, coords)) <= side_tol(coords):
         raise OnSideLine("isogonal conjugate of a point on a side line")
-    la = plane.reflect_line(join(f.A, xn), normalize_line(f.internal_bisectors[0]))
-    lb = plane.reflect_line(join(f.B, xn), normalize_line(f.internal_bisectors[1]))
+    la = plane.reflect_line(join(f.A, xn), f.unit_bisectors[0])
+    lb = plane.reflect_line(join(f.B, xn), f.unit_bisectors[1])
     return real_point(meet(la, lb), ConjugateAtInfinity,
                       "reflected cevians meet in a non-real point")
 

@@ -82,12 +82,12 @@ def _surely_rejected(pts, shape, c) -> bool:
     is ``<V_j, V_k>`` and ``cos angle_i = (cosh_j cosh_k - cosh_i) /
     (sinh_j sinh_k)``.  The test is one-sided: False leaves the candidate to
     the full solve."""
-    ch = [mdot(pts[j], pts[k]) for j, k in SIDE_ENDS]
-    w = max(p[2] for p in pts)
+    ch = (mdot(pts[1], pts[2]), mdot(pts[2], pts[0]), mdot(pts[0], pts[1]))
+    w = max(pts[0][2], pts[1][2], pts[2][2])
     margin = _GRAM_MARGIN * w * w
     if min(ch) < math.cosh(c.min_side) - margin:
         return True
-    sh2 = [x * x - 1.0 for x in ch]
+    sh2 = (ch[0] * ch[0] - 1.0, ch[1] * ch[1] - 1.0, ch[2] * ch[2] - 1.0)
     if min(sh2) < _GRAM_MIN_SINH2:
         return False
     cos_min = math.cos(c.min_angle) + margin
@@ -104,8 +104,9 @@ def _accept(pts, shape, c) -> TriangleData | None:
     vertices are normalized once; a candidate that `_surely_rejected` turns
     down is not solved."""
     try:
-        pts = [normalize(p) for p in pts]
-        if any(p.__class__ is not UnitPoint for p in pts) or _surely_rejected(pts, shape, c):
+        pts = (normalize(pts[0]), normalize(pts[1]), normalize(pts[2]))
+        if (pts[0].__class__ is not UnitPoint or pts[1].__class__ is not UnitPoint
+                or pts[2].__class__ is not UnitPoint or _surely_rejected(pts, shape, c)):
             return None
         t = trig.solve_from_vertices(*pts)
     except GeometryError:
@@ -114,7 +115,9 @@ def _accept(pts, shape, c) -> TriangleData | None:
 
 
 def _sampled_triangle(rng, shape, c) -> TriangleData | None:
-    return _accept([sample_disk_point(rng, c.max_klein_radius) for _ in range(3)], shape, c)
+    r = c.max_klein_radius
+    return _accept((sample_disk_point(rng, r), sample_disk_point(rng, r),
+                    sample_disk_point(rng, r)), shape, c)
 
 
 def _right_triangle(rng, shape, c) -> TriangleData | None:

@@ -396,6 +396,24 @@ def tangent_toward(p: HPoint, q: HPoint) -> tuple[float, float, float]:
     return ((qx - c * px) / s, (qy - c * py) / s, (qw - c * pw) / s)
 
 
+def segment(p: HPoint, q: HPoint):
+    """``(distance(p, q), tangent_toward(p, q), tangent_toward(q, p))`` bit for bit, from one
+    difference vector and one (symmetric) product; the tangents are None where ``s == 0``."""
+    px, py, pw = p if p.__class__ is UnitPoint else normalize(p)
+    qx, qy, qw = q if q.__class__ is UnitPoint else normalize(q)
+    c = pw * qw - px * qx - py * qy
+    dx, dy, dw = px - qx, py - qy, pw - qw
+    half2 = dx * dx + dy * dy - dw * dw
+    d = (2.0 * math.asinh(0.5 * math.sqrt(0.0 if half2 < 0.0 else half2)) if c < 1.005
+         else math.acosh(c))
+    s = half2 * (1.0 + 0.25 * half2)
+    s = math.sqrt(0.0 if s < 0.0 else s)
+    if s == 0.0:
+        return d, None, None
+    return (d, ((qx - c * px) / s, (qy - c * py) / s, (qw - c * pw) / s),
+            ((px - c * qx) / s, (py - c * qy) / s, (pw - c * qw) / s))
+
+
 def geodesic_point(p: HPoint, t: tuple[float, float, float], u: float) -> HPoint:
     """Point at signed arc length ``u`` from normalized ``p`` along unit tangent ``t``."""
     cu, su = math.cosh(u), math.sinh(u)
@@ -698,7 +716,7 @@ def model_convert(coords, frm: str, to: str):
 def klein_point(x: float, y: float) -> HPoint:
     """Projective point from Klein chart coordinates (any radius; outside the
     unit disk gives an ideal point, on it a boundary point)."""
-    return HPoint(x, y, 1.0)
+    return _new(HPoint, (x, y, 1.0))
 
 
 def origin() -> HPoint:

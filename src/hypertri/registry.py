@@ -512,9 +512,8 @@ def _oi_distance(c):
 # -- orthocenter -------------------------------------------------------------
 
 def _orthocenter_products(c):
-    h = _need_center(c, "H").point
-    vals = [tanh(distance(h, vert)) * tanh(distance(h, c.altitude_feet[i]))
-            for i, vert in enumerate(c.vertices)]
+    _need_center(c, "H")
+    vals = [tanh(hv) * tanh(hf) for hv, hf in zip(*ct.orthocenter_distances(c))]
     return worst_residual(_rel(vals[0], vals[1]), _rel(vals[1], vals[2]))
 
 
@@ -523,9 +522,7 @@ def _orthocenter_sinh_products(c):
     # H on a vertex: two coordinates vanish, and with them every product
     if _on_vertex(h_res):
         raise _Skip("orthocenter on a vertex (right angle): the sinh products vanish")
-    h = h_res.point
-    prods = [sinh(distance(h, vert)) * sinh(distance(h, foot))
-             for vert, foot in zip(c.vertices, c.altitude_feet)]
+    prods = [sinh(hv) * sinh(hf) for hv, hf in zip(*ct.orthocenter_distances(c))]
     return _prop(prods, [cosh(x) for x in c.heights])
 
 
@@ -552,13 +549,12 @@ def _altitude_stewart(c):
 def _orthocenter_euler_distance(c):
     h_res = _need_inner_orthocenter(c, "altitude chain h_x = HX + HF_x needs an acute triangle")
     o = ct.circumcenters(c)[0]
-    h = h_res.point
-    hval = h_res.aux["h"]
     acc = 0.0
-    for vert, hx in zip(c.vertices, c.heights):
-        acc += (1.0 / tanh(hx)) / sinh(distance(h, vert))
+    for hv, hx in zip(ct.orthocenter_distances(c)[0], c.heights):
+        acc += (1.0 / tanh(hx)) / sinh(hv)
     radius = plane.radius_ext(o.point, o.classification, c.A)
-    lhs = (1.0 / hval + 1.0) * ext_cosh(plane.radius_ext(o.point, o.classification, h))
+    h_radius = plane.radius_ext(o.point, o.classification, h_res.point)
+    lhs = (1.0 / h_res.aux["h"] + 1.0) * ext_cosh(h_radius)
     rhs = acc * ext_cosh(radius)
     return _rel(lhs, rhs)
 

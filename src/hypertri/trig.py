@@ -20,6 +20,7 @@ from .errors import (
     CevianParallel,
     DegenerateTriangle,
     FootOutsideSegment,
+    IdenticalPoints,
     NoSolution,
     OutOfDomain,
     OverflowRisk,
@@ -27,6 +28,7 @@ from .errors import (
 from .plane import (
     HLine,
     HPoint,
+    _new,
     acosh_clamped,
     distance,
     join,
@@ -35,7 +37,8 @@ from .plane import (
     normalize,
     normalize_line,
     real_point,
-    tangent_toward,
+    segment,
+    tangent_angle,
     vertex_angle,
 )
 
@@ -96,9 +99,9 @@ class TriangleData(_TriangleFields):
     half plane.  ``lines`` holds the side lines (a, b, c), derived from the
     vertices when first read, from ``side_joins``, the raw ``join`` of each
     side's ends; ``side_tangents`` holds each side's unit tangent at its
-    start toward its end; ``sides`` and ``angles`` are the triples
-    (a, b, c) and (alpha, beta, gamma).  Per-vertex and per-side accessors
-    take an index (see `SIDE_ENDS`).
+    start toward its end, from `plane.segment` (kept by a vertex solve);
+    ``sides`` and ``angles`` are the triples (a, b, c) and (alpha, beta,
+    gamma).  Per-vertex and per-side accessors take an index (see `SIDE_ENDS`).
 
     The fields are an immutable named tuple; the class has no ``__slots__``,
     so ``lines``, ``side_joins``, ``side_tangents``, ``coord_rows``,
@@ -107,15 +110,17 @@ class TriangleData(_TriangleFields):
 
     @stored_property
     def lines(self) -> tuple[HLine, HLine, HLine]:
-        return tuple(map(_side_line, self.vertices, self.side_joins))
+        vs, js = self.vertices, self.side_joins
+        return (_side_line(vs[0], js[0]), _side_line(vs[1], js[1]), _side_line(vs[2], js[2]))
 
     @stored_property
     def side_joins(self) -> tuple[HLine, HLine, HLine]:
-        return tuple(join(self.vertices[j], self.vertices[k]) for j, k in SIDE_ENDS)
+        vs = self.vertices
+        return (join(vs[1], vs[2]), join(vs[2], vs[0]), join(vs[0], vs[1]))
 
     @stored_property
     def side_tangents(self) -> tuple:
-        return tuple(tangent_toward(self.vertices[j], self.vertices[k]) for j, k in SIDE_ENDS)
+        return _measure(self.vertices)[1]
 
     @stored_property
     def coord_rows(self) -> tuple:
@@ -154,7 +159,7 @@ def _side_line(opposite: HPoint, joined: HLine) -> HLine:
     """The unit form of the line ``joined``, oriented toward ``opposite``."""
     l = normalize_line(joined)
     if mdot(normalize(opposite), l) < 0:
-        l = HLine(-l.x, -l.y, -l.w)
+        l = _new(HLine, (-l[0], -l[1], -l[2]))
     return l
 
 
@@ -269,8 +274,14 @@ def _oriented(va: HPoint, vb: HPoint, vc: HPoint) -> list:
     return pts
 
 
-def _vertex_angles(pts) -> list:
-    return [vertex_angle(pts[i], pts[j], pts[k]) for i, (j, k) in enumerate(SIDE_ENDS)]
+def _measure(vs) -> tuple:
+    """Per side, its length and start tangent from one `plane.segment`; angle i, between the
+    tangents at vertex i toward j and k as `vertex_angle` takes them (None if two coincide)."""
+    s0, s1, s2 = segment(vs[1], vs[2]), segment(vs[2], vs[0]), segment(vs[0], vs[1])
+    starts = (s0[1], s1[1], s2[1])
+    angles = None if None in starts else (
+        tangent_angle(s2[1], s1[2]), tangent_angle(s0[1], s2[2]), tangent_angle(s1[1], s0[2]))
+    return (s0[0], s1[0], s2[0]), starts, angles
 
 
 def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
@@ -281,17 +292,21 @@ def solve_from_vertices(va: HPoint, vb: HPoint, vc: HPoint) -> TriangleData:
     constructions are well defined.
     """
     pts = _oriented(va, vb, vc)
-    sides = [distance(pts[j], pts[k]) for j, k in SIDE_ENDS]
+    sides, starts, angles = _measure(pts)
     _validate_sides(sides)
-    return _assemble(sides, _vertex_angles(pts), tuple(pts))
+    t = _assemble(sides, angles, tuple(pts))
+    t.__dict__["side_tangents"] = starts
+    return t
 
 
 def defect(va: HPoint, vb: HPoint, vc: HPoint) -> float:
     """The defect ``pi - alpha - beta - gamma`` of the triangle on three real
     points, which is its area.  The angles are measured and summed as
     `solve_from_vertices` does, so the value is that triangle's ``area`` to
-    the bit; the sides are not measured or checked."""
-    angles = _vertex_angles(_oriented(va, vb, vc))
+    the bit; the sides are not checked, and coincident vertices raise."""
+    angles = _measure(_oriented(va, vb, vc))[2]
+    if angles is None:
+        raise IdenticalPoints("tangent direction between coincident points")
     return math.pi - angles[0] - angles[1] - angles[2]
 
 

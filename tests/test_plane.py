@@ -43,7 +43,7 @@ from hypertri.plane import (
     UnitPoint,
 )
 
-from outcomes import outcome
+from outcomes import image, outcome
 
 INF = math.inf
 
@@ -286,6 +286,46 @@ class TestDistances:
         for p in (origin(), klein_point(0.2, 0.7), normalize(klein_point(-0.4, -0.4))):
             assert (plane.radius_ext(center, classify(center), p)
                     == distance_ext(center, p)[0])
+
+    def test_segment_is_the_distance_and_both_end_tangents(self):
+        # `segment` fuses `distance(p, q)`, `tangent_toward(p, q)` and
+        # `tangent_toward(q, p)`: each part keeps its bits, on both branches
+        # of `distance`, for nearby pairs whose difference square clamps at
+        # 0 and far pairs near the boundary; where `tangent_toward` raises
+        # for coincident points, the kernel returns no tangents
+        rng = random.Random("segment kernel")
+        branches, clamped, coincident = {True: 0, False: 0}, 0, 0
+        pairs = []
+
+        def point(radius):
+            r, th = radius * math.sqrt(rng.random()), 2.0 * math.pi * rng.random()
+            return normalize(klein_point(r * math.cos(th), r * math.sin(th)))
+
+        for _ in range(1500):
+            radius = rng.choice((0.3, 0.9, 0.999, 0.999999))
+            p, q = point(radius), point(radius)
+            t = plane.tangent_toward(p, q)
+            near = plane.geodesic_point(p, t, rng.choice((0.0, 1e-17, 1e-12, 1e-9, 1e-3, 0.05)))
+            pairs += [(p, q), (p, normalize(near)), (p, near), (p, p)]
+        for p, q in pairs:
+            for a, b in ((p, q), (q, p)):
+                d, ta, tb = plane.segment(a, b)
+                assert ("value", image(d)) == outcome(distance, a, b), (a, b)
+                for got, ends in ((ta, (a, b)), (tb, (b, a))):
+                    want = outcome(plane.tangent_toward, *ends)
+                    if want[0] == "raise":
+                        assert got is None and want[1:] == (
+                            IdenticalPoints, "tangent direction between coincident points")
+                    else:
+                        assert ("value", image(got)) == want, ends
+                ax, ay, aw = normalize(a)
+                bx, by, bw = normalize(b)
+                dx, dy, dw = ax - bx, ay - by, aw - bw
+                branches[aw * bw - ax * bx - ay * by < 1.005] += 1
+                clamped += dx * dx + dy * dy - dw * dw < 0.0
+                coincident += ta is None
+        assert branches[True] > 0 and branches[False] > 0
+        assert clamped > 0 and coincident > 0
 
     def test_acosh_below_its_slack_is_out_of_domain(self):
         assert plane.acosh_clamped(1.0 - 1e-13) == 0.0

@@ -275,40 +275,82 @@ class TestSuite:
                                                                           monkeypatch):
         # ST4 and IS1 read the random interior's three section ratios from
         # the context, so `cevian_ratio` runs three times for it and three
-        # for its conjugate; every side's join and start tangent is built
-        # once, by the triangle, and `lines`, the frame and every
-        # `cevian_ratio` call read it
-        calls = {"cevian_ratio": 0, "join": [], "tangent_toward": []}
-        originals = {name: getattr(trig, name) for name in calls}
+        # for its conjugate; every side's join is built once, by the
+        # triangle, and its start tangent once, by the solve's kernel
+        # (`plane.segment`, three calls a solve), and `lines`, the frame and
+        # every `cevian_ratio` call read them; `tangent_toward` runs on no
+        # vertex pair
+        names = ("cevian_ratio", "join", "segment", "solve_from_vertices", "defect")
+        calls = {name: [] for name in (*names, "tangent_toward")}
 
-        def ratio(x, t, i):
-            calls["cevian_ratio"] += 1
-            return originals["cevian_ratio"](x, t, i)
-
-        def counting(name):
-            def call(p, q):
-                calls[name].append((p, q))
-                return originals[name](p, q)
+        def counting(name, original):
+            def call(*args):
+                calls[name].append(args)
+                return original(*args)
             return call
 
-        monkeypatch.setattr(trig, "cevian_ratio", ratio)
-        for name in ("join", "tangent_toward"):
-            monkeypatch.setattr(trig, name, counting(name))
+        for name in names:
+            monkeypatch.setattr(trig, name, counting(name, getattr(trig, name)))
+        toward = counting("tangent_toward", plane.tangent_toward)
+        for module in (plane, ct):
+            monkeypatch.setattr(module, "tangent_toward", toward)
         t = gen_triangle(seed)
+        vs = t.vertices
+        side_pairs = [(vs[j], vs[k]) for j, k in trig.SIDE_ENDS]
+        assert len(calls["segment"]) == 3 * len(calls["solve_from_vertices"])
+        assert calls["segment"][-3:] == side_pairs
+        assert "side_tangents" in vars(t)
+        del calls["segment"][:]
         ctx = rg.TrialContext(seed=seed, t=t)
         records = [rg.run_identity(identity_id, ctx) for identity_id in rg.ALL_IDS]
         checked = [r for r in records if r.id in ("ST4", "IS1")]
         assert [r.status for r in checked] == ["pass", "pass"]
-        assert calls["cevian_ratio"] == 6
-        vs = t.vertices
-        for name in ("join", "tangent_toward"):
-            sides = [(p, q) for p, q in calls[name] if p in vs and q in vs]
-            assert sides == [(vs[j], vs[k]) for j, k in trig.SIDE_ENDS], name
+        assert len(calls["cevian_ratio"]) == 6
+        # after the solve, the kernel runs only for the sub-triangles of PM1
+        assert len(calls["segment"]) == 3 * len(calls["defect"])
+        assert [(p, q) for p, q in calls["join"] if p in vs and q in vs] == side_pairs
+        assert [(p, q) for p, q in calls["tangent_toward"] if p in vs and q in vs] == []
         assert ctx.side_tangents is t.side_tangents
         # a second run reads the stored interior ratios; IS1 builds its
         # conjugate's again
         assert [rg.run_identity(r.id, ctx) for r in checked] == checked
-        assert calls["cevian_ratio"] == 9
+        assert len(calls["cevian_ratio"]) == 9
+
+    @pytest.mark.parametrize("seed", [5, 8, 21])
+    def test_orthocenter_checks_share_h_distances(self, seed, monkeypatch):
+        # the orthocenter builder measures HA and HF_0 for its common value;
+        # OR1, OR2 and OR6 read H's six distances, to the vertices and to the
+        # altitude feet, from one `orthocenter_distances` build
+        ctx = rg.TrialContext(seed=seed, t=gen_triangle(seed, shape="acute"))
+        h = ct.orthocenter(ctx).point
+        measured = []
+        for module in (ct, rg):
+            def counting(p, q, original=getattr(module, "distance")):
+                if p is h:
+                    measured.append(q)
+                return original(p, q)
+            monkeypatch.setattr(module, "distance", counting)
+        records = [rg.run_identity(identity_id, ctx) for identity_id in ("OR1", "OR2", "OR6")]
+        assert [r.status for r in records] == ["pass", "pass", "pass"]
+        assert measured == [*ctx.vertices, *ctx.altitude_feet]
+
+    def test_isogonal_conjugates_read_the_frames_unit_bisectors(self, monkeypatch):
+        # the frame takes the unit forms of bisectors 0 and 1 once; M', H'
+        # and the random interior's conjugate reflect in them
+        ctx = rg.TrialContext(seed=8, t=gen_triangle(8, shape="acute"))
+        assert ctx.unit_bisectors == tuple(
+            plane.normalize_line(l) for l in ctx.internal_bisectors[:2])
+        calls = []
+
+        def counting(l):
+            calls.append(l)
+            return plane.normalize_line(l)
+
+        monkeypatch.setattr(ct, "normalize_line", counting)
+        for build in (ct.symmedian_point, ct.orthocenter_conjugate):
+            assert build(ctx).classification is PointKind.REAL
+        assert ctx.random_conjugate is not None
+        assert calls == []
 
     def test_triangle_json_round_trip(self):
         t = gen_triangle(13)

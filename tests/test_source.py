@@ -256,7 +256,7 @@ def test_every_error_type_is_named():
     assert sorted(declared - named) == []
 
 
-_KERNEL_EXEMPT = {"klein_point", "origin"}
+_KERNEL_EXEMPT = {"origin"}
 
 
 def _kernel_spellings(path: Path):
@@ -278,8 +278,8 @@ def test_kernel_reads_each_triple_once():
     # the plane primitives unpack each triple once (x, y, w = p) and build
     # each result with tuple.__new__; an attribute read goes through the
     # named tuple's descriptor and a constructor call through its generated
-    # __new__, both slower.  klein_point and origin build points from
-    # scalars, and HPoint's own methods are not module-level primitives
+    # __new__, both slower.  origin builds a point from constants, and
+    # HPoint's own methods are not module-level primitives
     assert sorted(_kernel_spellings(SRC / "plane.py")) == []
 
 
@@ -502,15 +502,19 @@ def test_residual_parts_reduce_through_worst_residual():
 
 
 # the helpers every center-coordinate check calls many times per seed, and
-# those of the segment and angle tables and the cevian section ratios,
+# those of the segment and angle tables, the cevian section ratios, the
+# solve of a triangle from its vertices and the candidates of generation,
 # written as straight-line code: a generator expression, comprehension or
 # lambda in one of them builds a frame on every call
 _STRAIGHT_LINE = {
+    "plane.py": ("segment",),
     "trig.py": ("tri_coords", "proportionality_residual", "relative_residual",
-                "worst_residual", "cevian_ratio"),
+                "worst_residual", "cevian_ratio", "solve_from_vertices", "defect",
+                "_measure"),
     "centers.py": ("_memo.builder", "side_tol", "isogonal_conjugate"),
     "registry.py": ("run_identity", "_center_coords.ev", "_table_check.evaluate",
                     "_segment_residual", "_angle_residual"),
+    "generate.py": ("_sampled_triangle", "_accept", "_surely_rejected"),
 }
 _FRAME_BUILDERS = (ast.GeneratorExp, ast.ListComp, ast.SetComp, ast.DictComp, ast.Lambda)
 
@@ -539,7 +543,8 @@ def test_hot_helpers_build_no_frames():
 # metric ones clamp by compares (``0.0 if s < 0.0 else s``); the builtin
 # calls ``max(abs(x), abs(y), abs(w))`` cost about three times as much
 _COMPARE_NORMS = ("_maxnorm", "classify", "normalize", "normalize_line", "_mcross",
-                  "perpendicular_bisector", "distance", "tangent_toward", "tangent_angle")
+                  "perpendicular_bisector", "distance", "tangent_toward", "segment",
+                  "tangent_angle")
 
 
 def test_kernel_max_norms_call_no_builtin():

@@ -9,6 +9,7 @@ from hypertri import plane, trig
 from hypertri.errors import (
     DegenerateTriangle,
     FootOutsideSegment,
+    IdenticalPoints,
     NoSolution,
     OutOfDomain,
     OverflowRisk,
@@ -27,6 +28,8 @@ from hypertri.trig import (
     stewart_residual,
     tri_coords,
 )
+
+from outcomes import image, outcome
 
 sinh, cosh = math.sinh, math.cosh
 
@@ -127,6 +130,43 @@ class TestAreaForms:
                 continue
             assert trig.defect(*pts) == area
             assert trig.defect(pts[0], pts[2], pts[1]) == area
+
+    def test_solve_measures_each_side_once_to_the_bit(self):
+        # the solve takes each side's length and both end tangents from one
+        # `plane.segment`: angle i is `vertex_angle(v_i, v_j, v_k)` and side
+        # i `distance(v_j, v_k)` bit for bit, in both vertex orders, and the
+        # triangle keeps `tangent_toward(v_j, v_k)` as side i's tangent
+        rng = random.Random(39)
+        solved = 0
+        for _ in range(300):
+            pts = [klein_point(*(rng.uniform(-0.7, 0.7) for _ in "xy")) for _ in "abc"]
+            for order in (pts, [pts[0], pts[2], pts[1]]):
+                try:
+                    t = solve_from_vertices(*order)
+                except DegenerateTriangle:
+                    continue
+                solved += 1
+                v = t.vertices
+                for i, (j, k) in enumerate(trig.SIDE_ENDS):
+                    assert image(t.angles[i]) == image(plane.vertex_angle(v[i], v[j], v[k]))
+                    assert image(t.sides[i]) == image(distance(v[j], v[k]))
+                    assert image(t.side_tangents[i]) == image(plane.tangent_toward(v[j], v[k]))
+        assert solved > 500
+
+    def test_coincident_vertices_raise_as_before(self, monkeypatch):
+        # a zero side stops the solve in `_validate_sides`, before any
+        # tangent is read, and `defect` raises IdenticalPoints as
+        # `tangent_toward` did; `_oriented` is bypassed, since its
+        # collinearity test turns down every pair of coincident vertices
+        p, q = plane.normalize(klein_point(0.1, 0.2)), plane.normalize(klein_point(-0.3, 0.4))
+        assert outcome(solve_from_vertices, p, p, q) == (
+            "raise", DegenerateTriangle, "vertices are (numerically) collinear")
+        monkeypatch.setattr(trig, "_oriented", lambda *vs: list(vs))
+        for vs in ((p, p, q), (p, q, q), (q, p, q)):
+            assert outcome(solve_from_vertices, *vs) == (
+                "raise", DegenerateTriangle, "side 0.0 is not positive")
+            assert outcome(trig.defect, *vs) == (
+                "raise", IdenticalPoints, "tangent direction between coincident points")
 
     def test_defect_rejects_collinear_points(self):
         with pytest.raises(DegenerateTriangle, match="collinear"):

@@ -4,9 +4,10 @@ Exit codes: 0 all checks passed, 1 at least one identity failed, 2 usage
 error.  `verify --seeds` reports are JSON lines ordered by seed, written as
 each seed finishes, and byte-identical across runs and across --jobs settings.
 `verify --jobs N` runs the seeds on n = min(N, seed count) processes: the
-command's own process takes seeds 0, n, 2n, ... and child k (1 <= k < n)
-takes seeds k, k+n, ..., sending each result down its own pipe.  Every child
-is stopped and joined before the command returns.
+command's own process takes the residue class mod n of the last seed's
+index, and each other class k runs in a child made with `os.fork` (POSIX),
+which sends each result down its own pipe.  Every child is stopped and
+reaped before the command returns.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from contextlib import ExitStack
 
@@ -97,51 +99,76 @@ def _verify_worker(job):
     return rep.to_jsonl(), rep.summary()
 
 
-def _verify_stride(seeds, rest, conn):
-    """Child body: send the result of each job ``(seed, *rest)`` down
-    ``conn`` in order; a GeometryError is sent in place of its result and
+def _verify_outcome(job):
+    """The (jsonl, summary) of ``job``, or the GeometryError it raised."""
+    try:
+        return _verify_worker(job)
+    except GeometryError as e:
+        return e
+
+
+def _verify_stride(seeds, rest, fd):
+    """Child body: pickle the outcome of each job ``(seed, *rest)`` to the
+    pipe ``fd``, in order; a GeometryError is sent in place of its result and
     ends the stride."""
-    with conn:
+    import pickle
+    with open(fd, "wb") as fh:
         for seed in seeds:
-            try:
-                result = _verify_worker((seed, *rest))
-            except GeometryError as e:
-                conn.send(e)
+            result = _verify_outcome((seed, *rest))
+            pickle.dump(result, fh)
+            fh.flush()
+            if isinstance(result, GeometryError):
                 return
-            conn.send(result)
 
 
 def _verify_results(seeds, rest, n, stack):
     """The (jsonl, summary) of each job ``(seed, *rest)``, in seed order,
     computed on n processes.  Jobs are made one seed at a time.
 
-    Children 1..n-1 run seeds k, k+n, ... and are registered on ``stack``,
-    which terminates and joins them on every exit; the caller runs seeds 0,
-    n, 2n, ... itself between reads of the children's pipes.
+    The caller runs the residue class of the last seed, (len - 1) % n, so
+    the children finish while it runs the final seed.  Each other class
+    runs in a child forked for it, which sends its outcomes down its own
+    pipe; ``stack`` closes the pipe, terminates the child and reaps it on
+    every exit.  Before it waits on a child the caller computes its own next
+    seed, whose result (or GeometryError) it yields at that seed's place.
     """
-    conns = []
-    if n > 1:
-        import multiprocessing
-    for k in range(1, n):
-        recv, send = multiprocessing.Pipe(duplex=False)
-        proc = multiprocessing.Process(target=_verify_stride, args=(seeds[k::n], rest, send))
-        proc.start()
-        stack.callback(proc.join)
-        stack.callback(proc.terminate)
-        stack.callback(recv.close)
-        # a child that dies must leave its pipe at EOF, so the caller keeps
-        # no send end open (and later children inherit none)
-        send.close()
-        conns.append(recv)
-    for i, seed in enumerate(seeds):
-        if i % n == 0:
+    if n == 1:
+        for seed in seeds:
             yield _verify_worker((seed, *rest))
+        return
+    import pickle
+    import signal
+    own = (len(seeds) - 1) % n
+    pipes = {}
+    for k in range(n):
+        if k == own:
             continue
-        try:
-            result = conns[i % n - 1].recv()
-        except EOFError:
-            raise RuntimeError(f"verify child for seed {seed} exited "
-                               "without a result") from None
+        r, w = os.pipe()
+        pid = os.fork()
+        if pid == 0:   # the child never unwinds into the caller's stack
+            try:
+                _verify_stride(seeds[k::n], rest, w)
+            finally:
+                os._exit(0)
+        stack.callback(os.waitpid, pid, 0)
+        stack.callback(os.kill, pid, signal.SIGTERM)
+        # a child that dies must leave its pipe at EOF, so the caller keeps
+        # no write end open (and later children inherit none)
+        os.close(w)
+        pipes[k] = stack.enter_context(open(r, "rb"))
+    ahead = (-1, None)   # index and outcome of the caller's next seed
+    for i, seed in enumerate(seeds):
+        j = i + (own - i) % n
+        if ahead[0] != j:
+            ahead = (j, _verify_outcome((seeds[j], *rest)))
+        if j == i:
+            result = ahead[1]
+        else:
+            try:
+                result = pickle.load(pipes[i % n])
+            except EOFError:
+                raise RuntimeError(f"verify child for seed {seed} exited "
+                                   "without a result") from None
         if isinstance(result, GeometryError):
             raise result
         yield result

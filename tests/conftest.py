@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 
 import pytest
@@ -9,10 +8,12 @@ from hypertri.trig import solve_from_vertices
 
 @pytest.fixture(autouse=True)
 def no_child_left():
-    """No test may leave a child process running: `verify --jobs N` stops
-    and joins its children before `cli.main` returns, on every path."""
+    """No test may leave a child process, running or unreaped: `verify
+    --jobs N` stops and reaps its children before `cli.main` returns, on
+    every path."""
     yield
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

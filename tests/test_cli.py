@@ -1,11 +1,11 @@
 import argparse
 import json
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -20,6 +20,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_no_child():
+    """No child process of any kind is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestGen:
@@ -265,7 +271,7 @@ class TestVerify:
         for jobs in ("2", "3"):
             code2, out2, _ = run_cli(capsys, *argv, "--jobs", jobs)
             assert (code2, out2) == (code1, out1)
-            assert multiprocessing.active_children() == []
+            assert_no_child()
 
     def test_output_file_matches_stdout(self, tmp_path, capsys):
         argv = ["verify", "--seeds", "1..3", "--ids", "LS,EU0"]
@@ -274,11 +280,16 @@ class TestVerify:
         run_cli(capsys, *argv, "-o", str(path))
         assert path.read_bytes() == out.encode()
 
-    # over seeds 1..5, jobs 2 runs seeds 1, 3, 5 in the caller and 2, 4 in
-    # its child; jobs 3 runs 1, 4 in the caller and 2, 5 and 3 in children
-    @pytest.mark.parametrize("jobs, bad", [("1", 3), ("2", 3), ("2", 4), ("3", 4), ("3", 3)],
+    # the caller runs the last seed's residue class: over seeds 1..5, jobs 2
+    # runs 1, 3, 5 in the caller and 2, 4 in its child; jobs 3 runs 2, 5 in
+    # the caller, 1, 4 in one child and 3 in the other.  A caller seed is
+    # computed while the caller waits on the seed before it, and its error
+    # is raised only at its own place
+    @pytest.mark.parametrize("jobs, bad", [("1", 3), ("2", 3), ("2", 4), ("3", 5), ("3", 4),
+                                           ("3", 2), ("3", 3)],
                              ids=["jobs1", "jobs2-caller", "jobs2-child",
-                                  "jobs3-caller", "jobs3-child"])
+                                  "jobs3-caller", "jobs3-child",
+                                  "jobs3-caller-first", "jobs3-other-child"])
     def test_error_mid_run_keeps_earlier_seeds(self, jobs, bad, tmp_path, capsys,
                                                monkeypatch):
         run_suite = rg.run_suite
@@ -296,16 +307,72 @@ class TestVerify:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert [r["summary"]["seed"] for r in rows if "summary" in r] == list(range(1, bad))
         assert not any("total" in r for r in rows)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
-    @pytest.mark.parametrize("jobs", ["2", "3"])
-    def test_crashed_child_raises(self, jobs, tmp_path, capsys, monkeypatch):
+    def test_caller_error_computed_ahead_waits_for_earlier_seeds(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # over seeds 1..6, jobs 2 runs 2, 4, 6 in the caller: it computes seed
+        # 4 while it waits on the child's seed 3, but seed 3 is still written
+        run_suite = rg.run_suite
+
+        def failing_run_suite(seed, *args, **kwargs):
+            if seed == 4:
+                raise GeometryError("no triangle for seed 4")
+            return run_suite(seed, *args, **kwargs)
+
+        monkeypatch.setattr(rg, "run_suite", failing_run_suite)
+        path = tmp_path / "report.jsonl"
+        code, _, err = run_cli(capsys, "verify", "--seeds", "1..6", "--ids", "LS",
+                               "--jobs", "2", "-o", str(path))
+        assert code == 2 and err == "error: no triangle for seed 4\n"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [r["summary"]["seed"] for r in rows if "summary" in r] == [1, 2, 3]
+        assert_no_child()
+
+    def test_children_leave_inherited_buffers_unflushed(self):
+        # text the caller printed but did not flush before the command is in
+        # each forked child's copy of the stdout buffer; a child that flushed
+        # it on its way out would print it again.  The caller's last seed
+        # (5) sleeps, so the children reach their exit before they are
+        # stopped, and stdout is a pipe without PYTHONUNBUFFERED, so it buffers
+        src = os.path.dirname(os.path.dirname(hypertri.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        script = textwrap.dedent("""\
+            import sys, time
+            from hypertri import cli, registry as rg
+            run_suite = rg.run_suite
+
+            def slow_last_seed(seed, *args, **kwargs):
+                if seed == 5:
+                    time.sleep(0.5)
+                return run_suite(seed, *args, **kwargs)
+
+            rg.run_suite = slow_last_seed
+            print('before')
+            sys.exit(cli.main(['verify', '--seeds', '1..5', '--ids', 'LS,HER',
+                               '--jobs', sys.argv[1]]))
+        """)
+        outs = []
+        for jobs in ("1", "3"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, jobs],
+                env={**env, "PYTHONPATH": path}, capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode == 0, proc.stderr[-4000:]
+            outs.append(proc.stdout)
+        assert outs[1].count("before") == 1
+        assert outs[1] == outs[0]
+
+    # over seeds 1..5 a child runs seed 2 at jobs 2 and seed 3 at jobs 3
+    @pytest.mark.parametrize("jobs, bad", [("2", 2), ("3", 3)], ids=["2", "3"])
+    def test_crashed_child_raises(self, jobs, bad, tmp_path, capsys, monkeypatch):
         # a programming error in a child ends it; the caller raises at that
         # seed instead of waiting on its pipe
         run_suite = rg.run_suite
 
         def crashing_run_suite(seed, *args, **kwargs):
-            if seed == 2:
+            if seed == bad:
                 raise ValueError("not a geometry error")
             return run_suite(seed, *args, **kwargs)
 
@@ -317,15 +384,15 @@ class TestVerify:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            with pytest.raises(RuntimeError, match="seed 2"):
+            with pytest.raises(RuntimeError, match=f"seed {bad}"):
                 main(["verify", "--seeds", "1..5", "--ids", "LS", "--jobs", jobs,
                       "-o", str(path)])
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [r["summary"]["seed"] for r in rows if "summary" in r] == [1]
-        assert multiprocessing.active_children() == []
+        assert [r["summary"]["seed"] for r in rows if "summary" in r] == list(range(1, bad))
+        assert_no_child()
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_is_usage_error(self, jobs, tmp_path, capsys):
@@ -341,36 +408,41 @@ class TestVerify:
                                                       ("1..3", "2", 1)])
     def test_children_capped_by_seed_count(self, seeds, jobs, started, capsys,
                                            monkeypatch):
-        starts = []
-        start = multiprocessing.Process.start
+        forks = []
+        fork = os.fork
 
-        def counting_start(proc):
-            starts.append(proc)
-            start(proc)
+        def counting_fork():
+            forks.append(None)
+            return fork()
 
-        monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
+        monkeypatch.setattr(os, "fork", counting_fork)
         code, _, _ = run_cli(capsys, "verify", "--seeds", seeds, "--ids", "LS",
                              "--jobs", jobs)
         assert code == 0
-        assert len(starts) == started
+        assert len(forks) == started
 
     def test_import_leaves_out_multiprocessing(self):
-        # only `verify --jobs N` with N > 1 and more than one seed needs it;
-        # neither the import nor a `--jobs 1` run loads it.  Nor do they load
-        # `render` (only `hypertri render` draws) or `dataclasses` and the
-        # `inspect` it imports (every record is a named tuple)
+        # `verify --jobs N` forks its children itself, so no command loads
+        # `multiprocessing`; only N > 1 with more than one seed loads `pickle`
+        # and `signal`, and neither the import nor a `--jobs 1` run does.  Nor
+        # do they load `render` (only `hypertri render` draws) or
+        # `dataclasses` and the `inspect` it imports (every record is a named
+        # tuple)
         src = os.path.dirname(os.path.dirname(hypertri.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-c",
              "import os, sys; from hypertri import cli; "
+             "names = {'multiprocessing', 'pickle', 'signal', 'dataclasses', 'inspect', "
+             "'hypertri.render'}; "
              "cli.main(['verify', '--seeds', '1..3', '--ids', 'LS', '--jobs', '1', "
-             "'-o', os.devnull]); print(sorted({'multiprocessing', 'dataclasses', "
-             "'inspect', 'hypertri.render'} & set(sys.modules)))"],
+             "'-o', os.devnull]); print(sorted(names & set(sys.modules))); "
+             "cli.main(['verify', '--seeds', '1..3', '--ids', 'LS', '--jobs', '2', "
+             "'-o', os.devnull]); print(sorted({'multiprocessing'} & set(sys.modules)))"],
             env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
             timeout=60)
         assert proc.returncode == 0, proc.stderr[-4000:]
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n[]\n"
 
 
 class TestRender:
